@@ -58,7 +58,6 @@ from .ensembles import (
     single_bit_pure_example,
     spiked_distribution,
     two_bit_pkl_example,
-    uniform_key_state,
 )
 from .experiments import ExperimentReport, Verdict, run_experiment, run_sweep
 from .qmath import (

@@ -7,7 +7,6 @@ value is derived from it (underflowing gracefully to zero).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -158,39 +157,3 @@ def uniform_comparison_table(
             )
         )
     return tuple(rows)
-
-
-_TABLE_FIELDS = (
-    "m",
-    "uniform_prob",
-    "uniform_log2",
-    "bound",
-    "bound_log2",
-    "spiked_peak",
-    "spiked_log2",
-    "ratio",
-    "ratio_log2",
-)
-
-
-def table_to_csv(rows) -> str:
-    out = io.StringIO()
-    out.write(",".join(_TABLE_FIELDS) + "\n")
-    for r in rows:
-        out.write(",".join(repr(getattr(r, f)) for f in _TABLE_FIELDS) + "\n")
-    return out.getvalue()
-
-
-def table_to_markdown(rows) -> str:
-    """Aligned-column Markdown rendering of a comparison table."""
-    cells = [[f for f in _TABLE_FIELDS]]
-    for r in rows:
-        cells.append([repr(getattr(r, f)) for f in _TABLE_FIELDS])
-    widths = [max(len(row[i]) for row in cells) for i in range(len(_TABLE_FIELDS))]
-    lines = []
-    header, *body = cells
-    lines.append("| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |")
-    lines.append("| " + " | ".join("-" * w for w in widths) + " |")
-    for row in body:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
-    return "\n".join(lines) + "\n"

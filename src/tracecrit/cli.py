@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import ToolkitError
-from .experiments import REGISTRY, ExperimentReport, run_experiment, run_sweep
+from .experiments import REGISTRY, ExperimentReport, _csv_text, run_experiment, run_sweep
 
 FORMATS = ("json", "csv", "md")
 
@@ -46,36 +46,30 @@ def build_parser() -> argparse.ArgumentParser:
 def load_params(raw: str) -> dict:
     """Parse --params as inline JSON, falling back to a file path."""
     text = raw.strip()
-    if text.startswith("{"):
-        parsed = json.loads(text)
-    else:
+    if not text.startswith("{"):
         path = Path(text)
         if not path.exists():
             raise ToolkitError(f"params is neither inline JSON nor an existing file: {raw!r}")
-        parsed = json.loads(path.read_text())
+        text = path.read_text()
+    parsed = json.loads(text, parse_constant=_reject_constant)
     if not isinstance(parsed, dict):
         raise ToolkitError("params must decode to a JSON object")
     return parsed
 
 
+def _reject_constant(name: str):
+    raise ToolkitError(f"params must be finite numbers, got {name}")
+
+
 def render_csv(report: ExperimentReport) -> str:
-    lines = ["field,value"]
     doc = report.to_dict()
-    for key in sorted(doc["results"]):
-        value = doc["results"][key]
+    rows = [["field", "value"]]
+    for key, value in sorted(doc["results"].items()):
         if isinstance(value, (dict, list)):
             value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        lines.append(f"{key},{_csv_quote(value)}")
-    for v in doc["verdicts"]:
-        lines.append(f"verdict:{v['relation']},{v['status']}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_quote(value) -> str:
-    text = value if isinstance(value, str) else repr(value)
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+        rows.append([key, value if isinstance(value, str) else repr(value)])
+    rows += [[f"verdict:{v['relation']}", v["status"]] for v in doc["verdicts"]]
+    return _csv_text(rows)
 
 
 def render_markdown(report: ExperimentReport) -> str:

@@ -8,18 +8,15 @@ an arbitrary coupling can sit from that optimum.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ensembles import ProbDist
-from .errors import BadParams, TooLarge
+from .errors import BadParams
 
 #: Tolerance on coupling marginal sums.
 MARGINAL_TOL = 1e-12
-#: Cell cap for materializing dense couplings (CSV export, product expansion).
-MAX_DENSE_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -124,16 +121,3 @@ def mismatch_probability(c: Coupling):
     if exact:
         return 1 - sum(matches, Fraction(0))
     return 1.0 - math.fsum(float(v) for v in matches)
-
-
-def coupling_to_csv(c: Coupling) -> str:
-    """Dense CSV of the joint mass (rows = X, columns = X')."""
-    cells = len(c.row_labels) * len(c.col_labels)
-    if cells > MAX_DENSE_CELLS:
-        raise TooLarge(f"coupling has {cells} cells, over the {MAX_DENSE_CELLS} export cap")
-    out = io.StringIO()
-    out.write("," + ",".join(c.col_labels) + "\n")
-    for i, x in enumerate(c.row_labels):
-        row = ",".join(repr(float(c.mass(i, j))) for j in range(len(c.col_labels)))
-        out.write(f"{x},{row}\n")
-    return out.getvalue()

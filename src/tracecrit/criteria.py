@@ -250,22 +250,23 @@ class DeltaEVariants:
     avg_posterior_dev: float
 
 
+def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
+    """Joint mass p_k tr(rho_k E_o), one row per key and one column per outcome."""
+    if povm.dim != e.probe_dim:
+        raise DimMismatch(f"measurement dim {povm.dim} does not match probe dim {e.probe_dim}")
+    mass = np.zeros((len(e.keys), len(povm.elements)))
+    for i, (k, p) in enumerate(zip(e.keys, e.prior.probs)):
+        p = float(p)
+        rho = e.probe(k).matrix
+        for j, (_, op) in enumerate(povm.elements):
+            mass[i, j] = p * float(np.trace(rho @ op).real)
+    return mass
+
+
 def delta_E_variants(e: CqEnsemble, povm: "Povm") -> DeltaEVariants:
     """Evaluate all four candidate deviation readings for one measurement."""
-    if povm.dim != e.probe_dim:
-        raise DimMismatch(
-            f"measurement dim {povm.dim} does not match probe dim {e.probe_dim}"
-        )
-    keys = e.keys
-    outcomes = povm.labels
-    n_keys, n_out = len(keys), len(outcomes)
-
-    mass = np.zeros((n_keys, n_out))
-    for i, k in enumerate(keys):
-        p = float(e.prior.probs[i])
-        rho = e.probe(k).matrix
-        for j, label in enumerate(outcomes):
-            mass[i, j] = max(0.0, p * float(np.trace(rho @ povm.element(label)).real))
+    mass = np.maximum(_outcome_mass(e, povm), 0.0)
+    n_keys, n_out = mass.shape
 
     outcome_mass = mass.sum(axis=0)
     support = [j for j in range(n_out) if outcome_mass[j] > SUPPORT_TOL]

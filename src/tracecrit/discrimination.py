@@ -7,14 +7,13 @@ lower bound, and discrimination of the residual key after a partial leak.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .criteria import criterion_d_averaged
+from .criteria import _outcome_mass, criterion_d_averaged
 from .ensembles import CqEnsemble, LeakSpec, ProbDist, average_probe, condition_on_leak
 from .errors import (
     BadParams,
@@ -118,13 +117,6 @@ class JointDistribution:
     def col_marginal(self) -> ProbDist:
         return ProbDist(self.col_labels, tuple(float(v) for v in self.mass.sum(axis=0)))
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("key," + ",".join(self.col_labels) + "\n")
-        for i, k in enumerate(self.row_labels):
-            out.write(k + "," + ",".join(repr(float(v)) for v in self.mass[i]) + "\n")
-        return out.getvalue()
-
 
 class HelstromResult(NamedTuple):
     p_success: float
@@ -162,15 +154,7 @@ def helstrom_binary(
 
 def measure_ensemble(e: CqEnsemble, m: Povm) -> JointDistribution:
     """Joint distribution of the key and the measurement outcome."""
-    if m.dim != e.probe_dim:
-        raise DimMismatch(f"measurement dim {m.dim} does not match probe dim {e.probe_dim}")
-    mass = np.zeros((len(e.keys), len(m.labels)))
-    for i, k in enumerate(e.keys):
-        p = float(e.prior.probs[i])
-        rho = e.probe(k).matrix
-        for j, label in enumerate(m.labels):
-            mass[i, j] = p * float(np.trace(rho @ m.element(label)).real)
-    return JointDistribution(e.keys, m.labels, mass)
+    return JointDistribution(e.keys, m.labels, _outcome_mass(e, m))
 
 
 def posterior(j: JointDistribution, outcome: str) -> ProbDist:

@@ -26,8 +26,6 @@ MASS_TOL = 1e-9
 #: Masses in [-NEG_MASS_TOL, 0) are clamped to zero; anything lower is an error.
 NEG_MASS_TOL = 1e-12
 
-#: Key length cap for dense uniform states (dim 64).
-MAX_UNIFORM_BITS = 6
 #: Key length cap for sparse spiked distributions.
 MAX_SPIKED_BITS = 30
 
@@ -226,16 +224,6 @@ class CqEnsemble:
 
     def probe(self, key: str) -> DensityOperator:
         return self.probes[key]
-
-
-def uniform_key_state(n: int) -> DensityOperator:
-    """Completely mixed state on the 2^n-dimensional key register."""
-    if n < 0:
-        raise BadParams(f"key length must be nonnegative, got {n}")
-    if n > MAX_UNIFORM_BITS:
-        raise TooLarge(f"key length {n} exceeds the dense cap of {MAX_UNIFORM_BITS} bits")
-    dim = 2**n
-    return DensityOperator(np.eye(dim) / dim)
 
 
 def average_probe(e: CqEnsemble) -> DensityOperator:

@@ -9,6 +9,7 @@ relation held, failed, or did not apply to the supplied instance.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -608,20 +609,7 @@ def cmd_table(params: Mapping, seed: int):
         "n": scenario.n,
         "l": scenario.l,
         "epsilon": scenario.epsilon,
-        "rows": [
-            {
-                "m": r.m,
-                "uniform_prob": r.uniform_prob,
-                "uniform_log2": r.uniform_log2,
-                "bound": r.bound,
-                "bound_log2": r.bound_log2,
-                "spiked_peak": r.spiked_peak,
-                "spiked_log2": r.spiked_log2,
-                "ratio": r.ratio,
-                "ratio_log2": r.ratio_log2,
-            }
-            for r in rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in rows],
         "headline_ratio_log2": rows[0].ratio_log2,
     }
     verdicts = [
@@ -702,8 +690,11 @@ def run_sweep(
             [index, *point, *(scalars.get(k, "") for k in result_keys), report.all_ok()]
         )
 
+    return _csv_text([["grid_index", *names, *(result_keys or []), "all_pass"], *rows])
+
+
+def _csv_text(rows) -> str:
+    """CSV with minimal quoting and bare newline line ends."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["grid_index", *names, *(result_keys or []), "all_pass"])
-    writer.writerows(rows)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()

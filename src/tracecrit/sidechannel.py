@@ -9,7 +9,6 @@ over packed bit matrices.
 
 from __future__ import annotations
 
-import io
 import math
 import random
 from dataclasses import dataclass
@@ -83,9 +82,15 @@ def toeplitz_from_seed(seed_bits, m: int, n: int) -> Gf2Matrix:
     return Gf2Matrix(m, n, packed)
 
 
-def gf2_rank(mat: Gf2Matrix) -> int:
-    """Rank over GF(2) by Gaussian elimination on packed rows."""
+def _gf2_rref(mat: Gf2Matrix) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form over GF(2) by Gaussian elimination on packed rows.
+
+    Returns the reduced rows and the pivot columns: row i has its pivot at
+    column pivots[i] and no other pivot bit set; rows past len(pivots) are
+    zero.
+    """
     work = list(mat.row_bits)
+    pivots = []
     rank = 0
     for col in range(mat.cols):
         pivot = None
@@ -99,10 +104,16 @@ def gf2_rank(mat: Gf2Matrix) -> int:
         for r in range(len(work)):
             if r != rank and ((work[r] >> col) & 1):
                 work[r] ^= work[rank]
+        pivots.append(col)
         rank += 1
         if rank == len(work):
             break
-    return rank
+    return work, pivots
+
+
+def gf2_rank(mat: Gf2Matrix) -> int:
+    """Rank over GF(2)."""
+    return len(_gf2_rref(mat)[1])
 
 
 def pac_leakage(mat: Gf2Matrix) -> int:
@@ -202,36 +213,10 @@ def code_from_text(text: str) -> LinearCode:
     return LinearCode(Gf2Matrix.from_rows(rows))
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    # SWAR popcount; keeps us independent of numpy's bitwise_count availability
-    v = a.astype(np.uint64)
-    v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    v = (v & np.uint64(0x3333333333333333)) + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((v * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
-
-
 def _parity_check_rows(code: LinearCode) -> list[int]:
     """Rows of a parity-check matrix (n-k of them) from the generator's RREF."""
-    n, k = code.n, code.k
-    work = list(code.generator.row_bits)
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, k):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(k):
-            if r != rank and ((work[r] >> col) & 1):
-                work[r] ^= work[rank]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
+    work, pivots = _gf2_rref(code.generator)
+    free = [c for c in range(code.n) if c not in pivots]
     rows = []
     for f in free:
         h = 1 << f
@@ -277,7 +262,7 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
         for j in range(n):
             syndromes ^= ((words >> j) & 1) * col_syndrome[j]
         # coset leader: minimum weight, ties broken by smallest word value
-        order = np.lexsort((words, _popcount(words)))
+        order = np.lexsort((words, np.bitwise_count(words)))
         sorted_synd = syndromes[order]
         uniq, first = np.unique(sorted_synd, return_index=True)
         leaders = np.zeros(2 ** (n - k), dtype=np.int64)
@@ -290,7 +275,7 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
         best_dist = np.full(2**n, n + 1, dtype=np.int64)
         messages = np.zeros(2**n, dtype=np.int64)
         for idx in range(2**k):
-            dist = _popcount(words ^ cws[idx])
+            dist = np.bitwise_count(words ^ cws[idx])
             better = dist < best_dist  # strict: earlier message wins ties
             best_dist = np.where(better, dist, best_dist)
             messages = np.where(better, idx, messages)
@@ -301,14 +286,6 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
     delta = variational_distance(bias, ProbDist.uniform(labels))
     sizes = {lab: int(c) for lab, c in zip(labels, counts)}
     return CensusResult(sizes, bias, float(delta))
-
-
-def census_to_csv(result: CensusResult) -> str:
-    out = io.StringIO()
-    out.write("message,region_size\n")
-    for message, size in sorted(result.region_sizes.items()):
-        out.write(f"{message},{size}\n")
-    return out.getvalue()
 
 
 def is_perfect_code(code: LinearCode, t: int) -> bool:

@@ -15,8 +15,9 @@ from tracecrit import (
     uniform_comparison_table,
     validate_density,
 )
-from tracecrit.bounds import table_to_csv, table_to_markdown
+from tracecrit.cli import render_csv, render_markdown
 from tracecrit.errors import BadParams, BadRange
+from tracecrit.experiments import run_experiment
 
 from helpers import random_density
 
@@ -160,12 +161,13 @@ class TestComparisonTable:
             GuaranteeScenario(n=10, l=3, m=5, epsilon=1.5)
 
     def test_renderings(self):
-        scenario = GuaranteeScenario(n=100, l=10, m=20)
-        rows = uniform_comparison_table(scenario, ms=(10, 20))
-        csv_text = table_to_csv(rows)
-        assert csv_text.splitlines()[0].startswith("m,uniform_prob")
-        assert len(csv_text.splitlines()) == 3
-        md_text = table_to_markdown(rows)
-        lines = md_text.splitlines()
-        assert lines[0].startswith("| m")
-        assert len({len(line) for line in lines}) == 1  # aligned columns
+        report = run_experiment("table", {"n": 100, "l": 10, "m": 20, "ms": [10, 20]})
+        csv_lines = render_csv(report).splitlines()
+        assert csv_lines[0] == "field,value"
+        (rows_line,) = [line for line in csv_lines if line.startswith("rows,")]
+        assert rows_line.startswith('rows,"[{""bound"":')
+        assert rows_line.count('""m"":') == 2
+        md_lines = render_markdown(report).splitlines()
+        table = [line for line in md_lines if line.startswith("| ")]
+        assert table[0].startswith("| result")
+        assert len({len(line) for line in table}) == 1  # aligned columns

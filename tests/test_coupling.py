@@ -11,8 +11,7 @@ from tracecrit import (
     mismatch_probability,
     variational_distance,
 )
-from tracecrit.coupling import coupling_to_csv
-from tracecrit.errors import BadParams, TooLarge
+from tracecrit.errors import BadParams
 
 from helpers import random_probdist
 
@@ -139,19 +138,3 @@ class TestCouplingValidation:
                 (0.5, 0.5),
                 ((0.6, -0.1), (0.0, 0.5)),
             )
-
-
-class TestCsvExport:
-    def test_dense_export(self):
-        p = ProbDist(("a", "b"), (0.7, 0.3))
-        q = ProbDist(("a", "b"), (0.4, 0.6))
-        text = coupling_to_csv(maximal_coupling(p, q))
-        lines = text.splitlines()
-        assert lines[0] == ",a,b"
-        assert lines[1].startswith("a,")
-
-    def test_product_export_cap(self):
-        labels = tuple(str(i) for i in range(4096))
-        p = ProbDist.uniform(labels)
-        with pytest.raises(TooLarge):
-            coupling_to_csv(independent_coupling(p, p))

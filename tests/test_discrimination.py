@@ -280,13 +280,6 @@ class TestPostLeakDiscrimination:
 
 
 class TestJointDistribution:
-    def test_csv_export(self):
-        mass = np.array([[0.5, 0.0], [0.25, 0.25]])
-        joint = JointDistribution(("0", "1"), ("x", "y"), mass)
-        text = joint.to_csv()
-        assert text.splitlines()[0] == "key,x,y"
-        assert text.splitlines()[1].startswith("0,0.5,")
-
     def test_marginals(self):
         mass = np.array([[0.5, 0.0], [0.25, 0.25]])
         joint = JointDistribution(("0", "1"), ("x", "y"), mass)

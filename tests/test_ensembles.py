@@ -16,7 +16,6 @@ from tracecrit import (
     spiked_distribution,
     tensor,
     two_bit_pkl_example,
-    uniform_key_state,
     validate_density,
 )
 from tracecrit.criteria import criterion_d_averaged
@@ -58,22 +57,6 @@ class TestBitStrings:
         assert bit_strings(0) == ("",)
         assert bit_strings(1) == ("0", "1")
         assert bit_strings(2) == ("00", "01", "10", "11")
-
-
-class TestUniformKeyState:
-    def test_single_bit(self):
-        np.testing.assert_array_equal(uniform_key_state(1).matrix, np.eye(2) / 2)
-
-    def test_two_bits(self):
-        np.testing.assert_array_equal(uniform_key_state(2).matrix, np.eye(4) / 4)
-
-    def test_trace_exact(self):
-        for n in range(0, 7):
-            assert float(uniform_key_state(n).matrix.trace().real) == 1.0
-
-    def test_size_cap(self):
-        with pytest.raises(TooLarge):
-            uniform_key_state(7)
 
 
 class TestAverageProbe:

@@ -283,6 +283,16 @@ class TestCli:
     def test_bad_params_exit_two(self, capsys):
         assert main(["--experiment", "cex_i", "--params", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_params_exit_two(self, constant, tmp_path, capsys):
+        params = f'{{"mean": {constant}}}'
+        assert main(["--experiment", "markov", "--params", params]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        path = tmp_path / "p.json"
+        path.write_text(params)
+        assert main(["--experiment", "markov", "--params", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_markdown_format(self, capsys):
         assert main(["--experiment", "markov", "--params", '{"mean": 0.0, "threshold": 1.0}', "--format", "md"]) == 0
         text = capsys.readouterr().out

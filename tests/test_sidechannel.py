@@ -15,7 +15,9 @@ from tracecrit import (
     singular_fraction,
     toeplitz_from_seed,
 )
-from tracecrit.sidechannel import census_to_csv
+from tracecrit.cli import render_csv
+from tracecrit.experiments import run_experiment
+from tracecrit.sidechannel import _parity_check_rows
 from tracecrit.errors import BadParams, BadSeedLength, BadShape, TooLarge
 
 HAMMING74 = [
@@ -137,6 +139,12 @@ class TestSingularFraction:
         b = singular_fraction(3, 5, mode="sample", samples=500, seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("m,n", [(m, n) for n in range(1, 6) for m in range(1, n + 1)])
+    def test_exhaustive_matches_closed_form(self, m, n):
+        # a uniformly random m x n Toeplitz matrix (m <= n) is singular
+        # with probability exactly 2^(m-n-1)
+        assert singular_fraction(m, n) == 2.0 ** (m - n - 1)
+
     def test_errors(self):
         with pytest.raises(TooLarge):
             singular_fraction(13, 13, mode="exhaustive")
@@ -169,6 +177,32 @@ class TestLinearCode:
             code_from_text("10\n1")
         with pytest.raises(BadParams):
             code_from_text("")
+
+
+def _random_full_rank_generator(rng, k: int, n: int) -> Gf2Matrix:
+    while True:
+        g = Gf2Matrix.from_rows(rng.integers(0, 2, size=(k, n)).tolist())
+        if gf2_rank(g) == k:
+            return g
+
+
+class TestParityCheck:
+    @pytest.mark.parametrize(
+        "generator",
+        [Gf2Matrix.from_rows(HAMMING74), Gf2Matrix.from_rows(CODE52)]
+        + [
+            _random_full_rank_generator(np.random.default_rng(seed), k, n)
+            for seed, (k, n) in enumerate([(1, 4), (3, 6), (4, 9), (5, 8), (6, 11), (7, 10)])
+        ],
+    )
+    def test_orthogonal_complement_of_generator(self, generator):
+        code = LinearCode(generator)
+        h_rows = _parity_check_rows(code)
+        assert len(h_rows) == code.n - code.k
+        for h in h_rows:
+            for g in generator.row_bits:
+                assert (h & g).bit_count() % 2 == 0  # H G^T = 0 over GF(2)
+        assert gf2_rank(Gf2Matrix(len(h_rows), code.n, tuple(h_rows))) == len(h_rows)
 
 
 class TestCensus:
@@ -223,10 +257,10 @@ class TestCensus:
             assert sum(out.region_sizes.values()) == 2**code.n
 
     def test_census_csv(self):
-        code = LinearCode(Gf2Matrix.from_rows([[1, 1]]))
-        text = census_to_csv(decision_region_census(code, "min_distance"))
-        assert text.splitlines()[0] == "message,region_size"
-        assert text.splitlines()[1] == "0,3"
+        report = run_experiment("ecc", {"generator": [[1, 1]], "rule": "min_distance"})
+        lines = render_csv(report).splitlines()
+        assert lines[0] == "field,value"
+        assert 'region_sizes,"{""0"":3,""1"":1}"' in lines
 
     def test_block_length_cap(self):
         rows = np.eye(21, dtype=int).tolist()

@@ -33,6 +33,8 @@ if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
 ENTANGLED_DIM_CAP = 256
 #: Event-count cap for dense subsequence enumeration.
 EVENT_CAP = 2**24
+#: Events per block of the Walsh-Hadamard event screen.
+_SCREEN_CHUNK = 2**16
 #: Outcome masses at or below this are treated as zero support.
 SUPPORT_TOL = 1e-12
 
@@ -219,9 +221,18 @@ def event_deviation_bound(p, m: int):
     probs = p.as_array()
     keys = np.arange(2**n, dtype=np.int64)
     target = 2.0**-m
+    combos = list(itertools.combinations(range(n), m))
+    screened = _screened_event_devs(probs, n, m, combos)
+    # The screen and the bincount pass each round the exact event masses
+    # by at most their summation error: n + m pairwise levels for the
+    # screen, 2^(n-m) sequential terms for bincount.  Every position set
+    # that can hold the bincount maximum lies within twice that of the
+    # screened maximum.
+    slack = 4.0 * (2 ** (n - m) + n + m) * np.finfo(float).eps * float(probs.sum())
     best_dev = -1.0
     best_event = None
-    for positions in itertools.combinations(range(n), m):
+    for c in np.flatnonzero(screened >= screened.max() - slack):
+        positions = combos[c]
         idx = np.zeros(2**n, dtype=np.int64)
         for t, pos in enumerate(positions):
             idx |= ((keys >> (n - 1 - pos)) & 1) << (m - 1 - t)
@@ -232,6 +243,42 @@ def event_deviation_bound(p, m: int):
             best_dev = float(devs[j])
             best_event = (positions, format(j, f"0{m}b"))
     return best_dev, best_event
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis, in place:
+    a[..., u] becomes sum_x a[..., x] (-1)^popcount(u & x)."""
+    size = a.shape[-1]
+    h = 1
+    while h < size:
+        pairs = a.reshape(*a.shape[:-1], size // (2 * h), 2, h)
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return a
+
+
+def _screened_event_devs(probs: np.ndarray, n: int, m: int, combos: list) -> np.ndarray:
+    """Largest deviation from 2^-m of each position set's m-bit marginal,
+    up to rounding, from one Walsh-Hadamard transform of the masses.
+
+    The marginal of positions P is 2^-m times the transform, over the m
+    pattern bits, of the Fourier coefficients of the subsets of P; position
+    sets are screened in blocks of about ``_SCREEN_CHUNK`` events.
+    """
+    fourier = _walsh_hadamard(probs.copy())
+    # bit m-1-t of a subset u picks positions[t]
+    pattern_bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    step = max(1, _SCREEN_CHUNK >> m)
+    devs = np.empty(len(combos))
+    for start in range(0, len(combos), step):
+        block = np.asarray(combos[start : start + step], dtype=np.int64).reshape(-1, m)
+        subset_keys = (1 << (n - 1 - block)) @ pattern_bits.T
+        marginals = _walsh_hadamard(fourier[subset_keys]) * 2.0**-m
+        devs[start : start + step] = np.abs(marginals - 2.0**-m).max(axis=1)
+    return devs
 
 
 @dataclass(frozen=True)
@@ -265,7 +312,12 @@ def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
 
 def delta_E_variants(e: CqEnsemble, povm: "Povm") -> DeltaEVariants:
     """Evaluate all four candidate deviation readings for one measurement."""
-    mass = np.maximum(_outcome_mass(e, povm), 0.0)
+    return _variants_from_mass(_outcome_mass(e, povm))
+
+
+def _variants_from_mass(mass: np.ndarray) -> DeltaEVariants:
+    """The four readings of a key x outcome mass matrix (negative cells clamped)."""
+    mass = np.maximum(mass, 0.0)
     n_keys, n_out = mass.shape
 
     outcome_mass = mass.sum(axis=0)

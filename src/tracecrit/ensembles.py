@@ -36,7 +36,11 @@ def bit_strings(n: int) -> tuple[str, ...]:
         raise BadParams(f"bit count must be nonnegative, got {n}")
     if n == 0:
         return ("",)
-    return tuple(format(i, f"0{n}b") for i in range(2**n))
+    if n == 1:
+        return ("0", "1")
+    # every high half followed by every low half, high half slowest
+    low = bit_strings(n // 2)
+    return tuple(a + b for a in bit_strings(n - n // 2) for b in low)
 
 
 @dataclass(frozen=True)

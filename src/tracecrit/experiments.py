@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,9 +36,9 @@ from .criteria import (
     classical_dbar,
     criterion_d_averaged,
     criterion_d_entangled,
-    delta_E_variants,
     event_deviation_bound,
     variational_distance,
+    _variants_from_mass,
 )
 from .discrimination import (
     Povm,
@@ -120,6 +121,15 @@ def _verdict(relation: str, ok: bool, detail: str) -> Verdict:
 
 def _skip(relation: str, detail: str) -> Verdict:
     return Verdict(relation, NOT_APPLICABLE, detail)
+
+
+def _int_param(name: str, value) -> int:
+    """An integer parameter; strings, booleans and non-integral numbers exit 2."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise BadParams(f"parameter {name!r} must be an integer, got {value!r}")
 
 
 def _jsonify(value):
@@ -239,7 +249,7 @@ def _resolve_two_bit(params: Mapping) -> tuple[DensityOperator, DensityOperator,
 def cmd_cex_i(params: Mapping, seed: int):
     """Independent coupling of identical uniform distributions: the mismatch
     probability sits at 1 - 1/N even though the distance is zero."""
-    n_atoms = int(params.get("N", 4))
+    n_atoms = _int_param("N", params.get("N", 4))
     if n_atoms < 2:
         raise BadParams(f"need at least two atoms, got {n_atoms}")
     labels = tuple(str(i) for i in range(n_atoms))
@@ -361,8 +371,9 @@ def cmd_cex_iii(params: Mapping, seed: int):
     family = two_bit_pkl_example(sigma, rho1, rho2)
     povm = _family_measurement(sigma, rho1, rho2)
     d = criterion_d_averaged(family)
-    variants = delta_E_variants(family, povm)
-    dbar = classical_dbar(measure_ensemble(family, povm))
+    joint = measure_ensemble(family, povm)
+    variants = _variants_from_mass(joint.mass)
+    dbar = classical_dbar(joint)
 
     results = {
         "d": d,
@@ -404,8 +415,8 @@ def cmd_cex_iii(params: Mapping, seed: int):
 def cmd_spiked(params: Mapping, seed: int):
     """Spiked distribution: the whole key is guessable with probability
     2^-l while the distance from uniform is only 2^-l - 2^-n."""
-    n = int(params.get("n", 8))
-    l = int(params.get("l", 3))
+    n = _int_param("n", params.get("n", 8))
+    l = _int_param("l", params.get("l", 3))
     dist = spiked_distribution(n, l)
     analytic = Fraction(1, 2**l) - Fraction(1, 2**n)
     summed = dist.variational_from_uniform()
@@ -447,13 +458,13 @@ def cmd_spiked(params: Mapping, seed: int):
 
 def cmd_toeplitz(params: Mapping, seed: int):
     """Singular fraction of a Toeplitz hash family; singular members leak."""
-    m = int(params.get("m", 2))
-    n = int(params.get("n", 2))
+    m = _int_param("m", params.get("m", 2))
+    n = _int_param("n", params.get("n", 2))
     mode = params.get("mode", "exhaustive")
     samples = params.get("samples")
-    fraction = singular_fraction(
-        m, n, mode=mode, samples=None if samples is None else int(samples), seed=seed
-    )
+    if samples is not None:
+        samples = _int_param("samples", samples)
+    fraction = singular_fraction(m, n, mode=mode, samples=samples, seed=seed)
     results = {
         "m": m,
         "n": n,
@@ -462,7 +473,7 @@ def cmd_toeplitz(params: Mapping, seed: int):
         "singular_fraction": fraction,
     }
     if samples is not None:
-        results["samples"] = int(samples)
+        results["samples"] = samples
     verdicts = [
         _verdict(
             "family-has-singular-members",
@@ -565,7 +576,7 @@ def cmd_markov(params: Mapping, seed: int):
     if "eps" in params and "delta" in params:
         eps = float(params["eps"])
         delta = float(params["delta"])
-        guarantees = int(params.get("guarantees", 1))
+        guarantees = _int_param("guarantees", params.get("guarantees", 1))
         budget = average_for_individual_guarantee(eps, delta, guarantees)
         results["required_average"] = budget.required_average
         results["degradation_factor"] = budget.degradation_factor
@@ -595,14 +606,14 @@ def cmd_table(params: Mapping, seed: int):
             spec["epsilon"] = params["epsilon"]
     try:
         scenario = GuaranteeScenario(
-            n=int(spec["n"]),
-            l=int(spec["l"]),
-            m=int(spec["m"]),
+            n=_int_param("n", spec["n"]),
+            l=_int_param("l", spec["l"]),
+            m=_int_param("m", spec["m"]),
             epsilon=None if "epsilon" not in spec else float(spec["epsilon"]),
         )
     except KeyError as exc:
         raise ParseError("table scenario needs n, l and m (or a preset)") from exc
-    ms = tuple(int(v) for v in params["ms"]) if "ms" in params else None
+    ms = tuple(_int_param("ms", v) for v in params["ms"]) if "ms" in params else None
     rows = uniform_comparison_table(scenario, ms)
 
     results = {

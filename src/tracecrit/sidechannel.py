@@ -128,39 +128,90 @@ def pac_leakage(mat: Gf2Matrix) -> int:
     return mat.rows - gf2_rank(mat)
 
 
+#: Matrix entries ranked together in one batch (2 MiB of bits), which
+#: bounds memory for any seed count and any matrix size.
+_RANK_BATCH_CELLS = 2**21
+
+
+def _gf2_ranks(bits: np.ndarray) -> np.ndarray:
+    """GF(2) rank of every matrix in a (batch, rows, cols) array of bits.
+
+    Rows are packed little-endian into uint64 words (column j in bit j % 64
+    of word j // 64) and inserted one at a time into an XOR basis with one
+    slot per column: a row is reduced by the slot of each of its set bits
+    from the lowest up, and fills the first empty slot it meets.  The rank
+    is the number of filled slots.
+    """
+    batch, n_rows, n_cols = bits.shape
+    words = -(-n_cols // 64)
+    packed = np.zeros((batch, n_rows, 8 * words), dtype=np.uint8)
+    packed[..., : -(-n_cols // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    packed = packed.view("<u8")
+    basis = np.zeros((n_cols, batch, words), dtype=np.uint64)
+    one = np.uint64(1)
+    for r in range(n_rows):
+        v = packed[:, r, :].copy()
+        for c in range(n_cols):
+            bit = (v[:, c // 64] >> np.uint64(c % 64)) & one
+            slot = basis[c]
+            np.copyto(slot, v, where=((bit == 1) & (slot[:, c // 64] == 0))[:, None])
+            # clears bit c, by the slot's row or, when v just filled it, by v itself
+            v ^= slot * bit[:, None]
+    return np.count_nonzero(basis.any(axis=2), axis=0)
+
+
+def _toeplitz_ranks(seed_bits: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Ranks of the m x n Toeplitz matrices of a (seeds, m + n - 1) bit array,
+    entry(i, j) = seed[i - j + n - 1] as in :func:`toeplitz_from_seed`."""
+    index = np.arange(m)[:, None] - np.arange(n)[None, :] + n - 1
+    return _gf2_ranks(seed_bits[:, index])
+
+
 def singular_fraction(
     m: int, n: int, mode: str = "exhaustive", samples: int | None = None, seed: int | None = None
 ) -> float:
     """Fraction of Toeplitz seeds whose matrix has rank below min(m, n).
 
     ``mode='exhaustive'`` enumerates every seed (capped at 2^24 seeds);
-    ``mode='sample'`` draws ``samples`` seeds from a generator seeded with
-    ``seed`` so estimates are reproducible.
+    ``mode='sample'`` draws ``samples`` seeds (at most 2^24) from a
+    generator seeded with ``seed`` so estimates are reproducible.  Seeds
+    are ranked in batches of bounded size.
     """
     bits = m + n - 1
     full = min(m, n)
     if mode == "exhaustive":
         if 2**bits > EXHAUSTIVE_SEED_CAP:
             raise TooLarge(f"2^{bits} seeds exceed the exhaustive cap of {EXHAUSTIVE_SEED_CAP}")
-        singular = 0
-        for s in range(2**bits):
-            seed_bits = [(s >> i) & 1 for i in range(bits)]
-            if gf2_rank(toeplitz_from_seed(seed_bits, m, n)) < full:
-                singular += 1
-        return singular / 2**bits
-    if mode == "sample":
+        total = 2**bits
+
+        def draw(start: int, count: int) -> np.ndarray:
+            s = np.arange(start, start + count, dtype=np.int64)
+            return ((s[:, None] >> np.arange(bits)) & 1).astype(np.uint8)
+
+    elif mode == "sample":
         if not samples or samples <= 0:
             raise BadParams("sample mode needs a positive sample count")
         if seed is None:
             raise BadParams("sample mode needs an explicit seed for reproducibility")
+        if samples > EXHAUSTIVE_SEED_CAP:
+            raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
+        total = samples
         rng = random.Random(seed)
-        singular = 0
-        for _ in range(samples):
-            seed_bits = [rng.randrange(2) for _ in range(bits)]
-            if gf2_rank(toeplitz_from_seed(seed_bits, m, n)) < full:
-                singular += 1
-        return singular / samples
-    raise BadParams(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
+
+        def draw(start: int, count: int) -> np.ndarray:
+            drawn = (rng.randrange(2) for _ in range(count * bits))
+            return np.fromiter(drawn, dtype=np.uint8, count=count * bits).reshape(count, bits)
+
+    else:
+        raise BadParams(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
+    if m <= 0 or n <= 0:
+        raise BadParams("matrix dimensions must be positive")
+    batch = max(1, _RANK_BATCH_CELLS // (m * n))
+    singular = 0
+    for start in range(0, total, batch):
+        ranks = _toeplitz_ranks(draw(start, min(batch, total - start)), m, n)
+        singular += int(np.count_nonzero(ranks < full))
+    return singular / total
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from tracecrit import (
 )
 from tracecrit.errors import BadParams
 
-from helpers import random_probdist
+from helpers import dense_maximal_coupling, random_probdist
 
 
 class TestMaximalCoupling:
@@ -67,6 +67,79 @@ class TestMaximalCoupling:
         q = ProbDist(("b", "a"), (0.6, 0.4))
         c = maximal_coupling(p, q)
         assert float(mismatch_probability(c)) == pytest.approx(0.3, abs=1e-12)
+
+
+def assert_matches_dense(p, q):
+    c = maximal_coupling(p, q)
+    d = dense_maximal_coupling(p, q)
+    assert c.joint is None
+    got, want = mismatch_probability(c), mismatch_probability(d)
+    assert (type(got), got) == (type(want), want)
+    n = len(p.labels)
+    for i in range(n):
+        for j in range(n):
+            assert c.mass(i, j) == d.mass(i, j)
+
+
+class TestFactoredMaximalCoupling:
+    """The factored maximal coupling against the dense cell-by-cell build."""
+
+    def test_random_float_pairs(self):
+        rng = np.random.default_rng(20)
+        labels = tuple(f"x{i}" for i in range(10))
+        for _ in range(20):
+            assert_matches_dense(random_probdist(rng, labels), random_probdist(rng, labels))
+
+    def test_fraction_pairs(self):
+        rng = np.random.default_rng(21)
+        labels = tuple(f"x{i}" for i in range(7))
+        for _ in range(20):
+            a, b = rng.integers(0, 6, 7) + 1, rng.integers(0, 6, 7)
+            b[0] += 1
+            p = ProbDist(labels, tuple(Fraction(int(v), int(a.sum())) for v in a))
+            q = ProbDist(labels, tuple(Fraction(int(v), int(b.sum())) for v in b))
+            assert_matches_dense(p, q)
+
+    def test_disjoint_supports(self):
+        labels = ("a", "b", "c")
+        assert_matches_dense(ProbDist(labels, (0.5, 0.5, 0.0)), ProbDist(labels, (0.0, 0.0, 1.0)))
+        half, zero = Fraction(1, 2), Fraction(0)
+        assert_matches_dense(
+            ProbDist(labels, (half, half, zero)), ProbDist(labels, (zero, zero, Fraction(1)))
+        )
+
+    def test_exact_against_float_masses(self):
+        # equal masses: every residual is zero, so the diagonal keeps P's Fractions
+        p = ProbDist.uniform(("a", "b", "c", "d"))
+        assert_matches_dense(p, ProbDist(p.labels, (0.25,) * 4))
+
+    def test_label_permuted_q(self):
+        rng = np.random.default_rng(22)
+        labels = tuple(f"x{i}" for i in range(8))
+        for _ in range(20):
+            p = random_probdist(rng, labels)
+            q = random_probdist(rng, labels)
+            perm = rng.permutation(len(labels))
+            shuffled = ProbDist(tuple(labels[k] for k in perm), tuple(q.probs[k] for k in perm))
+            assert_matches_dense(p, shuffled)
+
+    def test_rejects_factors_with_wrong_marginals(self):
+        with pytest.raises(BadParams):
+            Coupling(
+                ("a", "b"), ("a", "b"), (0.5, 0.5), (0.5, 0.5),
+                diagonal=(0.5, 0.25), res_p=(0.0, 0.25), res_q=(0.0, 0.0), leftover=0.25,
+            )
+
+    def test_rejects_incomplete_factors(self):
+        with pytest.raises(BadParams):
+            Coupling(("a", "b"), ("a", "b"), (0.5, 0.5), (0.5, 0.5), res_p=(0.5, 0.5))
+
+    def test_rejects_negative_factors(self):
+        with pytest.raises(BadParams):
+            Coupling(
+                ("a", "b"), ("a", "b"), (0.5, 0.5), (0.5, 0.5),
+                diagonal=(0.6, 0.5), res_p=(-0.1, 0.0), res_q=(0.0, -0.1), leftover=-0.1,
+            )
 
 
 class TestIndependentCoupling:

@@ -23,10 +23,17 @@ from tracecrit import (
     validate_density,
     variational_distance,
 )
+from tracecrit.criteria import _variants_from_mass
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import BadParams, NonUniformPrior, TooLarge
 
-from helpers import random_density, random_ensemble, random_povm, random_probdist
+from helpers import (
+    event_deviation_loop,
+    random_density,
+    random_ensemble,
+    random_povm,
+    random_probdist,
+)
 
 
 def mixed_family():
@@ -244,6 +251,26 @@ class TestEventDeviationBound:
         with pytest.raises(BadParams):
             event_deviation_bound(spiked_distribution(8, 3), 9)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_screen_matches_loop(self, n):
+        # random; uniform (every event ties); spiked and weight-symmetric
+        # (every position set ties exactly, and only rounding tells them apart)
+        labels = bit_strings(n)
+        rng = np.random.default_rng(n)
+        w = rng.random(2**n)
+        by_weight = rng.random(n + 1)[np.bitwise_count(np.arange(2**n))]
+        dists = (
+            ProbDist(labels, tuple(w / w.sum())),
+            ProbDist.uniform(labels),
+            spiked_distribution(n, (n + 1) // 2).to_probdist(),
+            ProbDist(labels, tuple(by_weight / by_weight.sum())),
+        )
+        for p in dists:
+            for m in range(1, n + 1):
+                dev, event = event_deviation_bound(p, m)
+                want_dev, want_event = event_deviation_loop(p, m)
+                assert (dev.hex(), event) == (want_dev.hex(), want_event)
+
 
 class TestDeltaEVariants:
     def test_mixed_family_values(self):
@@ -260,6 +287,14 @@ class TestDeltaEVariants:
         out = delta_E_variants(e, povm)
         joint = measure_ensemble(e, povm)
         assert out.avg_posterior_dev == pytest.approx(classical_dbar(joint), abs=1e-12)
+
+    def test_readings_of_measured_mass_match(self):
+        # the experiments read the four values off the measured joint mass
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            e = random_ensemble(rng, 2, 3, uniform_prior=False)
+            povm = random_povm(rng, 3, 4)
+            assert _variants_from_mass(measure_ensemble(e, povm).mass) == delta_E_variants(e, povm)
 
     def test_data_processing_for_averaged_reading(self):
         rng = np.random.default_rng(11)

@@ -293,6 +293,37 @@ class TestCli:
         assert main(["--experiment", "markov", "--params", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "experiment,params",
+        [
+            ("cex_i", '{"N": "abc"}'),
+            ("cex_i", '{"N": 3.7}'),
+            ("cex_i", '{"N": true}'),
+            ("spiked", '{"n": "8"}'),
+            ("spiked", '{"l": 2.5}'),
+            ("toeplitz", '{"m": "2"}'),
+            ("toeplitz", '{"n": 2.5}'),
+            ("toeplitz", '{"mode": "sample", "samples": 10.5}'),
+            ("markov", '{"eps": 0.1, "delta": 0.5, "guarantees": "3"}'),
+            ("table", '{"n": 100, "l": 10, "m": "20"}'),
+            ("table", '{"n": 100, "l": 10, "m": 20, "ms": [1.5]}'),
+        ],
+    )
+    def test_non_integer_params_exit_two(self, experiment, params, capsys):
+        assert main(["--experiment", experiment, "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_integral_float_params_keep_results(self):
+        for name, params in [("cex_i", {"N": 4}), ("spiked", {"n": 8, "l": 3}), ("toeplitz", {"m": 3, "n": 4})]:
+            as_floats = {k: float(v) for k, v in params.items()}
+            assert run_experiment(name, as_floats).results == run_experiment(name, params).results
+
+    def test_oversized_sample_count_exit_two(self, capsys):
+        params = json.dumps({"mode": "sample", "samples": 10**12})
+        assert main(["--experiment", "toeplitz", "--params", params]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_markdown_format(self, capsys):
         assert main(["--experiment", "markov", "--params", '{"mean": 0.0, "threshold": 1.0}', "--format", "md"]) == 0
         text = capsys.readouterr().out

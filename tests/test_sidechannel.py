@@ -17,8 +17,11 @@ from tracecrit import (
 )
 from tracecrit.cli import render_csv
 from tracecrit.experiments import run_experiment
-from tracecrit.sidechannel import _parity_check_rows
+from tracecrit import sidechannel
+from tracecrit.sidechannel import EXHAUSTIVE_SEED_CAP, _parity_check_rows
 from tracecrit.errors import BadParams, BadSeedLength, BadShape, TooLarge
+
+from helpers import singular_fraction_loop
 
 HAMMING74 = [
     [1, 0, 0, 0, 1, 1, 0],
@@ -152,6 +155,41 @@ class TestSingularFraction:
             singular_fraction(2, 2, mode="sample", samples=10)  # no seed
         with pytest.raises(BadParams):
             singular_fraction(2, 2, mode="nope")
+        with pytest.raises(BadParams):
+            singular_fraction(0, 3)
+
+    def test_sample_count_cap(self):
+        with pytest.raises(TooLarge):
+            singular_fraction(2, 2, mode="sample", samples=EXHAUSTIVE_SEED_CAP + 1, seed=0)
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 6)]
+
+
+class TestBatchedRanksMatchLoop:
+    """The batched GF(2) ranks against one gf2_rank call per seed."""
+
+    @pytest.mark.parametrize("m,n", SMALL_SHAPES)
+    def test_exhaustive(self, m, n):
+        assert singular_fraction(m, n) == singular_fraction_loop(m, n)
+
+    @pytest.mark.parametrize("m,n", SMALL_SHAPES)
+    def test_sampled(self, m, n):
+        for seed in (0, 7, 2**40 + 3):
+            got = singular_fraction(m, n, mode="sample", samples=150, seed=seed)
+            assert got == singular_fraction_loop(m, n, "sample", 150, seed)
+
+    def test_partial_last_batch(self, monkeypatch):
+        # 7 seeds per batch: 64 exhaustive seeds and 150 samples both end short
+        monkeypatch.setattr(sidechannel, "_RANK_BATCH_CELLS", 7 * 12)
+        assert singular_fraction(3, 4) == singular_fraction_loop(3, 4)
+        got = singular_fraction(3, 4, mode="sample", samples=150, seed=11)
+        assert got == singular_fraction_loop(3, 4, "sample", 150, 11)
+
+    @pytest.mark.parametrize("m,n", [(3, 70), (70, 3), (66, 65)])
+    def test_rows_wider_than_one_word(self, m, n):
+        got = singular_fraction(m, n, mode="sample", samples=40, seed=5)
+        assert got == singular_fraction_loop(m, n, "sample", 40, 5)
 
 
 class TestLinearCode:

@@ -8,6 +8,7 @@ value is derived from it (underflowing gracefully to zero).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class GuaranteeScenario:
         if not 0.0 <= eps < 1.0:
             raise BadParams(f"epsilon must lie in [0, 1), got {eps!r}")
         object.__setattr__(self, "epsilon", float(eps))
+
+
+#: log2 of the smallest normal double; smaller budgets lose their precision.
+_MIN_NORMAL_LOG2 = math.log2(sys.float_info.min)
 
 
 def _linear(log2_value: float) -> float:
@@ -75,12 +80,19 @@ def average_for_individual_guarantee(
     One Markov application turns E[X] <= eps*delta into the individual
     guarantee; chaining k of them multiplies the budget down to eps*delta^k,
     which is the quantitative price of per-event promises.  delta = 1 is
-    allowed and marks the no-degradation baseline.
+    allowed and marks the no-degradation baseline.  A budget below the
+    smallest normal double is refused rather than rounded toward zero.
     """
     if not 0.0 < eps < 1.0 or not 0.0 < delta <= 1.0:
         raise BadParams("eps must lie in (0, 1) and delta in (0, 1]")
     if guarantees < 1:
         raise BadParams(f"need at least one guarantee, got {guarantees}")
+    budget_log2 = math.log2(eps) + guarantees * math.log2(delta)
+    if budget_log2 < _MIN_NORMAL_LOG2:
+        raise BadParams(
+            f"required average 2^{budget_log2:.6g} is below the smallest normal "
+            f"double 2^{_MIN_NORMAL_LOG2:g}"
+        )
     factor = delta**guarantees
     return GuaranteeBudget(eps * factor, factor)
 

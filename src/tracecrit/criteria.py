@@ -24,7 +24,7 @@ import numpy as np
 
 from .ensembles import CqEnsemble, ProbDist, SpikedDist, average_probe, bit_strings
 from .errors import BadParams, DimMismatch, NonUniformPrior, TooLarge
-from .qmath import trace_norm
+from .qmath import trace_norm, trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
     from .discrimination import JointDistribution, Povm
@@ -35,6 +35,8 @@ ENTANGLED_DIM_CAP = 256
 EVENT_CAP = 2**24
 #: Events per block of the Walsh-Hadamard event screen.
 _SCREEN_CHUNK = 2**16
+#: Matrix entries per block of a batched pair-difference or product stack.
+_STACK_BATCH_CELLS = 2**16
 #: Outcome masses at or below this are treated as zero support.
 SUPPORT_TOL = 1e-12
 
@@ -58,11 +60,7 @@ def variational_distance(p: ProbDist, q: ProbDist):
 
 def criterion_d_averaged(e: CqEnsemble) -> float:
     """Halved prior-weighted average of per-key trace-norm distances."""
-    avg = average_probe(e).matrix
-    return 0.5 * math.fsum(
-        float(p) * trace_norm(e.probe(k).matrix - avg)
-        for k, p in zip(e.keys, e.prior.probs)
-    )
+    return 0.5 * math.fsum((e.weights * e.key_norms).tolist())
 
 
 def criterion_d_entangled(e: CqEnsemble) -> float:
@@ -89,8 +87,7 @@ def criterion_d_entangled(e: CqEnsemble) -> float:
 
 def d_k_per_key(e: CqEnsemble) -> dict[str, float]:
     """Unhalved per-key trace norms ||rho_k - rho_avg||_1."""
-    avg = average_probe(e).matrix
-    return {k: trace_norm(e.probe(k).matrix - avg) for k in e.keys}
+    return dict(zip(e.keys, e.key_norms.tolist()))
 
 
 @dataclass(frozen=True)
@@ -153,14 +150,21 @@ def pairwise_distance_bound(e: CqEnsemble, eps: float) -> PairwiseBound:
     """Check ||rho_k1 - rho_k2||_1 <= 2*eps over all key pairs.
 
     The bound follows from the triangle inequality whenever every per-key
-    distance is at most eps; the maximizing pair is returned either way.
+    distance is at most eps; the maximizing pair is returned either way,
+    the first of tied pairs in ``itertools.combinations`` order.
     """
+    stack = e.probe_stack
+    first, second = np.triu_indices(len(e.keys), 1)  # combinations order
+    norms = np.empty(len(first))
+    step = max(1, _STACK_BATCH_CELLS // stack[0].size)
+    for start in range(0, len(first), step):
+        block = slice(start, start + step)
+        norms[block] = trace_norms(stack[first[block]] - stack[second[block]])
     worst_value = 0.0
     worst_pair = (e.keys[0], e.keys[0])
-    for k1, k2 in itertools.combinations(e.keys, 2):
-        v = trace_norm(e.probe(k1).matrix - e.probe(k2).matrix)
-        if v > worst_value:
-            worst_value, worst_pair = v, (k1, k2)
+    if norms.size and norms.max() > worst_value:
+        i = int(np.argmax(norms))
+        worst_value, worst_pair = float(norms[i]), (e.keys[first[i]], e.keys[second[i]])
     return PairwiseBound(worst_value <= 2.0 * eps + _EQUIV_TOL, worst_pair, worst_value)
 
 
@@ -174,11 +178,7 @@ def classical_dbar(joint: "JointDistribution") -> float:
     if gap > 1e-9:
         raise NonUniformPrior(f"row marginal deviates from uniform by {gap:.3e}")
     col = joint.mass.sum(axis=0)
-    return 0.5 * math.fsum(
-        abs(float(joint.mass[i, j]) - u * float(col[j]))
-        for i in range(n_rows)
-        for j in range(len(joint.col_labels))
-    )
+    return 0.5 * math.fsum(np.abs(joint.mass - u * col).ravel().tolist())
 
 
 def _event_deviation_spiked(p: SpikedDist, m: int):
@@ -301,12 +301,13 @@ def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
     """Joint mass p_k tr(rho_k E_o), one row per key and one column per outcome."""
     if povm.dim != e.probe_dim:
         raise DimMismatch(f"measurement dim {povm.dim} does not match probe dim {e.probe_dim}")
-    mass = np.zeros((len(e.keys), len(povm.elements)))
-    for i, (k, p) in enumerate(zip(e.keys, e.prior.probs)):
-        p = float(p)
-        rho = e.probe(k).matrix
-        for j, (_, op) in enumerate(povm.elements):
-            mass[i, j] = p * float(np.trace(rho @ op).real)
+    ops = povm.stack
+    mass = np.empty((len(e.keys), len(ops)))
+    step = max(1, _STACK_BATCH_CELLS // ops.size)
+    for start in range(0, len(e.keys), step):
+        block = slice(start, start + step)
+        products = np.matmul(e.probe_stack[block, None], ops[None])
+        mass[block] = e.weights[block, None] * np.trace(products, axis1=2, axis2=3).real
     return mass
 
 
@@ -321,20 +322,18 @@ def _variants_from_mass(mass: np.ndarray) -> DeltaEVariants:
     n_keys, n_out = mass.shape
 
     outcome_mass = mass.sum(axis=0)
-    support = [j for j in range(n_out) if outcome_mass[j] > SUPPORT_TOL]
+    support = np.flatnonzero(outcome_mass > SUPPORT_TOL)
     u_support = 1.0 / len(support)
-    v_outcome = 0.5 * math.fsum(abs(float(outcome_mass[j]) - u_support) for j in support)
+    v_outcome = 0.5 * math.fsum(np.abs(outcome_mass[support] - u_support).tolist())
 
     u_cell = (1.0 / n_keys) * (1.0 / n_out)
-    v_joint = 0.5 * math.fsum(abs(float(v) - u_cell) for v in mass.ravel())
+    v_joint = 0.5 * math.fsum(np.abs(mass - u_cell).ravel().tolist())
 
     u_key = 1.0 / n_keys
-    post_devs = []
-    for j in support:
-        posterior = mass[:, j] / outcome_mass[j]
-        post_devs.append(0.5 * math.fsum(abs(float(v) - u_key) for v in posterior))
+    posteriors = mass[:, support] / outcome_mass[support]
+    post_devs = [0.5 * math.fsum(col) for col in np.abs(posteriors - u_key).T.tolist()]
     v_max = max(post_devs)
-    v_avg = math.fsum(float(outcome_mass[j]) * dev for j, dev in zip(support, post_devs))
+    v_avg = math.fsum((outcome_mass[support] * post_devs).tolist())
 
     return DeltaEVariants(v_outcome, v_joint, v_max, v_avg)
 

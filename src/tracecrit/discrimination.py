@@ -8,7 +8,7 @@ lower bound, and discrimination of the residual key after a partial leak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     NotBinaryResidual,
     ZeroMassOutcome,
 )
-from .qmath import PSD_TOL, DensityOperator, hermitian_eigen
+from .qmath import HERM_TOL, PSD_TOL, DensityOperator, _adjoint_gaps, hermitian_eigen
 
 #: Tolerance for POVM completeness (sum to identity).
 POVM_SUM_TOL = 1e-9
@@ -34,44 +34,46 @@ JOINT_MASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite collection of labelled positive operators summing to identity."""
+    """Finite collection of labelled positive operators summing to identity.
+
+    Construction also freezes the elements as one (outcomes, d, d) stack
+    in element order; ``elements`` holds views of it.
+    """
 
     elements: tuple[tuple[str, np.ndarray], ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
             raise BadParams("a measurement needs at least one element")
-        frozen = []
-        dim = None
-        total = None
-        for label, op in self.elements:
-            m = np.asarray(op, dtype=complex)
+        labels = [str(label) for label, _ in self.elements]
+        ops = [np.asarray(op, dtype=complex) for _, op in self.elements]
+        for label, m in zip(labels, ops):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise BadParams(f"element {label!r} is not square")
-            if dim is None:
-                dim = m.shape[0]
-                total = np.zeros((dim, dim), dtype=complex)
-            elif m.shape[0] != dim:
-                raise DimMismatch(f"element {label!r} has dim {m.shape[0]}, expected {dim}")
-            gap = float(np.max(np.abs(m - m.conj().T)))
-            if gap > 1e-9:
+            if m.shape[0] != ops[0].shape[0]:
+                raise DimMismatch(
+                    f"element {label!r} has dim {m.shape[0]}, expected {ops[0].shape[0]}"
+                )
+        stack = np.stack(ops)
+        dim = stack.shape[1]
+        gaps = _adjoint_gaps(stack)
+        lows = np.linalg.eigvalsh(stack)[:, 0]
+        for label, gap, low in zip(labels, gaps.tolist(), lows.tolist()):
+            if not gap <= HERM_TOL:  # NaN fails too
                 raise BadParams(f"element {label!r} is not Hermitian (gap {gap:.3e})")
-            low = float(np.linalg.eigvalsh(m)[0])
             if low < -PSD_TOL:
                 raise BadParams(
                     f"element {label!r} has eigenvalue {low:.3e} below -{PSD_TOL:.1e}"
                 )
-            total += m
-            out = m.copy()
-            out.setflags(write=False)
-            frozen.append((str(label), out))
-        labels = [x for x, _ in frozen]
         if len(set(labels)) != len(labels):
             raise BadParams("measurement labels must be unique")
-        gap = float(np.max(np.abs(total - np.eye(dim))))
+        gap = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
         if gap > POVM_SUM_TOL:
             raise BadParams(f"elements sum away from identity by {gap:.3e}")
-        object.__setattr__(self, "elements", tuple(frozen))
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(zip(labels, stack)))
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -100,11 +102,12 @@ class JointDistribution:
         m = np.asarray(self.mass, dtype=float)
         if m.shape != (len(self.row_labels), len(self.col_labels)):
             raise BadParams(f"mass shape {m.shape} does not match the labels")
-        if float(m.min(initial=0.0)) < -1e-12:
-            raise BadParams(f"negative joint mass {float(m.min()):.3e}")
+        low = float(m.min(initial=0.0))
+        if not low >= -1e-12:  # NaN fails too
+            raise BadParams(f"negative or NaN joint mass {low:.3e}")
         m = np.where((m < 0.0), 0.0, m)
-        total = math.fsum(float(v) for v in m.ravel())
-        if abs(total - 1.0) > JOINT_MASS_TOL:
+        total = math.fsum(m.ravel().tolist())
+        if not abs(total - 1.0) <= JOINT_MASS_TOL:
             raise BadParams(f"total mass is {total!r}, off unit by {abs(total - 1.0):.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
@@ -183,10 +186,9 @@ def pgm(e: CqEnsemble) -> Povm:
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
 
-    elements = []
-    for k, p in zip(e.keys, e.prior.probs):
-        op = inv_sqrt @ (float(p) * e.probe(k).matrix) @ inv_sqrt
-        elements.append((k, 0.5 * (op + op.conj().T)))
+    ops = inv_sqrt @ (e.weights[:, None, None] * e.probe_stack) @ inv_sqrt
+    ops = 0.5 * (ops + ops.conj().swapaxes(1, 2))
+    elements = list(zip(e.keys, ops))
     kernel = np.eye(e.probe_dim) - basis @ basis.conj().T
     if float(np.trace(kernel).real) > 1e-9:
         elements.append(("null", 0.5 * (kernel + kernel.conj().T)))

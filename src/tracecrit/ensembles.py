@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
-from .qmath import DensityOperator, PureState, tensor, validate_density
+from .qmath import DensityOperator, PureState, tensor, trace_norms, validate_density
 
 #: Tolerance on total probability mass.
 MASS_TOL = 1e-9
@@ -72,7 +73,7 @@ class ProbDist:
                 v = abs(0 * v)  # clamp, preserving the numeric type
             cleaned.append(v)
         total = math.fsum(float(v) for v in cleaned)
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
             raise BadParams(f"masses sum to {total!r}, off unit by {abs(total - 1.0):.3e}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", tuple(cleaned))
@@ -198,12 +199,16 @@ class CqEnsemble:
     """Keyed family {key value, prior probability, probe state}.
 
     Keys are the 2^n bit strings in lexicographic order (bit 0 leftmost);
-    probes all share one dimension.
+    probes all share one dimension.  Construction also freezes the probes
+    as one (2^n, d, d) stack in key order and the prior as float64
+    weights, so the criterion kernels run batched.
     """
 
     n_bits: int
     prior: ProbDist
     probes: Mapping[str, DensityOperator]
+    probe_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = bit_strings(self.n_bits)
@@ -216,7 +221,14 @@ class CqEnsemble:
         dims = {self.probes[k].dim for k in expected}
         if len(dims) != 1:
             raise DimMismatch(f"probe dimensions differ: {sorted(dims)}")
-        object.__setattr__(self, "probes", MappingProxyType(dict(self.probes)))
+        probes = MappingProxyType(dict(self.probes))
+        stack = np.stack([probes[k].matrix for k in expected])
+        weights = self.prior.as_array()
+        stack.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "probe_stack", stack)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def keys(self) -> tuple[str, ...]:
@@ -224,18 +236,30 @@ class CqEnsemble:
 
     @property
     def probe_dim(self) -> int:
-        return self.probes[self.keys[0]].dim
+        return self.probe_stack.shape[1]
 
     def probe(self, key: str) -> DensityOperator:
         return self.probes[key]
 
+    @cached_property
+    def average(self) -> DensityOperator:
+        """Prior-weighted average probe, accumulated in key order."""
+        acc = np.zeros((self.probe_dim, self.probe_dim), dtype=complex)
+        for w, rho in zip(self.weights.tolist(), self.probe_stack):
+            acc += w * rho
+        return validate_density(acc)
+
+    @cached_property
+    def key_norms(self) -> np.ndarray:
+        """Unhalved trace norms ||rho_k - rho_avg||_1, in key order."""
+        norms = trace_norms(self.probe_stack - self.average.matrix)
+        norms.setflags(write=False)
+        return norms
+
 
 def average_probe(e: CqEnsemble) -> DensityOperator:
     """Prior-weighted average of the probe states."""
-    acc = np.zeros((e.probe_dim, e.probe_dim), dtype=complex)
-    for k, p in zip(e.keys, e.prior.probs):
-        acc += float(p) * e.probe(k).matrix
-    return validate_density(acc)
+    return e.average
 
 
 def single_bit_pure_example(c: float) -> CqEnsemble:

@@ -37,16 +37,35 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
-def _require_square_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
+def _adjoint_gaps(stack: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of each matrix of a (k, d, d) stack from
+    its adjoint."""
+    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+
+
+def _require_hermitian_stack(stack, tol: float = HERM_TOL) -> np.ndarray:
+    """The stack as complex, after checking every matrix for Hermiticity;
+    the first failing matrix names the deviation."""
+    stack = _as_complex(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise NotHermitian(f"expected a stack of square matrices, got shape {stack.shape}")
+    for gap in _adjoint_gaps(stack).tolist():
+        if not gap <= tol:  # NaN fails too
+            raise NotHermitian(
+                f"matrix deviates from its adjoint by {gap:.3e} (tolerance {tol:.1e})"
+            )
+    return stack
+
+
+def _as_square(a) -> np.ndarray:
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    gap = float(np.max(np.abs(a - a.conj().T)))
-    if gap > tol:
-        raise NotHermitian(
-            f"matrix deviates from its adjoint by {gap:.3e} (tolerance {tol:.1e})"
-        )
     return a
+
+
+def _require_square_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
+    return _require_hermitian_stack(_as_square(a)[None], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -131,14 +150,21 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def trace_norms(stack) -> np.ndarray:
+    """Trace norm of each Hermitian matrix of a (k, d, d) stack, from one
+    batched eigensolve; each norm is the correctly rounded sum of its
+    absolute eigenvalues."""
+    vals = np.abs(np.linalg.eigvalsh(_require_hermitian_stack(stack)))
+    return np.array([math.fsum(row) for row in vals.tolist()])
+
+
 def trace_norm(a) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix.
 
     The general (singular-value) trace norm is out of scope; every use in
     this toolkit is a difference of Hermitian operators.
     """
-    m = _require_square_hermitian(a)
-    return math.fsum(abs(float(v)) for v in np.linalg.eigvalsh(m))
+    return float(trace_norms(_as_square(a)[None])[0])
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

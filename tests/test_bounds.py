@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ class TestIndividualGuarantee:
         eps, delta = 0.01, 0.001
         out = average_for_individual_guarantee(eps, delta, guarantees=2)
         assert out.required_average == pytest.approx(eps * delta**2, rel=1e-15)
+
+    def test_refuses_budget_below_smallest_normal(self):
+        with pytest.raises(BadParams, match=r"2\^-100007 is below"):
+            average_for_individual_guarantee(0.01, 0.5, guarantees=100000)
+        with pytest.raises(BadParams, match=r"2\^-1023 is below"):
+            average_for_individual_guarantee(0.5, 0.5, guarantees=1022)
+
+    def test_smallest_normal_budget_is_kept(self):
+        out = average_for_individual_guarantee(0.5, 0.5, guarantees=1021)
+        assert out.required_average == sys.float_info.min
 
     def test_errors(self):
         with pytest.raises(BadParams):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -23,16 +24,24 @@ from tracecrit import (
     validate_density,
     variational_distance,
 )
-from tracecrit.criteria import _variants_from_mass
+from tracecrit import criteria
+from tracecrit.criteria import _outcome_mass, _variants_from_mass
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import BadParams, NonUniformPrior, TooLarge
 
 from helpers import (
+    bits,
+    classical_dbar_loop,
+    criterion_d_averaged_loop,
+    d_k_per_key_loop,
     event_deviation_loop,
+    outcome_mass_loop,
+    pairwise_bound_loop,
     random_density,
     random_ensemble,
     random_povm,
     random_probdist,
+    variants_from_mass_loop,
 )
 
 
@@ -343,3 +352,106 @@ class TestDecompositionFallacy:
         q = ProbDist(("a", "b"), (0.0, 1.0))
         with pytest.raises(BadParams):
             decomposition_fallacy_check(p, q, 0.1)
+
+
+def stacked_case(dim: int, prior: str, seed: int = 0) -> CqEnsemble:
+    """Seeded ensemble with a float, Fraction or uniform prior; 16 keys up
+    to dim 4, 8 keys above."""
+    rng = np.random.default_rng([dim, seed])
+    n_bits = 4 if dim <= 4 else 3
+    keys = bit_strings(n_bits)
+    if prior == "float":
+        dist = random_probdist(rng, keys)
+    elif prior == "fraction":
+        ints = [int(v) for v in rng.integers(1, 50, len(keys))]
+        dist = ProbDist(keys, tuple(Fraction(v, sum(ints)) for v in ints))
+    else:
+        dist = ProbDist.uniform(keys)
+    return CqEnsemble(n_bits, dist, {k: random_density(rng, dim) for k in keys})
+
+
+DIMS = [1, 2, 3, 4, 8, 16]
+PRIORS = ["float", "fraction", "uniform"]
+
+
+class TestStackedKernels:
+    """The batched kernels reproduce the per-key, per-pair and per-cell
+    loops bit for bit."""
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_criterion_and_per_key_norms(self, dim, prior):
+        e = stacked_case(dim, prior)
+        assert bits(criterion_d_averaged(e)) == bits(criterion_d_averaged_loop(e))
+        got, want = d_k_per_key(e), d_k_per_key_loop(e)
+        assert list(got) == list(want)
+        assert bits(list(got.values())) == bits(list(want.values()))
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_pairwise_bound(self, dim, prior):
+        e = stacked_case(dim, prior)
+        out = pairwise_distance_bound(e, 0.1)
+        pair, value = pairwise_bound_loop(e)
+        assert out.worst_pair == pair
+        assert bits(out.worst_value) == bits(value)
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_outcome_mass_and_readings(self, dim, prior):
+        e = stacked_case(dim, prior)
+        povm = random_povm(np.random.default_rng(dim), dim, 5)
+        mass = _outcome_mass(e, povm)
+        assert bits(mass) == bits(outcome_mass_loop(e, povm))
+        assert bits(measure_ensemble(e, povm).mass) == bits(mass)
+        readings = dataclasses.astuple(_variants_from_mass(mass))
+        assert bits(readings) == bits(variants_from_mass_loop(mass))
+        if prior == "uniform":
+            joint = measure_ensemble(e, povm)
+            assert bits(classical_dbar(joint)) == bits(classical_dbar_loop(joint.mass))
+
+    def test_tied_pairs_first_in_combinations_order_wins(self):
+        rng = np.random.default_rng(21)
+        a, b = random_density(rng, 3), random_density(rng, 3)
+        keys = bit_strings(2)
+        for probes, want in (((a, b, a, b), ("00", "01")), ((a, a, b, b), ("00", "10"))):
+            e = CqEnsemble(2, ProbDist.uniform(keys), dict(zip(keys, probes)))
+            out = pairwise_distance_bound(e, 0.1)
+            assert out.worst_pair == want == pairwise_bound_loop(e)[0]
+            assert bits(out.worst_value) == bits(pairwise_bound_loop(e)[1])
+
+    def test_identical_probes_keep_the_default_pair(self):
+        rho = random_density(np.random.default_rng(22), 2)
+        keys = bit_strings(3)
+        e = CqEnsemble(3, ProbDist.uniform(keys), {k: rho for k in keys})
+        out = pairwise_distance_bound(e, 0.0)
+        assert (out.worst_pair, out.worst_value, out.holds) == (("000", "000"), 0.0, True)
+
+    def test_single_key_has_no_pairs(self):
+        rho = random_density(np.random.default_rng(23), 2)
+        e = CqEnsemble(0, ProbDist.uniform(("",)), {"": rho})
+        out = pairwise_distance_bound(e, 0.0)
+        assert (out.worst_pair, out.worst_value) == (("", ""), 0.0)
+
+    @pytest.mark.parametrize("cells", [1, 7 * 9, 17 * 9])
+    def test_chunk_boundaries(self, monkeypatch, cells):
+        # dim 3, 16 keys, 120 pairs, 5 outcomes: blocks of 1, 7 and 17
+        # pairs, and of 1, 1 and 3 keys; the last two sizes leave a
+        # partial last block.
+        # The last two keys carry orthogonal pure probes, so the worst pair
+        # is the last one.
+        rng = np.random.default_rng(5)
+        keys = bit_strings(4)
+        probes = {k: random_density(rng, 3) for k in keys}
+        probes["1110"] = validate_density(np.diag([1.0, 0.0, 0.0]))
+        probes["1111"] = validate_density(np.diag([0.0, 1.0, 0.0]))
+        e = CqEnsemble(4, random_probdist(rng, keys), probes)
+        povm = random_povm(rng, 3, 5)
+        assert pairwise_bound_loop(e) == (("1110", "1111"), 2.0)
+        monkeypatch.setattr(criteria, "_STACK_BATCH_CELLS", cells)
+        out = pairwise_distance_bound(e, 0.1)
+        assert (out.worst_pair, bits(out.worst_value)) == (
+            pairwise_bound_loop(e)[0],
+            bits(pairwise_bound_loop(e)[1]),
+        )
+        assert bits(_outcome_mass(e, povm)) == bits(outcome_mass_loop(e, povm))

@@ -29,7 +29,9 @@ from tracecrit.errors import (
     ZeroMassOutcome,
 )
 
-from helpers import random_density, random_ensemble, random_povm
+from tracecrit.qmath import HERM_TOL
+
+from helpers import bits, pgm_elements_loop, random_density, random_ensemble, random_povm
 
 
 def projective_qubit_povm():
@@ -52,6 +54,41 @@ class TestPovm:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(BadParams, match="unique"):
             Povm((("x", np.eye(2) / 2), ("x", np.eye(2) / 2)))
+
+    def test_rejects_non_hermitian_element_by_label(self):
+        skew = np.array([[0.5, 1e-6], [0.0, 0.5]])
+        with pytest.raises(BadParams, match="'b' is not Hermitian"):
+            Povm((("a", np.eye(2) / 2), ("b", skew)))
+
+    def test_hermitian_tolerance_is_qmath_tol(self):
+        off = HERM_TOL / 2
+        Povm((("a", np.array([[0.5, off], [0.0, 0.5]])), ("b", np.array([[0.5, -off], [0.0, 0.5]]))))
+        off = HERM_TOL * 2
+        with pytest.raises(BadParams, match="'a' is not Hermitian"):
+            Povm((("a", np.array([[0.5, off], [0.0, 0.5]])), ("b", np.array([[0.5, -off], [0.0, 0.5]]))))
+
+    def test_rejects_nan_element(self):
+        with pytest.raises(BadParams, match="'b' is not Hermitian"):
+            Povm((("a", np.eye(2)), ("b", np.full((2, 2), np.nan))))
+
+    def test_first_failing_element_is_named(self):
+        bad = np.diag([-0.5, 0.0])
+        with pytest.raises(BadParams, match="'y' has eigenvalue"):
+            Povm((("x", np.diag([1.0, 1.0])), ("y", bad), ("z", np.diag([0.5, 0.0])), ("w", bad)))
+
+    def test_shape_errors(self):
+        with pytest.raises(BadParams, match="'a' is not square"):
+            Povm((("a", np.ones((2, 3))),))
+        with pytest.raises(DimMismatch, match="'b' has dim 3"):
+            Povm((("a", np.eye(2)), ("b", np.eye(3))))
+
+    def test_element_stack(self):
+        m = random_povm(np.random.default_rng(3), 3, 4)
+        assert m.stack.shape == (4, 3, 3)
+        for i, (label, op) in enumerate(m.elements):
+            assert bits(op) == bits(m.stack[i]) and m.element(label) is op
+        with pytest.raises(ValueError):
+            m.stack[0, 0, 0] = 1.0
 
 
 class TestHelstrom:
@@ -191,6 +228,16 @@ class TestPgm:
             optimal = helstrom_binary(e.probe("0"), e.probe("1"), 0.5).p_success
             assert success_probability(e, m, guess) <= optimal + 1e-9
 
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
+    def test_elements_match_loop(self, dim, uniform):
+        e = random_ensemble(np.random.default_rng(dim), 3, dim, uniform_prior=uniform)
+        m = pgm(e)
+        want = pgm_elements_loop(e)
+        assert m.labels[: len(want)] == tuple(k for k, _ in want)
+        for (_, got), (_, op) in zip(m.elements, want):
+            assert bits(got) == bits(op)
+
     def test_kernel_completion(self):
         # rank-deficient average probe: both probes live on |0>
         rho = validate_density(np.diag([1.0, 0.0]))
@@ -289,3 +336,10 @@ class TestJointDistribution:
     def test_rejects_bad_mass(self):
         with pytest.raises(BadParams):
             JointDistribution(("0",), ("x",), np.array([[0.5]]))
+
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 1)])
+    def test_rejects_nan_cell(self, cell):
+        mass = np.array([[0.5, 0.0], [0.25, 0.25]])
+        mass[cell] = np.nan
+        with pytest.raises(BadParams, match="NaN"):
+            JointDistribution(("0", "1"), ("x", "y"), mass)

@@ -22,7 +22,7 @@ from tracecrit.criteria import criterion_d_averaged
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
 
-from helpers import random_density, random_ensemble
+from helpers import average_probe_loop, bits, random_density, random_ensemble
 
 
 class TestProbDist:
@@ -50,6 +50,11 @@ class TestProbDist:
     def test_support(self):
         p = ProbDist(("a", "b", "c"), (0.5, 0.0, 0.5))
         assert p.support() == ("a", "c")
+
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)])
+    def test_rejects_nan_mass(self, probs):
+        with pytest.raises(BadParams, match="sum"):
+            ProbDist(("a", "b"), probs)
 
 
 class TestBitStrings:
@@ -275,3 +280,34 @@ class TestSerialization:
                 ProbDist(("1", "0"), (0.5, 0.5)),  # wrong order
                 {"0": validate_density(np.eye(2) / 2), "1": validate_density(np.eye(2) / 2)},
             )
+
+
+class TestProbeStack:
+    @pytest.mark.parametrize("uniform", [True, False])  # Fraction and float priors
+    def test_stack_and_weights_follow_key_order(self, uniform):
+        rng = np.random.default_rng(11)
+        e = random_ensemble(rng, 3, 2, uniform_prior=uniform)
+        assert e.probe_stack.shape == (8, 2, 2)
+        for i, k in enumerate(e.keys):
+            assert bits(e.probe_stack[i]) == bits(e.probe(k).matrix)
+        assert e.weights.dtype == np.float64
+        assert bits(e.weights) == bits([float(p) for p in e.prior.probs])
+
+    def test_frozen(self):
+        e = random_ensemble(np.random.default_rng(12), 2, 2)
+        for a in (e.probe_stack, e.weights, e.key_norms):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_average_and_norms_computed_once(self):
+        e = random_ensemble(np.random.default_rng(13), 3, 3)
+        assert average_probe(e) is e.average is average_probe(e)
+        assert e.key_norms is e.key_norms
+        assert bits(e.average.matrix) == bits(average_probe_loop(e))
+
+    def test_conditioning_rebuilds_the_stack(self):
+        e = random_ensemble(np.random.default_rng(14), 3, 2, uniform_prior=False)
+        residual = condition_on_leak(e, LeakSpec((1,), (1,)))
+        assert residual.probe_stack.shape == (4, 2, 2)
+        for i, k in enumerate(residual.keys):
+            assert bits(residual.probe_stack[i]) == bits(residual.probe(k).matrix)

@@ -283,6 +283,13 @@ class TestCli:
     def test_bad_params_exit_two(self, capsys):
         assert main(["--experiment", "cex_i", "--params", "/nonexistent.json"]) == 2
 
+    def test_underflowing_markov_budget_exit_two(self, capsys):
+        params = '{"eps": 0.01, "delta": 0.5, "guarantees": 100000}'
+        assert main(["--experiment", "markov", "--params", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: required average 2^-100007 is below")
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_params_exit_two(self, constant, tmp_path, capsys):
         params = f'{{"mean": {constant}}}'

@@ -14,8 +14,9 @@ from tracecrit import (
     validate_density,
 )
 from tracecrit.errors import BadTrace, DimMismatch, NotHermitian, NotPsd
+from tracecrit.qmath import trace_norms
 
-from helpers import random_density, random_pure_vector, random_unitary
+from helpers import bits, random_density, random_pure_vector, random_unitary, trace_norm_loop
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -207,6 +208,16 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian):
             validate_density(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(2) / 2
+        m[0, 0] = bad
+        with pytest.raises(NotHermitian):
+            validate_density(m)
+        with pytest.raises(NotHermitian):
+            trace_norm(m)
+
     def test_matrix_is_frozen(self):
         op = validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
@@ -223,3 +234,34 @@ class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(Exception, match="norm"):
             PureState(np.array([1.0, 1.0]))
+
+
+class TestTraceNorms:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
+    def test_matches_single_matrix_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(9, dim, dim)) + 1j * rng.normal(size=(9, dim, dim))
+        stack = a + a.conj().swapaxes(1, 2)
+        norms = trace_norms(stack)
+        assert bits(norms) == bits([trace_norm(h) for h in stack])
+        assert bits(norms) == bits([trace_norm_loop(h) for h in stack])
+
+    def test_empty_stack(self):
+        assert trace_norms(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_non_hermitian_names_first_failing_matrix(self):
+        good = np.eye(2)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        worse = np.array([[0.0, 3.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitian) as single:
+            trace_norm(skew)
+        with pytest.raises(NotHermitian) as stacked:
+            trace_norms(np.stack([good, skew, worse]))
+        assert str(stacked.value) == str(single.value)
+        assert "1.000e+00" in str(stacked.value)
+
+    def test_shape_errors(self):
+        with pytest.raises(NotHermitian, match="square matrix"):
+            trace_norm(np.ones(3))
+        with pytest.raises(NotHermitian, match="stack of square"):
+            trace_norms(np.ones((2, 3)))

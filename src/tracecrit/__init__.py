@@ -51,10 +51,7 @@ from .ensembles import (
     LeakSpec,
     ProbDist,
     SpikedDist,
-    average_probe,
     condition_on_leak,
-    ensemble_from_json,
-    ensemble_to_json,
     single_bit_pure_example,
     spiked_distribution,
     two_bit_pkl_example,
@@ -64,7 +61,6 @@ from .qmath import (
     DensityOperator,
     PureState,
     hermitian_eigen,
-    partial_trace,
     tensor,
     trace_distance,
     trace_norm,

@@ -21,15 +21,13 @@ from .qmath import DensityOperator, trace_norm
 class GuaranteeScenario:
     """Protocol-scale parameters for guarantee comparisons.
 
-    ``epsilon`` defaults to 2^-l when omitted.  ``delta_target`` is the
-    per-event probability budget used when chaining Markov guarantees.
+    ``epsilon`` defaults to 2^-l when omitted.
     """
 
     n: int
     l: int
     m: int
     epsilon: float | None = None
-    delta_target: float | None = None
 
     def __post_init__(self):
         if not 0 < self.m <= self.n:

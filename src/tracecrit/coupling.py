@@ -9,10 +9,8 @@ an arbitrary coupling can sit from that optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .ensembles import ProbDist
 from .errors import BadParams
@@ -28,9 +26,11 @@ class Coupling:
     ``joint``, when given, is the dense row-major tuple of rows and is
     validated cell by cell.  Otherwise the mass is kept factored and never
     expanded, so huge label universes stay cheap: ``diagonal[i]`` on cell
-    (i, i) plus the rank-one residual ``res_p[i] * res_q[j] / leftover``.
-    Without factors the coupling is the independent product P(x)Q(x'),
-    i.e. a zero diagonal with residuals P and Q and leftover 1.
+    (i, i) plus the rank-one residual ``res_p[i] * res_q[j] / leftover``,
+    where ``res_p = p - diagonal``, ``res_q = q - diagonal`` and
+    ``leftover`` is their common total (exact when p and q are).  Without
+    a diagonal the coupling is the independent product P(x)Q(x'), i.e.
+    residuals P and Q and leftover 1.
     """
 
     row_labels: tuple[str, ...]
@@ -39,21 +39,20 @@ class Coupling:
     q: tuple
     joint: tuple | None = None
     diagonal: tuple | None = None
-    res_p: tuple | None = None
-    res_q: tuple | None = None
-    leftover: object = 1
+    res_p: tuple | None = field(default=None, init=False, repr=False)
+    res_q: tuple | None = field(default=None, init=False, repr=False)
+    leftover: object = field(default=1, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.row_labels) != len(self.p) or len(self.col_labels) != len(self.q):
             raise BadParams("marginal lengths do not match label counts")
         if self.joint is None:
-            factors = (self.diagonal, self.res_p, self.res_q)
-            if all(f is None for f in factors) and self.leftover == 1:
+            if self.diagonal is None:
                 # the product P x Q has marginals P and Q by construction
                 object.__setattr__(self, "res_p", self.p)
                 object.__setattr__(self, "res_q", self.q)
             else:
-                self._check_factors()
+                self._derive_factors()
             return
         rows = tuple(tuple(r) for r in self.joint)
         if len(rows) != len(self.row_labels) or any(
@@ -73,29 +72,29 @@ class Coupling:
                 raise BadParams(f"column sum {j} does not reproduce the second marginal")
         object.__setattr__(self, "joint", rows)
 
-    def _check_factors(self):
-        """The dense checks in O(N): nonnegative factors whose row and column
-        sums reproduce P and Q."""
-        if any(f is None for f in (self.diagonal, self.res_p, self.res_q)):
-            raise BadParams("a factored coupling needs diagonal, res_p and res_q")
-        n = len(self.p)
-        if not len(self.q) == len(self.diagonal) == len(self.res_p) == len(self.res_q) == n:
+    def _derive_factors(self):
+        """Residuals and leftover from the diagonal, in O(N).
+
+        The diagonal must lie within both marginals, so both residuals are
+        nonnegative, and the residuals must carry the same total, so that
+        row and column sums reproduce P and Q.
+        """
+        p, q, diag = self.p, self.q, self.diagonal
+        if not len(q) == len(diag) == len(p):
             raise BadParams("factored coupling needs square factors matching the marginals")
-        diag, rp, rq, p, q = (
-            np.asarray([float(v) for v in f])
-            for f in (self.diagonal, self.res_p, self.res_q, self.p, self.q)
-        )
-        if min(diag.min(), rp.min(), rq.min()) < -MARGINAL_TOL:
-            raise BadParams("negative coupling mass in the factors")
-        leftover = float(self.leftover)
-        if leftover <= 0 and (rp.any() or rq.any()):
-            raise BadParams("residual mass with no leftover to normalize it")
-        rows = diag + (rp * (math.fsum(rq) / leftover) if leftover > 0 else 0.0)
-        cols = diag + (rq * (math.fsum(rp) / leftover) if leftover > 0 else 0.0)
-        for side, order, sums, marginal in (("row", "first", rows, p), ("column", "second", cols, q)):
-            off = np.flatnonzero(np.abs(sums - marginal) > MARGINAL_TOL)
-            if off.size:
-                raise BadParams(f"{side} sum {off[0]} does not reproduce the {order} marginal")
+        if not all(0 <= m <= a and m <= b for m, a, b in zip(diag, p, q)):
+            raise BadParams("the diagonal must lie within both marginals")
+        res_p = tuple(a - m for a, m in zip(p, diag))
+        res_q = tuple(b - m for b, m in zip(q, diag))
+        if all(isinstance(v, (int, Fraction)) for v in (*p, *q)):
+            leftover, other = sum(res_p, Fraction(0)), sum(res_q, Fraction(0))
+        else:
+            leftover, other = math.fsum(map(float, res_p)), math.fsum(map(float, res_q))
+        if abs(float(leftover) - float(other)) > MARGINAL_TOL:
+            raise BadParams("the two residuals carry different totals")
+        object.__setattr__(self, "res_p", res_p)
+        object.__setattr__(self, "res_q", res_q)
+        object.__setattr__(self, "leftover", leftover)
 
     def mass(self, i: int, j: int):
         if self.joint is not None:
@@ -124,15 +123,7 @@ def maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
     """
     qp = _aligned(p, q)
     mins = tuple(min(a, b) for a, b in zip(p.probs, qp))
-    res_p = tuple(a - m for a, m in zip(p.probs, mins))
-    res_q = tuple(b - m for b, m in zip(qp, mins))
-    exact = all(isinstance(v, (int, Fraction)) for v in (*p.probs, *qp))
-    leftover = (
-        sum(res_p, Fraction(0)) if exact else math.fsum(float(v) for v in res_p)
-    )
-    return Coupling(
-        p.labels, p.labels, p.probs, qp, diagonal=mins, res_p=res_p, res_q=res_q, leftover=leftover
-    )
+    return Coupling(p.labels, p.labels, p.probs, qp, diagonal=mins)
 
 
 def independent_coupling(p: ProbDist, q: ProbDist) -> Coupling:

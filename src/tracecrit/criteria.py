@@ -14,7 +14,6 @@ subsequence event bounds) live alongside.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensembles import CqEnsemble, ProbDist, SpikedDist, average_probe, bit_strings
+from .ensembles import CqEnsemble, ProbDist, SpikedDist, bit_strings
 from .errors import BadParams, DimMismatch, NonUniformPrior, TooLarge
 from .qmath import trace_norm, trace_norms
 
@@ -74,7 +73,7 @@ def criterion_d_entangled(e: CqEnsemble) -> float:
     dim = 2**e.n_bits * e.probe_dim
     if dim > ENTANGLED_DIM_CAP:
         raise TooLarge(f"joint dimension {dim} exceeds the cap of {ENTANGLED_DIM_CAP}")
-    avg = average_probe(e).matrix
+    avg = e.average.matrix
     d = e.probe_dim
     joint = np.zeros((dim, dim), dtype=complex)
     product = np.zeros((dim, dim), dtype=complex)
@@ -113,18 +112,6 @@ class CriterionReport:
             )
         if self.d_max < self.d_averaged - _EQUIV_TOL:
             raise BadParams("max per-key distance fell below the average")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d_entangled": self.d_entangled,
-            "d_averaged": self.d_averaged,
-            "d_k_unhalved": dict(sorted(self.d_k.items())),
-            "d_max": self.d_max,
-            "epsilon": self.epsilon_label,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def criterion_report(e: CqEnsemble, epsilon: float) -> CriterionReport:

@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .criteria import _outcome_mass, criterion_d_averaged
-from .ensembles import CqEnsemble, LeakSpec, ProbDist, average_probe, condition_on_leak
+from .ensembles import CqEnsemble, LeakSpec, ProbDist, condition_on_leak
 from .errors import (
     BadParams,
     BadRange,
@@ -114,12 +114,6 @@ class JointDistribution:
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
 
-    def row_marginal(self) -> ProbDist:
-        return ProbDist(self.row_labels, tuple(float(v) for v in self.mass.sum(axis=1)))
-
-    def col_marginal(self) -> ProbDist:
-        return ProbDist(self.col_labels, tuple(float(v) for v in self.mass.sum(axis=0)))
-
 
 class HelstromResult(NamedTuple):
     p_success: float
@@ -180,7 +174,7 @@ def pgm(e: CqEnsemble) -> Povm:
     taken on the support of the average probe; any kernel is completed
     under the label 'null' so the elements sum to the identity.
     """
-    avg = average_probe(e).matrix
+    avg = e.average.matrix
     vals, vecs = hermitian_eigen(avg)
     keep = vals > PGM_KERNEL_TOL
     basis = vecs[:, keep]

@@ -9,7 +9,6 @@ where a computation genuinely needs it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +28,8 @@ NEG_MASS_TOL = 1e-12
 
 #: Key length cap for sparse spiked distributions.
 MAX_SPIKED_BITS = 30
+#: Key length cap for expanding a spiked distribution into a dense table.
+_MAX_DENSE_BITS = 20
 
 
 def bit_strings(n: int) -> tuple[str, ...]:
@@ -96,9 +97,6 @@ class ProbDist:
     def as_array(self) -> np.ndarray:
         return np.asarray([float(v) for v in self.probs])
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(x for x, v in zip(self.labels, self.probs) if v > 0)
-
 
 @dataclass(frozen=True)
 class SpikedDist:
@@ -162,11 +160,11 @@ class SpikedDist:
                 total -= count * value * math.log2(value)
         return total
 
-    def to_probdist(self, max_bits: int = 20) -> ProbDist:
-        if self.n_bits > max_bits:
+    def to_probdist(self) -> ProbDist:
+        if self.n_bits > _MAX_DENSE_BITS:
             raise TooLarge(
                 f"dense expansion of a {self.n_bits}-bit distribution exceeds the "
-                f"{max_bits}-bit cap"
+                f"{_MAX_DENSE_BITS}-bit cap"
             )
         labels = bit_strings(self.n_bits)
         return ProbDist(labels, tuple(self.mass(x) for x in labels))
@@ -257,11 +255,6 @@ class CqEnsemble:
         return norms
 
 
-def average_probe(e: CqEnsemble) -> DensityOperator:
-    """Prior-weighted average of the probe states."""
-    return e.average
-
-
 def single_bit_pure_example(c: float) -> CqEnsemble:
     """One-bit key with pure probes of real overlap c, embedded in dim 2."""
     if not 0.0 <= c <= 1.0:
@@ -318,30 +311,3 @@ def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
     probs = tuple(matched[r][1] / norm for r in residual_keys)
     probes = {r: e.probe(matched[r][0]) for r in residual_keys}
     return CqEnsemble(len(kept), ProbDist(residual_keys, probs), probes)
-
-
-def ensemble_to_json(e: CqEnsemble) -> str:
-    """Serialize an ensemble for CLI round-trips (probe matrices as re/im pairs)."""
-    doc = {
-        "n_bits": e.n_bits,
-        "keys": list(e.keys),
-        "prior": [float(p) for p in e.prior.probs],
-        "probes": {
-            k: {
-                "re": np.real(e.probe(k).matrix).tolist(),
-                "im": np.imag(e.probe(k).matrix).tolist(),
-            }
-            for k in e.keys
-        },
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def ensemble_from_json(text: str) -> CqEnsemble:
-    doc = json.loads(text)
-    n = int(doc["n_bits"])
-    prior = ProbDist(tuple(doc["keys"]), tuple(doc["prior"]))
-    probes = {}
-    for k, mats in doc["probes"].items():
-        probes[k] = validate_density(np.asarray(mats["re"]) + 1j * np.asarray(mats["im"]))
-    return CqEnsemble(n, prior, probes)

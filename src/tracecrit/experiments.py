@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,7 @@ from .ensembles import (
     spiked_distribution,
     two_bit_pkl_example,
 )
-from .errors import BadParams, ParseError, UnknownExperiment
+from .errors import BadParams, ParseError, TooLarge, UnknownExperiment
 from .qmath import DensityOperator, hermitian_eigen, tensor, trace_norm, validate_density
 from .sidechannel import (
     LinearCode,
@@ -68,8 +69,14 @@ PASS = "PASS"
 FAIL = "FAIL"
 NOT_APPLICABLE = "NOT-APPLICABLE"
 
-#: Coupling matrices are only materialized below this atom count.
+#: Atom count above which cex_i reports the maximal-coupling verdict as
+#: NOT-APPLICABLE.  Nothing is materialized (the coupling is factored); the
+#: constant only gates that verdict, which the reports of larger N pin.
 MAX_DENSE_COUPLING = 1024
+#: Atom cap for cex_i, from a budget of about 5 s: every atom costs exact
+#: Fraction arithmetic, and N = 2^18 measured 4.3-5.4 s and 122 MiB peak RSS
+#: on a 2-core Xeon VM.
+_MAX_ATOMS = 2**18
 
 TWO_BIT_PRESETS = {
     "two-bit-orthogonal": {
@@ -132,6 +139,23 @@ def _int_param(name: str, value) -> int:
     raise BadParams(f"parameter {name!r} must be an integer, got {value!r}")
 
 
+def _float_param(name: str, value) -> float:
+    """A finite real parameter; strings, booleans, containers and non-finite
+    or out-of-range numbers exit 2."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and abs(value) <= sys.float_info.max:  # NaN fails too
+        return float(value)
+    raise BadParams(f"parameter {name!r} must be a finite number, got {value!r}")
+
+
+def _preset(params: Mapping, presets: Mapping, kind: str):
+    """The named entry of a preset table; unknown or non-string names exit 2."""
+    name = params["preset"]
+    if not isinstance(name, str) or name not in presets:
+        raise ParseError(f"unknown {kind} preset {name!r}")
+    return presets[name]
+
+
 def _jsonify(value):
     """Coerce results into JSON-safe, canonical-friendly values."""
     if isinstance(value, dict):
@@ -187,18 +211,6 @@ class ExperimentReport:
         )
 
 
-def report_from_json(text: str) -> ExperimentReport:
-    doc = json.loads(text)
-    return ExperimentReport(
-        experiment=doc["experiment"],
-        params=doc["params"],
-        seed=int(doc["seed"]),
-        results=doc["results"],
-        verdicts=tuple(Verdict(v["relation"], v["status"], v["detail"]) for v in doc["verdicts"]),
-        version=doc["version"],
-    )
-
-
 def parse_qubit(spec) -> DensityOperator:
     """Qubit density operator from a {'diag': [a, b]} or {'bloch': [x, y, z]} spec."""
     if not isinstance(spec, Mapping):
@@ -223,13 +235,10 @@ def parse_qubit(spec) -> DensityOperator:
 
 def _resolve_two_bit(params: Mapping) -> tuple[DensityOperator, DensityOperator, DensityOperator]:
     if "preset" in params:
-        name = params["preset"]
-        if name not in TWO_BIT_PRESETS:
-            raise ParseError(f"unknown two-bit preset {name!r}")
-        spec = TWO_BIT_PRESETS[name]
+        spec = _preset(params, TWO_BIT_PRESETS, "two-bit")
         return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
     if "overlap" in params:
-        c = float(params["overlap"])
+        c = _float_param("overlap", params["overlap"])
         if not 0.0 <= c <= 1.0:
             raise ParseError(f"overlap must lie in [0, 1], got {c!r}")
         pair = single_bit_pure_example(c)
@@ -252,6 +261,8 @@ def cmd_cex_i(params: Mapping, seed: int):
     n_atoms = _int_param("N", params.get("N", 4))
     if n_atoms < 2:
         raise BadParams(f"need at least two atoms, got {n_atoms}")
+    if n_atoms > _MAX_ATOMS:
+        raise TooLarge(f"{n_atoms} atoms exceed the cap of {_MAX_ATOMS}")
     labels = tuple(str(i) for i in range(n_atoms))
     p = ProbDist.uniform(labels)
     q = ProbDist.uniform(labels)
@@ -496,14 +507,18 @@ def cmd_toeplitz(params: Mapping, seed: int):
 
 def _resolve_code(params: Mapping) -> LinearCode:
     if "preset" in params:
-        name = params["preset"]
-        if name not in CODE_PRESETS:
-            raise ParseError(f"unknown code preset {name!r}")
-        return LinearCode(Gf2Matrix.from_rows(CODE_PRESETS[name]))
+        return LinearCode(Gf2Matrix.from_rows(_preset(params, CODE_PRESETS, "code")))
     if "generator" in params:
         return LinearCode(Gf2Matrix.from_rows(params["generator"]))
     if "code_file" in params:
-        return code_from_text(Path(params["code_file"]).read_text())
+        path = params["code_file"]
+        if not isinstance(path, str):
+            raise ParseError(f"'code_file' must be a path string, got {path!r}")
+        try:
+            text = Path(path).read_text()
+        except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path
+            raise ParseError(f"cannot read code file {path!r}: {exc}") from None
+        return code_from_text(text)
     raise ParseError("code spec needs 'preset', 'generator', or 'code_file'")
 
 
@@ -562,8 +577,8 @@ def cmd_ecc(params: Mapping, seed: int):
 
 def cmd_markov(params: Mapping, seed: int):
     """Markov budget arithmetic, with the chained individual-guarantee cost."""
-    mean = float(params.get("mean", 0.001))
-    threshold = float(params.get("threshold", 0.01))
+    mean = _float_param("mean", params.get("mean", 0.001))
+    threshold = _float_param("threshold", params.get("threshold", 0.01))
     bound = markov_bound(mean, threshold)
     results = {"mean": mean, "threshold": threshold, "bound": bound}
     verdicts = [
@@ -574,8 +589,8 @@ def cmd_markov(params: Mapping, seed: int):
         )
     ]
     if "eps" in params and "delta" in params:
-        eps = float(params["eps"])
-        delta = float(params["delta"])
+        eps = _float_param("eps", params["eps"])
+        delta = _float_param("delta", params["delta"])
         guarantees = _int_param("guarantees", params.get("guarantees", 1))
         budget = average_for_individual_guarantee(eps, delta, guarantees)
         results["required_average"] = budget.required_average
@@ -596,10 +611,7 @@ def cmd_markov(params: Mapping, seed: int):
 def cmd_table(params: Mapping, seed: int):
     """Uniform-vs-certified comparison table for a guarantee scenario."""
     if "preset" in params:
-        name = params["preset"]
-        if name not in SCENARIO_PRESETS:
-            raise ParseError(f"unknown scenario preset {name!r}")
-        spec = dict(SCENARIO_PRESETS[name])
+        spec = dict(_preset(params, SCENARIO_PRESETS, "scenario"))
     else:
         spec = {k: params[k] for k in ("n", "l", "m") if k in params}
         if "epsilon" in params:
@@ -609,11 +621,15 @@ def cmd_table(params: Mapping, seed: int):
             n=_int_param("n", spec["n"]),
             l=_int_param("l", spec["l"]),
             m=_int_param("m", spec["m"]),
-            epsilon=None if "epsilon" not in spec else float(spec["epsilon"]),
+            epsilon=None if "epsilon" not in spec else _float_param("epsilon", spec["epsilon"]),
         )
     except KeyError as exc:
         raise ParseError("table scenario needs n, l and m (or a preset)") from exc
-    ms = tuple(_int_param("ms", v) for v in params["ms"]) if "ms" in params else None
+    ms = params.get("ms")
+    if ms is not None:
+        if not isinstance(ms, (list, tuple)) or not ms:
+            raise BadParams(f"parameter 'ms' must be a non-empty list of integers, got {ms!r}")
+        ms = tuple(_int_param("ms", v) for v in ms)
     rows = uniform_comparison_table(scenario, ms)
 
     results = {
@@ -678,8 +694,14 @@ def run_sweep(
     declaration order; rows are independent, so a fixed seed makes the
     whole sweep reproducible byte for byte.
     """
-    if experiment not in REGISTRY:
+    if not isinstance(experiment, str) or experiment not in REGISTRY:
         raise UnknownExperiment(f"unknown experiment {experiment!r}")
+    if not isinstance(grid, Mapping) or not all(
+        isinstance(v, (list, tuple)) for v in grid.values()
+    ):
+        raise ParseError(f"sweep grid must map parameter names to value lists, got {grid!r}")
+    if base is not None and not isinstance(base, Mapping):
+        raise ParseError(f"sweep base must be a parameter object, got {base!r}")
     names = list(grid.keys())
     value_lists = [list(grid[k]) for k in names]
     points = [] if not names else list(itertools.product(*value_lists))

@@ -94,12 +94,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum in descending order, with tolerated negatives clamped to 0."""
-        vals = np.linalg.eigvalsh(self.matrix)[::-1].copy()
-        vals[(vals < 0.0) & (vals >= -PSD_TOL)] = 0.0
-        return vals
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -182,26 +176,6 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
             diff = -diff
     val = 0.5 * trace_norm(diff)
     return min(max(val, 0.0), 1.0)
-
-
-def partial_trace(rho: DensityOperator, dims: tuple[int, int], keep: int) -> DensityOperator:
-    """Trace out one factor of a bipartite state.
-
-    ``dims`` gives the two factor dimensions and ``keep`` selects which
-    factor (0 or 1) survives.  The product of ``dims`` must equal the
-    operator dimension.
-    """
-    d0, d1 = int(dims[0]), int(dims[1])
-    if d0 * d1 != rho.dim:
-        raise DimMismatch(f"factor dims {d0}x{d1} do not multiply to {rho.dim}")
-    if keep not in (0, 1):
-        raise BadParams(f"keep must be 0 or 1, got {keep!r}")
-    blocks = rho.matrix.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        out = np.einsum("ijkj->ik", blocks)
-    else:
-        out = np.einsum("ijil->jl", blocks)
-    return DensityOperator(out)
 
 
 def validate_density(m) -> DensityOperator:

@@ -10,6 +10,7 @@ over packed bit matrices.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,13 +49,16 @@ class Gf2Matrix:
 
     @classmethod
     def from_rows(cls, rows) -> "Gf2Matrix":
-        rows = [list(r) for r in rows]
+        try:
+            rows = [list(r) for r in rows]
+        except TypeError:
+            raise BadParams(f"matrix must be a sequence of rows, got {rows!r}") from None
         if not rows or not rows[0]:
             raise BadParams("matrix must have at least one row and column")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise BadParams("rows have unequal lengths")
-        if any(b not in (0, 1) for r in rows for b in r):
+        if any(not isinstance(b, numbers.Integral) or b not in (0, 1) for r in rows for b in r):
             raise BadParams("entries must be bits")
         packed = tuple(sum(b << j for j, b in enumerate(r)) for r in rows)
         return cls(len(rows), n, packed)

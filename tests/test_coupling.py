@@ -123,23 +123,29 @@ class TestFactoredMaximalCoupling:
             shuffled = ProbDist(tuple(labels[k] for k in perm), tuple(q.probs[k] for k in perm))
             assert_matches_dense(p, shuffled)
 
+    def test_derives_factors_from_the_diagonal(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        p, q = (half, half), (quarter, 3 * quarter)
+        c = Coupling(("a", "b"), ("a", "b"), p, q, diagonal=(quarter, half))
+        assert (c.res_p, c.res_q, c.leftover) == ((quarter, 0), (0, quarter), quarter)
+        with pytest.raises(TypeError):
+            Coupling(("a",), ("a",), (1.0,), (1.0,), diagonal=(1.0,), res_p=(0.0,))
+
     def test_rejects_factors_with_wrong_marginals(self):
-        with pytest.raises(BadParams):
-            Coupling(
-                ("a", "b"), ("a", "b"), (0.5, 0.5), (0.5, 0.5),
-                diagonal=(0.5, 0.25), res_p=(0.0, 0.25), res_q=(0.0, 0.0), leftover=0.25,
-            )
+        # a diagonal above the second marginal
+        with pytest.raises(BadParams, match="within both marginals"):
+            Coupling(("a", "b"), ("a", "b"), (0.5, 0.5), (0.25, 0.75), diagonal=(0.5, 0.25))
+        # residual totals 0.5 and 0.0 cannot be coupled
+        with pytest.raises(BadParams, match="different totals"):
+            Coupling(("a", "b"), ("a", "b"), (0.5, 0.5), (0.25, 0.25), diagonal=(0.25, 0.25))
 
     def test_rejects_incomplete_factors(self):
-        with pytest.raises(BadParams):
-            Coupling(("a", "b"), ("a", "b"), (0.5, 0.5), (0.5, 0.5), res_p=(0.5, 0.5))
+        with pytest.raises(BadParams, match="square factors"):
+            Coupling(("a", "b"), ("a", "b"), (0.5, 0.5), (0.5, 0.5), diagonal=(0.5,))
 
     def test_rejects_negative_factors(self):
-        with pytest.raises(BadParams):
-            Coupling(
-                ("a", "b"), ("a", "b"), (0.5, 0.5), (0.5, 0.5),
-                diagonal=(0.6, 0.5), res_p=(-0.1, 0.0), res_q=(0.0, -0.1), leftover=-0.1,
-            )
+        with pytest.raises(BadParams, match="within both marginals"):
+            Coupling(("a", "b"), ("a", "b"), (0.6, 0.4), (0.4, 0.6), diagonal=(-0.1, 0.4))
 
 
 class TestIndependentCoupling:

@@ -145,10 +145,12 @@ class TestPerKeyDistances:
     def test_report_fields(self):
         e = single_bit_pure_example(0.6)
         report = criterion_report(e, epsilon=2**-16)
-        doc = report.to_json_dict()
-        assert set(doc) == {"d_entangled", "d_averaged", "d_k_unhalved", "d_max", "epsilon"}
-        assert doc["d_averaged"] == pytest.approx(0.4, abs=1e-12)
-        assert doc["d_max"] >= doc["d_averaged"] - 1e-12
+        assert report.d_averaged == pytest.approx(0.4, abs=1e-12)
+        assert report.d_entangled == pytest.approx(report.d_averaged, abs=1e-9)
+        assert report.d_k == d_k_per_key(e)
+        assert report.d_max == max(report.d_k.values()) / 2
+        assert report.d_max >= report.d_averaged - 1e-12
+        assert report.epsilon_label == 2**-16
 
 
 class TestPairwiseBound:

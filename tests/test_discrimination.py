@@ -7,7 +7,6 @@ from tracecrit import (
     LeakSpec,
     Povm,
     ProbDist,
-    average_probe,
     criterion_d_averaged,
     helstrom_binary,
     measure_ensemble,
@@ -161,7 +160,7 @@ class TestMeasureEnsemble:
             e = random_ensemble(rng, 2, 3, uniform_prior=False)
             povm = random_povm(rng, 3, 4)
             joint = measure_ensemble(e, povm)
-            avg = average_probe(e).matrix
+            avg = e.average.matrix
             for j, label in enumerate(povm.labels):
                 direct = float(np.trace(avg @ povm.element(label)).real)
                 assert float(joint.mass[:, j].sum()) == pytest.approx(direct, abs=1e-12)
@@ -327,12 +326,6 @@ class TestPostLeakDiscrimination:
 
 
 class TestJointDistribution:
-    def test_marginals(self):
-        mass = np.array([[0.5, 0.0], [0.25, 0.25]])
-        joint = JointDistribution(("0", "1"), ("x", "y"), mass)
-        assert [float(v) for v in joint.row_marginal().probs] == [0.5, 0.5]
-        assert [float(v) for v in joint.col_marginal().probs] == [0.75, 0.25]
-
     def test_rejects_bad_mass(self):
         with pytest.raises(BadParams):
             JointDistribution(("0",), ("x",), np.array([[0.5]]))

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecrit.cli import main
 from tracecrit.errors import BadParams, ParseError, UnknownExperiment
 from tracecrit.experiments import (
+    CODE_PRESETS,
     REGISTRY,
+    SCENARIO_PRESETS,
+    TWO_BIT_PRESETS,
     parse_qubit,
-    report_from_json,
     run_experiment,
     run_sweep,
 )
@@ -219,11 +225,6 @@ class TestRunner:
         assert report.elapsed_seconds is not None
         assert "elapsed" not in report.canonical_json()
 
-    def test_round_trip_losslessly(self):
-        report = run_experiment("cex_iii", {"preset": "two-bit-mixed"}, seed=11)
-        back = report_from_json(report.canonical_json())
-        assert back.canonical_json() == report.canonical_json()
-
 
 class TestSweep:
     def test_overlap_grid_margin_column(self):
@@ -321,6 +322,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "experiment,params",
+        [
+            ("markov", '{"mean": "abc"}'),
+            ("markov", '{"eps": "x", "delta": 0.5}'),
+            ("markov", '{"mean": true}'),
+            ("markov", '{"threshold": 1e400}'),
+            ("cex_ii", '{"overlap": "x"}'),
+            ("cex_iii", '{"overlap": [0.5]}'),
+            ("table", '{"n": 10, "l": 2, "m": 3, "epsilon": "x"}'),
+            ("ecc", '{"preset": []}'),
+            ("cex_iii", '{"preset": []}'),
+            ("table", '{"preset": {}}'),
+            ("ecc", '{"generator": 5}'),
+            ("ecc", '{"generator": [5]}'),
+            ("ecc", '{"generator": [[1.0, 0.0]]}'),
+            ("ecc", '{"code_file": "/nonexistent/code.txt"}'),
+            ("ecc", '{"code_file": "."}'),
+            ("table", '{"preset": "headline-gap", "ms": 5}'),
+            ("table", '{"preset": "headline-gap", "ms": []}'),
+            ("cex_i", '{"N": 100000000}'),
+            ("sweep", '{"experiment": ["cex_i"], "grid": {}}'),
+            ("sweep", '{"experiment": "cex_i", "grid": [2, 4]}'),
+            ("sweep", '{"experiment": "cex_i", "grid": {"N": 4}}'),
+            ("sweep", '{"experiment": "cex_i", "grid": {"N": [4]}, "base": [["N", 2]]}'),
+        ],
+    )
+    def test_malformed_params_exit_two(self, experiment, params, capsys):
+        assert main(["--experiment", experiment, "--params", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_integral_float_params_keep_results(self):
         for name, params in [("cex_i", {"N": 4}), ("spiked", {"n": 8, "l": 3}), ("toeplitz", {"m": 3, "n": 4})]:
             as_floats = {k: float(v) for k, v in params.items()}
@@ -361,3 +395,95 @@ class TestCli:
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+#: Parameter names and string values the experiments read.
+PARAM_NAMES = (
+    "N", "n", "l", "m", "ms", "mode", "samples", "preset", "overlap", "sigma", "rho1", "rho2",
+    "generator", "code_file", "rule", "mean", "threshold", "eps", "delta", "guarantees",
+    "epsilon",
+)
+WORDS = (
+    "diag", "bloch", "sample", "exhaustive", "syndrome", "min_distance",
+    *TWO_BIT_PRESETS, *CODE_PRESETS, *SCENARIO_PRESETS, *REGISTRY,
+)
+# Small numbers keep every request far below the size caps, so each run is fast.
+VALUES = st.recursive(
+    st.one_of(
+        st.integers(-2, 8),
+        st.floats(-2.0, 8.0),
+        st.sampled_from(WORDS),
+        st.text(max_size=4),
+        st.booleans(),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(st.sampled_from(WORDS), st.text(max_size=4)), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+#: Valid parameter objects of each experiment, which generated objects start from.
+VALID_PARAMS = {
+    "cex_i": [{"N": 4}],
+    "cex_ii": [{"preset": "two-bit-mixed"}, {"overlap": 0.5}],
+    "cex_iii": [
+        {"sigma": {"diag": [1, 0]}, "rho1": {"diag": [0.6, 0.4]}, "rho2": {"bloch": [0, 0.6, 0.8]}}
+    ],
+    "spiked": [{"n": 8, "l": 3}],
+    "toeplitz": [{"m": 3, "n": 4}, {"m": 3, "n": 4, "mode": "sample", "samples": 5}],
+    "ecc": [{"generator": [[1, 0, 1], [0, 1, 1]], "rule": "min_distance"}, {"preset": "code52"}],
+    "markov": [{"mean": 0.001, "threshold": 0.01, "eps": 0.1, "delta": 0.5, "guarantees": 2}],
+    "table": [{"n": 10, "l": 2, "m": 3, "epsilon": 0.01, "ms": [1, 2]}, {"preset": "headline-gap"}],
+}
+
+
+def near_valid(experiment):
+    """A valid object with some entries dropped and up to two set to arbitrary values."""
+    return st.builds(
+        lambda base, drop, new: {**{k: v for k, v in base.items() if k not in drop}, **new},
+        st.sampled_from(VALID_PARAMS[experiment]),
+        st.sets(st.sampled_from(PARAM_NAMES)),
+        st.dictionaries(st.sampled_from(PARAM_NAMES), VALUES, max_size=2),
+    )
+
+
+SWEEP_PARAMS = st.one_of(
+    st.sampled_from(sorted(REGISTRY)).flatmap(
+        lambda name: st.fixed_dictionaries(
+            {"experiment": st.just(name)},
+            optional={
+                "grid": st.dictionaries(
+                    st.sampled_from(PARAM_NAMES), st.lists(VALUES, max_size=3), max_size=2
+                ),
+                "base": near_valid(name),
+            },
+        )
+    ),
+    st.fixed_dictionaries({}, optional={"experiment": VALUES, "grid": VALUES, "base": VALUES}),
+)
+
+
+class TestCliContract:
+    """Any JSON object exits 0, 1 or 2, and never with an exception."""
+
+    @staticmethod
+    def assert_contract(experiment, params):
+        argv = ["--experiment", experiment, "--params", json.dumps(params)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error:")
+
+    @pytest.mark.parametrize("experiment", sorted(REGISTRY))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_experiment_params(self, experiment, data):
+        self.assert_contract(experiment, data.draw(near_valid(experiment)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(params=SWEEP_PARAMS)
+    def test_sweep_params(self, params):
+        self.assert_contract("sweep", params)
+

@@ -7,7 +7,6 @@ from tracecrit import (
     DensityOperator,
     PureState,
     hermitian_eigen,
-    partial_trace,
     tensor,
     trace_distance,
     trace_norm,
@@ -152,43 +151,6 @@ class TestTraceDistance:
             trace_distance(
                 validate_density(np.eye(2) / 2), validate_density(np.eye(3) / 3)
             )
-
-
-class TestPartialTrace:
-    def test_product_state_first_factor(self):
-        rng = np.random.default_rng(9)
-        sigma, rho = random_density(rng, 2), random_density(rng, 3)
-        joint = validate_density(tensor(sigma.matrix, rho.matrix))
-        np.testing.assert_allclose(
-            partial_trace(joint, (2, 3), keep=0).matrix, sigma.matrix, atol=1e-12
-        )
-
-    def test_product_state_second_factor(self):
-        rng = np.random.default_rng(10)
-        sigma, rho = random_density(rng, 2), random_density(rng, 3)
-        joint = validate_density(tensor(sigma.matrix, rho.matrix))
-        np.testing.assert_allclose(
-            partial_trace(joint, (2, 3), keep=1).matrix, rho.matrix, atol=1e-12
-        )
-
-    def test_maximally_entangled_reduces_to_mixed(self):
-        bell = np.zeros(4)
-        bell[0] = bell[3] = 1 / math.sqrt(2)
-        joint = validate_density(projector(bell))
-        np.testing.assert_allclose(
-            partial_trace(joint, (2, 2), keep=0).matrix, np.eye(2) / 2, atol=1e-12
-        )
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            joint = random_density(rng, 6)
-            reduced = partial_trace(joint, (2, 3), keep=0)
-            assert abs(float(reduced.matrix.trace().real) - 1.0) <= 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            partial_trace(validate_density(np.eye(4) / 4), (3, 2), keep=0)
 
 
 class TestValidateDensity:

@@ -73,15 +73,14 @@ def criterion_d_entangled(e: CqEnsemble) -> float:
     dim = 2**e.n_bits * e.probe_dim
     if dim > ENTANGLED_DIM_CAP:
         raise TooLarge(f"joint dimension {dim} exceeds the cap of {ENTANGLED_DIM_CAP}")
-    avg = e.average.matrix
-    d = e.probe_dim
-    joint = np.zeros((dim, dim), dtype=complex)
-    product = np.zeros((dim, dim), dtype=complex)
-    for i, (k, p) in enumerate(zip(e.keys, e.prior.probs)):
-        block = slice(i * d, (i + 1) * d)
-        joint[block, block] = float(p) * e.probe(k).matrix
-        product[block, block] = float(p) * avg
-    return 0.5 * trace_norm(joint - product)
+    n_keys, d = len(e.keys), e.probe_dim
+    w = e.weights[:, None, None]
+    # (key, row, key, column) views of the block-diagonal matrices
+    joint, product = np.zeros((2, n_keys, d, n_keys, d), dtype=complex)
+    diagonal = np.arange(n_keys)
+    joint[diagonal, :, diagonal, :] = w * e.probe_stack
+    product[diagonal, :, diagonal, :] = w * e.average.matrix
+    return 0.5 * trace_norm((joint - product).reshape(dim, dim))
 
 
 def d_k_per_key(e: CqEnsemble) -> dict[str, float]:

@@ -32,7 +32,7 @@ PGM_KERNEL_TOL = 1e-12
 JOINT_MASS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Finite collection of labelled positive operators summing to identity.
 
@@ -90,7 +90,7 @@ class Povm:
         raise BadParams(f"no measurement element labelled {label!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint mass over (key, outcome) pairs; rows are keys."""
 
@@ -204,12 +204,10 @@ def success_probability(e: CqEnsemble, m: Povm, guess: Mapping[str, str]) -> flo
             raise BadParams(f"guess references unknown outcome {outcome!r}")
         if key not in key_index:
             raise BadParams(f"guess references unknown key {key!r}")
-    terms = []
-    for outcome, key in guess.items():
-        p = float(e.prior.probs[key_index[key]])
-        rho = e.probe(key).matrix
-        terms.append(p * float(np.trace(rho @ m.element(outcome)).real))
-    return math.fsum(terms)
+    rows = [key_index[key] for key in guess.values()]
+    products = np.matmul(e.probe_stack[rows], m.stack[[m.labels.index(x) for x in guess]])
+    terms = e.weights[rows] * np.trace(products, axis1=1, axis2=2).real
+    return math.fsum(terms.tolist())
 
 
 def post_leak_discrimination(e: CqEnsemble, leak: LeakSpec) -> PostLeakResult:

@@ -10,10 +10,9 @@ where a computation genuinely needs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -192,39 +191,36 @@ class LeakSpec:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqEnsemble:
     """Keyed family {key value, prior probability, probe state}.
 
     Keys are the 2^n bit strings in lexicographic order (bit 0 leftmost);
-    probes all share one dimension.  Construction also freezes the probes
-    as one (2^n, d, d) stack in key order and the prior as float64
-    weights, so the criterion kernels run batched.
+    probes all share one dimension.  The probes are kept only as one frozen
+    (2^n, d, d) stack in key order, the prior also as float64 weights.
     """
 
     n_bits: int
     prior: ProbDist
-    probes: Mapping[str, DensityOperator]
-    probe_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    probes: InitVar[Mapping[str, DensityOperator]]
+    probe_stack: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, probes):
         expected = bit_strings(self.n_bits)
         if self.prior.labels != expected:
             raise BadParams(
                 "prior must range over the 2^n bit strings in lexicographic order"
             )
-        if set(self.probes) != set(expected):
+        if set(probes) != set(expected):
             raise BadParams("probes must cover exactly the key values")
-        dims = {self.probes[k].dim for k in expected}
+        dims = {probes[k].dim for k in expected}
         if len(dims) != 1:
             raise DimMismatch(f"probe dimensions differ: {sorted(dims)}")
-        probes = MappingProxyType(dict(self.probes))
         stack = np.stack([probes[k].matrix for k in expected])
         weights = self.prior.as_array()
         stack.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "probes", probes)
         object.__setattr__(self, "probe_stack", stack)
         object.__setattr__(self, "weights", weights)
 
@@ -237,7 +233,10 @@ class CqEnsemble:
         return self.probe_stack.shape[1]
 
     def probe(self, key: str) -> DensityOperator:
-        return self.probes[key]
+        """The probe of one key, re-validated from its row of the stack."""
+        if key not in self.keys:
+            raise BadParams(f"unknown key {key!r}")
+        return DensityOperator(self.probe_stack[self.keys.index(key)])
 
     @cached_property
     def average(self) -> DensityOperator:
@@ -292,22 +291,21 @@ def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
         raise BadParams(
             f"leak position {leak.positions[-1]} outside a {n}-bit key"
         )
-    kept = [i for i in range(n) if i not in set(leak.positions)]
-    pattern = dict(zip(leak.positions, leak.values))
+    # key i holds bit (i >> (n - 1 - pos)) & 1 at position pos, so the
+    # matching rows come in residual key order
+    mask = sum(1 << (n - 1 - pos) for pos in leak.positions)
+    leaked = sum(bit << (n - 1 - pos) for pos, bit in zip(leak.positions, leak.values))
+    rows = np.flatnonzero((np.arange(2**n) & mask) == leaked).tolist()
+    matched = [e.prior.probs[i] for i in rows]
 
-    matched: dict[str, tuple[str, object]] = {}
-    for k, p in zip(e.keys, e.prior.probs):
-        if all(k[pos] == str(bit) for pos, bit in pattern.items()):
-            residual = "".join(k[i] for i in kept)
-            matched[residual] = (k, p)
-
-    total = math.fsum(float(p) for _, p in matched.values())
+    total = math.fsum(float(p) for p in matched)
     if total <= 0.0:
         raise ZeroMass("leaked pattern has zero prior probability")
-    exact = all(isinstance(p, (int, Fraction)) for _, p in matched.values())
-    norm = sum((p for _, p in matched.values()), Fraction(0)) if exact else total
+    exact = all(isinstance(p, (int, Fraction)) for p in matched)
+    norm = sum(matched, Fraction(0)) if exact else total
 
-    residual_keys = bit_strings(len(kept))
-    probs = tuple(matched[r][1] / norm for r in residual_keys)
-    probes = {r: e.probe(matched[r][0]) for r in residual_keys}
-    return CqEnsemble(len(kept), ProbDist(residual_keys, probs), probes)
+    n_kept = n - len(leak.positions)
+    residual_keys = bit_strings(n_kept)
+    probs = tuple(p / norm for p in matched)
+    probes = {r: e.probe(e.keys[i]) for r, i in zip(residual_keys, rows)}
+    return CqEnsemble(n_kept, ProbDist(residual_keys, probs), probes)

@@ -131,11 +131,13 @@ def _skip(relation: str, detail: str) -> Verdict:
 
 
 def _int_param(name: str, value) -> int:
-    """An integer parameter; strings, booleans and non-integral numbers exit 2."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    """An integer parameter; strings, booleans, non-integral numbers and
+    magnitudes above 2^53, past which floats skip integers, exit 2."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral or (isinstance(value, float) and value.is_integer()):
+        if abs(value) <= 2**53:
+            return int(value)
+        raise BadParams(f"parameter {name!r} must have magnitude at most 2^53")
     raise BadParams(f"parameter {name!r} must be an integer, got {value!r}")
 
 

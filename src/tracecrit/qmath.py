@@ -68,7 +68,7 @@ def _require_square_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
     return _require_hermitian_stack(_as_square(a)[None], tol)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive semidefinite operator with unit trace.
 
@@ -95,7 +95,7 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector in a small Hilbert space."""
 

@@ -184,7 +184,7 @@ def singular_fraction(
     bits = m + n - 1
     full = min(m, n)
     if mode == "exhaustive":
-        if 2**bits > EXHAUSTIVE_SEED_CAP:
+        if bits >= EXHAUSTIVE_SEED_CAP.bit_length():  # compare exponents: no 2**bits yet
             raise TooLarge(f"2^{bits} seeds exceed the exhaustive cap of {EXHAUSTIVE_SEED_CAP}")
         total = 2**bits
 

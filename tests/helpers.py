@@ -11,11 +11,13 @@ from tracecrit import (
     Coupling,
     CqEnsemble,
     DensityOperator,
+    LeakSpec,
     Povm,
     ProbDist,
     gf2_rank,
     hermitian_eigen,
     toeplitz_from_seed,
+    trace_norm,
     validate_density,
 )
 from tracecrit.coupling import _aligned
@@ -183,6 +185,47 @@ def outcome_mass_loop(e: CqEnsemble, povm: Povm) -> np.ndarray:
         for j, (_, op) in enumerate(povm.elements):
             mass[i, j] = float(p) * float(np.trace(rho @ op).real)
     return mass
+
+
+def criterion_d_entangled_loop(e: CqEnsemble) -> float:
+    """Entangled-form criterion, the full matrices filled one key block at a time."""
+    dim = 2**e.n_bits * e.probe_dim
+    avg = average_probe_loop(e)
+    d = e.probe_dim
+    joint = np.zeros((dim, dim), dtype=complex)
+    product = np.zeros((dim, dim), dtype=complex)
+    for i, (k, p) in enumerate(zip(e.keys, e.prior.probs)):
+        block = slice(i * d, (i + 1) * d)
+        joint[block, block] = float(p) * e.probe(k).matrix
+        product[block, block] = float(p) * avg
+    return 0.5 * trace_norm(joint - product)
+
+
+def success_probability_loop(e: CqEnsemble, m: Povm, guess: dict) -> float:
+    """Guessing success, one trace product per guessed outcome."""
+    terms = []
+    for outcome, key in guess.items():
+        p = float(e.prior.mass(key))
+        rho = e.probe(key).matrix
+        terms.append(p * float(np.trace(rho @ m.element(outcome)).real))
+    return math.fsum(terms)
+
+
+def condition_on_leak_loop(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
+    """Leak conditioning that string-matches every key at every leaked position."""
+    kept = [i for i in range(e.n_bits) if i not in set(leak.positions)]
+    pattern = dict(zip(leak.positions, leak.values))
+    matched = {}
+    for k, p in zip(e.keys, e.prior.probs):
+        if all(k[pos] == str(bit) for pos, bit in pattern.items()):
+            matched["".join(k[i] for i in kept)] = (k, p)
+    exact = all(isinstance(p, (int, Fraction)) for _, p in matched.values())
+    total = math.fsum(float(p) for _, p in matched.values())
+    norm = sum((p for _, p in matched.values()), Fraction(0)) if exact else total
+    residual_keys = bit_strings(len(kept))
+    probs = tuple(matched[r][1] / norm for r in residual_keys)
+    probes = {r: e.probe(matched[r][0]) for r in residual_keys}
+    return CqEnsemble(len(kept), ProbDist(residual_keys, probs), probes)
 
 
 def pgm_elements_loop(e: CqEnsemble) -> list:

@@ -7,8 +7,10 @@ import pytest
 from tracecrit import (
     CqEnsemble,
     JointDistribution,
+    LeakSpec,
     ProbDist,
     classical_dbar,
+    condition_on_leak,
     criterion_d_averaged,
     criterion_d_entangled,
     criterion_report,
@@ -20,6 +22,7 @@ from tracecrit import (
     pairwise_distance_bound,
     single_bit_pure_example,
     spiked_distribution,
+    success_probability,
     two_bit_pkl_example,
     validate_density,
     variational_distance,
@@ -32,7 +35,9 @@ from tracecrit.errors import BadParams, NonUniformPrior, TooLarge
 from helpers import (
     bits,
     classical_dbar_loop,
+    condition_on_leak_loop,
     criterion_d_averaged_loop,
+    criterion_d_entangled_loop,
     d_k_per_key_loop,
     event_deviation_loop,
     outcome_mass_loop,
@@ -41,6 +46,7 @@ from helpers import (
     random_ensemble,
     random_povm,
     random_probdist,
+    success_probability_loop,
     variants_from_mass_loop,
 )
 
@@ -411,6 +417,43 @@ class TestStackedKernels:
         if prior == "uniform":
             joint = measure_ensemble(e, povm)
             assert bits(classical_dbar(joint)) == bits(classical_dbar_loop(joint.mass))
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_entangled_criterion(self, dim, prior):
+        e = stacked_case(dim, prior)
+        assert bits(criterion_d_entangled(e)) == bits(criterion_d_entangled_loop(e))
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_success_probability(self, dim, prior):
+        e = stacked_case(dim, prior)
+        rng = np.random.default_rng([dim, 1])
+        povm = random_povm(rng, dim, 5)
+        keys = rng.choice(e.keys, size=5).tolist()
+        keys[1] = keys[0]  # one key guessed on two outcomes
+        for n_guessed in (5, 3, 0):  # every outcome, some, none
+            guess = dict(zip(povm.labels[:n_guessed], keys))
+            want = success_probability_loop(e, povm, guess)
+            assert bits(success_probability(e, povm, guess)) == bits(want)
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_condition_on_leak(self, dim, prior):
+        e = stacked_case(dim, prior)
+        n = e.n_bits
+        for leak in (
+            LeakSpec((), ()),
+            LeakSpec((1,), (1,)),
+            LeakSpec((0, n - 1), (1, 0)),
+            LeakSpec(tuple(range(n)), (0, 1) * (n // 2) + (1,) * (n % 2)),
+        ):
+            got, want = condition_on_leak(e, leak), condition_on_leak_loop(e, leak)
+            assert got.keys == want.keys
+            assert got.prior.probs == want.prior.probs
+            assert [type(p) for p in got.prior.probs] == [type(p) for p in want.prior.probs]
+            assert bits(got.probe_stack) == bits(want.probe_stack)
+            assert bits(got.weights) == bits(want.weights)
 
     def test_tied_pairs_first_in_combinations_order_wins(self):
         rng = np.random.default_rng(21)

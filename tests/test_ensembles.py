@@ -6,9 +6,13 @@ import pytest
 
 from tracecrit import (
     CqEnsemble,
+    DensityOperator,
     LeakSpec,
     ProbDist,
+    PureState,
     condition_on_leak,
+    measure_ensemble,
+    pgm,
     single_bit_pure_example,
     spiked_distribution,
     tensor,
@@ -289,6 +293,27 @@ class TestProbeStack:
         assert e.average is e.average
         assert e.key_norms is e.key_norms
         assert bits(e.average.matrix) == bits(average_probe_loop(e))
+
+    def test_stack_is_the_only_probe_storage(self):
+        e = random_ensemble(np.random.default_rng(15), 2, 2)
+        assert "probes" not in vars(e)
+        with pytest.raises(BadParams, match="unknown key"):
+            e.probe("x")
+
+    def test_equality_is_identity(self):
+        e = random_ensemble(np.random.default_rng(16), 1, 2)
+        povm = pgm(e)
+        values = [e, e.average, PureState([1.0, 0.0]), povm, measure_ensemble(e, povm)]
+        twins = [
+            condition_on_leak(e, LeakSpec((), ())),
+            DensityOperator(e.average.matrix),
+            PureState([1.0, 0.0]),
+            pgm(e),
+            measure_ensemble(e, povm),
+        ]
+        for a, b in zip(values, twins):
+            assert a == a and a != b
+            assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_conditioning_rebuilds_the_stack(self):
         e = random_ensemble(np.random.default_rng(14), 3, 2, uniform_prior=False)

@@ -343,6 +343,11 @@ class TestCli:
             ("table", '{"preset": "headline-gap", "ms": 5}'),
             ("table", '{"preset": "headline-gap", "ms": []}'),
             ("cex_i", '{"N": 100000000}'),
+            ("table", f'{{"n": {10**400}, "l": 2, "m": {10**400}}}'),
+            ("table", f'{{"n": 1000, "l": {10**400}, "m": 100}}'),
+            ("markov", f'{{"eps": 0.1, "delta": 0.5, "guarantees": {10**400}}}'),
+            ("markov", f'{{"eps": 0.1, "delta": 1.0, "guarantees": {10**400}}}'),
+            ("toeplitz", '{"m": 100000000, "n": 1}'),
             ("sweep", '{"experiment": ["cex_i"], "grid": {}}'),
             ("sweep", '{"experiment": "cex_i", "grid": [2, 4]}'),
             ("sweep", '{"experiment": "cex_i", "grid": {"N": 4}}'),
@@ -407,10 +412,12 @@ WORDS = (
     "diag", "bloch", "sample", "exhaustive", "syndrome", "min_distance",
     *TWO_BIT_PRESETS, *CODE_PRESETS, *SCENARIO_PRESETS, *REGISTRY,
 )
-# Small numbers keep every request far below the size caps, so each run is fast.
+# Small numbers keep every request far below the size caps, so each run is fast;
+# integers past 2^53, up to 10^400, are refused before any work.
 VALUES = st.recursive(
     st.one_of(
         st.integers(-2, 8),
+        st.integers(2**53 + 1, 10**400).flatmap(lambda v: st.sampled_from([v, -v])),
         st.floats(-2.0, 8.0),
         st.sampled_from(WORDS),
         st.text(max_size=4),

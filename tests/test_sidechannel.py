@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,17 @@ class TestSingularFraction:
             singular_fraction(2, 2, mode="nope")
         with pytest.raises(BadParams):
             singular_fraction(0, 3)
+
+    def test_oversize_exhaustive_request_builds_no_seed_count(self):
+        # 2^(10^8) alone would take 12.5 MB; the cap compares exponents first
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                singular_fraction(10**8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_sample_count_cap(self):
         with pytest.raises(TooLarge):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import io
 import itertools
 import json
@@ -150,9 +151,8 @@ def _float_param(name: str, value) -> float:
     raise BadParams(f"parameter {name!r} must be a finite number, got {value!r}")
 
 
-def _preset(params: Mapping, presets: Mapping, kind: str):
+def _preset(name, presets: Mapping, kind: str):
     """The named entry of a preset table; unknown or non-string names exit 2."""
-    name = params["preset"]
     if not isinstance(name, str) or name not in presets:
         raise ParseError(f"unknown {kind} preset {name!r}")
     return presets[name]
@@ -235,32 +235,22 @@ def parse_qubit(spec) -> DensityOperator:
     raise ParseError(f"qubit spec needs a 'diag' or 'bloch' entry, got {spec!r}")
 
 
-def _resolve_two_bit(params: Mapping) -> tuple[DensityOperator, DensityOperator, DensityOperator]:
-    if "preset" in params:
-        spec = _preset(params, TWO_BIT_PRESETS, "two-bit")
+def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple[DensityOperator, ...]:
+    if preset is not None:
+        spec = _preset(preset, TWO_BIT_PRESETS, "two-bit")
         return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
-    if "overlap" in params:
-        c = _float_param("overlap", params["overlap"])
-        if not 0.0 <= c <= 1.0:
-            raise ParseError(f"overlap must lie in [0, 1], got {c!r}")
-        pair = single_bit_pure_example(c)
-        return (
-            validate_density(np.diag([1.0, 0.0])),
-            pair.probe("0"),
-            pair.probe("1"),
-        )
-    try:
-        return tuple(parse_qubit(params[k]) for k in ("sigma", "rho1", "rho2"))
-    except KeyError as exc:
-        raise ParseError(
-            "two-bit family needs 'preset', 'overlap', or explicit sigma/rho1/rho2"
-        ) from exc
+    if overlap is not None:
+        pair = single_bit_pure_example(_float_param("overlap", overlap))
+        return validate_density(np.diag([1.0, 0.0])), pair.probe("0"), pair.probe("1")
+    if any(spec is None for spec in (sigma, rho1, rho2)):
+        raise ParseError("two-bit family needs 'preset', 'overlap', or explicit sigma/rho1/rho2")
+    return tuple(parse_qubit(spec) for spec in (sigma, rho1, rho2))
 
 
-def cmd_cex_i(params: Mapping, seed: int):
+def cmd_cex_i(seed: int, *, N=4):
     """Independent coupling of identical uniform distributions: the mismatch
     probability sits at 1 - 1/N even though the distance is zero."""
-    n_atoms = _int_param("N", params.get("N", 4))
+    n_atoms = _int_param("N", N)
     if n_atoms < 2:
         raise BadParams(f"need at least two atoms, got {n_atoms}")
     if n_atoms > _MAX_ATOMS:
@@ -302,11 +292,11 @@ def cmd_cex_i(params: Mapping, seed: int):
     return results, verdicts
 
 
-def cmd_cex_ii(params: Mapping, seed: int):
+def cmd_cex_ii(seed: int, *, preset=None, overlap=None, sigma=None, rho1=None, rho2=None):
     """Partial key leakage beats the mixture cap: conditioning on the first
     bit lets the second be read out with probability 1/2 + d, above the
     1/2 + d/2 that a probability-(1-d) uniform key would allow."""
-    sigma, rho1, rho2 = _resolve_two_bit(params)
+    sigma, rho1, rho2 = _resolve_two_bit(preset, overlap, sigma, rho1, rho2)
     family = two_bit_pkl_example(sigma, rho1, rho2)
     gap = trace_norm(rho1.matrix - rho2.matrix)
     d = criterion_d_averaged(family)
@@ -374,10 +364,10 @@ def _family_measurement(sigma: DensityOperator, rho1: DensityOperator, rho2: Den
     return Povm(tuple(elements))
 
 
-def cmd_cex_iii(params: Mapping, seed: int):
+def cmd_cex_iii(seed: int, *, preset=None, overlap=None, sigma=None, rho1=None, rho2=None):
     """A concrete measurement whose induced distribution deviates from
     uniform by more than d under the joint or posterior readings."""
-    sigma, rho1, rho2 = _resolve_two_bit(params)
+    sigma, rho1, rho2 = _resolve_two_bit(preset, overlap, sigma, rho1, rho2)
     purity = float(np.trace(sigma.matrix @ sigma.matrix).real)
     if purity < 1.0 - 1e-9:
         raise ParseError(f"sigma must be pure for this construction, purity {purity!r}")
@@ -425,11 +415,11 @@ def cmd_cex_iii(params: Mapping, seed: int):
     return results, verdicts
 
 
-def cmd_spiked(params: Mapping, seed: int):
+def cmd_spiked(seed: int, *, n=8, l=3):
     """Spiked distribution: the whole key is guessable with probability
     2^-l while the distance from uniform is only 2^-l - 2^-n."""
-    n = _int_param("n", params.get("n", 8))
-    l = _int_param("l", params.get("l", 3))
+    n = _int_param("n", n)
+    l = _int_param("l", l)
     dist = spiked_distribution(n, l)
     analytic = Fraction(1, 2**l) - Fraction(1, 2**n)
     summed = dist.variational_from_uniform()
@@ -469,12 +459,10 @@ def cmd_spiked(params: Mapping, seed: int):
     return results, verdicts
 
 
-def cmd_toeplitz(params: Mapping, seed: int):
+def cmd_toeplitz(seed: int, *, m=2, n=2, mode="exhaustive", samples=None):
     """Singular fraction of a Toeplitz hash family; singular members leak."""
-    m = _int_param("m", params.get("m", 2))
-    n = _int_param("n", params.get("n", 2))
-    mode = params.get("mode", "exhaustive")
-    samples = params.get("samples")
+    m = _int_param("m", m)
+    n = _int_param("n", n)
     if samples is not None:
         samples = _int_param("samples", samples)
     fraction = singular_fraction(m, n, mode=mode, samples=samples, seed=seed)
@@ -507,27 +495,25 @@ def cmd_toeplitz(params: Mapping, seed: int):
     return results, verdicts
 
 
-def _resolve_code(params: Mapping) -> LinearCode:
-    if "preset" in params:
-        return LinearCode(Gf2Matrix.from_rows(_preset(params, CODE_PRESETS, "code")))
-    if "generator" in params:
-        return LinearCode(Gf2Matrix.from_rows(params["generator"]))
-    if "code_file" in params:
-        path = params["code_file"]
-        if not isinstance(path, str):
-            raise ParseError(f"'code_file' must be a path string, got {path!r}")
+def _resolve_code(preset, generator, code_file) -> LinearCode:
+    if preset is not None:
+        return LinearCode(Gf2Matrix.from_rows(_preset(preset, CODE_PRESETS, "code")))
+    if generator is not None:
+        return LinearCode(Gf2Matrix.from_rows(generator))
+    if code_file is not None:
+        if not isinstance(code_file, str):
+            raise ParseError(f"'code_file' must be a path string, got {code_file!r}")
         try:
-            text = Path(path).read_text()
+            text = Path(code_file).read_text()
         except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path
-            raise ParseError(f"cannot read code file {path!r}: {exc}") from None
+            raise ParseError(f"cannot read code file {code_file!r}: {exc}") from None
         return code_from_text(text)
     raise ParseError("code spec needs 'preset', 'generator', or 'code_file'")
 
 
-def cmd_ecc(params: Mapping, seed: int):
+def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syndrome"):
     """Decision-region census: unequal regions bias the decoded message."""
-    code = _resolve_code(params)
-    rule = params.get("rule", "syndrome")
+    code = _resolve_code(preset, generator, code_file)
     census = decision_region_census(code, rule)
     perfect_radius = next(
         (t for t in range(code.n + 1) if is_perfect_code(code, t)), None
@@ -577,10 +563,10 @@ def cmd_ecc(params: Mapping, seed: int):
     return results, verdicts
 
 
-def cmd_markov(params: Mapping, seed: int):
+def cmd_markov(seed: int, *, mean=0.001, threshold=0.01, eps=None, delta=None, guarantees=1):
     """Markov budget arithmetic, with the chained individual-guarantee cost."""
-    mean = _float_param("mean", params.get("mean", 0.001))
-    threshold = _float_param("threshold", params.get("threshold", 0.01))
+    mean = _float_param("mean", mean)
+    threshold = _float_param("threshold", threshold)
     bound = markov_bound(mean, threshold)
     results = {"mean": mean, "threshold": threshold, "bound": bound}
     verdicts = [
@@ -590,10 +576,10 @@ def cmd_markov(params: Mapping, seed: int):
             f"bound {bound!r} vs min(1, mean/threshold)",
         )
     ]
-    if "eps" in params and "delta" in params:
-        eps = _float_param("eps", params["eps"])
-        delta = _float_param("delta", params["delta"])
-        guarantees = _int_param("guarantees", params.get("guarantees", 1))
+    if eps is not None and delta is not None:
+        eps = _float_param("eps", eps)
+        delta = _float_param("delta", delta)
+        guarantees = _int_param("guarantees", guarantees)
         budget = average_for_individual_guarantee(eps, delta, guarantees)
         results["required_average"] = budget.required_average
         results["degradation_factor"] = budget.degradation_factor
@@ -610,24 +596,19 @@ def cmd_markov(params: Mapping, seed: int):
     return results, verdicts
 
 
-def cmd_table(params: Mapping, seed: int):
+def cmd_table(seed: int, *, preset=None, n=None, l=None, m=None, epsilon=None, ms=None):
     """Uniform-vs-certified comparison table for a guarantee scenario."""
-    if "preset" in params:
-        spec = dict(_preset(params, SCENARIO_PRESETS, "scenario"))
-    else:
-        spec = {k: params[k] for k in ("n", "l", "m") if k in params}
-        if "epsilon" in params:
-            spec["epsilon"] = params["epsilon"]
-    try:
-        scenario = GuaranteeScenario(
-            n=_int_param("n", spec["n"]),
-            l=_int_param("l", spec["l"]),
-            m=_int_param("m", spec["m"]),
-            epsilon=None if "epsilon" not in spec else _float_param("epsilon", spec["epsilon"]),
-        )
-    except KeyError as exc:
-        raise ParseError("table scenario needs n, l and m (or a preset)") from exc
-    ms = params.get("ms")
+    if preset is not None:
+        spec = _preset(preset, SCENARIO_PRESETS, "scenario")
+        n, l, m, epsilon = spec["n"], spec["l"], spec["m"], spec.get("epsilon")
+    if n is None or l is None or m is None:
+        raise ParseError("table scenario needs n, l and m (or a preset)")
+    scenario = GuaranteeScenario(
+        n=_int_param("n", n),
+        l=_int_param("l", l),
+        m=_int_param("m", m),
+        epsilon=None if epsilon is None else _float_param("epsilon", epsilon),
+    )
     if ms is not None:
         if not isinstance(ms, (list, tuple)) or not ms:
             raise BadParams(f"parameter 'ms' must be a non-empty list of integers, got {ms!r}")
@@ -664,14 +645,25 @@ REGISTRY = {
 
 
 def run_experiment(name: str, params: Mapping | None = None, seed: int = 0) -> ExperimentReport:
-    """Run one registered experiment and wrap its results in a report."""
+    """Run one registered experiment and wrap its results in a report; a null
+    value or a name its signature lacks raises ParseError before it runs."""
     if name not in REGISTRY:
         raise UnknownExperiment(
             f"unknown experiment {name!r}; available: {', '.join(sorted(REGISTRY))}"
         )
     params = dict(params or {})
+    nulls = [k for k, v in params.items() if v is None]
+    if nulls:
+        raise ParseError(f"parameters {nulls!r} are null; omit one to take its default")
+    signature = inspect.signature(REGISTRY[name])
+    try:
+        bound = signature.bind(int(seed), **params)
+    except TypeError:
+        declared = [k for k in signature.parameters if k != "seed"]
+        undeclared = [k for k in params if k not in declared]
+        raise ParseError(f"{name} has no parameters {undeclared!r}; it declares {', '.join(declared)}") from None
     start = time.perf_counter()
-    results, verdicts = REGISTRY[name](params, int(seed))
+    results, verdicts = REGISTRY[name](*bound.args, **bound.kwargs)
     elapsed = time.perf_counter() - start
     return ExperimentReport(
         experiment=name,

@@ -43,16 +43,16 @@ def _adjoint_gaps(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
 
 
-def _require_hermitian_stack(stack, tol: float = HERM_TOL) -> np.ndarray:
+def _require_hermitian_stack(stack) -> np.ndarray:
     """The stack as complex, after checking every matrix for Hermiticity;
     the first failing matrix names the deviation."""
     stack = _as_complex(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotHermitian(f"expected a stack of square matrices, got shape {stack.shape}")
     for gap in _adjoint_gaps(stack).tolist():
-        if not gap <= tol:  # NaN fails too
+        if not gap <= HERM_TOL:  # NaN fails too
             raise NotHermitian(
-                f"matrix deviates from its adjoint by {gap:.3e} (tolerance {tol:.1e})"
+                f"matrix deviates from its adjoint by {gap:.3e} (tolerance {HERM_TOL:.1e})"
             )
     return stack
 
@@ -64,8 +64,8 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def _require_square_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
-    return _require_hermitian_stack(_as_square(a)[None], tol)[0]
+def _require_square_hermitian(a) -> np.ndarray:
+    return _require_hermitian_stack(_as_square(a)[None])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,6 +136,10 @@ def pac_leakage(mat: Gf2Matrix) -> int:
 #: bounds memory for any seed count and any matrix size.
 _RANK_BATCH_CELLS = 2**21
 
+#: Elimination steps (batches times matrix cells) of the costliest
+#: exhaustive request, 12 x 13 at the seed cap; a sampled one may take no more.
+_MAX_RANK_STEPS = -(-EXHAUSTIVE_SEED_CAP // (_RANK_BATCH_CELLS // 156)) * 156
+
 
 def _gf2_ranks(bits: np.ndarray) -> np.ndarray:
     """GF(2) rank of every matrix in a (batch, rows, cols) array of bits.
@@ -179,7 +183,8 @@ def singular_fraction(
     ``mode='exhaustive'`` enumerates every seed (capped at 2^24 seeds);
     ``mode='sample'`` draws ``samples`` seeds (at most 2^24) from a
     generator seeded with ``seed`` so estimates are reproducible.  Seeds
-    are ranked in batches of bounded size.
+    are ranked in batches of bounded size, and a request may take no more
+    elimination steps than the costliest exhaustive one.
     """
     bits = m + n - 1
     full = min(m, n)
@@ -211,6 +216,8 @@ def singular_fraction(
     if m <= 0 or n <= 0:
         raise BadParams("matrix dimensions must be positive")
     batch = max(1, _RANK_BATCH_CELLS // (m * n))
+    if -(-total // batch) * m * n > _MAX_RANK_STEPS:
+        raise TooLarge(f"{total} {m}x{n} matrices exceed the cap of {_MAX_RANK_STEPS} elimination steps")
     singular = 0
     for start in range(0, total, batch):
         ranks = _toeplitz_ranks(draw(start, min(batch, total - start)), m, n)

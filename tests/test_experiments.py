@@ -1,6 +1,10 @@
 import contextlib
+import inspect
 import io
 import json
+import re
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,7 +454,11 @@ def near_valid(experiment):
         lambda base, drop, new: {**{k: v for k, v in base.items() if k not in drop}, **new},
         st.sampled_from(VALID_PARAMS[experiment]),
         st.sets(st.sampled_from(PARAM_NAMES)),
-        st.dictionaries(st.sampled_from(PARAM_NAMES), VALUES, max_size=2),
+        st.dictionaries(
+            st.one_of(st.sampled_from(PARAM_NAMES), st.text(max_size=4)),
+            st.one_of(VALUES, st.none()),
+            max_size=2,
+        ),
     )
 
 
@@ -494,3 +502,125 @@ class TestCliContract:
     def test_sweep_params(self, params):
         self.assert_contract("sweep", params)
 
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one CLI invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_refused(experiment, params):
+    code, out, err = run_cli(["--experiment", experiment, "--params", json.dumps(params)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestDeclaredParams:
+    """Each command's keyword-only signature is the declaration of its
+    parameters; anything else is refused before the command runs."""
+
+    @pytest.mark.parametrize("experiment", sorted(REGISTRY))
+    def test_signature_is_seed_then_keyword_defaults(self, experiment):
+        seed, *rest = inspect.signature(REGISTRY[experiment]).parameters.values()
+        assert seed.name == "seed" and seed.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert rest and all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in rest)
+        assert all(p.default is not inspect.Parameter.empty for p in rest)
+
+    @pytest.mark.parametrize("experiment", sorted(REGISTRY))
+    def test_undeclared_name_exit_two(self, experiment):
+        assert_refused(experiment, {**VALID_PARAMS[experiment][0], "undeclared": 1})
+        assert_refused(experiment, {**VALID_PARAMS[experiment][0], "seed": 1})
+
+    @pytest.mark.parametrize("experiment", sorted(REGISTRY))
+    def test_null_value_exit_two(self, experiment):
+        for valid in VALID_PARAMS[experiment]:
+            for name in valid:
+                assert_refused(experiment, {**valid, name: None})
+
+    @pytest.mark.parametrize(
+        "experiment,params",
+        [
+            ("cex_i", {"NN": 8}),
+            ("toeplitz", {"samples": None}),
+            ("table", {"n": 10, "l": 2, "m": 3, "ms": None}),
+            ("cex_ii", {"preset": "two-bit-mixed", "overlap": None}),
+            ("table", {"preset": "headline-gap", "n": None}),
+            ("markov", {"eps": None}),
+            ("markov", {"eps": None, "delta": 0.5}),
+        ],
+    )
+    def test_newly_refused_inputs(self, experiment, params):
+        assert_refused(experiment, params)
+
+    def test_api_refuses_before_the_command_runs(self, monkeypatch):
+        calls = []
+
+        def recorder(seed, *, x=1):
+            calls.append((seed, x))
+            return {"x": x}, []
+
+        monkeypatch.setitem(REGISTRY, "cex_i", recorder)
+        for params in ({"y": 1}, {"x": None}, {"seed": 2}, {1: 2}, {"x": 2, "X": 2}):
+            with pytest.raises(ParseError):
+                run_experiment("cex_i", params, seed=5)
+        assert calls == []
+        report = run_experiment("cex_i", {"x": 3}, seed=5)
+        assert calls == [(5, 3)] and report.params == {"x": 3}
+
+    def test_type_error_inside_a_command_propagates(self, monkeypatch):
+        def broken(seed, *, x=1):
+            raise TypeError("raised inside the command")
+
+        monkeypatch.setitem(REGISTRY, "cex_i", broken)
+        with pytest.raises(TypeError, match="inside the command"):
+            run_experiment("cex_i", {"x": 2})
+
+    def test_report_echoes_the_given_params(self):
+        assert run_experiment("cex_i", {"N": 4.0}).params == {"N": 4.0}
+        assert run_experiment("cex_i").params == {}
+
+    def test_sweep_over_undeclared_name_writes_no_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        params = json.dumps({"experiment": "cex_i", "grid": {"NN": [4, 8]}})
+        code, stdout, err = run_cli(["--experiment", "sweep", "--params", params, "--out", str(out)])
+        assert (code, stdout) == (2, "") and err.startswith("error:")
+        assert not out.exists()
+        with pytest.raises(ParseError):
+            run_sweep("cex_i", {"N": [4, 8]}, base={"NN": 2})
+
+    @pytest.mark.parametrize("experiment", ["cex_ii", "cex_iii"])
+    @pytest.mark.parametrize("overlap", [1.5, -0.1])
+    def test_out_of_range_overlap_exit_two(self, experiment, overlap):
+        assert_refused(experiment, {"overlap": overlap})
+
+    def test_sample_mode_matrix_size_cap(self):
+        params = {"m": 1000000, "n": 1, "mode": "sample", "samples": 1}
+        start = time.perf_counter()
+        assert_refused("toeplitz", params)
+        assert time.perf_counter() - start < 1.0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_parameters() -> dict:
+    """Experiment -> [(name, default)] from the README parameter table; a
+    bare name has the default None."""
+    section = README.read_text().split("### Parameters", 1)[1]
+    table = {}
+    for row in re.findall(r"^\| `(\w+)` +\| (.+) \|$", section, flags=re.M):
+        experiment, cells = row
+        entries = [cell.strip("`").split("=", 1) for cell in cells.split(", ")]
+        table[experiment] = [(e[0], json.loads(e[1]) if len(e) == 2 else None) for e in entries]
+    return table
+
+
+def test_readme_parameter_table_matches_signatures():
+    declared = {
+        name: [(p.name, p.default) for p in inspect.signature(cmd).parameters.values()][1:]
+        for name, cmd in REGISTRY.items()
+    }
+    assert readme_parameters() == declared

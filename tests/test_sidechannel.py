@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -173,6 +174,26 @@ class TestSingularFraction:
     def test_sample_count_cap(self):
         with pytest.raises(TooLarge):
             singular_fraction(2, 2, mode="sample", samples=EXHAUSTIVE_SEED_CAP + 1, seed=0)
+
+    def test_sample_mode_step_cap_is_the_costliest_exhaustive_request(self):
+        def steps(total, m, n):
+            batch = max(1, sidechannel._RANK_BATCH_CELLS // (m * n))
+            return -(-total // batch) * m * n
+
+        exhaustive = [
+            steps(2 ** (m + n - 1), m, n)
+            for m in range(1, 25)
+            for n in range(1, 26 - m)
+            if m + n - 1 < EXHAUSTIVE_SEED_CAP.bit_length()
+        ]
+        assert sidechannel._MAX_RANK_STEPS == max(exhaustive) == steps(EXHAUSTIVE_SEED_CAP, 12, 13)
+
+    @pytest.mark.parametrize("m,n", [(10**6, 1), (1, 10**6), (442, 442)])
+    def test_sample_mode_matrix_size_cap(self, m, n):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="elimination steps"):
+            singular_fraction(m, n, mode="sample", samples=1, seed=1)
+        assert time.perf_counter() - start < 1.0
 
 
 SMALL_SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 6)]

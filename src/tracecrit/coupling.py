@@ -12,47 +12,80 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ensembles import ProbDist
+import numpy as np
+
+from .ensembles import ProbDist, _common, _exact_parts, _floats, _joined
 from .errors import BadParams
 
 #: Tolerance on coupling marginal sums.
 MARGINAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _masses(*seqs):
+    """The mass sequences as arrays over one common denominator: Python-int
+    numerators (object dtype) when every mass is an int or a Fraction, else
+    float64 with denominator None."""
+    parts = [_exact_parts(s) for s in seqs]
+    if any(den is None for _, den in parts):
+        return [np.array(s, dtype=np.float64) for s in seqs], None
+    den = math.lcm(*(d for _, d in parts))
+    arrays = [
+        np.array(nums if d == den else [n * (den // d) for n in nums], dtype=object)
+        for nums, d in parts
+    ]
+    return arrays, den
+
+
+@dataclass(frozen=True, eq=False)
 class Coupling:
     """Joint mass over X x X' with declared marginals.
+
+    The marginals ``p`` and ``q`` and the optional ``diagonal`` are kept as
+    read-only arrays over one common ``denominator``: Python-int numerators
+    when every given mass is an int or a Fraction, else float64 with
+    ``denominator`` None.
 
     ``joint``, when given, is the dense row-major tuple of rows and is
     validated cell by cell.  Otherwise the mass is kept factored and never
     expanded, so huge label universes stay cheap: ``diagonal[i]`` on cell
     (i, i) plus the rank-one residual ``res_p[i] * res_q[j] / leftover``,
     where ``res_p = p - diagonal``, ``res_q = q - diagonal`` and
-    ``leftover`` is their common total (exact when p and q are).  Without
+    ``leftover`` is their common total, all in the units of ``p``.  Without
     a diagonal the coupling is the independent product P(x)Q(x'), i.e.
     residuals P and Q and leftover 1.
     """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    p: tuple
-    q: tuple
+    p: np.ndarray
+    q: np.ndarray
     joint: tuple | None = None
-    diagonal: tuple | None = None
-    res_p: tuple | None = field(default=None, init=False, repr=False)
-    res_q: tuple | None = field(default=None, init=False, repr=False)
-    leftover: object = field(default=1, init=False, repr=False)
+    diagonal: np.ndarray | None = None
+    denominator: int | None = field(default=None, init=False)
+    res_p: np.ndarray | None = field(default=None, init=False, repr=False)
+    res_q: np.ndarray | None = field(default=None, init=False, repr=False)
+    leftover: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.denominator is None:  # masses from the caller
+            given = (self.p, self.q) if self.diagonal is None else (self.p, self.q, self.diagonal)
+            arrays, den = _masses(*given)
+            for name, a in zip(("p", "q", "diagonal"), arrays):
+                object.__setattr__(self, name, a)
+            object.__setattr__(self, "denominator", den)
         if len(self.row_labels) != len(self.p) or len(self.col_labels) != len(self.q):
             raise BadParams("marginal lengths do not match label counts")
         if self.joint is None:
             if self.diagonal is None:
                 # the product P x Q has marginals P and Q by construction
-                object.__setattr__(self, "res_p", self.p)
-                object.__setattr__(self, "res_q", self.q)
+                factors = self.p, self.q, 1.0 if self.denominator is None else self.denominator
             else:
-                self._derive_factors()
+                factors = self._derive_factors()
+            for name, value in zip(("res_p", "res_q", "leftover"), factors):
+                object.__setattr__(self, name, value)
+            for a in (self.p, self.q, self.diagonal, self.res_p, self.res_q):
+                if a is not None:
+                    a.setflags(write=False)
             return
         rows = tuple(tuple(r) for r in self.joint)
         if len(rows) != len(self.row_labels) or any(
@@ -63,14 +96,29 @@ class Coupling:
             for v in r:
                 if v < -MARGINAL_TOL:
                     raise BadParams(f"negative coupling mass {v!r}")
+        p, q = (self.p, self.q) if self.denominator is None else (
+            _floats(a, self.denominator) for a in (self.p, self.q)
+        )
         for i, r in enumerate(rows):
-            if abs(math.fsum(float(v) for v in r) - float(self.p[i])) > MARGINAL_TOL:
+            if abs(math.fsum(float(v) for v in r) - p[i]) > MARGINAL_TOL:
                 raise BadParams(f"row sum {i} does not reproduce the first marginal")
         for j in range(len(self.col_labels)):
             col = math.fsum(float(r[j]) for r in rows)
-            if abs(col - float(self.q[j])) > MARGINAL_TOL:
+            if abs(col - q[j]) > MARGINAL_TOL:
                 raise BadParams(f"column sum {j} does not reproduce the second marginal")
         object.__setattr__(self, "joint", rows)
+
+    @classmethod
+    def _over(cls, row_labels, col_labels, p, q, denominator, diagonal=None) -> "Coupling":
+        """Factored coupling of marginal arrays already over one denominator
+        (None for float64), validated without a Fraction per mass."""
+        self = cls.__new__(cls)
+        vars(self).update(
+            row_labels=row_labels, col_labels=col_labels, p=p, q=q, joint=None,
+            diagonal=diagonal, denominator=denominator,
+        )
+        self.__post_init__()
+        return self
 
     def _derive_factors(self):
         """Residuals and leftover from the diagonal, in O(N).
@@ -79,39 +127,37 @@ class Coupling:
         nonnegative, and the residuals must carry the same total, so that
         row and column sums reproduce P and Q.
         """
-        p, q, diag = self.p, self.q, self.diagonal
+        p, q, diag, den = self.p, self.q, self.diagonal, self.denominator
         if not len(q) == len(diag) == len(p):
             raise BadParams("factored coupling needs square factors matching the marginals")
-        if not all(0 <= m <= a and m <= b for m, a, b in zip(diag, p, q)):
+        if not np.all((diag >= 0) & (diag <= p) & (diag <= q)):
             raise BadParams("the diagonal must lie within both marginals")
-        res_p = tuple(a - m for a, m in zip(p, diag))
-        res_q = tuple(b - m for b, m in zip(q, diag))
-        if all(isinstance(v, (int, Fraction)) for v in (*p, *q)):
-            leftover, other = sum(res_p, Fraction(0)), sum(res_q, Fraction(0))
+        res_p, res_q = p - diag, q - diag
+        if den is None:
+            leftover, other = math.fsum(res_p.tolist()), math.fsum(res_q.tolist())
+            gap = abs(leftover - other)
         else:
-            leftover, other = math.fsum(map(float, res_p)), math.fsum(map(float, res_q))
-        if abs(float(leftover) - float(other)) > MARGINAL_TOL:
+            leftover, other = int(res_p.sum()), int(res_q.sum())
+            gap = abs(leftover / den - other / den)
+        if gap > MARGINAL_TOL:
             raise BadParams("the two residuals carry different totals")
-        object.__setattr__(self, "res_p", res_p)
-        object.__setattr__(self, "res_q", res_q)
-        object.__setattr__(self, "leftover", leftover)
+        return res_p, res_q, leftover
 
     def mass(self, i: int, j: int):
         if self.joint is not None:
             return self.joint[i][j]
-        cell = self.res_p[i] * self.res_q[j]
-        if cell and self.leftover != 1:
-            cell = cell / self.leftover
-        if self.diagonal is None or i != j:
-            return cell
-        return self.diagonal[i] + cell if cell else self.diagonal[i]
-
-
-def _aligned(p: ProbDist, q: ProbDist) -> tuple:
-    if set(p.labels) != set(q.labels):
-        raise BadParams("coupled distributions must share one label universe")
-    order = {x: i for i, x in enumerate(q.labels)}
-    return tuple(q.probs[order[x]] for x in p.labels)
+        den, left = self.denominator, self.leftover
+        on_diagonal = self.diagonal is not None and i == j
+        if den is None:
+            cell = float(self.res_p[i] * self.res_q[j])
+            if cell and left != 1:
+                cell = cell / left
+            if not on_diagonal:
+                return cell
+            return float(self.diagonal[i] + cell) if cell else float(self.diagonal[i])
+        # exact: the residual cell over den * leftover, the diagonal over den
+        cell = Fraction(self.res_p[i] * self.res_q[j], den * left) if left else Fraction(0)
+        return cell + Fraction(self.diagonal[i], den) if on_diagonal else cell
 
 
 def maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
@@ -121,28 +167,49 @@ def maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
     by the outer product of the normalized residuals, which is deterministic
     and independent of label order.  Kept factored, so it costs O(N).
     """
-    qp = _aligned(p, q)
-    mins = tuple(min(a, b) for a, b in zip(p.probs, qp))
-    return Coupling(p.labels, p.labels, p.probs, qp, diagonal=mins)
+    P, Q, den = _joined(p, q)
+    if not len(P) == len(p.labels) == len(q.labels):
+        raise BadParams("coupled distributions must share one label universe")
+    return Coupling._over(p.labels, p.labels, P, Q, den, diagonal=np.where(Q < P, Q, P))
 
 
 def independent_coupling(p: ProbDist, q: ProbDist) -> Coupling:
     """Product coupling P(x)Q(x'); kept in factored form."""
-    return Coupling(p.labels, q.labels, p.probs, q.probs)
+    (P, Q), den = _common(p, q)
+    return Coupling._over(p.labels, q.labels, P, Q, den)
 
 
 def mismatch_probability(c: Coupling):
     """Pr[X != X'] = 1 minus the mass on matching labels.
 
-    Exact (Fraction) marginals give an exact result; the independent
-    coupling is evaluated from its factors without expansion.
+    Exact marginals give an exact Fraction; a factored coupling is reduced
+    over its arrays without expansion.
     """
-    col_index = {x: j for j, x in enumerate(c.col_labels)}
-    pairs = [
-        (i, col_index[x]) for i, x in enumerate(c.row_labels) if x in col_index
-    ]
-    matches = [c.mass(i, j) for i, j in pairs]
-    exact = all(isinstance(v, (int, Fraction)) for v in matches)
-    if exact:
-        return 1 - sum(matches, Fraction(0))
-    return 1.0 - math.fsum(float(v) for v in matches)
+    if c.joint is not None:  # dense: cell by cell
+        col_index = {x: j for j, x in enumerate(c.col_labels)}
+        matches = [
+            c.joint[i][col_index[x]] for i, x in enumerate(c.row_labels) if x in col_index
+        ]
+        if c.denominator is not None and all(isinstance(v, (int, Fraction)) for v in matches):
+            return 1 - sum(matches, Fraction(0))
+        return 1.0 - math.fsum(float(v) for v in matches)
+    if c.row_labels == c.col_labels:
+        rows = cols = np.arange(len(c.row_labels))
+    else:
+        col_index = {x: j for j, x in enumerate(c.col_labels)}
+        pairs = [(i, col_index[x]) for i, x in enumerate(c.row_labels) if x in col_index]
+        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    cells = c.res_p[rows] * c.res_q[cols]
+    if c.diagonal is None:
+        diag = np.zeros_like(cells)
+    else:
+        diag = np.where(rows == cols, c.diagonal[rows], 0)
+    den, left = c.denominator, c.leftover
+    if den is not None:
+        # matched mass = sum(diag) / den + sum(cells) / (den * leftover)
+        if not left:
+            return Fraction(den - int(diag.sum()), den)
+        return Fraction(den * left - left * int(diag.sum()) - int(cells.sum()), den * left)
+    if left not in (0, 1):
+        cells = cells / left
+    return 1.0 - math.fsum((diag + cells).tolist())

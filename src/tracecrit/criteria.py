@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensembles import CqEnsemble, ProbDist, SpikedDist, bit_strings
+from .ensembles import CqEnsemble, ProbDist, SpikedDist, _floats, _joined, bit_strings
 from .errors import BadParams, DimMismatch, NonUniformPrior, TooLarge
 from .qmath import trace_norm, trace_norms
 
@@ -45,16 +45,13 @@ _EQUIV_TOL = 1e-9
 def variational_distance(p: ProbDist, q: ProbDist):
     """Half the L1 distance between two distributions.
 
-    Label sets are outer-joined with zero mass for missing labels.  Exact
-    (Fraction) inputs give an exact result.
+    Label sets are outer-joined with zero mass for missing labels.  Two
+    exact distributions give an exact Fraction.
     """
-    pm = dict(zip(p.labels, p.probs))
-    qm = dict(zip(q.labels, q.probs))
-    labels = list(p.labels) + [x for x in q.labels if x not in pm]
-    diffs = [abs(pm.get(x, 0) - qm.get(x, 0)) for x in labels]
-    if all(isinstance(v, (int, Fraction)) for v in diffs):
-        return sum(diffs, Fraction(0)) / 2
-    return math.fsum(float(v) for v in diffs) / 2.0
+    P, Q, den = _joined(p, q)
+    if den is not None:
+        return Fraction(int(np.abs(P - Q).sum()), 2 * den)
+    return math.fsum(np.abs(P - Q).tolist()) / 2.0
 
 
 def criterion_d_averaged(e: CqEnsemble) -> float:
@@ -335,9 +332,7 @@ def decomposition_fallacy_check(p: ProbDist, q: ProbDist, eps: float) -> bool:
         raise BadParams(f"mixture weight must be nonnegative, got {eps!r}")
     if float(variational_distance(p, q)) > eps + 1e-12 and eps <= 1:
         raise BadParams("precondition failed: distance between p and q exceeds eps")
-    pm = dict(zip(p.labels, p.probs))
-    qm = dict(zip(q.labels, q.probs))
-    labels = set(p.labels) | set(q.labels)
-    return all(
-        float(pm.get(x, 0)) >= (1.0 - eps) * float(qm.get(x, 0)) - 1e-12 for x in labels
-    )
+    P, Q, den = _joined(p, q)
+    if den is not None:
+        P, Q = _floats(P, den), _floats(Q, den)
+    return bool(np.all(P >= (1.0 - eps) * Q - 1e-12))

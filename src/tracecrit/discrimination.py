@@ -161,10 +161,10 @@ def posterior(j: JointDistribution, outcome: str) -> ProbDist:
     except ValueError:
         raise BadParams(f"unknown outcome {outcome!r}") from None
     column = j.mass[:, col]
-    total = math.fsum(float(v) for v in column)
+    total = math.fsum(column.tolist())
     if total <= 1e-15:
         raise ZeroMassOutcome(f"outcome {outcome!r} has zero probability")
-    return ProbDist(j.row_labels, tuple(float(v) / total for v in column))
+    return ProbDist(j.row_labels, column / total)
 
 
 def pgm(e: CqEnsemble) -> Povm:

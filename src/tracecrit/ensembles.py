@@ -44,57 +44,148 @@ def bit_strings(n: int) -> tuple[str, ...]:
     return tuple(a + b for a in bit_strings(n - n // 2) for b in low)
 
 
-@dataclass(frozen=True)
-class ProbDist:
-    """Finite labelled probability distribution.
+def _exact_parts(values):
+    """(numerators, denominator) of int and Fraction masses over the lcm of
+    their denominators, or (None, None) when any mass is of another type."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return None, None
+    if len(values) and not isinstance(values[0], (int, Fraction)):  # no scan for floats
+        return None, None
+    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, values))):
+        return None, None
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    distinct = set(dens)
+    den = math.lcm(*distinct)
+    if len(distinct) > 1:
+        nums = [n * (den // d) for n, d in zip(nums, dens)]
+    return nums, den
 
-    Masses may be floats or Fractions; exact inputs stay exact so that
-    rational identities (uniform distributions, coupling overlaps) can be
-    verified without rounding.
+
+def _floats(nums: np.ndarray, den: int) -> np.ndarray:
+    """Numerators over den as float64; int / int rounds correctly, like float(Fraction)."""
+    return (nums / den).astype(np.float64)
+
+
+@dataclass(frozen=True, eq=False)
+class ProbDist:
+    """Finite labelled probability distribution, masses held in one array.
+
+    When every mass is an int or a Fraction the distribution is exact:
+    ``probs`` holds Python-int numerators (object dtype) over the common
+    ``denominator``, so rational identities (uniform distributions,
+    coupling overlaps) are verified without rounding.  Otherwise ``probs``
+    is float64 and ``denominator`` is None.  Either array is read-only.
     """
 
     labels: tuple[str, ...]
-    probs: tuple
+    probs: np.ndarray
+    denominator: int | None = field(default=None, init=False)
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
+        labels = tuple(self.labels)
+        if set(map(type, labels)) - {str}:
+            labels = tuple(map(str, labels))
         if len(set(labels)) != len(labels):
             raise BadParams("distribution labels must be unique")
-        probs = tuple(self.probs)
-        if len(labels) != len(probs):
-            raise BadParams(
-                f"{len(labels)} labels but {len(probs)} masses"
-            )
-        cleaned = []
-        for v in probs:
-            if v < 0:
-                if v < -NEG_MASS_TOL:
-                    raise BadParams(f"negative probability mass {v!r}")
-                v = abs(0 * v)  # clamp, preserving the numeric type
-            cleaned.append(v)
-        total = math.fsum(float(v) for v in cleaned)
+        given = self.probs if isinstance(self.probs, np.ndarray) else tuple(self.probs)
+        if len(labels) != len(given):
+            raise BadParams(f"{len(labels)} labels but {len(given)} masses")
+        if self.denominator is None:
+            nums, den = _exact_parts(given)
+        else:  # numerators built by _from_numerators
+            nums, den = list(given), self.denominator
+        if den is None:
+            probs = np.array(given, dtype=np.float64)
+            masses = probs.tolist()
+            if min(masses, default=0.0) < 0:  # a NaN may hide one, but fails the total
+                below = np.flatnonzero(probs < -NEG_MASS_TOL)
+                if below.size:
+                    raise BadParams(f"negative probability mass {given[below[0]]!r}")
+                probs[probs < 0] = 0.0
+                masses = probs.tolist()
+            total = math.fsum(masses)
+        else:
+            if min(nums, default=0) < 0:
+                for i, v in enumerate(nums):
+                    if v < 0:
+                        if Fraction(v, den) < -NEG_MASS_TOL:
+                            raise BadParams(f"negative probability mass {Fraction(v, den)!r}")
+                        nums[i] = 0
+            common = math.gcd(den, *nums)
+            if common > 1:
+                nums, den = [v // common for v in nums], den // common
+            total = sum(nums) / den
+            probs = np.array(nums, dtype=object)
         if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
             raise BadParams(f"masses sum to {total!r}, off unit by {abs(total - 1.0):.3e}")
+        probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", tuple(cleaned))
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
     def uniform(cls, labels) -> "ProbDist":
-        """Exact uniform distribution (masses are Fractions)."""
+        """Exact uniform distribution."""
         labels = tuple(labels)
         if not labels:
             raise BadParams("cannot build a distribution over zero labels")
-        w = Fraction(1, len(labels))
-        return cls(labels, (w,) * len(labels))
+        return cls._from_numerators(labels, [1] * len(labels), len(labels))
+
+    @classmethod
+    def _from_numerators(cls, labels, numerators, denominator: int) -> "ProbDist":
+        """Exact distribution of int numerators over one denominator, validated
+        like any other but without a Fraction per mass."""
+        self = cls.__new__(cls)
+        vars(self).update(labels=labels, probs=tuple(numerators), denominator=denominator)
+        self.__post_init__()
+        return self
+
+    @cached_property
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self.labels)}
 
     def mass(self, label: str):
+        """One label's mass: a Fraction when exact, else a float."""
         try:
-            return self.probs[self.labels.index(label)]
-        except ValueError:
+            i = self._index[label]
+        except KeyError:
             raise BadParams(f"unknown label {label!r}") from None
+        if self.denominator is None:
+            return float(self.probs[i])
+        return Fraction(self.probs[i], self.denominator)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray([float(v) for v in self.probs])
+        """Float64 masses, a fresh writable array."""
+        if self.denominator is None:
+            return self.probs.copy()
+        return _floats(self.probs, self.denominator)
+
+
+def _common(*dists):
+    """The distributions' mass arrays over one common denominator: int
+    numerators when every one is exact, else float64 with denominator None."""
+    if any(d.denominator is None for d in dists):
+        return [d.as_array() for d in dists], None
+    den = math.lcm(*(d.denominator for d in dists))
+    arrays = [d.probs if d.denominator == den else d.probs * (den // d.denominator) for d in dists]
+    return arrays, den
+
+
+def _joined(p: ProbDist, q: ProbDist):
+    """(P, Q, denominator): the masses of p and q on the outer join of their
+    labels, p's labels first and a missing label at zero mass, over one
+    common denominator as in `_common`."""
+    (a, b), den = _common(p, q)
+    if p.labels == q.labels:
+        return a, b, den
+    where = dict(p._index)
+    for x in q.labels:
+        where.setdefault(x, len(where))
+    P, Q = np.zeros((2, len(where)), dtype=float if den is None else object)
+    P[: len(a)] = a
+    Q[[where[x] for x in q.labels]] = b
+    return P, Q, den
 
 
 @dataclass(frozen=True)
@@ -165,8 +256,13 @@ class SpikedDist:
                 f"dense expansion of a {self.n_bits}-bit distribution exceeds the "
                 f"{_MAX_DENSE_BITS}-bit cap"
             )
-        labels = bit_strings(self.n_bits)
-        return ProbDist(labels, tuple(self.mass(x) for x in labels))
+        # both mass levels over 2^l (2^n - 1); the spike is the first label
+        others = 2**self.n_bits - 1
+        numerators = [2**self.spike_exponent - 1] * (others + 1)
+        numerators[0] = others
+        return ProbDist._from_numerators(
+            bit_strings(self.n_bits), numerators, 2**self.spike_exponent * others
+        )
 
 
 @dataclass(frozen=True)
@@ -295,17 +391,18 @@ def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
     # matching rows come in residual key order
     mask = sum(1 << (n - 1 - pos) for pos in leak.positions)
     leaked = sum(bit << (n - 1 - pos) for pos, bit in zip(leak.positions, leak.values))
-    rows = np.flatnonzero((np.arange(2**n) & mask) == leaked).tolist()
-    matched = [e.prior.probs[i] for i in rows]
-
-    total = math.fsum(float(p) for p in matched)
-    if total <= 0.0:
+    rows = np.flatnonzero((np.arange(2**n) & mask) == leaked)
+    matched = e.prior.probs[rows]
+    exact = e.prior.denominator is not None
+    total = sum(matched.tolist()) if exact else math.fsum(matched.tolist())
+    if total <= 0:
         raise ZeroMass("leaked pattern has zero prior probability")
-    exact = all(isinstance(p, (int, Fraction)) for p in matched)
-    norm = sum(matched, Fraction(0)) if exact else total
 
     n_kept = n - len(leak.positions)
     residual_keys = bit_strings(n_kept)
-    probs = tuple(p / norm for p in matched)
-    probes = {r: e.probe(e.keys[i]) for r, i in zip(residual_keys, rows)}
-    return CqEnsemble(n_kept, ProbDist(residual_keys, probs), probes)
+    if exact:  # the matched numerators over their sum
+        prior = ProbDist._from_numerators(residual_keys, matched, total)
+    else:
+        prior = ProbDist(residual_keys, matched / total)
+    probes = {r: e.probe(e.keys[i]) for r, i in zip(residual_keys, rows.tolist())}
+    return CqEnsemble(n_kept, prior, probes)

@@ -74,9 +74,10 @@ NOT_APPLICABLE = "NOT-APPLICABLE"
 #: NOT-APPLICABLE.  Nothing is materialized (the coupling is factored); the
 #: constant only gates that verdict, which the reports of larger N pin.
 MAX_DENSE_COUPLING = 1024
-#: Atom cap for cex_i, from a budget of about 5 s: every atom costs exact
-#: Fraction arithmetic, and N = 2^18 measured 4.3-5.4 s and 122 MiB peak RSS
-#: on a 2-core Xeon VM.
+#: Atom cap for cex_i, from a budget of about 5 s that a Fraction per atom
+#: once used up.  With integer numerators N = 2^18 takes 0.2-0.3 s and
+#: 68 MiB peak RSS on a 2-core Xeon VM, so the cap is loose until the caps
+#: are re-derived from one time budget.
 _MAX_ATOMS = 2**18
 
 TWO_BIT_PRESETS = {
@@ -255,7 +256,7 @@ def cmd_cex_i(seed: int, *, N=4):
         raise BadParams(f"need at least two atoms, got {n_atoms}")
     if n_atoms > _MAX_ATOMS:
         raise TooLarge(f"{n_atoms} atoms exceed the cap of {_MAX_ATOMS}")
-    labels = tuple(str(i) for i in range(n_atoms))
+    labels = tuple(map(str, range(n_atoms)))
     p = ProbDist.uniform(labels)
     q = ProbDist.uniform(labels)
     delta = variational_distance(p, q)
@@ -644,6 +645,21 @@ REGISTRY = {
 }
 
 
+def _bind(name: str, params: dict, seed) -> inspect.BoundArguments:
+    """Bind params to the command's signature; a null value or a name the
+    signature lacks raises ParseError."""
+    nulls = [k for k, v in params.items() if v is None]
+    if nulls:
+        raise ParseError(f"parameters {nulls!r} are null; omit one to take its default")
+    signature = inspect.signature(REGISTRY[name])
+    try:
+        return signature.bind(int(seed), **params)
+    except TypeError:
+        declared = [k for k in signature.parameters if k != "seed"]
+        undeclared = [k for k in params if k not in declared]
+        raise ParseError(f"{name} has no parameters {undeclared!r}; it declares {', '.join(declared)}") from None
+
+
 def run_experiment(name: str, params: Mapping | None = None, seed: int = 0) -> ExperimentReport:
     """Run one registered experiment and wrap its results in a report; a null
     value or a name its signature lacks raises ParseError before it runs."""
@@ -652,16 +668,7 @@ def run_experiment(name: str, params: Mapping | None = None, seed: int = 0) -> E
             f"unknown experiment {name!r}; available: {', '.join(sorted(REGISTRY))}"
         )
     params = dict(params or {})
-    nulls = [k for k, v in params.items() if v is None]
-    if nulls:
-        raise ParseError(f"parameters {nulls!r} are null; omit one to take its default")
-    signature = inspect.signature(REGISTRY[name])
-    try:
-        bound = signature.bind(int(seed), **params)
-    except TypeError:
-        declared = [k for k in signature.parameters if k != "seed"]
-        undeclared = [k for k in params if k not in declared]
-        raise ParseError(f"{name} has no parameters {undeclared!r}; it declares {', '.join(declared)}") from None
+    bound = _bind(name, params, seed)
     start = time.perf_counter()
     results, verdicts = REGISTRY[name](*bound.args, **bound.kwargs)
     elapsed = time.perf_counter() - start
@@ -698,6 +705,9 @@ def run_sweep(
         raise ParseError(f"sweep base must be a parameter object, got {base!r}")
     names = list(grid.keys())
     value_lists = [list(grid[k]) for k in names]
+    # a null value or an undeclared name is refused before any point runs
+    _bind(experiment, dict(base or {}), seed)
+    _bind(experiment, {k: None if None in v else v for k, v in zip(names, value_lists)}, seed)
     points = [] if not names else list(itertools.product(*value_lists))
 
     rows = []

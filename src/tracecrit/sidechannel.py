@@ -13,7 +13,6 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -344,7 +343,7 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
 
     counts = np.bincount(messages, minlength=2**k)
     labels = bit_strings(k)
-    bias = ProbDist(labels, tuple(Fraction(int(c), 2**n) for c in counts))
+    bias = ProbDist._from_numerators(labels, counts.tolist(), 2**n)
     delta = variational_distance(bias, ProbDist.uniform(labels))
     sizes = {lab: int(c) for lab, c in zip(labels, counts)}
     return CensusResult(sizes, bias, float(delta))

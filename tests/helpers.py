@@ -20,9 +20,9 @@ from tracecrit import (
     trace_norm,
     validate_density,
 )
-from tracecrit.coupling import _aligned
 from tracecrit.discrimination import PGM_KERNEL_TOL
-from tracecrit.ensembles import bit_strings
+from tracecrit.ensembles import MASS_TOL, NEG_MASS_TOL, bit_strings
+from tracecrit.errors import BadParams
 from tracecrit.qmath import _require_square_hermitian
 
 
@@ -109,15 +109,92 @@ def event_deviation_loop(p: ProbDist, m: int):
     return best_dev, best_event
 
 
+def masses(p: ProbDist) -> tuple:
+    """The masses of p in label order, one scalar each: Fractions when p is
+    exact, floats otherwise."""
+    return tuple(p.mass(x) for x in p.labels)
+
+
+def probdist_loop(labels, probs) -> tuple:
+    """(labels, cleaned masses) of a distribution, checked one mass at a time:
+    a mass in [-NEG_MASS_TOL, 0) is clamped to a zero of its own type."""
+    labels = tuple(str(x) for x in labels)
+    if len(set(labels)) != len(labels):
+        raise BadParams("distribution labels must be unique")
+    probs = tuple(probs)
+    if len(labels) != len(probs):
+        raise BadParams(f"{len(labels)} labels but {len(probs)} masses")
+    cleaned = []
+    for v in probs:
+        if v < 0:
+            if v < -NEG_MASS_TOL:
+                raise BadParams(f"negative probability mass {v!r}")
+            v = abs(0 * v)
+        cleaned.append(v)
+    total = math.fsum(float(v) for v in cleaned)
+    if not abs(total - 1.0) <= MASS_TOL:
+        raise BadParams(f"masses sum to {total!r}")
+    return labels, tuple(cleaned)
+
+
+def _exact(values) -> bool:
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def variational_distance_loop(p: ProbDist, q: ProbDist):
+    """Half the L1 distance over the outer join of the labels, one label at a time."""
+    pm = dict(zip(p.labels, masses(p)))
+    qm = dict(zip(q.labels, masses(q)))
+    labels = list(p.labels) + [x for x in q.labels if x not in pm]
+    diffs = [abs(pm.get(x, 0) - qm.get(x, 0)) for x in labels]
+    if _exact(diffs):
+        return sum(diffs, Fraction(0)) / 2
+    return math.fsum(float(v) for v in diffs) / 2.0
+
+
+def _mismatch_from_matches(matches):
+    if _exact(matches):
+        return 1 - sum(matches, Fraction(0))
+    return 1.0 - math.fsum(float(v) for v in matches)
+
+
+def independent_mismatch_loop(p: ProbDist, q: ProbDist):
+    """Pr[X != X'] under the product coupling, one matching label at a time."""
+    qm = dict(zip(q.labels, masses(q)))
+    return _mismatch_from_matches([a * qm[x] for x, a in zip(p.labels, masses(p)) if x in qm])
+
+
+def _maximal_factors(p: ProbDist, q: ProbDist) -> tuple:
+    """Scalar diagonal, residuals and leftover of the maximal coupling, q aligned to p."""
+    if set(p.labels) != set(q.labels):
+        raise BadParams("coupled distributions must share one label universe")
+    pp = masses(p)
+    qm = dict(zip(q.labels, masses(q)))
+    qp = tuple(qm[x] for x in p.labels)
+    mins = tuple(min(a, b) for a, b in zip(pp, qp))
+    res_p = tuple(a - m for a, m in zip(pp, mins))
+    res_q = tuple(b - m for b, m in zip(qp, mins))
+    exact = _exact((*pp, *qp))
+    leftover = sum(res_p, Fraction(0)) if exact else math.fsum(float(v) for v in res_p)
+    return pp, qp, mins, res_p, res_q, leftover
+
+
+def maximal_mismatch_loop(p: ProbDist, q: ProbDist):
+    """Pr[X != X'] under the maximal coupling, one diagonal cell at a time."""
+    _, _, mins, res_p, res_q, leftover = _maximal_factors(p, q)
+    matches = []
+    for m, a, b in zip(mins, res_p, res_q):
+        cell = a * b
+        if cell and leftover != 1:
+            cell = cell / leftover
+        matches.append(m + cell if cell else m)
+    return _mismatch_from_matches(matches)
+
+
 def dense_maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
     """Maximal coupling with every cell of the joint mass materialized."""
-    qp = _aligned(p, q)
+    pp, qp, mins, res_p, res_q, leftover = _maximal_factors(p, q)
     n = len(p.labels)
-    mins = tuple(min(a, b) for a, b in zip(p.probs, qp))
-    res_p = tuple(a - m for a, m in zip(p.probs, mins))
-    res_q = tuple(b - m for b, m in zip(qp, mins))
-    exact = all(isinstance(v, (int, Fraction)) for v in (*p.probs, *qp))
-    leftover = sum(res_p, Fraction(0)) if exact else math.fsum(float(v) for v in res_p)
     rows = [[0 * mins[0]] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = mins[i]
@@ -129,7 +206,7 @@ def dense_maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
                 if res_q[j] == 0:
                     continue
                 rows[i][j] = rows[i][j] + res_p[i] * res_q[j] / leftover
-    return Coupling(p.labels, p.labels, p.probs, qp, tuple(tuple(r) for r in rows))
+    return Coupling(p.labels, p.labels, pp, qp, tuple(tuple(r) for r in rows))
 
 
 def bits(x) -> bytes:
@@ -147,7 +224,7 @@ def trace_norm_loop(a) -> float:
 def average_probe_loop(e: CqEnsemble) -> np.ndarray:
     """Prior-weighted average probe, one key at a time."""
     acc = np.zeros((e.probe_dim, e.probe_dim), dtype=complex)
-    for k, p in zip(e.keys, e.prior.probs):
+    for k, p in zip(e.keys, masses(e.prior)):
         acc += float(p) * e.probe(k).matrix
     return acc
 
@@ -162,7 +239,7 @@ def criterion_d_averaged_loop(e: CqEnsemble) -> float:
     avg = average_probe_loop(e)
     return 0.5 * math.fsum(
         float(p) * trace_norm_loop(e.probe(k).matrix - avg)
-        for k, p in zip(e.keys, e.prior.probs)
+        for k, p in zip(e.keys, masses(e.prior))
     )
 
 
@@ -180,7 +257,7 @@ def pairwise_bound_loop(e: CqEnsemble):
 def outcome_mass_loop(e: CqEnsemble, povm: Povm) -> np.ndarray:
     """Key x outcome mass p_k tr(rho_k E_o), one product per cell."""
     mass = np.zeros((len(e.keys), len(povm.elements)))
-    for i, (k, p) in enumerate(zip(e.keys, e.prior.probs)):
+    for i, (k, p) in enumerate(zip(e.keys, masses(e.prior))):
         rho = e.probe(k).matrix
         for j, (_, op) in enumerate(povm.elements):
             mass[i, j] = float(p) * float(np.trace(rho @ op).real)
@@ -194,7 +271,7 @@ def criterion_d_entangled_loop(e: CqEnsemble) -> float:
     d = e.probe_dim
     joint = np.zeros((dim, dim), dtype=complex)
     product = np.zeros((dim, dim), dtype=complex)
-    for i, (k, p) in enumerate(zip(e.keys, e.prior.probs)):
+    for i, (k, p) in enumerate(zip(e.keys, masses(e.prior))):
         block = slice(i * d, (i + 1) * d)
         joint[block, block] = float(p) * e.probe(k).matrix
         product[block, block] = float(p) * avg
@@ -216,7 +293,7 @@ def condition_on_leak_loop(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
     kept = [i for i in range(e.n_bits) if i not in set(leak.positions)]
     pattern = dict(zip(leak.positions, leak.values))
     matched = {}
-    for k, p in zip(e.keys, e.prior.probs):
+    for k, p in zip(e.keys, masses(e.prior)):
         if all(k[pos] == str(bit) for pos, bit in pattern.items()):
             matched["".join(k[i] for i in kept)] = (k, p)
     exact = all(isinstance(p, (int, Fraction)) for _, p in matched.values())
@@ -235,7 +312,7 @@ def pgm_elements_loop(e: CqEnsemble) -> list:
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
     elements = []
-    for k, p in zip(e.keys, e.prior.probs):
+    for k, p in zip(e.keys, masses(e.prior)):
         op = inv_sqrt @ (float(p) * e.probe(k).matrix) @ inv_sqrt
         elements.append((k, 0.5 * (op + op.conj().T)))
     return elements

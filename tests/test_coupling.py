@@ -13,7 +13,16 @@ from tracecrit import (
 )
 from tracecrit.errors import BadParams
 
-from helpers import dense_maximal_coupling, random_probdist
+from helpers import (
+    bits,
+    dense_maximal_coupling,
+    independent_mismatch_loop,
+    masses,
+    maximal_mismatch_loop,
+    probdist_loop,
+    random_probdist,
+    variational_distance_loop,
+)
 
 
 class TestMaximalCoupling:
@@ -109,7 +118,7 @@ class TestFactoredMaximalCoupling:
         )
 
     def test_exact_against_float_masses(self):
-        # equal masses: every residual is zero, so the diagonal keeps P's Fractions
+        # equal masses: every residual is zero; exact P beside float Q makes a float coupling
         p = ProbDist.uniform(("a", "b", "c", "d"))
         assert_matches_dense(p, ProbDist(p.labels, (0.25,) * 4))
 
@@ -127,7 +136,9 @@ class TestFactoredMaximalCoupling:
         half, quarter = Fraction(1, 2), Fraction(1, 4)
         p, q = (half, half), (quarter, 3 * quarter)
         c = Coupling(("a", "b"), ("a", "b"), p, q, diagonal=(quarter, half))
-        assert (c.res_p, c.res_q, c.leftover) == ((quarter, 0), (0, quarter), quarter)
+        # numerators over the common denominator 4: residuals 1/4, 0 and 0, 1/4
+        assert c.denominator == 4
+        assert (c.res_p.tolist(), c.res_q.tolist(), c.leftover) == ([1, 0], [0, 1], 1)
         with pytest.raises(TypeError):
             Coupling(("a",), ("a",), (1.0,), (1.0,), diagonal=(1.0,), res_p=(0.0,))
 
@@ -217,3 +228,136 @@ class TestCouplingValidation:
                 (0.5, 0.5),
                 ((0.6, -0.1), (0.0, 0.5)),
             )
+
+
+# -- array kernels against the tuple-of-scalars oracles ------------------
+
+KINDS = ("exact", "float", "mixed")
+
+
+def random_masses(rng, n: int, kind: str) -> tuple:
+    """n masses summing to one: Fractions, floats, or a mix of the two."""
+    if kind == "float":
+        w = rng.random(n) + 0.01
+        return tuple((w / w.sum()).tolist())
+    counts = rng.integers(0, 6, n)
+    counts[0] += 1
+    exact = tuple(Fraction(int(c), int(counts.sum())) for c in counts)
+    if kind == "exact":
+        return exact
+    return tuple(v if rng.random() < 0.5 else float(v) for v in exact)
+
+
+def assert_same_value(got, want):
+    """Equal Fractions, or floats with the same bit pattern."""
+    assert type(got) is type(want)
+    if isinstance(want, Fraction):
+        assert got == want
+    else:
+        assert bits(got) == bits(want)
+
+
+def assert_matches_loop(labels, probs):
+    """ProbDist validation against the one-mass-at-a-time loop."""
+    try:
+        want = probdist_loop(labels, probs)
+    except BadParams:
+        with pytest.raises(BadParams):
+            ProbDist(labels, probs)
+        return None
+    p = ProbDist(labels, probs)
+    assert p.labels == want[0]
+    cleaned = want[1]
+    exact = all(isinstance(v, (int, Fraction)) for v in cleaned)
+    assert (p.denominator is not None) == exact
+    assert bits(p.as_array()) == bits([float(v) for v in cleaned])
+    if exact:
+        assert p.probs.dtype == object
+        assert masses(p) == cleaned
+        assert all(type(v) is Fraction for v in masses(p))
+    else:
+        assert p.probs.dtype == np.float64
+    return p
+
+
+class TestArrayKernelsAgainstScalarLoops:
+    """ProbDist validation, variational distance and both mismatch
+    probabilities against the tuple-of-scalars loops in helpers."""
+
+    def test_validation(self):
+        rng = np.random.default_rng(30)
+        labels = tuple(f"x{i}" for i in range(9))
+        for _ in range(40):
+            for kind in KINDS:
+                probs = random_masses(rng, len(labels), kind)
+                assert_matches_loop(labels, probs)
+                assert_matches_loop(labels, tuple(2 * v for v in probs))  # bad total
+
+    @pytest.mark.parametrize("tiny", [-1e-13, Fraction(-1, 10**13), -1e-6, Fraction(-1, 10**6)])
+    def test_negative_clamp(self, tiny):
+        rng = np.random.default_rng(31)
+        for kind in KINDS:
+            probs = random_masses(rng, 5, kind)
+            p = assert_matches_loop(tuple("abcdef"), (*probs, tiny))
+            if abs(tiny) < 1e-12:
+                assert p.mass("f") == 0
+            else:
+                assert p is None
+
+    def test_denominator_above_2_64(self):
+        tiny = Fraction(1, 3**50)
+        p = assert_matches_loop(("a", "b", "c"), (tiny, tiny, 1 - 2 * tiny))
+        assert p.denominator == 3**50 > 2**64
+        q = ProbDist(("c", "a", "b"), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        for got, want in [
+            (variational_distance(p, q), variational_distance_loop(p, q)),
+            (mismatch_probability(independent_coupling(p, q)), independent_mismatch_loop(p, q)),
+            (mismatch_probability(maximal_coupling(p, q)), maximal_mismatch_loop(p, q)),
+        ]:
+            assert_same_value(got, want)
+
+    @pytest.mark.parametrize("kind_p", KINDS)
+    @pytest.mark.parametrize("kind_q", KINDS)
+    def test_kernels_on_shuffled_labels(self, kind_p, kind_q):
+        rng = np.random.default_rng([32, KINDS.index(kind_p), KINDS.index(kind_q)])
+        labels = tuple(f"x{i}" for i in range(8))
+        for _ in range(15):
+            p = ProbDist(labels, random_masses(rng, 8, kind_p))
+            perm = rng.permutation(8)
+            q = ProbDist(tuple(labels[k] for k in perm), random_masses(rng, 8, kind_q))
+            for a, b in ((p, q), (q, p), (p, p)):
+                assert_same_value(variational_distance(a, b), variational_distance_loop(a, b))
+                assert_same_value(
+                    mismatch_probability(independent_coupling(a, b)), independent_mismatch_loop(a, b)
+                )
+                assert_same_value(
+                    mismatch_probability(maximal_coupling(a, b)), maximal_mismatch_loop(a, b)
+                )
+
+    @pytest.mark.parametrize("kind_p", KINDS)
+    @pytest.mark.parametrize("kind_q", KINDS)
+    def test_kernels_on_partial_labels(self, kind_p, kind_q):
+        rng = np.random.default_rng([33, KINDS.index(kind_p), KINDS.index(kind_q)])
+        universe = tuple(f"x{i}" for i in range(10))
+        for _ in range(15):
+            a = tuple(universe[k] for k in rng.permutation(10)[: rng.integers(1, 10)])
+            b = tuple(universe[k] for k in rng.permutation(10)[: rng.integers(1, 10)])
+            b = b if a[0] in b else (a[0], *b)  # disjoint sets: see test_disjoint_labels
+            p = ProbDist(a, random_masses(rng, len(a), kind_p))
+            q = ProbDist(b, random_masses(rng, len(b), kind_q))
+            assert_same_value(variational_distance(p, q), variational_distance_loop(p, q))
+            assert_same_value(
+                mismatch_probability(independent_coupling(p, q)), independent_mismatch_loop(p, q)
+            )
+            if set(a) != set(b):
+                with pytest.raises(BadParams, match="one label universe"):
+                    maximal_coupling(p, q)
+
+    def test_disjoint_labels(self):
+        # nothing matches; the result is exact only when both marginals are
+        exact = ProbDist.uniform(("a", "b"))
+        floats = ProbDist(("c", "d"), (0.5, 0.5))
+        other = ProbDist.uniform(("c", "d"))
+        assert_same_value(mismatch_probability(independent_coupling(exact, other)), Fraction(1))
+        assert_same_value(mismatch_probability(independent_coupling(exact, floats)), 1.0)
+        assert_same_value(variational_distance(exact, floats), 1.0)

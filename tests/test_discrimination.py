@@ -139,7 +139,7 @@ class TestMeasureEnsemble:
         e = random_ensemble(rng, 2, 2, uniform_prior=False)
         joint = measure_ensemble(e, Povm((("all", np.eye(2)),)))
         np.testing.assert_allclose(
-            joint.mass[:, 0], [float(p) for p in e.prior.probs], atol=1e-12
+            joint.mass[:, 0], e.prior.as_array(), atol=1e-12
         )
 
     def test_orthogonal_family_four_atoms(self):
@@ -176,7 +176,7 @@ class TestPosterior:
         mass = np.outer([0.25] * 4, [0.6, 0.4])
         joint = JointDistribution(bit_strings(2), ("x", "y"), mass)
         post = posterior(joint, "x")
-        assert [float(v) for v in post.probs] == pytest.approx([0.25] * 4, abs=1e-12)
+        assert post.as_array().tolist() == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_mixed_family_posterior(self):
         sigma = validate_density(np.diag([1.0, 0.0]))
@@ -187,14 +187,14 @@ class TestPosterior:
 
         joint = measure_ensemble(e, _family_measurement(sigma, rho1, rho2))
         post = posterior(joint, "a:e+")
-        assert [float(v) for v in post.probs] == pytest.approx(
+        assert post.as_array().tolist() == pytest.approx(
             [3 / 7, 1 / 14, 1 / 14, 3 / 7], abs=1e-12
         )
 
     def test_deterministic_channel_point_mass(self):
         mass = np.diag([0.5, 0.5])
         joint = JointDistribution(("0", "1"), ("x", "y"), mass)
-        assert [float(v) for v in posterior(joint, "x").probs] == [1.0, 0.0]
+        assert posterior(joint, "x").as_array().tolist() == [1.0, 0.0]
 
     def test_zero_mass_outcome(self):
         mass = np.array([[0.5, 0.0], [0.5, 0.0]])

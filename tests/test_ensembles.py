@@ -29,8 +29,9 @@ from helpers import average_probe_loop, bits, random_density, random_ensemble
 class TestProbDist:
     def test_uniform_is_exact(self):
         p = ProbDist.uniform(("a", "b", "c"))
-        assert p.probs == (Fraction(1, 3),) * 3
-        assert sum(p.probs) == 1
+        assert (p.probs.tolist(), p.denominator) == ([1, 1, 1], 3)
+        assert p.mass("a") == Fraction(1, 3)
+        assert sum(p.probs) == p.denominator
 
     def test_rejects_negative_mass(self):
         with pytest.raises(BadParams, match="negative"):
@@ -172,12 +173,23 @@ class TestSpikedDistribution:
         d = spiked_distribution(6, 2)
         dense = d.to_probdist()
         assert dense.mass(d.spike_label) == d.spike_mass
-        assert sum(dense.probs) == 1
+        assert sum(dense.probs) == dense.denominator
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_dense_expansion_matches_per_label_masses(self, n):
+        for l in sorted({0, 1, n // 2, n}):
+            d = spiked_distribution(n, l)
+            dense = d.to_probdist()
+            assert dense.labels == bit_strings(n)
+            want = [d.mass(x) for x in dense.labels]
+            assert [dense.mass(x) for x in dense.labels] == want
+            assert dense.denominator == math.lcm(*(m.denominator for m in want))
+            assert bits(dense.as_array()) == bits([float(m) for m in want])
 
     def test_entropy_matches_dense_sum(self):
         d = spiked_distribution(8, 3)
         dense_h = -sum(
-            float(p) * math.log2(float(p)) for p in d.to_probdist().probs if p > 0
+            float(p) * math.log2(float(p)) for p in d.to_probdist().as_array() if p > 0
         )
         assert d.shannon_entropy() == pytest.approx(dense_h, abs=1e-12)
         assert spiked_distribution(8, 0).shannon_entropy() == 0.0  # point mass
@@ -199,7 +211,7 @@ class TestConditionOnLeak:
         e = two_bit_pkl_example(sigma, rho1, rho2)
         conditioned = condition_on_leak(e, LeakSpec((0,), (0,)))
         assert conditioned.n_bits == 1
-        assert conditioned.prior.probs == (Fraction(1, 2), Fraction(1, 2))
+        assert (conditioned.prior.probs.tolist(), conditioned.prior.denominator) == ([1, 1], 2)
         np.testing.assert_array_equal(conditioned.probe("0").matrix, e.probe("00").matrix)
         np.testing.assert_array_equal(conditioned.probe("1").matrix, e.probe("01").matrix)
 
@@ -208,9 +220,7 @@ class TestConditionOnLeak:
         e = random_ensemble(rng, 2, 2)
         conditioned = condition_on_leak(e, LeakSpec((), ()))
         assert conditioned.keys == e.keys
-        assert [float(p) for p in conditioned.prior.probs] == [
-            float(p) for p in e.prior.probs
-        ]
+        assert conditioned.prior.as_array().tolist() == e.prior.as_array().tolist()
 
     def test_leak_all_bits(self):
         rng = np.random.default_rng(8)
@@ -236,7 +246,7 @@ class TestConditionOnLeak:
             conditioned = condition_on_leak(e, leak)
             direct = np.zeros((2, 2), dtype=complex)
             total = 0.0
-            for k, p in zip(e.keys, e.prior.probs):
+            for k, p in zip(e.keys, e.prior.as_array()):
                 if k[0] == "1" and k[2] == "0":
                     direct += float(p) * e.probe(k).matrix
                     total += float(p)
@@ -280,7 +290,7 @@ class TestProbeStack:
         for i, k in enumerate(e.keys):
             assert bits(e.probe_stack[i]) == bits(e.probe(k).matrix)
         assert e.weights.dtype == np.float64
-        assert bits(e.weights) == bits([float(p) for p in e.prior.probs])
+        assert bits(e.weights) == bits([float(e.prior.mass(k)) for k in e.keys])
 
     def test_frozen(self):
         e = random_ensemble(np.random.default_rng(12), 2, 2)

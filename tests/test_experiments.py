@@ -591,6 +591,23 @@ class TestDeclaredParams:
         with pytest.raises(ParseError):
             run_sweep("cex_i", {"N": [4, 8]}, base={"NN": 2})
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"experiment": "cex_i", "grid": {"NN": []}},
+            {"experiment": "cex_i", "grid": {}, "base": {"NN": 3}},
+            {"experiment": "cex_i", "grid": {"N": []}, "base": {"N": None}},
+            {"experiment": "cex_i", "grid": {"N": [4, None]}},
+        ],
+    )
+    def test_sweep_names_are_bound_before_the_first_point(self, params):
+        assert_refused("sweep", params)
+
+    def test_sweep_with_no_points_keeps_its_header(self):
+        for grid, header in (({}, "grid_index,all_pass\n"), ({"N": []}, "grid_index,N,all_pass\n")):
+            params = json.dumps({"experiment": "cex_i", "grid": grid, "base": {"N": 8}})
+            assert run_cli(["--experiment", "sweep", "--params", params]) == (0, header, "")
+
     @pytest.mark.parametrize("experiment", ["cex_ii", "cex_iii"])
     @pytest.mark.parametrize("overlap", [1.5, -0.1])
     def test_out_of_range_overlap_exit_two(self, experiment, overlap):
@@ -624,3 +641,23 @@ def test_readme_parameter_table_matches_signatures():
         for name, cmd in REGISTRY.items()
     }
     assert readme_parameters() == declared
+
+
+def test_cex_i_builds_no_fraction_per_atom(monkeypatch):
+    """The exact cex_i path keeps masses as integer numerators, so the number
+    of Fractions it constructs does not grow with N."""
+    from fractions import Fraction
+
+    counts = []
+    original = Fraction.__dict__["__new__"].__func__
+
+    def counting(cls, *args, **kwargs):
+        counts[-1] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for n_atoms in (1000, 20000):
+        counts.append(0)
+        report = run_experiment("cex_i", {"N": n_atoms}, 0)
+        assert report.results["independent_mismatch_den"] == n_atoms
+    assert max(counts) <= 8, counts

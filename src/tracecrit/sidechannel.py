@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import variational_distance
 from .ensembles import ProbDist, bit_strings
 from .errors import BadParams, BadSeedLength, BadShape, TooLarge
 
@@ -204,11 +203,19 @@ def singular_fraction(
         if samples > EXHAUSTIVE_SEED_CAP:
             raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
         total = samples
-        rng = random.Random(seed)
+        # randrange(2) is bit 30 of each MT19937 output with bit 31 clear
+        _, key, _ = random.Random(seed).getstate()
+        mt = np.random.MT19937()
+        mt.state = {"bit_generator": "MT19937", "state": {"key": np.array(key[:-1], np.uint32), "pos": key[-1]}}
 
         def draw(start: int, count: int) -> np.ndarray:
-            drawn = (rng.randrange(2) for _ in range(count * bits))
-            return np.fromiter(drawn, dtype=np.uint8, count=count * bits).reshape(count, bits)
+            drawn, filled = np.empty(count * bits, dtype=np.uint8), 0
+            while filled < drawn.size:  # one output per missing bit: none past the last kept
+                raw = mt.random_raw(drawn.size - filled)
+                kept = np.compress(raw < 2**31, raw) >> 30
+                drawn[filled : filled + kept.size] = kept
+                filled += kept.size
+            return drawn.reshape(count, bits)
 
     else:
         raise BadParams(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
@@ -251,7 +258,16 @@ class LinearCode:
         return word
 
     def codewords(self) -> np.ndarray:
-        return np.asarray([self.codeword(i) for i in range(2**self.k)], dtype=np.int64)
+        """Every codeword, indexed by message as in :meth:`codeword`."""
+        return _xor_span(reversed(self.generator.row_bits))
+
+
+def _xor_span(gens) -> np.ndarray:
+    """XOR of every subset of ``gens``: entry i takes gens[b] for each set bit b of i."""
+    span = np.zeros(1, dtype=np.int64)
+    for g in gens:
+        span = np.concatenate([span, span ^ g])
+    return span
 
 
 def code_from_text(text: str) -> LinearCode:
@@ -277,15 +293,8 @@ def code_from_text(text: str) -> LinearCode:
 def _parity_check_rows(code: LinearCode) -> list[int]:
     """Rows of a parity-check matrix (n-k of them) from the generator's RREF."""
     work, pivots = _gf2_rref(code.generator)
-    free = [c for c in range(code.n) if c not in pivots]
-    rows = []
-    for f in free:
-        h = 1 << f
-        for i, p in enumerate(pivots):
-            if (work[i] >> f) & 1:
-                h ^= 1 << p
-        rows.append(h)
-    return rows
+    free = (f for f in range(code.n) if f not in pivots)
+    return [(1 << f) ^ sum(1 << p for row, p in zip(work, pivots) if (row >> f) & 1) for f in free]
 
 
 @dataclass(frozen=True)
@@ -298,12 +307,15 @@ class CensusResult:
 def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusResult:
     """Decode every received word and measure the induced message bias.
 
-    Region sizes always sum to 2^n.  Under syndrome decoding every region
-    is a shifted copy of the coset-leader set, so regions are equal; under
-    minimum-distance decoding with lowest-index tie-breaking, non-perfect
-    codes generally produce unequal regions.  The bias is the variational
-    distance of the message distribution (uniform received words) from
-    uniform.
+    Words are decoded coset by coset.  Coset s is e_0 ^ C, E_s holds its
+    members of least weight and the leader e_0 is the smallest of them.
+    The codewords closest to e_0 ^ c_i are (e_0 ^ e) ^ c_i = c_(i ^ m_e)
+    for e in E_s, where c_(m_e) = e_0 ^ e.  Syndrome decoding takes e_0
+    alone and returns i, so its regions are equal; minimum distance returns
+    the least i ^ m_e, which non-perfect codes generally make unequal.  A
+    coset with one candidate gives each message one word; the others take
+    sum |E_s| 2^k steps, at most 2^(n+k).  The bias is the variational
+    distance of the decoded message (uniform words) from uniform.
     """
     if rule not in DECODING_RULES:
         raise BadParams(f"rule must be one of {DECODING_RULES}, got {rule!r}")
@@ -311,42 +323,30 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
     if n > CENSUS_BIT_CAP:
         raise TooLarge(f"block length {n} exceeds the census cap of {CENSUS_BIT_CAP} bits")
 
-    words = np.arange(2**n, dtype=np.int64)
-    cws = code.codewords()
-
+    h_rows = _parity_check_rows(code)
+    syndromes = _xor_span(sum(((h >> j) & 1) << r for r, h in enumerate(h_rows)) for j in range(n))
+    weights = np.bitwise_count(np.arange(2**n, dtype=np.int64))
+    least = np.full(2 ** (n - k), n, dtype=weights.dtype)
+    np.minimum.at(least, syndromes, weights)
+    members = np.flatnonzero(weights == least[syndromes])  # every E_s, ascending
     if rule == "syndrome":
-        h_rows = _parity_check_rows(code)
-        col_syndrome = np.zeros(n, dtype=np.int64)
-        for j in range(n):
-            col_syndrome[j] = sum(((h >> j) & 1) << r for r, h in enumerate(h_rows))
-        syndromes = np.zeros(2**n, dtype=np.int64)
-        for j in range(n):
-            syndromes ^= ((words >> j) & 1) * col_syndrome[j]
-        # coset leader: minimum weight, ties broken by smallest word value
-        order = np.lexsort((words, np.bitwise_count(words)))
-        sorted_synd = syndromes[order]
-        uniq, first = np.unique(sorted_synd, return_index=True)
-        leaders = np.zeros(2 ** (n - k), dtype=np.int64)
-        leaders[uniq] = words[order[first]]
-        decoded = words ^ leaders[syndromes]
-        msg_of_word = np.full(2**n, -1, dtype=np.int64)
-        msg_of_word[cws] = np.arange(2**k)
-        messages = msg_of_word[decoded]
-    else:
-        best_dist = np.full(2**n, n + 1, dtype=np.int64)
-        messages = np.zeros(2**n, dtype=np.int64)
-        for idx in range(2**k):
-            dist = np.bitwise_count(words ^ cws[idx])
-            better = dist < best_dist  # strict: earlier message wins ties
-            best_dist = np.where(better, dist, best_dist)
-            messages = np.where(better, idx, messages)
-
-    counts = np.bincount(messages, minlength=2**k)
+        members = members[np.unique(syndromes[members], return_index=True)[1]]
+    sizes = np.bincount(syndromes[members], minlength=2 ** (n - k))
+    members = members[np.lexsort((syndromes[members], -sizes[syndromes[members]]))]  # largest E_s first
+    depth = -np.sort(-sizes[sizes > 1])  # in that order, so those above j are a prefix
+    first = np.cumsum(depth) - depth
+    message_of = np.empty(2**n, dtype=np.int64)
+    message_of[code.codewords()] = np.arange(2**k)
+    messages = np.tile(np.arange(2**k), (len(depth), 1))
+    for j in range(1, depth.max(initial=0)):
+        rows = np.count_nonzero(depth > j)
+        shift = message_of[members[first[:rows]] ^ members[first[:rows] + j]]
+        np.minimum(messages[:rows], shift[:, None] ^ np.arange(2**k), out=messages[:rows])
+    counts = np.bincount(messages.ravel(), minlength=2**k) + (2 ** (n - k) - len(depth))
     labels = bit_strings(k)
     bias = ProbDist._from_numerators(labels, counts.tolist(), 2**n)
-    delta = variational_distance(bias, ProbDist.uniform(labels))
-    sizes = {lab: int(c) for lab, c in zip(labels, counts)}
-    return CensusResult(sizes, bias, float(delta))
+    delta = int(np.abs(counts - 2 ** (n - k)).sum()) / 2 ** (n + 1)
+    return CensusResult(dict(zip(labels, counts.tolist())), bias, delta)
 
 
 def is_perfect_code(code: LinearCode, t: int) -> bool:

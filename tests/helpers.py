@@ -12,6 +12,7 @@ from tracecrit import (
     CqEnsemble,
     DensityOperator,
     LeakSpec,
+    LinearCode,
     Povm,
     ProbDist,
     gf2_rank,
@@ -19,11 +20,13 @@ from tracecrit import (
     toeplitz_from_seed,
     trace_norm,
     validate_density,
+    variational_distance,
 )
 from tracecrit.discrimination import PGM_KERNEL_TOL
 from tracecrit.ensembles import MASS_TOL, NEG_MASS_TOL, bit_strings
 from tracecrit.errors import BadParams
 from tracecrit.qmath import _require_square_hermitian
+from tracecrit.sidechannel import _parity_check_rows
 
 
 def random_density(rng, dim: int) -> DensityOperator:
@@ -86,6 +89,45 @@ def singular_fraction_loop(m: int, n: int, mode: str = "exhaustive", samples=Non
         total = samples
     singular = sum(gf2_rank(toeplitz_from_seed(b, m, n)) < min(m, n) for b in seeds)
     return singular / total
+
+
+def census_loop(code: LinearCode, rule: str) -> tuple[list[int], float]:
+    """(decision-region sizes in message order, bias delta), decoding all 2^n
+    words per rule: syndrome decoding through coset leaders found by a
+    lexsort, minimum distance by one pass per codeword (earlier message wins
+    ties); the delta is the variational distance of the exact region masses
+    from uniform."""
+    n, k = code.n, code.k
+    words = np.arange(2**n, dtype=np.int64)
+    cws = np.asarray([code.codeword(i) for i in range(2**k)], dtype=np.int64)
+    if rule == "syndrome":
+        h_rows = _parity_check_rows(code)
+        col_syndrome = np.zeros(n, dtype=np.int64)
+        for j in range(n):
+            col_syndrome[j] = sum(((h >> j) & 1) << r for r, h in enumerate(h_rows))
+        syndromes = np.zeros(2**n, dtype=np.int64)
+        for j in range(n):
+            syndromes ^= ((words >> j) & 1) * col_syndrome[j]
+        # coset leader: minimum weight, ties broken by smallest word value
+        order = np.lexsort((words, np.bitwise_count(words)))
+        uniq, first = np.unique(syndromes[order], return_index=True)
+        leaders = np.zeros(2 ** (n - k), dtype=np.int64)
+        leaders[uniq] = words[order[first]]
+        msg_of_word = np.full(2**n, -1, dtype=np.int64)
+        msg_of_word[cws] = np.arange(2**k)
+        messages = msg_of_word[words ^ leaders[syndromes]]
+    else:
+        best_dist = np.full(2**n, n + 1, dtype=np.int64)
+        messages = np.zeros(2**n, dtype=np.int64)
+        for idx in range(2**k):
+            dist = np.bitwise_count(words ^ cws[idx])
+            better = dist < best_dist  # strict: earlier message wins ties
+            best_dist = np.where(better, dist, best_dist)
+            messages = np.where(better, idx, messages)
+    counts = np.bincount(messages, minlength=2**k).tolist()
+    labels = bit_strings(k)
+    bias = ProbDist(labels, [Fraction(c, 2**n) for c in counts])
+    return counts, float(variational_distance(bias, ProbDist.uniform(labels)))
 
 
 def event_deviation_loop(p: ProbDist, m: int):

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -18,12 +19,12 @@ from tracecrit import (
     toeplitz_from_seed,
 )
 from tracecrit.cli import render_csv
-from tracecrit.experiments import run_experiment
+from tracecrit.experiments import CODE_PRESETS, run_experiment
 from tracecrit import sidechannel
 from tracecrit.sidechannel import EXHAUSTIVE_SEED_CAP, _parity_check_rows
 from tracecrit.errors import BadParams, BadSeedLength, BadShape, TooLarge
 
-from helpers import singular_fraction_loop
+from helpers import census_loop, singular_fraction_loop
 
 HAMMING74 = [
     [1, 0, 0, 0, 1, 1, 0],
@@ -225,10 +226,43 @@ class TestBatchedRanksMatchLoop:
         assert got == singular_fraction_loop(m, n, "sample", 40, 5)
 
 
+class TestSampledSeedStream:
+    """The bulk-drawn seed bits against one randrange(2) call per bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, -7, 2**64 + 5, 2**200])
+    @pytest.mark.parametrize("m,n,samples", [(64, 64, 1300), (10, 12, 2000), (1, 1, 5)])
+    def test_bits_and_fraction_match_randrange(self, monkeypatch, seed, m, n, samples):
+        ranks, batches = sidechannel._toeplitz_ranks, []
+
+        def recording_ranks(seed_bits, rows, cols):
+            batches.append(seed_bits.copy())
+            return ranks(seed_bits, rows, cols)
+
+        monkeypatch.setattr(sidechannel, "_toeplitz_ranks", recording_ranks)
+        got = singular_fraction(m, n, "sample", samples, seed)
+        rng = random.Random(seed)
+        want = np.array([rng.randrange(2) for _ in range(samples * (m + n - 1))], dtype=np.uint8)
+        want = want.reshape(samples, m + n - 1)
+        assert np.array_equal(np.concatenate(batches), want)
+        if (m, n) == (64, 64):
+            assert len(batches) >= 3  # so every later batch starts where the last one stopped
+        # one unbatched rank pass over the reference stream
+        assert got == np.count_nonzero(ranks(want, m, n) < min(m, n)) / samples
+
+
 class TestLinearCode:
     def test_rejects_rank_deficient_generator(self):
         with pytest.raises(BadParams):
             LinearCode(Gf2Matrix.from_rows([[1, 0, 1], [1, 0, 1]]))
+
+    def test_codewords_match_per_message_encoding(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                code = LinearCode(_random_full_rank_generator(rng, k, n))
+                words = code.codewords()
+                assert words.dtype == np.int64
+                assert words.tolist() == [code.codeword(i) for i in range(2**k)]
 
     def test_hamming_codewords(self):
         code = LinearCode(Gf2Matrix.from_rows(HAMMING74))
@@ -342,6 +376,69 @@ class TestCensus:
         code = LinearCode(Gf2Matrix.from_rows([[1, 1]]))
         with pytest.raises(BadParams):
             decision_region_census(code, "nearest")
+
+
+def _named_codes(n: int) -> dict:
+    """Repetition [n,1], even-weight [n,n-1] and identity [n,n] codes."""
+    eye = np.eye(n, dtype=int)
+    codes = {"repetition": [[1] * n], "identity": eye.tolist()}
+    if n > 1:
+        codes["even-weight"] = np.concatenate([eye[:-1, :-1], np.ones((n - 1, 1), int)], axis=1).tolist()
+    return {name: LinearCode(Gf2Matrix.from_rows(g)) for name, g in codes.items()}
+
+
+def _census_cases():
+    rng = np.random.default_rng(20)
+    cases = [(name, LinearCode(Gf2Matrix.from_rows(g))) for name, g in CODE_PRESETS.items()]
+    for n in range(1, 13):
+        cases += [(f"{name}-{n}", code) for name, code in _named_codes(n).items()]
+        for k in range(1, n + 1):
+            for trial in range(3):
+                cases.append((f"random-{n}x{k}-{trial}", LinearCode(_random_full_rank_generator(rng, k, n))))
+    return cases
+
+
+class TestCensusAgainstLoops:
+    """The coset census against decoding every word: the lexsort syndrome
+    path and one min-distance pass per codeword."""
+
+    CASES = _census_cases()
+
+    def test_covers_every_shape(self):
+        random_codes = [name for name, _ in self.CASES if name.startswith("random")]
+        assert len(random_codes) >= 200
+        shapes = {(code.n, code.k) for _, code in self.CASES}
+        assert shapes >= {(n, k) for n in range(1, 13) for k in range(1, n + 1)}
+
+    @pytest.mark.parametrize("rule", ["syndrome", "min_distance"])
+    def test_sizes_and_bias_match(self, rule):
+        for name, code in self.CASES:
+            out = decision_region_census(code, rule)
+            sizes, delta = census_loop(code, rule)
+            assert list(out.region_sizes.values()) == sizes, name
+            assert out.bias_delta == delta, name
+
+    @pytest.mark.parametrize("rule", ["syndrome", "min_distance"])
+    def test_identity_16_has_regions_of_one(self, rule):
+        out = decision_region_census(_named_codes(16)["identity"], rule)
+        assert set(out.region_sizes.values()) == {1}
+        assert out.bias_delta == 0.0
+
+    def test_repetition_16_ties_go_to_message_zero(self):
+        out = decision_region_census(_named_codes(16)["repetition"], "min_distance")
+        zero = sum(math.comb(16, i) for i in range(9))
+        assert out.region_sizes == {"0": zero, "1": 2**16 - zero}
+        syndrome = decision_region_census(_named_codes(16)["repetition"], "syndrome")
+        assert syndrome.region_sizes == {"0": 2**15, "1": 2**15}
+
+    def test_even_weight_16_closed_form(self):
+        # an odd word's closest codewords flip one bit: its own message
+        # (parity bit flipped) or the message with one bit flipped, the
+        # least of which clears the top bit; an even word is a codeword
+        n = 16
+        out = decision_region_census(_named_codes(n)["even-weight"], "min_distance")
+        want = [n + 1] + [n - 1 - m.bit_length() + 1 for m in range(1, 2 ** (n - 1))]
+        assert list(out.region_sizes.values()) == want
 
 
 class TestPerfectCodes:

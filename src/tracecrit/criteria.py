@@ -193,7 +193,8 @@ def event_deviation_bound(p, m: int):
         return _event_deviation_spiked(p, m)
 
     n = len(p.labels[0])
-    if p.labels != bit_strings(n):
+    expected = bit_strings(n) if len(p.labels) == 1 << n else None  # builds no more than p holds
+    if p.labels is not expected and p.labels != expected:
         raise BadParams("dense key distribution must cover all n-bit keys in order")
     if not 1 <= m <= n:
         raise BadParams(f"subsequence length must be in [1, {n}], got {m}")

@@ -29,19 +29,21 @@ NEG_MASS_TOL = 1e-12
 MAX_SPIKED_BITS = 30
 #: Key length cap for expanding a spiked distribution into a dense table.
 _MAX_DENSE_BITS = 20
+#: bit_strings(n) by n, each built once per process and then held.
+_BIT_STRINGS: dict[int, tuple[str, ...]] = {0: ("",), 1: ("0", "1")}
 
 
 def bit_strings(n: int) -> tuple[str, ...]:
-    """All n-bit strings in lexicographic order; ('',) for n = 0."""
+    """All n-bit strings in lexicographic order; ('',) for n = 0.  Built once
+    per process and then returned as the same tuple, so it stays held: about
+    5 MB at n = 16 and about 80 MB at n = 20."""
     if n < 0:
         raise BadParams(f"bit count must be nonnegative, got {n}")
-    if n == 0:
-        return ("",)
-    if n == 1:
-        return ("0", "1")
-    # every high half followed by every low half, high half slowest
-    low = bit_strings(n // 2)
-    return tuple(a + b for a in bit_strings(n - n // 2) for b in low)
+    if n not in _BIT_STRINGS:
+        # every high half followed by every low half, high half slowest
+        low = bit_strings(n // 2)
+        _BIT_STRINGS[n] = tuple(a + b for a in bit_strings(n - n // 2) for b in low)
+    return _BIT_STRINGS[n]
 
 
 def _exact_parts(values):
@@ -83,11 +85,13 @@ class ProbDist:
     denominator: int | None = field(default=None, init=False)
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        if set(map(type, labels)) - {str}:
-            labels = tuple(map(str, labels))
-        if len(set(labels)) != len(labels):
-            raise BadParams("distribution labels must be unique")
+        labels = self.labels
+        if not any(labels is keys for keys in _BIT_STRINGS.values()):  # unique strings as built
+            labels = tuple(labels)
+            if set(map(type, labels)) - {str}:
+                labels = tuple(map(str, labels))
+            if len(set(labels)) != len(labels):
+                raise BadParams("distribution labels must be unique")
         given = self.probs if isinstance(self.probs, np.ndarray) else tuple(self.probs)
         if len(labels) != len(given):
             raise BadParams(f"{len(labels)} labels but {len(given)} masses")
@@ -97,14 +101,13 @@ class ProbDist:
             nums, den = list(given), self.denominator
         if den is None:
             probs = np.array(given, dtype=np.float64)
-            masses = probs.tolist()
-            if min(masses, default=0.0) < 0:  # a NaN may hide one, but fails the total
+            negative = probs < 0  # False for NaN, which fails the total
+            if negative.any():
                 below = np.flatnonzero(probs < -NEG_MASS_TOL)
                 if below.size:
                     raise BadParams(f"negative probability mass {given[below[0]]!r}")
-                probs[probs < 0] = 0.0
-                masses = probs.tolist()
-            total = math.fsum(masses)
+                probs[negative] = 0.0
+            total = math.fsum(probs.tolist())
         else:
             if min(nums, default=0) < 0:
                 for i, v in enumerate(nums):
@@ -304,7 +307,7 @@ class CqEnsemble:
 
     def __post_init__(self, probes):
         expected = bit_strings(self.n_bits)
-        if self.prior.labels != expected:
+        if self.prior.labels is not expected and self.prior.labels != expected:
             raise BadParams(
                 "prior must range over the 2^n bit strings in lexicographic order"
             )

@@ -75,8 +75,8 @@ NOT_APPLICABLE = "NOT-APPLICABLE"
 #: constant only gates that verdict, which the reports of larger N pin.
 MAX_DENSE_COUPLING = 1024
 #: Atom cap for cex_i, from a budget of about 5 s that a Fraction per atom
-#: once used up.  With integer numerators N = 2^18 takes 0.2-0.3 s and
-#: 68 MiB peak RSS on a 2-core Xeon VM, so the cap is loose until the caps
+#: once used up.  With integer numerators N = 2^18 takes 0.2-0.25 s and
+#: 64 MiB peak RSS on a 2-core Xeon VM, so the cap is loose until the caps
 #: are re-derived from one time budget.
 _MAX_ATOMS = 2**18
 
@@ -161,15 +161,15 @@ def _preset(name, presets: Mapping, kind: str):
 
 def _jsonify(value):
     """Coerce results into JSON-safe, canonical-friendly values."""
+    if type(value) in (int, str, bool, type(None)):  # exact types; numpy ints go on
+        return value
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, Fraction):
-        return float(value)
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (Fraction, np.floating)):  # a Fraction's float is finite
         value = float(value)
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
@@ -257,8 +257,7 @@ def cmd_cex_i(seed: int, *, N=4):
     if n_atoms > _MAX_ATOMS:
         raise TooLarge(f"{n_atoms} atoms exceed the cap of {_MAX_ATOMS}")
     labels = tuple(map(str, range(n_atoms)))
-    p = ProbDist.uniform(labels)
-    q = ProbDist.uniform(labels)
+    p = q = ProbDist.uniform(labels)  # the experiment's two distributions are identical
     delta = variational_distance(p, q)
     ind = mismatch_probability(independent_coupling(p, q))
 

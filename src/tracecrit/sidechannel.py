@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import ProbDist, bit_strings
+from .ensembles import bit_strings
 from .errors import BadParams, BadSeedLength, BadShape, TooLarge
 
 #: Seed-space cap for exhaustive singular-fraction enumeration.
@@ -300,7 +300,6 @@ def _parity_check_rows(code: LinearCode) -> list[int]:
 @dataclass(frozen=True)
 class CensusResult:
     region_sizes: dict[str, int]
-    message_bias: ProbDist
     bias_delta: float
 
 
@@ -343,10 +342,8 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
         shift = message_of[members[first[:rows]] ^ members[first[:rows] + j]]
         np.minimum(messages[:rows], shift[:, None] ^ np.arange(2**k), out=messages[:rows])
     counts = np.bincount(messages.ravel(), minlength=2**k) + (2 ** (n - k) - len(depth))
-    labels = bit_strings(k)
-    bias = ProbDist._from_numerators(labels, counts.tolist(), 2**n)
     delta = int(np.abs(counts - 2 ** (n - k)).sum()) / 2 ** (n + 1)
-    return CensusResult(dict(zip(labels, counts.tolist())), bias, delta)
+    return CensusResult(dict(zip(bit_strings(k), counts.tolist())), delta)
 
 
 def is_perfect_code(code: LinearCode, t: int) -> bool:

@@ -77,6 +77,16 @@ def random_povm(rng, dim: int, n_outcomes: int) -> Povm:
 # -- loop oracles for the batched kernels --------------------------------
 
 
+def bit_strings_recursive(n: int) -> tuple[str, ...]:
+    """All n-bit strings in lexicographic order, rebuilt on every call."""
+    if n == 0:
+        return ("",)
+    if n == 1:
+        return ("0", "1")
+    low = bit_strings_recursive(n // 2)
+    return tuple(a + b for a in bit_strings_recursive(n - n // 2) for b in low)
+
+
 def singular_fraction_loop(m: int, n: int, mode: str = "exhaustive", samples=None, seed=None) -> float:
     """Singular Toeplitz fraction, one gf2_rank per seed."""
     bits = m + n - 1

@@ -29,7 +29,7 @@ from tracecrit import (
 )
 from tracecrit import criteria
 from tracecrit.criteria import _outcome_mass, _variants_from_mass
-from tracecrit.ensembles import bit_strings
+from tracecrit.ensembles import _BIT_STRINGS, bit_strings
 from tracecrit.errors import BadParams, NonUniformPrior, TooLarge
 
 from helpers import (
@@ -267,6 +267,25 @@ class TestEventDeviationBound:
     def test_bad_subsequence_length(self):
         with pytest.raises(BadParams):
             event_deviation_bound(spiked_distribution(8, 3), 9)
+
+    def test_label_tuple_compared_by_value(self):
+        rng = np.random.default_rng(11)
+        w = rng.random(2**6)
+        probs = tuple(w / w.sum())
+        copy = tuple(format(i, "06b") for i in range(2**6))
+        assert copy == bit_strings(6) and copy is not bit_strings(6)
+        assert event_deviation_bound(ProbDist(copy, probs), 2) == event_deviation_bound(
+            ProbDist(bit_strings(6), probs), 2
+        )
+        permuted = copy[1:] + copy[:1]
+        with pytest.raises(BadParams, match="in order"):
+            event_deviation_bound(ProbDist(permuted, probs), 2)
+
+    def test_short_label_tuple_refused_before_building_keys(self):
+        # one 19-bit label: refused on its count, no 2^19 keys memoized
+        with pytest.raises(BadParams, match="in order"):
+            event_deviation_bound(ProbDist(("0" * 19,), (1.0,)), 1)
+        assert 19 not in _BIT_STRINGS
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_screen_matches_loop(self, n):

@@ -23,7 +23,13 @@ from tracecrit.criteria import criterion_d_averaged
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
 
-from helpers import average_probe_loop, bits, random_density, random_ensemble
+from helpers import (
+    average_probe_loop,
+    bit_strings_recursive,
+    bits,
+    random_density,
+    random_ensemble,
+)
 
 
 class TestProbDist:
@@ -60,6 +66,46 @@ class TestBitStrings:
         assert bit_strings(0) == ("",)
         assert bit_strings(1) == ("0", "1")
         assert bit_strings(2) == ("00", "01", "10", "11")
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_memoized_and_equal_to_recursive_build(self, n):
+        assert bit_strings(n) is bit_strings(n)
+        assert bit_strings(n) == bit_strings_recursive(n)
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(BadParams, match="nonnegative"):
+            bit_strings(-1)
+
+
+class _Label(str):
+    """A str subclass: equal to the plain string, but not of type str."""
+
+
+class TestProbDistLabelChecks:
+    def test_memoized_tuple_is_kept(self):
+        p = ProbDist.uniform(bit_strings(3))
+        assert p.labels is bit_strings(3)
+
+    def test_equal_copy_is_checked(self):
+        # equal to bit_strings(3) but another object: the type scan runs
+        copy = tuple(_Label(x) for x in bit_strings(3))
+        assert copy == bit_strings(3) and copy is not bit_strings(3)
+        p = ProbDist.uniform(copy)
+        assert p.labels == bit_strings(3)
+        assert {type(x) for x in p.labels} == {str}
+
+    def test_duplicate_among_bit_strings_refused(self):
+        labels = bit_strings(3)[:-1] + ("000",)
+        with pytest.raises(BadParams, match="unique"):
+            ProbDist.uniform(labels)
+        with pytest.raises(BadParams, match="unique"):
+            ProbDist(list(labels), (1 / 8,) * 8)
+
+    def test_int_labels_become_strings(self):
+        p = ProbDist(tuple(range(4)), (0.25,) * 4)
+        assert p.labels == ("0", "1", "2", "3")
+        with pytest.raises(BadParams, match="unique"):
+            ProbDist((1, "1"), (0.5, 0.5))
 
 
 class TestAverageProbe:

@@ -2,8 +2,10 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from tracecrit.experiments import (
     REGISTRY,
     SCENARIO_PRESETS,
     TWO_BIT_PRESETS,
+    _jsonify,
     parse_qubit,
     run_experiment,
     run_sweep,
@@ -223,6 +226,27 @@ class TestRunner:
         a = run_experiment("cex_ii", {"preset": "two-bit-mixed"}, seed=3)
         b = run_experiment("cex_ii", {"preset": "two-bit-mixed"}, seed=3)
         assert a.canonical_json() == b.canonical_json()
+
+    def test_jsonify_scalars(self):
+        value = {
+            "ints": [7, np.int64(-3), np.uint8(200), True, None, "s"],
+            1: Fraction(1, 3),
+            "floats": (0.5, np.float64(0.25), np.float32(1.5)),
+            "nonfinite": [float("inf"), -math.inf, math.nan, np.float64(-np.inf)],
+        }
+        out = _jsonify(value)
+        assert out == {
+            "ints": [7, -3, 200, True, None, "s"],
+            "1": 1 / 3,
+            "floats": [0.5, 0.25, 1.5],
+            "nonfinite": ["inf", "-inf", "nan", "-inf"],
+        }
+        assert [type(v) for v in out["ints"]] == [int, int, int, bool, type(None), str]
+        assert [type(v) for v in out["floats"]] == [float] * 3
+        assert json.dumps(out, sort_keys=True, separators=(",", ":"), allow_nan=False) == (
+            '{"1":0.3333333333333333,"floats":[0.5,0.25,1.5],'
+            '"ints":[7,-3,200,true,null,"s"],"nonfinite":["inf","-inf","nan","-inf"]}'
+        )
 
     def test_canonical_json_excludes_timing(self):
         report = run_experiment("markov", {"mean": 0.0, "threshold": 1.0})

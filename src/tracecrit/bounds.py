@@ -46,8 +46,6 @@ _MIN_NORMAL_LOG2 = math.log2(sys.float_info.min)
 
 def _linear(log2_value: float) -> float:
     """2**x as a float, saturating to 0.0 / inf outside the double range."""
-    if log2_value == -math.inf:
-        return 0.0
     try:
         return 2.0**log2_value
     except OverflowError:

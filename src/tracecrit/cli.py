@@ -16,8 +16,6 @@ from pathlib import Path
 from .errors import ToolkitError
 from .experiments import REGISTRY, ExperimentReport, _csv_text, run_experiment, run_sweep
 
-FORMATS = ("json", "csv", "md")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -39,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=FORMATS, default="json")
+    parser.add_argument("--format", choices=tuple(RENDERERS), default="json")
     return parser
 
 
@@ -47,10 +45,10 @@ def load_params(raw: str) -> dict:
     """Parse --params as inline JSON, falling back to a file path."""
     text = raw.strip()
     if not text.startswith("{"):
-        path = Path(text)
-        if not path.exists():
-            raise ToolkitError(f"params is neither inline JSON nor an existing file: {raw!r}")
-        text = path.read_text()
+        try:
+            text = Path(text).read_text()
+        except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path
+            raise ToolkitError(f"params is neither inline JSON nor a readable file: {exc}") from None
     parsed = json.loads(text, parse_constant=_reject_constant)
     if not isinstance(parsed, dict):
         raise ToolkitError("params must decode to a JSON object")
@@ -97,11 +95,21 @@ def render_markdown(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+RENDERERS = {
+    "json": lambda report: report.canonical_json() + "\n",
+    "csv": render_csv,
+    "md": render_markdown,
+}
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path
+        raise ToolkitError(f"cannot write --out file: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -109,30 +117,23 @@ def main(argv=None) -> int:
     try:
         params = load_params(args.params)
         if args.experiment == "sweep":
-            target = params.get("experiment")
-            if not target:
-                raise ToolkitError("sweep params need an 'experiment' entry")
-            csv_text = run_sweep(
-                target, params.get("grid", {}), seed=args.seed, base=params.get("base")
-            )
-            _emit(csv_text, args.out)
-            data_lines = [line for line in csv_text.splitlines()[1:] if line]
-            return 0 if all(line.rsplit(",", 1)[-1] == "True" for line in data_lines) else 1
-        report = run_experiment(args.experiment, params, seed=args.seed)
+            if not params.get("experiment") or set(params) - {"experiment", "grid", "base"}:
+                raise ToolkitError(f"sweep params are 'experiment', 'grid' and 'base', got {sorted(params)!r}")
+            grid, base = params.get("grid", {}), params.get("base")
+            text = run_sweep(params["experiment"], grid, seed=args.seed, base=base)
+            ok = all(line.endswith(",True") for line in text.splitlines()[1:] if line)
+        else:
+            report = run_experiment(args.experiment, params, seed=args.seed)
+            text = RENDERERS[args.format](report)
+            ok = report.all_ok()
+        _emit(text, args.out)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON in --params: {exc}", file=sys.stderr)
         return 2
-
-    if args.format == "json":
-        _emit(report.canonical_json() + "\n", args.out)
-    elif args.format == "csv":
-        _emit(render_csv(report), args.out)
-    else:
-        _emit(render_markdown(report), args.out)
-    return 0 if report.all_ok() else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -169,14 +169,8 @@ def _event_deviation_spiked(p: SpikedDist, m: int):
     u = Fraction(1, 2**m)
     block = 2 ** (n - m)
     hit = p.spike_mass + (block - 1) * p.rest_mass
-    miss = block * p.rest_mass
-    dev_hit = abs(hit - u)
-    dev_miss = abs(miss - u)
-    positions = tuple(range(m))
-    if dev_hit >= dev_miss:
-        return dev_hit, (positions, p.spike_label[:m])
-    # any pattern that avoids the spike prefix
-    return dev_miss, (positions, "0" * (m - 1) + "1")
+    # any other pattern deviates from 2^-m by 1 / (2^m - 1) of the spike prefix's deviation
+    return abs(hit - u), (tuple(range(m)), p.spike_label[:m])
 
 
 def event_deviation_bound(p, m: int):

@@ -222,10 +222,7 @@ class SpikedDist:
     @property
     def rest_mass(self) -> Fraction:
         """Mass of each non-spike key."""
-        others = 2**self.n_bits - 1
-        if others == 0:
-            return Fraction(0)
-        return (1 - self.spike_mass) / others
+        return (1 - self.spike_mass) / (2**self.n_bits - 1)  # n >= 1, so never 0 / 0
 
     def mass(self, label: str) -> Fraction:
         if len(label) != self.n_bits or set(label) - {"0", "1"}:

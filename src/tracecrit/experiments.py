@@ -6,7 +6,7 @@ byte-identical canonical JSON report.  Verdicts state whether the tested
 relation held, failed, or did not apply to the supplied instance.
 """
 
-from __future__ import annotations
+# No `from __future__ import annotations`: _bind calls each parameter's annotation, its kind.
 
 import csv
 import dataclasses
@@ -132,7 +132,7 @@ def _skip(relation: str, detail: str) -> Verdict:
     return Verdict(relation, NOT_APPLICABLE, detail)
 
 
-def _int_param(name: str, value) -> int:
+def _int_param(value, name: str) -> int:
     """An integer parameter; strings, booleans, non-integral numbers and
     magnitudes above 2^53, past which floats skip integers, exit 2."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -143,13 +143,20 @@ def _int_param(name: str, value) -> int:
     raise BadParams(f"parameter {name!r} must be an integer, got {value!r}")
 
 
-def _float_param(name: str, value) -> float:
+def _float_param(value, name: str) -> float:
     """A finite real parameter; strings, booleans, containers and non-finite
     or out-of-range numbers exit 2."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if real and abs(value) <= sys.float_info.max:  # NaN fails too
         return float(value)
     raise BadParams(f"parameter {name!r} must be a finite number, got {value!r}")
+
+
+def _int_list_param(value, name: str) -> tuple[int, ...]:
+    """A non-empty list of integer parameters, as a tuple."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise BadParams(f"parameter {name!r} must be a non-empty list of integers, got {value!r}")
+    return tuple(_int_param(v, name) for v in value)
 
 
 def _preset(name, presets: Mapping, kind: str):
@@ -214,10 +221,10 @@ class ExperimentReport:
         )
 
 
-def parse_qubit(spec) -> DensityOperator:
-    """Qubit density operator from a {'diag': [a, b]} or {'bloch': [x, y, z]} spec."""
+def parse_qubit(spec, name: str = "qubit spec") -> DensityOperator:
+    """Qubit density operator from a {'diag': [a, b]} or {'bloch': [x, y, z]} spec called ``name``."""
     if not isinstance(spec, Mapping):
-        raise ParseError(f"qubit spec must be a mapping, got {spec!r}")
+        raise ParseError(f"{name} must be a mapping, got {spec!r}")
     try:
         if "diag" in spec:
             a, b = (float(v) for v in spec["diag"])
@@ -232,37 +239,40 @@ def parse_qubit(spec) -> DensityOperator:
     except ParseError:
         raise
     except Exception as exc:
-        raise ParseError(f"bad qubit spec {spec!r}: {exc}") from exc
-    raise ParseError(f"qubit spec needs a 'diag' or 'bloch' entry, got {spec!r}")
+        raise ParseError(f"bad {name} {spec!r}: {exc}") from exc
+    raise ParseError(f"{name} needs a 'diag' or 'bloch' entry, got {spec!r}")
+
+
+def _two_bit_preset(name) -> tuple[DensityOperator, ...]:
+    spec = _preset(name, TWO_BIT_PRESETS, "two-bit")
+    return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
 
 
 def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple[DensityOperator, ...]:
     if preset is not None:
-        spec = _preset(preset, TWO_BIT_PRESETS, "two-bit")
-        return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
+        return _two_bit_preset(preset)
     if overlap is not None:
-        pair = single_bit_pure_example(_float_param("overlap", overlap))
+        pair = single_bit_pure_example(overlap)
         return validate_density(np.diag([1.0, 0.0])), pair.probe("0"), pair.probe("1")
     if any(spec is None for spec in (sigma, rho1, rho2)):
         raise ParseError("two-bit family needs 'preset', 'overlap', or explicit sigma/rho1/rho2")
-    return tuple(parse_qubit(spec) for spec in (sigma, rho1, rho2))
+    return sigma, rho1, rho2
 
 
-def cmd_cex_i(seed: int, *, N=4):
+def cmd_cex_i(seed: int, *, N: _int_param = 4):
     """Independent coupling of identical uniform distributions: the mismatch
     probability sits at 1 - 1/N even though the distance is zero."""
-    n_atoms = _int_param("N", N)
-    if n_atoms < 2:
-        raise BadParams(f"need at least two atoms, got {n_atoms}")
-    if n_atoms > _MAX_ATOMS:
-        raise TooLarge(f"{n_atoms} atoms exceed the cap of {_MAX_ATOMS}")
-    labels = tuple(map(str, range(n_atoms)))
+    if N < 2:
+        raise BadParams(f"need at least two atoms, got {N}")
+    if N > _MAX_ATOMS:
+        raise TooLarge(f"{N} atoms exceed the cap of {_MAX_ATOMS}")
+    labels = tuple(map(str, range(N)))
     p = q = ProbDist.uniform(labels)  # the experiment's two distributions are identical
     delta = variational_distance(p, q)
     ind = mismatch_probability(independent_coupling(p, q))
 
     results = {
-        "n_atoms": n_atoms,
+        "n_atoms": N,
         "delta": float(delta),
         "independent_mismatch": float(ind),
         "independent_mismatch_num": ind.numerator,
@@ -275,7 +285,7 @@ def cmd_cex_i(seed: int, *, N=4):
             f"mismatch {float(ind)!r} vs delta {float(delta)!r}",
         )
     ]
-    if n_atoms <= MAX_DENSE_COUPLING:
+    if N <= MAX_DENSE_COUPLING:
         mm = mismatch_probability(maximal_coupling(p, q))
         results["maximal_mismatch"] = float(mm)
         verdicts.append(
@@ -286,13 +296,14 @@ def cmd_cex_i(seed: int, *, N=4):
             )
         )
     else:
-        verdicts.append(
-            _skip("maximal-coupling-attains-delta", f"dense coupling skipped at N={n_atoms}")
-        )
+        verdicts.append(_skip("maximal-coupling-attains-delta", f"dense coupling skipped at N={N}"))
     return results, verdicts
 
 
-def cmd_cex_ii(seed: int, *, preset=None, overlap=None, sigma=None, rho1=None, rho2=None):
+def cmd_cex_ii(
+    seed: int, *, preset=None, overlap: _float_param = None, sigma: parse_qubit = None,
+    rho1: parse_qubit = None, rho2: parse_qubit = None
+):
     """Partial key leakage beats the mixture cap: conditioning on the first
     bit lets the second be read out with probability 1/2 + d, above the
     1/2 + d/2 that a probability-(1-d) uniform key would allow."""
@@ -364,7 +375,10 @@ def _family_measurement(sigma: DensityOperator, rho1: DensityOperator, rho2: Den
     return Povm(tuple(elements))
 
 
-def cmd_cex_iii(seed: int, *, preset=None, overlap=None, sigma=None, rho1=None, rho2=None):
+def cmd_cex_iii(
+    seed: int, *, preset=None, overlap: _float_param = None, sigma: parse_qubit = None,
+    rho1: parse_qubit = None, rho2: parse_qubit = None
+):
     """A concrete measurement whose induced distribution deviates from
     uniform by more than d under the joint or posterior readings."""
     sigma, rho1, rho2 = _resolve_two_bit(preset, overlap, sigma, rho1, rho2)
@@ -415,11 +429,9 @@ def cmd_cex_iii(seed: int, *, preset=None, overlap=None, sigma=None, rho1=None, 
     return results, verdicts
 
 
-def cmd_spiked(seed: int, *, n=8, l=3):
+def cmd_spiked(seed: int, *, n: _int_param = 8, l: _int_param = 3):
     """Spiked distribution: the whole key is guessable with probability
     2^-l while the distance from uniform is only 2^-l - 2^-n."""
-    n = _int_param("n", n)
-    l = _int_param("l", l)
     dist = spiked_distribution(n, l)
     analytic = Fraction(1, 2**l) - Fraction(1, 2**n)
     summed = dist.variational_from_uniform()
@@ -459,12 +471,10 @@ def cmd_spiked(seed: int, *, n=8, l=3):
     return results, verdicts
 
 
-def cmd_toeplitz(seed: int, *, m=2, n=2, mode="exhaustive", samples=None):
+def cmd_toeplitz(
+    seed: int, *, m: _int_param = 2, n: _int_param = 2, mode="exhaustive", samples: _int_param = None
+):
     """Singular fraction of a Toeplitz hash family; singular members leak."""
-    m = _int_param("m", m)
-    n = _int_param("n", n)
-    if samples is not None:
-        samples = _int_param("samples", samples)
     fraction = singular_fraction(m, n, mode=mode, samples=samples, seed=seed)
     results = {
         "m": m,
@@ -563,10 +573,11 @@ def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syn
     return results, verdicts
 
 
-def cmd_markov(seed: int, *, mean=0.001, threshold=0.01, eps=None, delta=None, guarantees=1):
+def cmd_markov(
+    seed: int, *, mean: _float_param = 0.001, threshold: _float_param = 0.01,
+    eps: _float_param = None, delta: _float_param = None, guarantees: _int_param = 1
+):
     """Markov budget arithmetic, with the chained individual-guarantee cost."""
-    mean = _float_param("mean", mean)
-    threshold = _float_param("threshold", threshold)
     bound = markov_bound(mean, threshold)
     results = {"mean": mean, "threshold": threshold, "bound": bound}
     verdicts = [
@@ -577,9 +588,6 @@ def cmd_markov(seed: int, *, mean=0.001, threshold=0.01, eps=None, delta=None, g
         )
     ]
     if eps is not None and delta is not None:
-        eps = _float_param("eps", eps)
-        delta = _float_param("delta", delta)
-        guarantees = _int_param("guarantees", guarantees)
         budget = average_for_individual_guarantee(eps, delta, guarantees)
         results["required_average"] = budget.required_average
         results["degradation_factor"] = budget.degradation_factor
@@ -596,23 +604,17 @@ def cmd_markov(seed: int, *, mean=0.001, threshold=0.01, eps=None, delta=None, g
     return results, verdicts
 
 
-def cmd_table(seed: int, *, preset=None, n=None, l=None, m=None, epsilon=None, ms=None):
+def cmd_table(
+    seed: int, *, preset=None, n: _int_param = None, l: _int_param = None, m: _int_param = None,
+    epsilon: _float_param = None, ms: _int_list_param = None
+):
     """Uniform-vs-certified comparison table for a guarantee scenario."""
     if preset is not None:
         spec = _preset(preset, SCENARIO_PRESETS, "scenario")
         n, l, m, epsilon = spec["n"], spec["l"], spec["m"], spec.get("epsilon")
     if n is None or l is None or m is None:
         raise ParseError("table scenario needs n, l and m (or a preset)")
-    scenario = GuaranteeScenario(
-        n=_int_param("n", n),
-        l=_int_param("l", l),
-        m=_int_param("m", m),
-        epsilon=None if epsilon is None else _float_param("epsilon", epsilon),
-    )
-    if ms is not None:
-        if not isinstance(ms, (list, tuple)) or not ms:
-            raise BadParams(f"parameter 'ms' must be a non-empty list of integers, got {ms!r}")
-        ms = tuple(_int_param("ms", v) for v in ms)
+    scenario = GuaranteeScenario(n=n, l=l, m=m, epsilon=epsilon)
     rows = uniform_comparison_table(scenario, ms)
 
     results = {
@@ -644,32 +646,41 @@ REGISTRY = {
 }
 
 
-def _bind(name: str, params: dict, seed) -> inspect.BoundArguments:
-    """Bind params to the command's signature; a null value or a name the
-    signature lacks raises ParseError."""
-    nulls = [k for k, v in params.items() if v is None]
-    if nulls:
-        raise ParseError(f"parameters {nulls!r} are null; omit one to take its default")
-    signature = inspect.signature(REGISTRY[name])
-    try:
-        return signature.bind(int(seed), **params)
-    except TypeError:
-        declared = [k for k in signature.parameters if k != "seed"]
-        undeclared = [k for k in params if k not in declared]
-        raise ParseError(f"{name} has no parameters {undeclared!r}; it declares {', '.join(declared)}") from None
+def _parameters(name: str, keys) -> Mapping[str, inspect.Parameter]:
+    """The command's parameters; a key it does not declare raises ParseError."""
+    parameters = inspect.signature(REGISTRY[name]).parameters
+    declared = [k for k in parameters if k != "seed"]
+    undeclared = [k for k in keys if k not in declared]
+    if undeclared:
+        raise ParseError(f"{name} has no parameters {undeclared!r}; it declares {', '.join(declared)}")
+    return parameters
+
+
+def _coerce(parameter: inspect.Parameter, value):
+    """The value by its parameter's kind, the annotation, if any; null raises ParseError."""
+    if value is None:
+        raise ParseError(f"parameter {parameter.name!r} is null; omit it to take its default")
+    kind = parameter.annotation
+    return value if kind is parameter.empty else kind(value, parameter.name)
+
+
+def _bind(name: str, params: Mapping) -> dict:
+    """Every given value by its parameter's kind, whether the run reads it or not."""
+    parameters = _parameters(name, params)
+    return {k: _coerce(parameters[k], v) for k, v in params.items()}
 
 
 def run_experiment(name: str, params: Mapping | None = None, seed: int = 0) -> ExperimentReport:
     """Run one registered experiment and wrap its results in a report; a null
-    value or a name its signature lacks raises ParseError before it runs."""
+    or mistyped value or a name its signature lacks raises before it runs."""
     if name not in REGISTRY:
         raise UnknownExperiment(
             f"unknown experiment {name!r}; available: {', '.join(sorted(REGISTRY))}"
         )
     params = dict(params or {})
-    bound = _bind(name, params, seed)
+    kwargs = _bind(name, params)
     start = time.perf_counter()
-    results, verdicts = REGISTRY[name](*bound.args, **bound.kwargs)
+    results, verdicts = REGISTRY[name](int(seed), **kwargs)
     elapsed = time.perf_counter() - start
     return ExperimentReport(
         experiment=name,
@@ -692,7 +703,8 @@ def run_sweep(
 
     The grid is the cartesian product of the per-parameter value lists in
     declaration order; rows are independent, so a fixed seed makes the
-    whole sweep reproducible byte for byte.
+    whole sweep reproducible byte for byte.  The base and every grid value
+    are bound before the first point runs.
     """
     if not isinstance(experiment, str) or experiment not in REGISTRY:
         raise UnknownExperiment(f"unknown experiment {experiment!r}")
@@ -702,29 +714,26 @@ def run_sweep(
         raise ParseError(f"sweep grid must map parameter names to value lists, got {grid!r}")
     if base is not None and not isinstance(base, Mapping):
         raise ParseError(f"sweep base must be a parameter object, got {base!r}")
+    base = _bind(experiment, base or {})
     names = list(grid.keys())
-    value_lists = [list(grid[k]) for k in names]
-    # a null value or an undeclared name is refused before any point runs
-    _bind(experiment, dict(base or {}), seed)
-    _bind(experiment, {k: None if None in v else v for k, v in zip(names, value_lists)}, seed)
-    points = [] if not names else list(itertools.product(*value_lists))
+    parameters = _parameters(experiment, names)
+    columns = [[_coerce(parameters[k], v) for v in grid[k]] for k in names]
+    given = itertools.product(*(grid[k] for k in names))
+    points = [] if not names else list(zip(given, itertools.product(*columns)))
 
     rows = []
     result_keys: list[str] | None = None
-    for index, point in enumerate(points):
-        params = dict(base or {})
-        params.update(dict(zip(names, point)))
-        report = run_experiment(experiment, params, seed)
+    for index, (point, bound) in enumerate(points):
+        results, verdicts = REGISTRY[experiment](int(seed), **{**base, **dict(zip(names, bound))})
         scalars = {
             k: v
-            for k, v in sorted(_jsonify(report.results).items())
+            for k, v in sorted(_jsonify(results).items())
             if isinstance(v, (int, float, str))
         }
         if result_keys is None:
             result_keys = list(scalars)
-        rows.append(
-            [index, *point, *(scalars.get(k, "") for k in result_keys), report.all_ok()]
-        )
+        all_ok = all(v.status != FAIL for v in verdicts)
+        rows.append([index, *point, *(scalars.get(k, "") for k in result_keys), all_ok])
 
     return _csv_text([["grid_index", *names, *(result_keys or []), "all_pass"], *rows])
 

@@ -20,6 +20,9 @@ from tracecrit.experiments import (
     REGISTRY,
     SCENARIO_PRESETS,
     TWO_BIT_PRESETS,
+    _float_param,
+    _int_list_param,
+    _int_param,
     _jsonify,
     parse_qubit,
     run_experiment,
@@ -312,6 +315,24 @@ class TestCli:
     def test_bad_params_exit_two(self, capsys):
         assert main(["--experiment", "cex_i", "--params", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "case", ["params-directory", "params-blank", "params-not-utf8", "params-long", "out-no-directory"]
+    )
+    def test_file_errors_exit_two(self, case, tmp_path):
+        undecodable = tmp_path / "p.json"
+        undecodable.write_bytes(b'\xff\xfe{"N": 4}')
+        out = tmp_path / "missing" / "x.json"
+        argv = {
+            "params-directory": ["--params", str(tmp_path)],
+            "params-blank": ["--params", " "],  # the current directory
+            "params-not-utf8": ["--params", str(undecodable)],
+            "params-long": ["--params", "x" * 5000],  # longer than a file name may be
+            "out-no-directory": ["--out", str(out)],
+        }[case]
+        code, stdout, err = run_cli(["--experiment", "cex_i", *argv])
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_underflowing_markov_budget_exit_two(self, capsys):
         params = '{"eps": 0.01, "delta": 0.5, "guarantees": 100000}'
         assert main(["--experiment", "markov", "--params", params]) == 2
@@ -574,6 +595,11 @@ class TestDeclaredParams:
             ("table", {"preset": "headline-gap", "n": None}),
             ("markov", {"eps": None}),
             ("markov", {"eps": None, "delta": 0.5}),
+            # mistyped values of parameters the run does not read
+            ("markov", {"guarantees": "abc"}),
+            ("cex_ii", {"preset": "two-bit-mixed", "overlap": "abc"}),
+            ("cex_ii", {"preset": "two-bit-mixed", "sigma": 7}),
+            ("table", {"preset": "headline-gap", "n": "x"}),
         ],
     )
     def test_newly_refused_inputs(self, experiment, params):
@@ -622,10 +648,35 @@ class TestDeclaredParams:
             {"experiment": "cex_i", "grid": {}, "base": {"NN": 3}},
             {"experiment": "cex_i", "grid": {"N": []}, "base": {"N": None}},
             {"experiment": "cex_i", "grid": {"N": [4, None]}},
+            {"experiment": "cex_ii", "grid": {"overlap": [0.5]}, "typo": 1},
+            {"experiment": "cex_i", "grid": {"N": [4]}, "bse": {"N": 2}},
+            {"experiment": "spiked", "grid": {"n": ["x"], "l": []}},
         ],
     )
     def test_sweep_names_are_bound_before_the_first_point(self, params):
         assert_refused("sweep", params)
+
+    def test_sweep_binds_every_value_once_before_the_first_point(self, monkeypatch):
+        coerced, calls = [], []
+
+        def kind(value, name):
+            coerced.append(value)
+            return _int_param(value, name)
+
+        def recorder(seed, *, x: kind = 1, y: kind = 1):
+            calls.append((x, y))
+            return {"x": x}, []
+
+        monkeypatch.setitem(REGISTRY, "cex_i", recorder)
+        with pytest.raises(BadParams):
+            run_sweep("cex_i", {"x": [1, 2], "y": [3, "4"]})
+        assert coerced == [1, 2, 3, "4"] and calls == []
+        coerced.clear()
+        text = run_sweep("cex_i", {"x": [1, 2.0], "y": [3, 4]}, base={"y": 5})
+        assert coerced == [5, 1, 2.0, 3, 4]
+        assert calls == [(1, 3), (1, 4), (2, 3), (2, 4)]
+        assert text.splitlines()[1:3] == ["0,1,3,1,True", "1,1,4,1,True"]
+        assert text.splitlines()[3] == "2,2.0,3,2,True"  # each cell as given
 
     def test_sweep_with_no_points_keeps_its_header(self):
         for grid, header in (({}, "grid_index,all_pass\n"), ({"N": []}, "grid_index,N,all_pass\n")):
@@ -665,6 +716,25 @@ def test_readme_parameter_table_matches_signatures():
         for name, cmd in REGISTRY.items()
     }
     assert readme_parameters() == declared
+
+
+@pytest.mark.parametrize(
+    "label,kinds",
+    [
+        ("Integer parameters", (_int_param, _int_list_param)),
+        ("Real parameters", (_float_param,)),
+        ("Qubit-spec parameters", (parse_qubit,)),
+    ],
+)
+def test_readme_kind_lists_match_annotations(label, kinds):
+    listed = re.search(rf"{label} \(([^)]*)\)", " ".join(README.read_text().split())).group(1)
+    annotated = {
+        p.name
+        for cmd in REGISTRY.values()
+        for p in inspect.signature(cmd).parameters.values()
+        if p.annotation in kinds
+    }
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(annotated)
 
 
 def test_cex_i_builds_no_fraction_per_atom(monkeypatch):

@@ -17,6 +17,14 @@ from .errors import ToolkitError
 from .experiments import REGISTRY, ExperimentReport, _csv_text, run_experiment, run_sweep
 
 
+def uint64(text: str) -> int:
+    """An integer in [0, 2^64); argparse reports anything else as invalid."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracecrit",
@@ -35,9 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="{}",
         help="experiment parameters as a JSON string or a path to a JSON file",
     )
-    parser.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
+    parser.add_argument("--seed", type=uint64, default=0, help="seed in [0, 2^64) (default 0)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=tuple(RENDERERS), default="json")
+    parser.add_argument(
+        "--format",
+        choices=tuple(RENDERERS),
+        default=None,
+        help="json (default), csv or md; a sweep writes csv only",
+    )
     return parser
 
 
@@ -49,7 +62,10 @@ def load_params(raw: str) -> dict:
             text = Path(text).read_text()
         except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path
             raise ToolkitError(f"params is neither inline JSON nor a readable file: {exc}") from None
-    parsed = json.loads(text, parse_constant=_reject_constant)
+    try:
+        parsed = json.loads(text, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ToolkitError(f"bad JSON in --params: {exc}") from None
     if not isinstance(parsed, dict):
         raise ToolkitError("params must decode to a JSON object")
     return parsed
@@ -117,6 +133,8 @@ def main(argv=None) -> int:
     try:
         params = load_params(args.params)
         if args.experiment == "sweep":
+            if args.format not in (None, "csv"):
+                raise ToolkitError(f"a sweep writes csv, not {args.format}")
             if not params.get("experiment") or set(params) - {"experiment", "grid", "base"}:
                 raise ToolkitError(f"sweep params are 'experiment', 'grid' and 'base', got {sorted(params)!r}")
             grid, base = params.get("grid", {}), params.get("base")
@@ -124,14 +142,11 @@ def main(argv=None) -> int:
             ok = all(line.endswith(",True") for line in text.splitlines()[1:] if line)
         else:
             report = run_experiment(args.experiment, params, seed=args.seed)
-            text = RENDERERS[args.format](report)
+            text = RENDERERS[args.format or "json"](report)
             ok = report.all_ok()
         _emit(text, args.out)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON in --params: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1
 

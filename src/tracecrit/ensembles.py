@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
-from .qmath import DensityOperator, PureState, tensor, trace_norms, validate_density
+from .qmath import DensityOperator, _require_density_stack, tensor, trace_norms, validate_density
 
 #: Tolerance on total probability mass.
 MASS_TOL = 1e-9
@@ -292,13 +292,14 @@ class CqEnsemble:
     """Keyed family {key value, prior probability, probe state}.
 
     Keys are the 2^n bit strings in lexicographic order (bit 0 leftmost);
-    probes all share one dimension.  The probes are kept only as one frozen
-    (2^n, d, d) stack in key order, the prior also as float64 weights.
+    probes (DensityOperators or square matrices) share one dimension.  They
+    are checked and kept as one frozen (2^n, d, d) stack in key order, the
+    prior also as float64 weights.
     """
 
     n_bits: int
     prior: ProbDist
-    probes: InitVar[Mapping[str, DensityOperator]]
+    probes: InitVar[Mapping[str, DensityOperator | np.ndarray]]
     probe_stack: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
@@ -310,10 +311,11 @@ class CqEnsemble:
             )
         if set(probes) != set(expected):
             raise BadParams("probes must cover exactly the key values")
-        dims = {probes[k].dim for k in expected}
-        if len(dims) != 1:
-            raise DimMismatch(f"probe dimensions differ: {sorted(dims)}")
-        stack = np.stack([probes[k].matrix for k in expected])
+        matrices = [getattr(probes[k], "matrix", probes[k]) for k in expected]
+        shapes = {np.shape(m) for m in matrices}
+        if len(shapes) != 1:
+            raise DimMismatch(f"probe shapes differ: {sorted(shapes)}")
+        stack = _require_density_stack(np.stack(matrices))
         weights = self.prior.as_array()
         stack.setflags(write=False)
         weights.setflags(write=False)
@@ -330,9 +332,9 @@ class CqEnsemble:
 
     def probe(self, key: str) -> DensityOperator:
         """The probe of one key, re-validated from its row of the stack."""
-        if key not in self.keys:
+        if key not in self.prior._index:
             raise BadParams(f"unknown key {key!r}")
-        return DensityOperator(self.probe_stack[self.keys.index(key)])
+        return DensityOperator(self.probe_stack[self.prior._index[key]])
 
     @cached_property
     def average(self) -> DensityOperator:
@@ -354,9 +356,8 @@ def single_bit_pure_example(c: float) -> CqEnsemble:
     """One-bit key with pure probes of real overlap c, embedded in dim 2."""
     if not 0.0 <= c <= 1.0:
         raise BadOverlap(f"overlap must lie in [0, 1], got {c!r}")
-    k0 = PureState([1.0, 0.0])
-    k1 = PureState([c, math.sqrt(max(0.0, 1.0 - c * c))])
-    probes = {"0": k0.projector(), "1": k1.projector()}
+    kets = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1.0 - c * c))]], dtype=complex)
+    probes = {k: np.outer(v, v.conj()) for k, v in zip("01", kets)}
     return CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
 
 
@@ -369,8 +370,8 @@ def two_bit_pkl_example(
     for name, op in (("sigma", sigma), ("rho1", rho1), ("rho2", rho2)):
         if op.dim != 2:
             raise DimMismatch(f"{name} must be qubit-dimensioned, got dim {op.dim}")
-    first = DensityOperator(tensor(sigma.matrix, rho1.matrix))
-    second = DensityOperator(tensor(sigma.matrix, rho2.matrix))
+    first = tensor(sigma.matrix, rho1.matrix)
+    second = tensor(sigma.matrix, rho2.matrix)
     probes = {"00": first, "01": second, "10": second, "11": first}
     return CqEnsemble(2, ProbDist.uniform(bit_strings(2)), probes)
 
@@ -404,5 +405,4 @@ def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
         prior = ProbDist._from_numerators(residual_keys, matched, total)
     else:
         prior = ProbDist(residual_keys, matched / total)
-    probes = {r: e.probe(e.keys[i]) for r, i in zip(residual_keys, rows.tolist())}
-    return CqEnsemble(n_kept, prior, probes)
+    return CqEnsemble(n_kept, prior, dict(zip(residual_keys, e.probe_stack[rows])))

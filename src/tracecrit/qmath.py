@@ -47,7 +47,7 @@ def _require_hermitian_stack(stack) -> np.ndarray:
     """The stack as complex, after checking every matrix for Hermiticity;
     the first failing matrix names the deviation."""
     stack = _as_complex(stack)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
         raise NotHermitian(f"expected a stack of square matrices, got shape {stack.shape}")
     for gap in _adjoint_gaps(stack).tolist():
         if not gap <= HERM_TOL:  # NaN fails too
@@ -59,13 +59,26 @@ def _require_hermitian_stack(stack) -> np.ndarray:
 
 def _as_square(a) -> np.ndarray:
     a = _as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
 def _require_square_hermitian(a) -> np.ndarray:
     return _require_hermitian_stack(_as_square(a)[None])[0]
+
+
+def _require_density_stack(stack) -> np.ndarray:
+    """The stack as complex, after checking every matrix for Hermiticity, then
+    positivity and unit trace; the first failing matrix names the deviation."""
+    stack = _require_hermitian_stack(stack)
+    lows = np.linalg.eigvalsh(stack)[:, 0].tolist()  # eigvalsh sorts ascending
+    for low, tr in zip(lows, stack.trace(axis1=1, axis2=2).real.tolist()):
+        if low < -PSD_TOL:
+            raise NotPsd(f"smallest eigenvalue {low:.3e} is below -{PSD_TOL:.1e}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise BadTrace(f"trace is {tr!r}, off unit by {abs(tr - 1.0):.3e}")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +92,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _require_square_hermitian(self.matrix)
-        low = float(np.linalg.eigvalsh(m)[0])
-        if low < -PSD_TOL:
-            raise NotPsd(
-                f"smallest eigenvalue {low:.3e} is below -{PSD_TOL:.1e}"
-            )
-        tr = float(m.trace().real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise BadTrace(f"trace is {tr!r}, off unit by {abs(tr - 1.0):.3e}")
+        m = _require_density_stack(_as_square(self.matrix)[None])[0]
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -133,15 +138,10 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     """
     m = _require_square_hermitian(h)
     vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        idx = int(np.argmax(np.abs(col) > _PHASE_TOL))
-        pivot = col[idx]
-        if abs(pivot) > _PHASE_TOL:
-            vecs[:, j] = col * (pivot.conj() / abs(pivot))
-    return vals, vecs
+    vecs = vecs[:, ::-1]
+    # each column's first component above _PHASE_TOL; a unit column always has one
+    pivots = vecs[np.argmax(np.abs(vecs) > _PHASE_TOL, axis=0), np.arange(vecs.shape[1])]
+    return vals[::-1].copy(), vecs * (pivots.conj() / np.abs(pivots))
 
 
 def trace_norms(stack) -> np.ndarray:

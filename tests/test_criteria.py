@@ -374,6 +374,15 @@ class TestDecompositionFallacy:
         q = ProbDist(("b",), (1.0,))
         assert decomposition_fallacy_check(p, q, 1.0)
 
+    def test_exact_distributions(self):
+        half, tenth = Fraction(1, 2), Fraction(1, 10)
+        p = ProbDist(("a", "b"), (half, half))
+        q = ProbDist(("a", "b"), (9 * tenth, tenth))
+        assert p.denominator is not None and q.denominator is not None
+        assert not decomposition_fallacy_check(p, q, 0.4)
+        assert decomposition_fallacy_check(p, p, 0.0)
+        assert decomposition_fallacy_check(p, ProbDist(("a", "b"), (3 * tenth, 7 * tenth)), 0.5)
+
     def test_precondition_enforced(self):
         p = ProbDist(("a", "b"), (1.0, 0.0))
         q = ProbDist(("a", "b"), (0.0, 1.0))

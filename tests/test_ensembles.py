@@ -21,7 +21,16 @@ from tracecrit import (
 )
 from tracecrit.criteria import criterion_d_averaged
 from tracecrit.ensembles import bit_strings
-from tracecrit.errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
+from tracecrit.errors import (
+    BadOverlap,
+    BadParams,
+    BadTrace,
+    DimMismatch,
+    NotHermitian,
+    NotPsd,
+    TooLarge,
+    ZeroMass,
+)
 
 from helpers import (
     average_probe_loop,
@@ -315,6 +324,55 @@ class TestLeakSpec:
     def test_values_must_be_bits(self):
         with pytest.raises(BadParams):
             LeakSpec((0,), (2,))
+
+    @pytest.mark.parametrize(
+        "positions,values,message",
+        [((0, 1), (0,), "equal length"), ((-1,), (0,), "nonnegative")],
+    )
+    def test_malformed_specs_refused(self, positions, values, message):
+        with pytest.raises(BadParams, match=message):
+            LeakSpec(positions, values)
+
+
+class TestStackedValidation:
+    """CqEnsemble checks its probes itself, as one stack, whether they come
+    as DensityOperators or as plain matrices."""
+
+    def test_matrices_and_operators_give_the_same_bits(self):
+        rng = np.random.default_rng(21)
+        keys = bit_strings(3)
+        prior = ProbDist(keys, tuple(rng.dirichlet(np.ones(8)).tolist()))
+        ops = {k: random_density(rng, 3) for k in keys}
+        a = CqEnsemble(3, prior, ops)
+        b = CqEnsemble(3, prior, {k: op.matrix for k, op in ops.items()})
+        assert bits(a.probe_stack) == bits(b.probe_stack)
+        assert bits(a.weights) == bits(b.weights)
+
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            (np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian, "deviates from its adjoint by 3.000e-01"),
+            (np.diag([1.5, -0.5]), NotPsd, "smallest eigenvalue -5.000e-01"),
+            (np.diag([0.6, 0.6]), BadTrace, "trace is 1.2, off unit by 2.000e-01"),
+        ],
+    )
+    def test_invalid_matrix_names_its_deviation(self, bad, error, message):
+        with pytest.raises(error, match=message):
+            CqEnsemble(1, ProbDist.uniform(bit_strings(1)), {"0": np.eye(2) / 2, "1": bad})
+
+    def test_first_failing_matrix_is_named(self):
+        probes = {"0": np.diag([0.6, 0.6]), "1": np.diag([1.5, -0.5])}
+        with pytest.raises(BadTrace, match="trace is 1.2"):
+            CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
+
+    def test_unequal_shapes(self):
+        probes = {"0": np.eye(2) / 2, "1": validate_density(np.eye(3) / 3)}
+        with pytest.raises(DimMismatch, match="shapes differ"):
+            CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
+
+    def test_probe_reads_its_row(self):
+        e = random_ensemble(np.random.default_rng(22), 2, 2)
+        assert bits(e.probe("10").matrix) == bits(e.probe_stack[2])
 
 
 class TestSerialization:

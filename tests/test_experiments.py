@@ -182,6 +182,18 @@ class TestEcc:
         report = run_experiment("ecc", {"code_file": str(path), "rule": "syndrome"})
         assert report.results["n"] == 3 and report.results["k"] == 2
 
+    def test_code_file_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "gen.txt"
+        path.write_text("101\n\n  \n011\n")
+        report = run_experiment("ecc", {"code_file": str(path), "rule": "syndrome"})
+        assert report.results["n"] == 3 and report.results["k"] == 2
+
+    def test_code_file_with_a_non_digit_row_exit_two(self, tmp_path):
+        path = tmp_path / "gen.txt"
+        path.write_text("101\n0x1\n")
+        code, stdout, err = run_cli(["--experiment", "ecc", "--params", json.dumps({"code_file": str(path)})])
+        assert (code, stdout, err) == (2, "", "error: bad generator row '0x1'\n")
+
     def test_unknown_preset(self):
         with pytest.raises(ParseError):
             run_experiment("ecc", {"preset": "golay"})
@@ -333,6 +345,41 @@ class TestCli:
         assert (code, stdout) == (2, "") and not out.exists()
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "file_text,inline,message",
+        [
+            ('{"N": ' + "[" * 100000 + "]" * 100000 + "}", None, "bad JSON in --params"),
+            (None, '{"N": 4', "bad JSON in --params"),
+            ("[1, 2]", None, "params must decode to a JSON object"),
+        ],
+        ids=["deeply-nested-file", "unterminated-inline", "list-file"],
+    )
+    def test_undecodable_params_exit_two(self, file_text, inline, message, tmp_path):
+        path = tmp_path / "p.json"
+        if file_text is not None:
+            path.write_text(file_text)
+        code, stdout, err = run_cli(["--experiment", "cex_i", "--params", inline or str(path)])
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_unsigned_64_bits_exit_two(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--experiment", "cex_i", "--seed", str(seed)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --seed: invalid uint64 value" in captured.err
+
+    def test_largest_seed_runs(self):
+        code, stdout, err = run_cli(["--experiment", "cex_i", "--seed", str(2**64 - 1)])
+        assert (code, err) == (0, "") and json.loads(stdout)["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_sweep_refuses_formats_it_does_not_write(self, fmt):
+        params = json.dumps({"experiment": "cex_i", "grid": {"N": [2]}})
+        code, stdout, err = run_cli(["--experiment", "sweep", "--params", params, "--format", fmt])
+        assert (code, stdout, err) == (2, "", f"error: a sweep writes csv, not {fmt}\n")
+
     def test_underflowing_markov_budget_exit_two(self, capsys):
         params = '{"eps": 0.01, "delta": 0.5, "guarantees": 100000}'
         assert main(["--experiment", "markov", "--params", params]) == 2
@@ -381,6 +428,8 @@ class TestCli:
             ("cex_ii", '{"overlap": "x"}'),
             ("cex_iii", '{"overlap": [0.5]}'),
             ("table", '{"n": 10, "l": 2, "m": 3, "epsilon": "x"}'),
+            ("table", '{"n": 10, "l": 2, "m": 3, "ms": [11]}'),
+            ("table", '{"n": 10, "l": -1, "m": 3}'),
             ("ecc", '{"preset": []}'),
             ("cex_iii", '{"preset": []}'),
             ("table", '{"preset": {}}'),
@@ -755,3 +804,31 @@ def test_cex_i_builds_no_fraction_per_atom(monkeypatch):
         report = run_experiment("cex_i", {"N": n_atoms}, 0)
         assert report.results["independent_mismatch_den"] == n_atoms
     assert max(counts) <= 8, counts
+
+
+@pytest.mark.parametrize("experiment,most", [("cex_ii", 6), ("cex_iii", 4)])
+def test_two_bit_runs_wrap_only_the_probes_they_read(experiment, most, monkeypatch):
+    """The ensemble builders pass plain matrices, so a run constructs a
+    DensityOperator only for its qubit specs, the average probes and the
+    probes it reads back."""
+    from tracecrit.qmath import DensityOperator
+
+    count = 0
+    original = DensityOperator.__post_init__
+
+    def counting(self):
+        nonlocal count
+        count += 1
+        original(self)
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+    run_experiment(experiment, {"overlap": 0.3}, 0)
+    assert count <= most
+
+
+def test_readme_library_block_prints_its_comments():
+    block = README.read_text().split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == "0.25\n0.75 0.625\n"

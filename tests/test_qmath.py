@@ -83,6 +83,23 @@ class TestHermitianEigen:
         with pytest.raises(NotHermitian):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_phase_fix_matches_a_column_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        for degenerate in (False, True):  # eigenvalues 0, 0, 1, 1, ... when degenerate
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            if degenerate:
+                u = random_unitary(rng, dim)
+                a = u @ np.diag(np.arange(dim) // 2 / 2) @ u.conj().T
+            h = a + a.conj().T
+            vals, vecs = np.linalg.eigh(h)
+            vecs = vecs[:, ::-1].copy()
+            for j in range(dim):
+                pivot = vecs[np.argmax(np.abs(vecs[:, j]) > 1e-12), j]
+                vecs[:, j] = vecs[:, j] * (pivot.conj() / abs(pivot))
+            got_vals, got_vecs = hermitian_eigen(h)
+            assert bits(got_vals) == bits(vals[::-1]) and bits(got_vecs) == bits(vecs)
+
 
 class TestTraceNorm:
     def test_zero_difference(self):
@@ -179,6 +196,13 @@ class TestValidateDensity:
             validate_density(m)
         with pytest.raises(NotHermitian):
             trace_norm(m)
+
+    def test_empty_matrix_is_refused(self):
+        for call in (validate_density, hermitian_eigen, trace_norm):
+            with pytest.raises(NotHermitian, match=r"got shape \(0, 0\)"):
+                call(np.zeros((0, 0)))
+        with pytest.raises(NotHermitian, match=r"got shape \(2, 0, 0\)"):
+            trace_norms(np.zeros((2, 0, 0)))
 
     def test_matrix_is_frozen(self):
         op = validate_density(np.eye(2) / 2)

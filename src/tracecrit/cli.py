@@ -25,8 +25,15 @@ def uint64(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an invocation with one ``error:`` line, as every other exit 2 does."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracecrit",
         description=(
             "Deterministic experiments probing the trace-distance security "

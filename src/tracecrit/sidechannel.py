@@ -139,38 +139,54 @@ _RANK_BATCH_CELLS = 2**21
 _MAX_RANK_STEPS = -(-EXHAUSTIVE_SEED_CAP // (_RANK_BATCH_CELLS // 156)) * 156
 
 
-def _gf2_ranks(bits: np.ndarray) -> np.ndarray:
-    """GF(2) rank of every matrix in a (batch, rows, cols) array of bits.
+def _gf2_ranks(rows: np.ndarray, cols: int) -> np.ndarray:
+    """GF(2) rank of every matrix in a (rows, batch, words) array of packed rows.
 
-    Rows are packed little-endian into uint64 words (column j in bit j % 64
-    of word j // 64) and inserted one at a time into an XOR basis with one
-    slot per column: a row is reduced by the slot of each of its set bits
-    from the lowest up, and fills the first empty slot it meets.  The rank
-    is the number of filled slots.
+    rows[r, b] is row r of matrix b, column j in bit j % w of word j // w,
+    where w is the bit width of the unsigned dtype; only the first ``cols``
+    columns are read.  Columns are eliminated in order: the first row holding
+    column j is XORed into every row holding it, itself included, so column j
+    leaves every row and the pivot row leaves the matrix.  The rank is the
+    number of columns that found a pivot.  ``rows`` is overwritten.
     """
-    batch, n_rows, n_cols = bits.shape
-    words = -(-n_cols // 64)
-    packed = np.zeros((batch, n_rows, 8 * words), dtype=np.uint8)
-    packed[..., : -(-n_cols // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-    packed = packed.view("<u8")
-    basis = np.zeros((n_cols, batch, words), dtype=np.uint64)
-    one = np.uint64(1)
-    for r in range(n_rows):
-        v = packed[:, r, :].copy()
-        for c in range(n_cols):
-            bit = (v[:, c // 64] >> np.uint64(c % 64)) & one
-            slot = basis[c]
-            np.copyto(slot, v, where=((bit == 1) & (slot[:, c // 64] == 0))[:, None])
-            # clears bit c, by the slot's row or, when v just filled it, by v itself
-            v ^= slot * bit[:, None]
-    return np.count_nonzero(basis.any(axis=2), axis=0)
+    n_rows, batch, words = rows.shape
+    width = 8 * rows.itemsize
+    weight = np.arange(n_rows, 0, -1, dtype=np.result_type(rows.dtype, np.min_scalar_type(n_rows)))
+    past = np.arange(batch) + n_rows * batch
+    flat = rows.reshape(-1, words)
+    rank = np.zeros(batch, dtype=np.intp)
+    for c in range(cols):
+        bit = (rows[:, :, c // width] >> c % width) & 1
+        top = np.maximum.reduce(bit * weight[:, None], axis=0)  # n_rows - first holder, 0 when none holds it
+        rank += top != 0
+        pivot = flat.take(past - top.astype(np.intp) * batch, axis=0, mode="clip")
+        rows ^= bit[:, :, None] * pivot
+    return rank
 
 
 def _toeplitz_ranks(seed_bits: np.ndarray, m: int, n: int) -> np.ndarray:
     """Ranks of the m x n Toeplitz matrices of a (seeds, m + n - 1) bit array,
-    entry(i, j) = seed[i - j + n - 1] as in :func:`toeplitz_from_seed`."""
-    index = np.arange(m)[:, None] - np.arange(n)[None, :] + n - 1
-    return _gf2_ranks(seed_bits[:, index])
+    entry(i, j) = seed[i - j + n - 1] as in :func:`toeplitz_from_seed`.
+
+    Row i holds seed bits i..i + n - 1 with its columns reversed, which
+    leaves the rank unchanged.  Each seed is packed once into little-endian
+    uint64 words (bit k of the seed in bit k % 64 of word k // 64) and row i
+    is shifted out of them, into the narrowest unsigned dtype holding n bits,
+    or uint64 words when n > 64; bits past column n - 1 stay and are never
+    read.
+    """
+    count, length = seed_bits.shape
+    words = -(-length // 64)
+    packed = np.zeros((count, 8 * (words + 1)), dtype=np.uint8)  # one zero word past the seed
+    packed[:, : -(-length // 8)] = np.packbits(seed_bits, axis=1, bitorder="little")
+    seed = packed.view("<u8").T
+    word, shift = np.divmod(np.arange(m)[:, None] + np.arange(0, n, 64), 64)  # (m, row words)
+    shift = shift[..., None].astype(np.uint64)
+    rows = seed[word] >> shift
+    if words > 1:  # (x << 1) << (63 - s) is x << (64 - s), and 0 when s = 0
+        rows |= (seed[word + 1] << np.uint64(1)) << (np.uint64(63) - shift)
+    rows = np.ascontiguousarray(rows.transpose(0, 2, 1), dtype=np.min_scalar_type(2 ** min(n, 64) - 1))
+    return _gf2_ranks(rows, n)
 
 
 def singular_fraction(

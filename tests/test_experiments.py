@@ -370,6 +370,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "argument --seed: invalid uint64 value" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--params", "{}"], "the following arguments are required: --experiment"),
+            (["--experiment", "cex_i", "--seed", "-1"], "argument --seed: invalid uint64 value: '-1'"),
+            (["--experiment", "cex_i", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            (["--experiment", "cex_i", "--nope", "1"], "unrecognized arguments: --nope 1"),
+        ],
+        ids=["missing-experiment", "negative-seed", "unknown-format", "unknown-option"],
+    )
+    def test_argument_refusals_print_one_error_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    def test_help_exits_zero_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.err) == (0, "")
+        assert captured.out.startswith("usage: tracecrit [-h] --experiment EXPERIMENT")
+        assert "--params PARAMS" in captured.out and "seed in [0, 2^64)" in captured.out
+
     def test_largest_seed_runs(self):
         code, stdout, err = run_cli(["--experiment", "cex_i", "--seed", str(2**64 - 1)])
         assert (code, err) == (0, "") and json.loads(stdout)["seed"] == 2**64 - 1

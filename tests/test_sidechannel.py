@@ -226,6 +226,47 @@ class TestBatchedRanksMatchLoop:
         assert got == singular_fraction_loop(m, n, "sample", 40, 5)
 
 
+def _every_seed(m: int, n: int) -> np.ndarray:
+    bits = m + n - 1
+    return ((np.arange(2**bits)[:, None] >> np.arange(bits)) & 1).astype(np.uint8)
+
+
+def _scalar_ranks(seed_bits: np.ndarray, m: int, n: int) -> list[int]:
+    return [gf2_rank(toeplitz_from_seed(b, m, n)) for b in seed_bits]
+
+
+WORD_EDGES = (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
+
+
+class TestPackedRanksMatchScalar:
+    """Each seed's rank from the packed kernel against one gf2_rank call."""
+
+    @pytest.mark.parametrize("m,n", SMALL_SHAPES)
+    def test_every_seed(self, m, n):
+        seeds = _every_seed(m, n)
+        assert sidechannel._toeplitz_ranks(seeds, m, n).tolist() == _scalar_ranks(seeds, m, n)
+
+    @pytest.mark.parametrize("m,n", [s for e in WORD_EDGES for s in ((5, e), (e, 5), (e, e))])
+    def test_sampled_seeds_at_word_edges(self, m, n):
+        # the zero seed and every one-bit seed give each rank from 0 to min(m, n)
+        bits = m + n - 1
+        rng = np.random.default_rng(m * 100 + n)
+        drawn = [rng.random((30, bits)) < p for p in (0.5, 0.1, 0.02)]
+        seeds = np.concatenate(drawn + [np.zeros((1, bits)), np.eye(bits)]).astype(np.uint8)
+        assert sidechannel._toeplitz_ranks(seeds, m, n).tolist() == _scalar_ranks(seeds, m, n)
+
+
+class TestToeplitzRankLaw:
+    """Enumeration against the closed rank law of m x n Toeplitz matrices over GF(2)."""
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 17) for n in range(1, 18 - m)])
+    def test_rank_histogram(self, m, n):
+        full = min(m, n)
+        law = [1] + [3 * 4 ** (r - 1) for r in range(1, full)] + [2 ** (m + n - 1) - 4 ** (full - 1)]
+        ranks = sidechannel._toeplitz_ranks(_every_seed(m, n), m, n)
+        assert np.bincount(ranks, minlength=full + 1).tolist() == law
+
+
 class TestSampledSeedStream:
     """The bulk-drawn seed bits against one randrange(2) call per bit."""
 

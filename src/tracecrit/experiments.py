@@ -227,10 +227,10 @@ def parse_qubit(spec, name: str = "qubit spec") -> DensityOperator:
         raise ParseError(f"{name} must be a mapping, got {spec!r}")
     try:
         if "diag" in spec:
-            a, b = (float(v) for v in spec["diag"])
+            a, b = (_float_param(v, name) for v in spec["diag"])
             return validate_density(np.diag([a, b]))
         if "bloch" in spec:
-            x, y, z = (float(v) for v in spec["bloch"])
+            x, y, z = (_float_param(v, name) for v in spec["bloch"])
             if math.hypot(x, y, z) > 1.0 + 1e-12:
                 raise ParseError(f"Bloch vector length exceeds 1: {(x, y, z)}")
             return validate_density(
@@ -735,7 +735,8 @@ def run_sweep(
         all_ok = all(v.status != FAIL for v in verdicts)
         rows.append([index, *point, *(scalars.get(k, "") for k in result_keys), all_ok])
 
-    return _csv_text([["grid_index", *names, *(result_keys or []), "all_pass"], *rows])
+    header = [f"result:{k}" if k in names else k for k in result_keys or []]  # own column: a table preset overrides a grid n
+    return _csv_text([["grid_index", *names, *header, "all_pass"], *rows])
 
 
 def _csv_text(rows) -> str:

@@ -56,7 +56,7 @@ class Gf2Matrix:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise BadParams("rows have unequal lengths")
-        if any(not isinstance(b, numbers.Integral) or b not in (0, 1) for r in rows for b in r):
+        if any(not isinstance(b, numbers.Integral) or isinstance(b, bool) or b not in (0, 1) for r in rows for b in r):
             raise BadParams("entries must be bits")
         packed = tuple(sum(b << j for j, b in enumerate(r)) for r in rows)
         return cls(len(rows), n, packed)
@@ -164,26 +164,21 @@ def _gf2_ranks(rows: np.ndarray, cols: int) -> np.ndarray:
     return rank
 
 
-def _toeplitz_ranks(seed_bits: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Ranks of the m x n Toeplitz matrices of a (seeds, m + n - 1) bit array,
+def _toeplitz_ranks(seeds: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Ranks of the m x n Toeplitz matrices of a (count, words) array of seeds,
     entry(i, j) = seed[i - j + n - 1] as in :func:`toeplitz_from_seed`.
 
-    Row i holds seed bits i..i + n - 1 with its columns reversed, which
-    leaves the rank unchanged.  Each seed is packed once into little-endian
-    uint64 words (bit k of the seed in bit k % 64 of word k // 64) and row i
-    is shifted out of them, into the narrowest unsigned dtype holding n bits,
-    or uint64 words when n > 64; bits past column n - 1 stay and are never
-    read.
+    Each seed is m + n - 1 bits in little-endian uint64 words (bit k in bit
+    k % 64 of word k // 64).  Row i, seed bits i..i + n - 1 with its columns
+    reversed, which keeps the rank, is shifted out into the narrowest unsigned
+    dtype of n bits, or uint64 words past 64; later bits are never read.
     """
-    count, length = seed_bits.shape
-    words = -(-length // 64)
-    packed = np.zeros((count, 8 * (words + 1)), dtype=np.uint8)  # one zero word past the seed
-    packed[:, : -(-length // 8)] = np.packbits(seed_bits, axis=1, bitorder="little")
-    seed = packed.view("<u8").T
+    seed = np.concatenate([seeds.T, np.zeros((1, len(seeds)), seeds.dtype)])  # one zero word past the seed
     word, shift = np.divmod(np.arange(m)[:, None] + np.arange(0, n, 64), 64)  # (m, row words)
     shift = shift[..., None].astype(np.uint64)
-    rows = seed[word] >> shift
-    if words > 1:  # (x << 1) << (63 - s) is x << (64 - s), and 0 when s = 0
+    rows = seed[word]
+    rows >>= shift
+    if seeds.shape[1] > 1:  # (x << 1) << (63 - s) is x << (64 - s), and 0 when s = 0
         rows |= (seed[word + 1] << np.uint64(1)) << (np.uint64(63) - shift)
     rows = np.ascontiguousarray(rows.transpose(0, 2, 1), dtype=np.min_scalar_type(2 ** min(n, 64) - 1))
     return _gf2_ranks(rows, n)
@@ -208,8 +203,7 @@ def singular_fraction(
         total = 2**bits
 
         def draw(start: int, count: int) -> np.ndarray:
-            s = np.arange(start, start + count, dtype=np.int64)
-            return ((s[:, None] >> np.arange(bits)) & 1).astype(np.uint8)
+            return np.arange(start, start + count, dtype=np.uint64)[:, None]  # a seed is its index
 
     elif mode == "sample":
         if not samples or samples <= 0:
@@ -231,7 +225,9 @@ def singular_fraction(
                 kept = np.compress(raw < 2**31, raw) >> 30
                 drawn[filled : filled + kept.size] = kept
                 filled += kept.size
-            return drawn.reshape(count, bits)
+            packed = np.zeros((count, 8 * -(-bits // 64)), dtype=np.uint8)
+            packed[:, : -(-bits // 8)] = np.packbits(drawn.reshape(count, bits), axis=1, bitorder="little")
+            return packed.view("<u8")
 
     else:
         raise BadParams(f"mode must be 'exhaustive' or 'sample', got {mode!r}")

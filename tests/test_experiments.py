@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import inspect
 import io
 import json
@@ -300,6 +301,24 @@ class TestSweep:
         with pytest.raises(UnknownExperiment):
             run_sweep("nope", {"x": [1]})
 
+    @pytest.mark.parametrize(
+        "experiment,grid,base,name,result",
+        [
+            ("toeplitz", {"mode": ["sample"]}, {"samples": 3}, "mode", "sample"),
+            ("ecc", {"rule": ["min_distance"]}, {"preset": "code52"}, "rule", "min_distance"),
+            ("spiked", {"n": [8]}, {}, "n", "8"),
+            ("spiked", {"l": [3.0]}, {}, "l", "3"),
+            ("markov", {"mean": [0.001]}, {}, "mean", "0.001"),
+            ("table", {"n": [10]}, {"preset": "headline-gap"}, "n", "1000"),  # the preset's n wins
+        ],
+    )
+    def test_result_named_like_a_grid_parameter_keeps_its_own_column(self, experiment, grid, base, name, result):
+        text = run_sweep(experiment, grid, seed=0, base=base)
+        header = text.splitlines()[0].split(",")
+        assert len(header) == len(set(header)) and header.count(f"result:{name}") == 1
+        (row,) = csv.DictReader(io.StringIO(text))
+        assert (row[name], row[f"result:{name}"]) == (str(grid[name][0]), result)
+
 
 class TestCli:
     def test_json_to_file_and_exit_code(self, tmp_path, capsys):
@@ -461,6 +480,11 @@ class TestCli:
             ("ecc", '{"generator": 5}'),
             ("ecc", '{"generator": [5]}'),
             ("ecc", '{"generator": [[1.0, 0.0]]}'),
+            ("ecc", '{"generator": [[true, false, true], [false, true, true]]}'),
+            ("cex_ii", '{"sigma": {"diag": ["1", "0"]}, "rho1": {"diag": [1, 0]}, "rho2": {"diag": [0, 1]}}'),
+            ("cex_ii", '{"sigma": {"diag": [1, 0]}, "rho1": {"diag": [true, false]}, "rho2": {"diag": [0, 1]}}'),
+            ("cex_iii", '{"sigma": {"diag": "10"}, "rho1": {"diag": [1, 0]}, "rho2": {"diag": [0, 1]}}'),
+            ("cex_iii", '{"sigma": {"diag": [1, 0]}, "rho1": {"diag": [1, 0]}, "rho2": {"bloch": [0, "0.5", 0]}}'),
             ("ecc", '{"code_file": "/nonexistent/code.txt"}'),
             ("ecc", '{"code_file": "."}'),
             ("table", '{"preset": "headline-gap", "ms": 5}'),
@@ -598,17 +622,23 @@ SWEEP_PARAMS = st.one_of(
 
 
 class TestCliContract:
-    """Any JSON object exits 0, 1 or 2, and never with an exception."""
+    """Any JSON object exits 0, 1 or 2, never with an exception, and prints
+    what its exit code says: one error line for 2, and for 0 or 1 a report
+    that has a FAIL verdict exactly when the code is 1."""
 
     @staticmethod
     def assert_contract(experiment, params):
-        argv = ["--experiment", experiment, "--params", json.dumps(params)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = run_cli(["--experiment", experiment, "--params", json.dumps(params)])
         assert code in (0, 1, 2)
         if code == 2:
-            assert err.getvalue().startswith("error:")
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+            return
+        assert err == ""
+        if experiment == "sweep":
+            failed = any(row["all_pass"] == "False" for row in csv.DictReader(io.StringIO(out)))
+        else:
+            failed = any(v["status"] == "FAIL" for v in json.loads(out)["verdicts"])
+        assert code == (1 if failed else 0)
 
     @pytest.mark.parametrize("experiment", sorted(REGISTRY))
     @settings(max_examples=60, deadline=None)

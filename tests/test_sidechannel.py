@@ -227,12 +227,25 @@ class TestBatchedRanksMatchLoop:
 
 
 def _every_seed(m: int, n: int) -> np.ndarray:
-    bits = m + n - 1
-    return ((np.arange(2**bits)[:, None] >> np.arange(bits)) & 1).astype(np.uint8)
+    """Every seed of m + n - 1 bits as its one word: seed s is s."""
+    return np.arange(2 ** (m + n - 1), dtype=np.uint64)[:, None]
 
 
-def _scalar_ranks(seed_bits: np.ndarray, m: int, n: int) -> list[int]:
-    return [gf2_rank(toeplitz_from_seed(b, m, n)) for b in seed_bits]
+def _pack(seed_bits: np.ndarray) -> np.ndarray:
+    """(count, bits) bit rows as little-endian uint64 words, bit k in bit k % 64 of word k // 64."""
+    count, bits = seed_bits.shape
+    packed = np.zeros((count, 8 * -(-bits // 64)), dtype=np.uint8)
+    packed[:, : -(-bits // 8)] = np.packbits(seed_bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _unpack(seeds: np.ndarray, bits: int) -> np.ndarray:
+    """The first ``bits`` bits of each row of little-endian uint64 words."""
+    return np.unpackbits(seeds.astype("<u8").view(np.uint8), axis=1, count=bits, bitorder="little")
+
+
+def _scalar_ranks(seeds: np.ndarray, m: int, n: int) -> list[int]:
+    return [gf2_rank(toeplitz_from_seed(b, m, n)) for b in _unpack(seeds, m + n - 1)]
 
 
 WORD_EDGES = (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
@@ -252,7 +265,7 @@ class TestPackedRanksMatchScalar:
         bits = m + n - 1
         rng = np.random.default_rng(m * 100 + n)
         drawn = [rng.random((30, bits)) < p for p in (0.5, 0.1, 0.02)]
-        seeds = np.concatenate(drawn + [np.zeros((1, bits)), np.eye(bits)]).astype(np.uint8)
+        seeds = _pack(np.concatenate(drawn + [np.zeros((1, bits)), np.eye(bits)]).astype(np.uint8))
         assert sidechannel._toeplitz_ranks(seeds, m, n).tolist() == _scalar_ranks(seeds, m, n)
 
 
@@ -267,28 +280,39 @@ class TestToeplitzRankLaw:
         assert np.bincount(ranks, minlength=full + 1).tolist() == law
 
 
+class TestSampledRankLaw:
+    """Sampled singular fractions beyond the exhaustive cap against the closed law 2^-(|m - n| + 1)."""
+
+    @pytest.mark.parametrize("m,n", [(16, 16), (20, 23), (28, 30), (64, 64), (64, 66)])
+    def test_within_five_binomial_deviations(self, m, n):
+        samples, p = 20000, 2.0 ** -(abs(m - n) + 1)
+        sigma = math.sqrt(p * (1 - p) / samples)
+        for seed in range(5):
+            assert abs(singular_fraction(m, n, "sample", samples, seed) - p) <= 5 * sigma
+
+
 class TestSampledSeedStream:
-    """The bulk-drawn seed bits against one randrange(2) call per bit."""
+    """The bulk-drawn seed words, unpacked, against one randrange(2) call per bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, -7, 2**64 + 5, 2**200])
     @pytest.mark.parametrize("m,n,samples", [(64, 64, 1300), (10, 12, 2000), (1, 1, 5)])
     def test_bits_and_fraction_match_randrange(self, monkeypatch, seed, m, n, samples):
         ranks, batches = sidechannel._toeplitz_ranks, []
 
-        def recording_ranks(seed_bits, rows, cols):
-            batches.append(seed_bits.copy())
-            return ranks(seed_bits, rows, cols)
+        def recording_ranks(seeds, rows, cols):
+            batches.append(seeds.copy())
+            return ranks(seeds, rows, cols)
 
         monkeypatch.setattr(sidechannel, "_toeplitz_ranks", recording_ranks)
         got = singular_fraction(m, n, "sample", samples, seed)
         rng = random.Random(seed)
         want = np.array([rng.randrange(2) for _ in range(samples * (m + n - 1))], dtype=np.uint8)
         want = want.reshape(samples, m + n - 1)
-        assert np.array_equal(np.concatenate(batches), want)
+        assert np.array_equal(_unpack(np.concatenate(batches), m + n - 1), want)
         if (m, n) == (64, 64):
             assert len(batches) >= 3  # so every later batch starts where the last one stopped
         # one unbatched rank pass over the reference stream
-        assert got == np.count_nonzero(ranks(want, m, n) < min(m, n)) / samples
+        assert got == np.count_nonzero(ranks(_pack(want), m, n) < min(m, n)) / samples
 
 
 class TestLinearCode:

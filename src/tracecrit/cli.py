@@ -9,6 +9,8 @@ was invalid.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -146,7 +148,7 @@ def main(argv=None) -> int:
                 raise ToolkitError(f"sweep params are 'experiment', 'grid' and 'base', got {sorted(params)!r}")
             grid, base = params.get("grid", {}), params.get("base")
             text = run_sweep(params["experiment"], grid, seed=args.seed, base=base)
-            ok = all(line.endswith(",True") for line in text.splitlines()[1:] if line)
+            ok = all(row[-1] == "True" for row in list(csv.reader(io.StringIO(text)))[1:])
         else:
             report = run_experiment(args.experiment, params, seed=args.seed)
             text = RENDERERS[args.format or "json"](report)

@@ -25,15 +25,10 @@ def _masses(*seqs):
     """The mass sequences as arrays over one common denominator: Python-int
     numerators (object dtype) when every mass is an int or a Fraction, else
     float64 with denominator None."""
-    parts = [_exact_parts(s) for s in seqs]
-    if any(den is None for _, den in parts):
+    nums, den = _exact_parts([v for s in seqs for v in s])
+    if den is None:
         return [np.array(s, dtype=np.float64) for s in seqs], None
-    den = math.lcm(*(d for _, d in parts))
-    arrays = [
-        np.array(nums if d == den else [n * (den // d) for n in nums], dtype=object)
-        for nums, d in parts
-    ]
-    return arrays, den
+    return np.split(np.array(nums, dtype=object), np.cumsum([len(s) for s in seqs[:-1]])), den
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +62,8 @@ class Coupling:
     leftover: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.denominator is None:  # masses from the caller
+        given = None
+        if "denominator" not in vars(self):  # built through __init__: masses from the caller
             given = (self.p, self.q) if self.diagonal is None else (self.p, self.q, self.diagonal)
             arrays, den = _masses(*given)
             for name, a in zip(("p", "q", "diagonal"), arrays):
@@ -86,7 +82,13 @@ class Coupling:
             for a in (self.p, self.q, self.diagonal, self.res_p, self.res_q):
                 if a is not None:
                     a.setflags(write=False)
-            return
+        else:
+            self._check_joint()
+        if given is not None:  # last, so that every check above keeps its message
+            for labels, masses in zip((self.row_labels, self.col_labels), given):
+                ProbDist(labels, masses)  # the marginals must be distributions
+
+    def _check_joint(self):
         rows = tuple(tuple(r) for r in self.joint)
         if len(rows) != len(self.row_labels) or any(
             len(r) != len(self.col_labels) for r in rows
@@ -94,17 +96,17 @@ class Coupling:
             raise BadParams("joint mass shape does not match labels")
         for r in rows:
             for v in r:
-                if v < -MARGINAL_TOL:
-                    raise BadParams(f"negative coupling mass {v!r}")
+                if not v >= -MARGINAL_TOL:  # NaN fails too
+                    raise BadParams(f"negative or NaN coupling mass {v!r}")
         p, q = (self.p, self.q) if self.denominator is None else (
             _floats(a, self.denominator) for a in (self.p, self.q)
         )
         for i, r in enumerate(rows):
-            if abs(math.fsum(float(v) for v in r) - p[i]) > MARGINAL_TOL:
+            if not abs(math.fsum(float(v) for v in r) - p[i]) <= MARGINAL_TOL:
                 raise BadParams(f"row sum {i} does not reproduce the first marginal")
         for j in range(len(self.col_labels)):
             col = math.fsum(float(r[j]) for r in rows)
-            if abs(col - q[j]) > MARGINAL_TOL:
+            if not abs(col - q[j]) <= MARGINAL_TOL:
                 raise BadParams(f"column sum {j} does not reproduce the second marginal")
         object.__setattr__(self, "joint", rows)
 
@@ -139,25 +141,29 @@ class Coupling:
         else:
             leftover, other = int(res_p.sum()), int(res_q.sum())
             gap = abs(leftover / den - other / den)
-        if gap > MARGINAL_TOL:
+        if not gap <= MARGINAL_TOL:  # NaN fails too
             raise BadParams("the two residuals carry different totals")
         return res_p, res_q, leftover
+
+    def _cells(self, rows: np.ndarray, cols: np.ndarray):
+        """(cells, whole): the factored mass of cells (rows[t], cols[t]), the diagonal
+        on matching cells plus res_p * res_q / leftover, as int numerators over
+        whole = denominator * (leftover or 1), or as float64 with whole None.
+        A leftover of 0 means every residual is 0."""
+        scale = self.leftover or 1
+        cells = self.res_p[rows] * self.res_q[cols]
+        if self.denominator is None:  # divide now, so the diagonal is in scale
+            cells, scale = cells / scale, 1
+        if self.diagonal is not None:
+            on = rows == cols
+            cells[on] += self.diagonal[rows[on]] * scale
+        return cells, None if self.denominator is None else self.denominator * scale
 
     def mass(self, i: int, j: int):
         if self.joint is not None:
             return self.joint[i][j]
-        den, left = self.denominator, self.leftover
-        on_diagonal = self.diagonal is not None and i == j
-        if den is None:
-            cell = float(self.res_p[i] * self.res_q[j])
-            if cell and left != 1:
-                cell = cell / left
-            if not on_diagonal:
-                return cell
-            return float(self.diagonal[i] + cell) if cell else float(self.diagonal[i])
-        # exact: the residual cell over den * leftover, the diagonal over den
-        cell = Fraction(self.res_p[i] * self.res_q[j], den * left) if left else Fraction(0)
-        return cell + Fraction(self.diagonal[i], den) if on_diagonal else cell
+        (cell,), whole = self._cells(np.array([i]), np.array([j]))
+        return float(cell) if whole is None else Fraction(cell, whole)
 
 
 def maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
@@ -199,17 +205,7 @@ def mismatch_probability(c: Coupling):
         col_index = {x: j for j, x in enumerate(c.col_labels)}
         pairs = [(i, col_index[x]) for i, x in enumerate(c.row_labels) if x in col_index]
         rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    cells = c.res_p[rows] * c.res_q[cols]
-    if c.diagonal is None:
-        diag = np.zeros_like(cells)
-    else:
-        diag = np.where(rows == cols, c.diagonal[rows], 0)
-    den, left = c.denominator, c.leftover
-    if den is not None:
-        # matched mass = sum(diag) / den + sum(cells) / (den * leftover)
-        if not left:
-            return Fraction(den - int(diag.sum()), den)
-        return Fraction(den * left - left * int(diag.sum()) - int(cells.sum()), den * left)
-    if left not in (0, 1):
-        cells = cells / left
-    return 1.0 - math.fsum((diag + cells).tolist())
+    cells, whole = c._cells(rows, cols)
+    if whole is None:
+        return 1.0 - math.fsum(cells.tolist())
+    return Fraction(whole - int(cells.sum()), whole)

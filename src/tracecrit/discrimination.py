@@ -196,8 +196,6 @@ def success_probability(e: CqEnsemble, m: Povm, guess: Mapping[str, str]) -> flo
     never count as success, so deliberately bad or partial strategies can
     be scored too.
     """
-    if m.dim != e.probe_dim:
-        raise DimMismatch(f"measurement dim {m.dim} does not match probe dim {e.probe_dim}")
     key_index = {k: i for i, k in enumerate(e.keys)}
     for outcome, key in guess.items():
         if outcome not in m.labels:
@@ -205,9 +203,8 @@ def success_probability(e: CqEnsemble, m: Povm, guess: Mapping[str, str]) -> flo
         if key not in key_index:
             raise BadParams(f"guess references unknown key {key!r}")
     rows = [key_index[key] for key in guess.values()]
-    products = np.matmul(e.probe_stack[rows], m.stack[[m.labels.index(x) for x in guess]])
-    terms = e.weights[rows] * np.trace(products, axis1=1, axis2=2).real
-    return math.fsum(terms.tolist())
+    cols = [m.labels.index(x) for x in guess]
+    return math.fsum(_outcome_mass(e, m)[rows, cols].tolist())
 
 
 def post_leak_discrimination(e: CqEnsemble, leak: LeakSpec) -> PostLeakResult:

@@ -172,7 +172,10 @@ def _toeplitz_ranks(seeds: np.ndarray, m: int, n: int) -> np.ndarray:
     k % 64 of word k // 64).  Row i, seed bits i..i + n - 1 with its columns
     reversed, which keeps the rank, is shifted out into the narrowest unsigned
     dtype of n bits, or uint64 words past 64; later bits are never read.
+    The n x m matrix of a seed, the m x n one transposed and reversed, has the
+    same rank, so the taller of the two is ranked, with rows min(m, n) bits wide.
     """
+    m, n = max(m, n), min(m, n)
     seed = np.concatenate([seeds.T, np.zeros((1, len(seeds)), seeds.dtype)])  # one zero word past the seed
     word, shift = np.divmod(np.arange(m)[:, None] + np.arange(0, n, 64), 64)  # (m, row words)
     shift = shift[..., None].astype(np.uint64)

@@ -229,6 +229,28 @@ class TestCouplingValidation:
                 ((0.6, -0.1), (0.0, 0.5)),
             )
 
+    def test_rejects_nan_cells(self):
+        nan = float("nan")
+        with pytest.raises(BadParams, match="NaN coupling mass"):
+            Coupling(("a", "b"), ("a", "b"), (0.5, 0.5), (0.5, 0.5), ((nan, 0.5), (0.5, nan)))
+
+    def test_rejects_nan_marginal(self):
+        with pytest.raises(BadParams, match="masses sum to nan"):
+            Coupling(("a", "b"), ("a", "b"), (float("nan"), 1.0), (0.5, 0.5))
+
+    def test_rejects_marginal_that_is_not_a_distribution(self):
+        with pytest.raises(BadParams, match="masses sum to 1.4"):
+            Coupling(("a", "b"), ("a", "b"), (0.7, 0.7), (0.5, 0.5))
+        half = Fraction(1, 2)
+        with pytest.raises(BadParams, match="masses sum to 1.5"):
+            Coupling(("a", "b"), ("a", "b"), (half, 1), (half, 1), diagonal=(half, half))
+        with pytest.raises(BadParams, match="masses sum to 1.4"):
+            Coupling(("a", "b"), ("a", "b"), (0.7, 0.7), (0.7, 0.7), ((0.7, 0.0), (0.0, 0.7)))
+
+    def test_rejects_repeated_labels(self):
+        with pytest.raises(BadParams, match="labels must be unique"):
+            Coupling(("a", "a"), ("a", "b"), (0.5, 0.5), (0.5, 0.5))
+
 
 # -- array kernels against the tuple-of-scalars oracles ------------------
 

@@ -290,6 +290,14 @@ class TestSuccessProbability:
         with pytest.raises(BadParams):
             success_probability(e, m, {"0": "zz"})
 
+    def test_dim_mismatch_after_the_guess_labels(self):
+        e = random_ensemble(np.random.default_rng(6), 1, 3)
+        m = projective_qubit_povm()
+        with pytest.raises(DimMismatch):
+            success_probability(e, m, {"0": "0"})
+        with pytest.raises(BadParams, match="unknown key"):
+            success_probability(e, m, {"0": "zz"})
+
 
 class TestPostLeakDiscrimination:
     def test_two_bit_family_success_half_plus_d(self):

@@ -538,6 +538,15 @@ class TestCli:
         assert header[0] == "grid_index" and header[1] == "N" and header[-1] == "all_pass"
         assert len(lines) == 3
 
+    def test_sweep_over_a_file_name_with_a_newline(self, tmp_path, capsys):
+        # csv quotes the newline inside its field; the verdict is still the last field
+        path = tmp_path / "a\nb.txt"
+        path.write_text("101\n011\n")
+        params = json.dumps({"experiment": "ecc", "grid": {"code_file": [str(path)]}})
+        assert main(["--experiment", "sweep", "--params", params]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 2 and rows[1][1] == str(path) and rows[1][-1] == "True"
+
     def test_sweep_missing_target(self, capsys):
         assert main(["--experiment", "sweep", "--params", "{}"]) == 2
 

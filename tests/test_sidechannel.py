@@ -76,6 +76,13 @@ class TestToeplitz:
         with pytest.raises(BadSeedLength):
             toeplitz_from_seed([1, 0], 2, 2)
 
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(m + 1, 7)])
+    def test_transposed_shape_has_the_same_rank(self, m, n):
+        # the n x m matrix is the m x n one transposed with rows and columns reversed
+        for s in range(2 ** (m + n - 1)):
+            seed = [(s >> k) & 1 for k in range(m + n - 1)]
+            assert gf2_rank(toeplitz_from_seed(seed, m, n)) == gf2_rank(toeplitz_from_seed(seed, n, m))
+
 
 class TestRank:
     def test_identity(self):
@@ -259,7 +266,9 @@ class TestPackedRanksMatchScalar:
         seeds = _every_seed(m, n)
         assert sidechannel._toeplitz_ranks(seeds, m, n).tolist() == _scalar_ranks(seeds, m, n)
 
-    @pytest.mark.parametrize("m,n", [s for e in WORD_EDGES for s in ((5, e), (e, 5), (e, e))])
+    @pytest.mark.parametrize(
+        "m,n", [s for e in WORD_EDGES for s in ((5, e), (e, 5), (e, e))] + [(66, 70), (70, 66)]
+    )
     def test_sampled_seeds_at_word_edges(self, m, n):
         # the zero seed and every one-bit seed give each rank from 0 to min(m, n)
         bits = m + n - 1

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import ToolkitError
-from .experiments import REGISTRY, ExperimentReport, _csv_text, run_experiment, run_sweep
+from .experiments import REGISTRY, ExperimentReport, _csv_text, _read_text, run_experiment, run_sweep
 
 
 def uint64(text: str) -> int:
@@ -68,12 +68,12 @@ def load_params(raw: str) -> dict:
     text = raw.strip()
     if not text.startswith("{"):
         try:
-            text = Path(text).read_text()
+            text = _read_text(text)
         except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path
             raise ToolkitError(f"params is neither inline JSON nor a readable file: {exc}") from None
     try:
         parsed = json.loads(text, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # an int past Python's digit limit; nested too deep
         raise ToolkitError(f"bad JSON in --params: {exc}") from None
     if not isinstance(parsed, dict):
         raise ToolkitError("params must decode to a JSON object")

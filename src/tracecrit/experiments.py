@@ -20,7 +20,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -79,6 +78,12 @@ MAX_DENSE_COUPLING = 1024
 #: 64 MiB peak RSS on a 2-core Xeon VM, so the cap is loose until the caps
 #: are re-derived from one time budget.
 _MAX_ATOMS = 2**18
+#: Longest parameter or code file read, in bytes; a 20x20 generator file
+#: is under 1 KiB.
+_MAX_FILE_BYTES = 2**20
+#: Grid points a sweep may hold: each costs about 200 bytes before the
+#: first point runs, so the cap bounds memory (about 13 MiB), not time.
+_MAX_SWEEP_POINTS = 2**16
 
 TWO_BIT_PRESETS = {
     "two-bit-orthogonal": {
@@ -505,6 +510,15 @@ def cmd_toeplitz(
     return results, verdicts
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file of at most _MAX_FILE_BYTES bytes, read no further."""
+    with open(path, "rb") as f:
+        data = f.read(_MAX_FILE_BYTES + 1)
+    if len(data) > _MAX_FILE_BYTES:
+        raise TooLarge(f"file {path!r} is longer than {_MAX_FILE_BYTES} bytes")
+    return data.decode()
+
+
 def _resolve_code(preset, generator, code_file) -> LinearCode:
     if preset is not None:
         return LinearCode(Gf2Matrix.from_rows(_preset(preset, CODE_PRESETS, "code")))
@@ -514,7 +528,7 @@ def _resolve_code(preset, generator, code_file) -> LinearCode:
         if not isinstance(code_file, str):
             raise ParseError(f"'code_file' must be a path string, got {code_file!r}")
         try:
-            text = Path(code_file).read_text()
+            text = _read_text(code_file)
         except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path
             raise ParseError(f"cannot read code file {code_file!r}: {exc}") from None
         return code_from_text(text)
@@ -714,6 +728,9 @@ def run_sweep(
         raise ParseError(f"sweep grid must map parameter names to value lists, got {grid!r}")
     if base is not None and not isinstance(base, Mapping):
         raise ParseError(f"sweep base must be a parameter object, got {base!r}")
+    count = math.prod(len(v) for v in grid.values())
+    if count > _MAX_SWEEP_POINTS:
+        raise TooLarge(f"sweep grid has {count} points, above the cap of {_MAX_SWEEP_POINTS}")
     base = _bind(experiment, base or {})
     names = list(grid.keys())
     parameters = _parameters(experiment, names)

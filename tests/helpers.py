@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 
 from tracecrit import (
-    Coupling,
     CqEnsemble,
     DensityOperator,
     LeakSpec,
@@ -243,9 +242,9 @@ def maximal_mismatch_loop(p: ProbDist, q: ProbDist):
     return _mismatch_from_matches(matches)
 
 
-def dense_maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
-    """Maximal coupling with every cell of the joint mass materialized."""
-    pp, qp, mins, res_p, res_q, leftover = _maximal_factors(p, q)
+def dense_maximal_coupling(p: ProbDist, q: ProbDist) -> tuple:
+    """The cell rows of the maximal coupling, every cell of the joint mass materialized."""
+    _, _, mins, res_p, res_q, leftover = _maximal_factors(p, q)
     n = len(p.labels)
     rows = [[0 * mins[0]] * n for _ in range(n)]
     for i in range(n):
@@ -258,7 +257,7 @@ def dense_maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
                 if res_q[j] == 0:
                     continue
                 rows[i][j] = rows[i][j] + res_p[i] * res_q[j] / leftover
-    return Coupling(p.labels, p.labels, pp, qp, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def bits(x) -> bytes:

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecrit.cli import main
-from tracecrit.errors import BadParams, ParseError, UnknownExperiment
+from tracecrit.errors import BadParams, ParseError, TooLarge, UnknownExperiment
 from tracecrit.experiments import (
     CODE_PRESETS,
     REGISTRY,
     SCENARIO_PRESETS,
     TWO_BIT_PRESETS,
+    _MAX_FILE_BYTES,
+    _MAX_SWEEP_POINTS,
     _float_param,
     _int_list_param,
     _int_param,
@@ -490,6 +492,7 @@ class TestCli:
             ("table", '{"preset": "headline-gap", "ms": 5}'),
             ("table", '{"preset": "headline-gap", "ms": []}'),
             ("cex_i", '{"N": 100000000}'),
+            pytest.param("cex_i", '{"N": 1' + "0" * 5000 + "}", id="cex_i-int-past-the-digit-limit"),
             ("table", f'{{"n": {10**400}, "l": 2, "m": {10**400}}}'),
             ("table", f'{{"n": 1000, "l": {10**400}, "m": 100}}'),
             ("markov", f'{{"eps": 0.1, "delta": 0.5, "guarantees": {10**400}}}'),
@@ -499,6 +502,10 @@ class TestCli:
             ("sweep", '{"experiment": "cex_i", "grid": [2, 4]}'),
             ("sweep", '{"experiment": "cex_i", "grid": {"N": 4}}'),
             ("sweep", '{"experiment": "cex_i", "grid": {"N": [4]}, "base": [["N", 2]]}'),
+            pytest.param("sweep", json.dumps({"experiment": "cex_ii", "grid": {
+                "preset": ["two-bit-mixed"] * 100, "overlap": [0.5] * 100,
+                **dict.fromkeys(("sigma", "rho1", "rho2"), [{"diag": [1, 0]}] * 100),
+            }}), id="sweep-of-10^10-points"),
         ],
     )
     def test_malformed_params_exit_two(self, experiment, params, capsys):
@@ -546,6 +553,27 @@ class TestCli:
         assert main(["--experiment", "sweep", "--params", params]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 2 and rows[1][1] == str(path) and rows[1][-1] == "True"
+
+    @pytest.mark.parametrize("kind", ["params", "code_file"])
+    def test_file_past_the_byte_bound_exit_two(self, kind, tmp_path):
+        path = tmp_path / "f"
+        experiment, text = ("cex_i", '{"N": 4}') if kind == "params" else ("ecc", "101\n011\n")
+        params = str(path) if kind == "params" else json.dumps({"code_file": str(path)})
+        argv = ["--experiment", experiment, "--params", params]
+        path.write_text(text.ljust(_MAX_FILE_BYTES))
+        assert run_cli(argv)[0] == 0
+        path.write_text(text.ljust(_MAX_FILE_BYTES + 1))
+        code, stdout, err = run_cli(argv)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and "longer than" in err and err.count("\n") == 1
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+    @pytest.mark.parametrize("params", ["/dev/zero", '{"code_file": "/dev/zero"}'])
+    def test_endless_file_exit_two(self, params):
+        experiment = "cex_i" if params == "/dev/zero" else "ecc"
+        code, stdout, err = run_cli(["--experiment", experiment, "--params", params])
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and "longer than" in err and err.count("\n") == 1
 
     def test_sweep_missing_target(self, capsys):
         assert main(["--experiment", "sweep", "--params", "{}"]) == 2
@@ -790,6 +818,22 @@ class TestDeclaredParams:
         assert calls == [(1, 3), (1, 4), (2, 3), (2, 4)]
         assert text.splitlines()[1:3] == ["0,1,3,1,True", "1,1,4,1,True"]
         assert text.splitlines()[3] == "2,2.0,3,2,True"  # each cell as given
+
+    def test_sweep_past_the_point_cap_binds_no_value(self, monkeypatch):
+        coerced = []
+
+        def kind(value, name):
+            coerced.append(value)
+            return value
+
+        def recorder(seed, *, x: kind = 1, y: kind = 1):
+            return {"x": x}, []
+
+        monkeypatch.setitem(REGISTRY, "cex_i", recorder)
+        side = math.isqrt(_MAX_SWEEP_POINTS)
+        with pytest.raises(TooLarge, match=f"{side * (side + 1)} points"):
+            run_sweep("cex_i", {"x": list(range(side)), "y": list(range(side + 1))}, base={"y": 2})
+        assert coerced == []
 
     def test_sweep_with_no_points_keeps_its_header(self):
         for grid, header in (({}, "grid_index,all_pass\n"), ({"N": []}, "grid_index,N,all_pass\n")):

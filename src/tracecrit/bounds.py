@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, BadRange, DimMismatch
-from .qmath import DensityOperator, trace_norm
+from .qmath import TOL, DensityOperator, trace_norm
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,17 @@ def average_for_individual_guarantee(
     return GuaranteeBudget(eps * factor, factor)
 
 
+def _criterion_value(d: float) -> float:
+    """d clamped into [0, 1/2]; a d computed from validated states misses
+    that range only by rounding, so only a miss beyond ``TOL`` is refused."""
+    if not -TOL <= d <= 0.5 + TOL:  # NaN fails too
+        raise BadRange(f"criterion value must lie in [0, 1/2], got {d!r}")
+    return min(max(d, 0.0), 0.5)
+
+
 def hypothesis_ii_cap(d: float) -> float:
     """Success cap 1/2 + d/2 implied by the probability-(1-d) mixture reading."""
-    if not 0.0 <= d <= 0.5:
-        raise BadRange(f"criterion value must lie in [0, 1/2], got {d!r}")
-    return 0.5 + d / 2.0
+    return 0.5 + _criterion_value(d) / 2.0
 
 
 def hypothesis_ii_exact(
@@ -109,9 +115,7 @@ def hypothesis_ii_exact(
     """
     if sigma0.dim != sigma1.dim:
         raise DimMismatch(f"dimensions differ: {sigma0.dim} vs {sigma1.dim}")
-    if not 0.0 <= d <= 0.5:
-        raise BadRange(f"criterion value must lie in [0, 1/2], got {d!r}")
-    return 0.5 + (d / 4.0) * trace_norm(sigma0.matrix - sigma1.matrix)
+    return 0.5 + (_criterion_value(d) / 4.0) * trace_norm(sigma0.matrix - sigma1.matrix)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensembles import CqEnsemble, ProbDist, SpikedDist, _floats, _joined, bit_strings
 from .errors import BadParams, DimMismatch, NonUniformPrior, TooLarge
-from .qmath import trace_norm, trace_norms
+from .qmath import TOL, ZERO_TOL, trace_norm, trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
     from .discrimination import JointDistribution, Povm
@@ -36,10 +36,6 @@ EVENT_CAP = 2**24
 _SCREEN_CHUNK = 2**16
 #: Matrix entries per block of a batched pair-difference or product stack.
 _STACK_BATCH_CELLS = 2**16
-#: Outcome masses at or below this are treated as zero support.
-SUPPORT_TOL = 1e-12
-
-_EQUIV_TOL = 1e-9
 
 
 def variational_distance(p: ProbDist, q: ProbDist):
@@ -101,12 +97,12 @@ class CriterionReport:
     epsilon_label: float
 
     def __post_init__(self):
-        if abs(self.d_entangled - self.d_averaged) > _EQUIV_TOL:
+        if abs(self.d_entangled - self.d_averaged) > TOL:
             raise BadParams(
                 "entangled and averaged criterion values disagree by "
                 f"{abs(self.d_entangled - self.d_averaged):.3e}"
             )
-        if self.d_max < self.d_averaged - _EQUIV_TOL:
+        if self.d_max < self.d_averaged - TOL:
             raise BadParams("max per-key distance fell below the average")
 
 
@@ -148,7 +144,7 @@ def pairwise_distance_bound(e: CqEnsemble, eps: float) -> PairwiseBound:
     if norms.size and norms.max() > worst_value:
         i = int(np.argmax(norms))
         worst_value, worst_pair = float(norms[i]), (e.keys[first[i]], e.keys[second[i]])
-    return PairwiseBound(worst_value <= 2.0 * eps + _EQUIV_TOL, worst_pair, worst_value)
+    return PairwiseBound(worst_value <= 2.0 * eps + TOL, worst_pair, worst_value)
 
 
 def classical_dbar(joint: "JointDistribution") -> float:
@@ -158,7 +154,7 @@ def classical_dbar(joint: "JointDistribution") -> float:
     u = 1.0 / n_rows
     row_sums = joint.mass.sum(axis=1)
     gap = float(np.max(np.abs(row_sums - u)))
-    if gap > 1e-9:
+    if gap > TOL:
         raise NonUniformPrior(f"row marginal deviates from uniform by {gap:.3e}")
     col = joint.mass.sum(axis=0)
     return 0.5 * math.fsum(np.abs(joint.mass - u * col).ravel().tolist())
@@ -276,7 +272,11 @@ class DeltaEVariants:
 
 
 def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
-    """Joint mass p_k tr(rho_k E_o), one row per key and one column per outcome."""
+    """Joint mass p_k tr(rho_k E_o), one row per key and one column per outcome.
+
+    Both factors were validated within ``TOL``, so a cell below zero is
+    rounding and is clamped to zero.
+    """
     if povm.dim != e.probe_dim:
         raise DimMismatch(f"measurement dim {povm.dim} does not match probe dim {e.probe_dim}")
     ops = povm.stack
@@ -286,21 +286,16 @@ def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
         block = slice(start, start + step)
         products = np.matmul(e.probe_stack[block, None], ops[None])
         mass[block] = e.weights[block, None] * np.trace(products, axis1=2, axis2=3).real
-    return mass
+    return np.maximum(mass, 0.0, out=mass)
 
 
 def delta_E_variants(e: CqEnsemble, povm: "Povm") -> DeltaEVariants:
     """Evaluate all four candidate deviation readings for one measurement."""
-    return _variants_from_mass(_outcome_mass(e, povm))
-
-
-def _variants_from_mass(mass: np.ndarray) -> DeltaEVariants:
-    """The four readings of a key x outcome mass matrix (negative cells clamped)."""
-    mass = np.maximum(mass, 0.0)
+    mass = _outcome_mass(e, povm)
     n_keys, n_out = mass.shape
 
     outcome_mass = mass.sum(axis=0)
-    support = np.flatnonzero(outcome_mass > SUPPORT_TOL)
+    support = np.flatnonzero(outcome_mass > ZERO_TOL)
     u_support = 1.0 / len(support)
     v_outcome = 0.5 * math.fsum(np.abs(outcome_mass[support] - u_support).tolist())
 
@@ -325,9 +320,9 @@ def decomposition_fallacy_check(p: ProbDist, q: ProbDist, eps: float) -> bool:
     """
     if eps < 0:
         raise BadParams(f"mixture weight must be nonnegative, got {eps!r}")
-    if float(variational_distance(p, q)) > eps + 1e-12 and eps <= 1:
+    if float(variational_distance(p, q)) > eps + ZERO_TOL and eps <= 1:
         raise BadParams("precondition failed: distance between p and q exceeds eps")
     P, Q, den = _joined(p, q)
     if den is not None:
         P, Q = _floats(P, den), _floats(Q, den)
-    return bool(np.all(P >= (1.0 - eps) * Q - 1e-12))
+    return bool(np.all(P >= (1.0 - eps) * Q - ZERO_TOL))

@@ -22,14 +22,7 @@ from .errors import (
     NotBinaryResidual,
     ZeroMassOutcome,
 )
-from .qmath import HERM_TOL, PSD_TOL, DensityOperator, _adjoint_gaps, hermitian_eigen
-
-#: Tolerance for POVM completeness (sum to identity).
-POVM_SUM_TOL = 1e-9
-#: Eigenvalues below this count as kernel when inverting the average probe.
-PGM_KERNEL_TOL = 1e-12
-#: Mass tolerance on joint distributions.
-JOINT_MASS_TOL = 1e-9
+from .qmath import TOL, ZERO_TOL, DensityOperator, _adjoint_gaps, hermitian_eigen
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +30,18 @@ class Povm:
     """Finite collection of labelled positive operators summing to identity.
 
     Construction also freezes the elements as one (outcomes, d, d) stack
-    in element order; ``elements`` holds views of it.
+    in element order; ``elements`` holds views of it and ``labels`` their
+    labels in the same order.
     """
 
     elements: tuple[tuple[str, np.ndarray], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
             raise BadParams("a measurement needs at least one element")
-        labels = [str(label) for label, _ in self.elements]
+        labels = tuple(str(label) for label, _ in self.elements)
         ops = [np.asarray(op, dtype=complex) for _, op in self.elements]
         for label, m in zip(labels, ops):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -60,34 +55,31 @@ class Povm:
         gaps = _adjoint_gaps(stack)
         lows = np.linalg.eigvalsh(stack)[:, 0]
         for label, gap, low in zip(labels, gaps.tolist(), lows.tolist()):
-            if not gap <= HERM_TOL:  # NaN fails too
+            if not gap <= TOL:  # NaN fails too
                 raise BadParams(f"element {label!r} is not Hermitian (gap {gap:.3e})")
-            if low < -PSD_TOL:
+            if low < -TOL:
                 raise BadParams(
-                    f"element {label!r} has eigenvalue {low:.3e} below -{PSD_TOL:.1e}"
+                    f"element {label!r} has eigenvalue {low:.3e} below -{TOL:.1e}"
                 )
         if len(set(labels)) != len(labels):
             raise BadParams("measurement labels must be unique")
         gap = float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim))))
-        if gap > POVM_SUM_TOL:
+        if gap > TOL:
             raise BadParams(f"elements sum away from identity by {gap:.3e}")
         stack.setflags(write=False)
         object.__setattr__(self, "elements", tuple(zip(labels, stack)))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
         return self.elements[0][1].shape[0]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(x for x, _ in self.elements)
-
     def element(self, label: str) -> np.ndarray:
-        for x, op in self.elements:
-            if x == label:
-                return op
-        raise BadParams(f"no measurement element labelled {label!r}")
+        try:
+            return self.elements[self.labels.index(label)][1]
+        except ValueError:
+            raise BadParams(f"no measurement element labelled {label!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +95,11 @@ class JointDistribution:
         if m.shape != (len(self.row_labels), len(self.col_labels)):
             raise BadParams(f"mass shape {m.shape} does not match the labels")
         low = float(m.min(initial=0.0))
-        if not low >= -1e-12:  # NaN fails too
+        if not low >= -ZERO_TOL:  # NaN fails too
             raise BadParams(f"negative or NaN joint mass {low:.3e}")
         m = np.where((m < 0.0), 0.0, m)
         total = math.fsum(m.ravel().tolist())
-        if not abs(total - 1.0) <= JOINT_MASS_TOL:
+        if not abs(total - 1.0) <= TOL:
             raise BadParams(f"total mass is {total!r}, off unit by {abs(total - 1.0):.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
@@ -162,7 +154,7 @@ def posterior(j: JointDistribution, outcome: str) -> ProbDist:
         raise BadParams(f"unknown outcome {outcome!r}") from None
     column = j.mass[:, col]
     total = math.fsum(column.tolist())
-    if total <= 1e-15:
+    if total <= ZERO_TOL:
         raise ZeroMassOutcome(f"outcome {outcome!r} has zero probability")
     return ProbDist(j.row_labels, column / total)
 
@@ -176,7 +168,7 @@ def pgm(e: CqEnsemble) -> Povm:
     """
     avg = e.average.matrix
     vals, vecs = hermitian_eigen(avg)
-    keep = vals > PGM_KERNEL_TOL
+    keep = vals > ZERO_TOL
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
 
@@ -184,7 +176,7 @@ def pgm(e: CqEnsemble) -> Povm:
     ops = 0.5 * (ops + ops.conj().swapaxes(1, 2))
     elements = list(zip(e.keys, ops))
     kernel = np.eye(e.probe_dim) - basis @ basis.conj().T
-    if float(np.trace(kernel).real) > 1e-9:
+    if float(np.trace(kernel).real) > TOL:
         elements.append(("null", 0.5 * (kernel + kernel.conj().T)))
     return Povm(tuple(elements))
 
@@ -197,13 +189,14 @@ def success_probability(e: CqEnsemble, m: Povm, guess: Mapping[str, str]) -> flo
     be scored too.
     """
     key_index = {k: i for i, k in enumerate(e.keys)}
+    outcome_index = {x: i for i, x in enumerate(m.labels)}
     for outcome, key in guess.items():
-        if outcome not in m.labels:
+        if outcome not in outcome_index:
             raise BadParams(f"guess references unknown outcome {outcome!r}")
         if key not in key_index:
             raise BadParams(f"guess references unknown key {key!r}")
     rows = [key_index[key] for key in guess.values()]
-    cols = [m.labels.index(x) for x in guess]
+    cols = [outcome_index[x] for x in guess]
     return math.fsum(_outcome_mass(e, m)[rows, cols].tolist())
 
 

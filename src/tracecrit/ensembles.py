@@ -18,12 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
-from .qmath import DensityOperator, _require_density_stack, tensor, trace_norms, validate_density
-
-#: Tolerance on total probability mass.
-MASS_TOL = 1e-9
-#: Masses in [-NEG_MASS_TOL, 0) are clamped to zero; anything lower is an error.
-NEG_MASS_TOL = 1e-12
+from .qmath import TOL, ZERO_TOL, DensityOperator, _require_density_stack, tensor, trace_norms, validate_density
 
 #: Key length cap for sparse spiked distributions.
 MAX_SPIKED_BITS = 30
@@ -103,7 +98,7 @@ class ProbDist:
             probs = np.array(given, dtype=np.float64)
             negative = probs < 0  # False for NaN, which fails the total
             if negative.any():
-                below = np.flatnonzero(probs < -NEG_MASS_TOL)
+                below = np.flatnonzero(probs < -ZERO_TOL)
                 if below.size:
                     raise BadParams(f"negative probability mass {given[below[0]]!r}")
                 probs[negative] = 0.0
@@ -112,7 +107,7 @@ class ProbDist:
             if min(nums, default=0) < 0:
                 for i, v in enumerate(nums):
                     if v < 0:
-                        if Fraction(v, den) < -NEG_MASS_TOL:
+                        if Fraction(v, den) < -ZERO_TOL:
                             raise BadParams(f"negative probability mass {Fraction(v, den)!r}")
                         nums[i] = 0
             common = math.gcd(den, *nums)
@@ -120,7 +115,7 @@ class ProbDist:
                 nums, den = [v // common for v in nums], den // common
             total = sum(nums) / den
             probs = np.array(nums, dtype=object)
-        if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
+        if not abs(total - 1.0) <= TOL:  # NaN fails too
             raise BadParams(f"masses sum to {total!r}, off unit by {abs(total - 1.0):.3e}")
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)

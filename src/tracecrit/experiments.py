@@ -37,9 +37,9 @@ from .criteria import (
     classical_dbar,
     criterion_d_averaged,
     criterion_d_entangled,
+    delta_E_variants,
     event_deviation_bound,
     variational_distance,
-    _variants_from_mass,
 )
 from .discrimination import (
     Povm,
@@ -55,7 +55,7 @@ from .ensembles import (
     two_bit_pkl_example,
 )
 from .errors import BadParams, ParseError, TooLarge, UnknownExperiment
-from .qmath import DensityOperator, hermitian_eigen, tensor, trace_norm, validate_density
+from .qmath import TOL, ZERO_TOL, DensityOperator, hermitian_eigen, tensor, trace_norm, validate_density
 from .sidechannel import (
     LinearCode,
     Gf2Matrix,
@@ -236,7 +236,7 @@ def parse_qubit(spec, name: str = "qubit spec") -> DensityOperator:
             return validate_density(np.diag([a, b]))
         if "bloch" in spec:
             x, y, z = (_float_param(v, name) for v in spec["bloch"])
-            if math.hypot(x, y, z) > 1.0 + 1e-12:
+            if math.hypot(x, y, z) > 1.0 + ZERO_TOL:
                 raise ParseError(f"Bloch vector length exceeds 1: {(x, y, z)}")
             return validate_density(
                 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
@@ -296,7 +296,7 @@ def cmd_cex_i(seed: int, *, N: _int_param = 4):
         verdicts.append(
             _verdict(
                 "maximal-coupling-attains-delta",
-                abs(float(mm) - float(delta)) <= 1e-12,
+                abs(float(mm) - float(delta)) <= ZERO_TOL,
                 f"maximal mismatch {float(mm)!r} vs delta {float(delta)!r}",
             )
         )
@@ -330,16 +330,16 @@ def cmd_cex_ii(
         "single_bit_success": single,
         "single_bit_margin": single - cap,
     }
-    degenerate = gap <= 1e-12
+    degenerate = gap <= ZERO_TOL
     verdicts = [
         _verdict(
             "family-distance-identity",
-            abs(d - 0.25 * gap) <= 1e-9,
+            abs(d - 0.25 * gap) <= TOL,
             f"d {d!r} vs quarter norm {0.25 * gap!r}",
         ),
         _verdict(
             "post-leak-success-equals-half-plus-d",
-            abs(success - (0.5 + d)) <= 1e-9,
+            abs(success - (0.5 + d)) <= TOL,
             f"success {success!r} vs 1/2 + d = {0.5 + d!r}",
         ),
     ]
@@ -388,14 +388,13 @@ def cmd_cex_iii(
     uniform by more than d under the joint or posterior readings."""
     sigma, rho1, rho2 = _resolve_two_bit(preset, overlap, sigma, rho1, rho2)
     purity = float(np.trace(sigma.matrix @ sigma.matrix).real)
-    if purity < 1.0 - 1e-9:
+    if purity < 1.0 - TOL:
         raise ParseError(f"sigma must be pure for this construction, purity {purity!r}")
     family = two_bit_pkl_example(sigma, rho1, rho2)
     povm = _family_measurement(sigma, rho1, rho2)
     d = criterion_d_averaged(family)
-    joint = measure_ensemble(family, povm)
-    variants = _variants_from_mass(joint.mass)
-    dbar = classical_dbar(joint)
+    variants = delta_E_variants(family, povm)
+    dbar = classical_dbar(measure_ensemble(family, povm))
 
     results = {
         "d": d,
@@ -406,28 +405,28 @@ def cmd_cex_iii(
         "dbar": dbar,
     }
     verdicts = []
-    if d <= 1e-12:
+    if d <= ZERO_TOL:
         verdicts.append(_skip("delta-e-exceeds-d", "identical probes, d = 0"))
     else:
         worst = max(variants.joint_vs_product_uniform, variants.max_posterior_dev)
         verdicts.append(
             _verdict(
                 "delta-e-exceeds-d",
-                worst > d + 1e-12,
+                worst > d + ZERO_TOL,
                 f"worst reading {worst!r} vs d {d!r}",
             )
         )
     verdicts.append(
         _verdict(
             "averaged-reading-respects-d",
-            variants.avg_posterior_dev <= d + 1e-9,
+            variants.avg_posterior_dev <= d + TOL,
             f"averaged reading {variants.avg_posterior_dev!r} vs d {d!r}",
         )
     )
     verdicts.append(
         _verdict(
             "averaged-reading-equals-dbar",
-            abs(variants.avg_posterior_dev - dbar) <= 1e-12,
+            abs(variants.avg_posterior_dev - dbar) <= ZERO_TOL,
             f"averaged reading {variants.avg_posterior_dev!r} vs dbar {dbar!r}",
         )
     )
@@ -641,7 +640,7 @@ def cmd_table(
     verdicts = [
         _verdict(
             "bound-dominates-uniform",
-            all(r.bound_log2 >= r.uniform_log2 - 1e-12 for r in rows),
+            all(r.bound_log2 >= r.uniform_log2 - ZERO_TOL for r in rows),
             "certified bound never drops below the uniform probability",
         )
     ]

@@ -15,16 +15,11 @@ import numpy as np
 
 from .errors import BadParams, BadTrace, DimMismatch, NotHermitian, NotPsd
 
-#: Tolerance for Hermitian-symmetry checks.
-HERM_TOL = 1e-9
-#: Tolerance for unit-trace checks.
-TRACE_TOL = 1e-9
-#: Tolerance for unit-norm checks on state vectors.
-NORM_TOL = 1e-9
-#: Eigenvalues in [-PSD_TOL, 0) are treated as exact zeros.
-PSD_TOL = 1e-9
-#: Magnitude below which a vector component does not fix the eigenvector phase.
-_PHASE_TOL = 1e-12
+#: How far a validated unit-scale float may miss its exact constraint: an adjoint gap, a trace,
+#: a norm, an eigenvalue floor, a mass total, a POVM sum or the agreement of two routes.
+TOL = 1e-9
+#: Magnitude at or below which a mass, an eigenvalue or a vector component counts as zero.
+ZERO_TOL = 1e-12
 
 
 def _as_complex(a) -> np.ndarray:
@@ -50,9 +45,9 @@ def _require_hermitian_stack(stack) -> np.ndarray:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
         raise NotHermitian(f"expected a stack of square matrices, got shape {stack.shape}")
     for gap in _adjoint_gaps(stack).tolist():
-        if not gap <= HERM_TOL:  # NaN fails too
+        if not gap <= TOL:  # NaN fails too
             raise NotHermitian(
-                f"matrix deviates from its adjoint by {gap:.3e} (tolerance {HERM_TOL:.1e})"
+                f"matrix deviates from its adjoint by {gap:.3e} (tolerance {TOL:.1e})"
             )
     return stack
 
@@ -74,9 +69,9 @@ def _require_density_stack(stack) -> np.ndarray:
     stack = _require_hermitian_stack(stack)
     lows = np.linalg.eigvalsh(stack)[:, 0].tolist()  # eigvalsh sorts ascending
     for low, tr in zip(lows, stack.trace(axis1=1, axis2=2).real.tolist()):
-        if low < -PSD_TOL:
-            raise NotPsd(f"smallest eigenvalue {low:.3e} is below -{PSD_TOL:.1e}")
-        if abs(tr - 1.0) > TRACE_TOL:
+        if low < -TOL:
+            raise NotPsd(f"smallest eigenvalue {low:.3e} is below -{TOL:.1e}")
+        if abs(tr - 1.0) > TOL:
             raise BadTrace(f"trace is {tr!r}, off unit by {abs(tr - 1.0):.3e}")
     return stack
 
@@ -109,8 +104,8 @@ class PureState:
     def __post_init__(self):
         v = _as_complex(self.amplitudes).reshape(-1)
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise BadParams(f"state vector norm is {nrm!r}, not 1 within {NORM_TOL:.1e}")
+        if abs(nrm - 1.0) > TOL:
+            raise BadParams(f"state vector norm is {nrm!r}, not 1 within {TOL:.1e}")
         object.__setattr__(self, "amplitudes", _frozen(v))
 
     @property
@@ -139,8 +134,8 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
     m = _require_square_hermitian(h)
     vals, vecs = np.linalg.eigh(m)
     vecs = vecs[:, ::-1]
-    # each column's first component above _PHASE_TOL; a unit column always has one
-    pivots = vecs[np.argmax(np.abs(vecs) > _PHASE_TOL, axis=0), np.arange(vecs.shape[1])]
+    # each column's first component above ZERO_TOL; a unit column always has one
+    pivots = vecs[np.argmax(np.abs(vecs) > ZERO_TOL, axis=0), np.arange(vecs.shape[1])]
     return vals[::-1].copy(), vecs * (pivots.conj() / np.abs(pivots))
 
 

@@ -21,10 +21,9 @@ from tracecrit import (
     validate_density,
     variational_distance,
 )
-from tracecrit.discrimination import PGM_KERNEL_TOL
-from tracecrit.ensembles import MASS_TOL, NEG_MASS_TOL, bit_strings
+from tracecrit.ensembles import bit_strings
 from tracecrit.errors import BadParams
-from tracecrit.qmath import _require_square_hermitian
+from tracecrit.qmath import TOL, ZERO_TOL, _require_square_hermitian
 from tracecrit.sidechannel import _parity_check_rows
 
 
@@ -168,7 +167,7 @@ def masses(p: ProbDist) -> tuple:
 
 def probdist_loop(labels, probs) -> tuple:
     """(labels, cleaned masses) of a distribution, checked one mass at a time:
-    a mass in [-NEG_MASS_TOL, 0) is clamped to a zero of its own type."""
+    a mass in [-ZERO_TOL, 0) is clamped to a zero of its own type."""
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
         raise BadParams("distribution labels must be unique")
@@ -178,12 +177,12 @@ def probdist_loop(labels, probs) -> tuple:
     cleaned = []
     for v in probs:
         if v < 0:
-            if v < -NEG_MASS_TOL:
+            if v < -ZERO_TOL:
                 raise BadParams(f"negative probability mass {v!r}")
             v = abs(0 * v)
         cleaned.append(v)
     total = math.fsum(float(v) for v in cleaned)
-    if not abs(total - 1.0) <= MASS_TOL:
+    if not abs(total - 1.0) <= TOL:
         raise BadParams(f"masses sum to {total!r}")
     return labels, tuple(cleaned)
 
@@ -359,7 +358,7 @@ def condition_on_leak_loop(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
 def pgm_elements_loop(e: CqEnsemble) -> list:
     """Pretty-good measurement elements of the keys, one sandwich per key."""
     vals, vecs = hermitian_eigen(average_probe_loop(e))
-    keep = vals > PGM_KERNEL_TOL
+    keep = vals > ZERO_TOL
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
     elements = []

@@ -19,6 +19,7 @@ from tracecrit import (
 from tracecrit.cli import render_csv, render_markdown
 from tracecrit.errors import BadParams, BadRange
 from tracecrit.experiments import run_experiment
+from tracecrit.qmath import TOL
 
 from helpers import random_density
 
@@ -102,6 +103,14 @@ class TestMixtureCap:
         with pytest.raises(BadRange):
             hypothesis_ii_cap(0.6)
 
+    def test_rounding_past_the_range_is_clamped(self):
+        # a d computed from states validated within TOL misses [0, 1/2] by rounding only
+        assert hypothesis_ii_cap(0.5 + TOL / 2) == 0.75
+        assert hypothesis_ii_cap(-TOL / 2) == 0.5
+        for d in (0.5 + 2 * TOL, -2 * TOL, math.nan):
+            with pytest.raises(BadRange):
+                hypothesis_ii_cap(d)
+
     def test_orthogonal_violation_margin(self):
         # actual optimal success at d = 1/2 is 1.0, a 0.25 margin over the cap
         e = single_bit_pure_example(0.0)
@@ -124,6 +133,13 @@ class TestMixtureExact:
             assert hypothesis_ii_exact(s0, s1, d) == pytest.approx(
                 hypothesis_ii_cap(d), abs=1e-12
             )
+
+    def test_rounding_past_the_range_is_clamped(self):
+        s0 = validate_density(np.diag([1.0, 0.0]))
+        s1 = validate_density(np.diag([0.0, 1.0]))
+        assert hypothesis_ii_exact(s0, s1, 0.5 + TOL / 2) == 0.75
+        with pytest.raises(BadRange):
+            hypothesis_ii_exact(s0, s1, 0.5 + 2 * TOL)
 
     def test_identical_components(self):
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ from tracecrit import (
     mismatch_probability,
     variational_distance,
 )
-from tracecrit.ensembles import MASS_TOL
+from tracecrit.qmath import TOL
 from tracecrit.errors import BadParams
 
 from helpers import (
@@ -151,11 +151,11 @@ class TestFactoredMaximalCoupling:
             Coupling(p.labels, p.labels, c.p, c.q, 4, c.diagonal, res_p=c.res_p)
 
     def test_residual_totals_within_the_mass_tolerance(self):
-        # P sums to 1 + 5e-10, inside MASS_TOL, so the residual totals differ by that much
+        # P sums to 1 + 5e-10, inside TOL, so the residual totals differ by that much
         p = ProbDist(("a", "b"), (0.5 + 5e-10, 0.5))
         q = ProbDist(("a", "b"), (0.25, 0.75))
         got = mismatch_probability(maximal_coupling(p, q))
-        assert abs(got - variational_distance(p, q)) <= 2 * MASS_TOL
+        assert abs(got - variational_distance(p, q)) <= 2 * TOL
 
 
 class TestIndependentCoupling:

@@ -8,6 +8,7 @@ from tracecrit import (
     CqEnsemble,
     JointDistribution,
     LeakSpec,
+    Povm,
     ProbDist,
     classical_dbar,
     condition_on_leak,
@@ -28,7 +29,7 @@ from tracecrit import (
     variational_distance,
 )
 from tracecrit import criteria
-from tracecrit.criteria import _outcome_mass, _variants_from_mass
+from tracecrit.criteria import _outcome_mass
 from tracecrit.ensembles import _BIT_STRINGS, bit_strings
 from tracecrit.errors import BadParams, NonUniformPrior, TooLarge
 
@@ -324,13 +325,15 @@ class TestDeltaEVariants:
         joint = measure_ensemble(e, povm)
         assert out.avg_posterior_dev == pytest.approx(classical_dbar(joint), abs=1e-12)
 
-    def test_readings_of_measured_mass_match(self):
-        # the experiments read the four values off the measured joint mass
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            e = random_ensemble(rng, 2, 3, uniform_prior=False)
-            povm = random_povm(rng, 3, 4)
-            assert _variants_from_mass(measure_ensemble(e, povm).mass) == delta_E_variants(e, povm)
+    def test_rounding_below_zero_reads_as_zero_mass(self):
+        # the first probe has eigenvalue -5e-10, inside the entry tolerance, on |1>
+        prior = ProbDist.uniform(("0", "1"))
+        e = CqEnsemble(1, prior, {"0": np.diag([1 + 5e-10, -5e-10]), "1": np.diag([0.0, 1.0])})
+        povm = Povm((("0", np.diag([1.0, 0.0])), ("1", np.diag([0.0, 1.0]))))
+        joint = measure_ensemble(e, povm)
+        assert joint.mass[0, 1] == 0.0
+        assert bits(_outcome_mass(e, povm)) == bits(joint.mass)
+        assert bits(dataclasses.astuple(delta_E_variants(e, povm))) == bits(variants_from_mass_loop(joint.mass))
 
     def test_data_processing_for_averaged_reading(self):
         rng = np.random.default_rng(11)
@@ -440,7 +443,7 @@ class TestStackedKernels:
         mass = _outcome_mass(e, povm)
         assert bits(mass) == bits(outcome_mass_loop(e, povm))
         assert bits(measure_ensemble(e, povm).mass) == bits(mass)
-        readings = dataclasses.astuple(_variants_from_mass(mass))
+        readings = dataclasses.astuple(delta_E_variants(e, povm))
         assert bits(readings) == bits(variants_from_mass_loop(mass))
         if prior == "uniform":
             joint = measure_ensemble(e, povm)

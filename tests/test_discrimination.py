@@ -28,7 +28,7 @@ from tracecrit.errors import (
     ZeroMassOutcome,
 )
 
-from tracecrit.qmath import HERM_TOL
+from tracecrit.qmath import TOL
 
 from helpers import bits, pgm_elements_loop, random_density, random_ensemble, random_povm
 
@@ -60,9 +60,9 @@ class TestPovm:
             Povm((("a", np.eye(2) / 2), ("b", skew)))
 
     def test_hermitian_tolerance_is_qmath_tol(self):
-        off = HERM_TOL / 2
+        off = TOL / 2
         Povm((("a", np.array([[0.5, off], [0.0, 0.5]])), ("b", np.array([[0.5, -off], [0.0, 0.5]]))))
-        off = HERM_TOL * 2
+        off = TOL * 2
         with pytest.raises(BadParams, match="'a' is not Hermitian"):
             Povm((("a", np.array([[0.5, off], [0.0, 0.5]])), ("b", np.array([[0.5, -off], [0.0, 0.5]]))))
 
@@ -198,6 +198,13 @@ class TestPosterior:
 
     def test_zero_mass_outcome(self):
         mass = np.array([[0.5, 0.0], [0.5, 0.0]])
+        joint = JointDistribution(("0", "1"), ("x", "y"), mass)
+        with pytest.raises(ZeroMassOutcome):
+            posterior(joint, "y")
+
+    def test_outcome_with_mass_at_zero_tol_is_refused(self):
+        # 5e-13 is at or below ZERO_TOL, the support rule of delta_E_variants
+        mass = np.array([[0.5, 2.5e-13], [0.5, 2.5e-13]])
         joint = JointDistribution(("0", "1"), ("x", "y"), mass)
         with pytest.raises(ZeroMassOutcome):
             posterior(joint, "y")

@@ -345,6 +345,22 @@ class TestCli:
         assert main(["--experiment", "nope"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["cex_ii", "cex_iii"])
+    @pytest.mark.parametrize(
+        "probes",
+        [
+            {"rho1": {"diag": [1.0000000005, -0.0000000005]}, "rho2": {"diag": [0, 1]}},
+            {"rho1": {"diag": [1, 0]}, "rho2": {"diag": [-0.0000000005, 1.0000000005]}},
+            {"rho1": {"diag": [1.0000000005, -0.0000000005]}, "rho2": {"diag": [-0.0000000005, 1.0000000005]}},
+        ],
+    )
+    def test_specs_accepted_within_tolerance_run(self, experiment, probes):
+        # d = 1/2 plus the slack the probe was accepted with; the run clamps, not refuses
+        params = {"sigma": {"diag": [1, 0]}, **probes}
+        code, out, err = run_cli(["--experiment", experiment, "--params", json.dumps(params)])
+        assert (code, err) == (0, "")
+        assert {v["status"] for v in json.loads(out)["verdicts"]} == {"PASS"}
+
     def test_bad_params_exit_two(self, capsys):
         assert main(["--experiment", "cex_i", "--params", "/nonexistent.json"]) == 2
 

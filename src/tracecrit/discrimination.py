@@ -84,7 +84,11 @@ class Povm:
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """Joint mass over (key, outcome) pairs; rows are keys."""
+    """Joint mass over (key, outcome) pairs; rows are keys.
+
+    A mass passed in is checked; ``measure_ensemble`` wraps the mass it
+    measured on a validated ensemble and measurement without a second check.
+    """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
@@ -105,6 +109,15 @@ class JointDistribution:
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
+
+    @classmethod
+    def _trusted(cls, row_labels: tuple, col_labels: tuple, mass: np.ndarray) -> "JointDistribution":
+        """Wrap a float mass measured on validated inputs, unchecked and
+        uncopied; the mass is frozen in place."""
+        mass.setflags(write=False)
+        self = cls.__new__(cls)
+        vars(self).update(row_labels=row_labels, col_labels=col_labels, mass=mass)
+        return self
 
 
 class HelstromResult(NamedTuple):
@@ -142,8 +155,9 @@ def helstrom_binary(
 
 
 def measure_ensemble(e: CqEnsemble, m: Povm) -> JointDistribution:
-    """Joint distribution of the key and the measurement outcome."""
-    return JointDistribution(e.keys, m.labels, _outcome_mass(e, m))
+    """Joint distribution of the key and the measurement outcome, from the
+    clamped mass of `criteria._outcome_mass`."""
+    return JointDistribution._trusted(e.keys, m.labels, _outcome_mass(e, m))
 
 
 def posterior(j: JointDistribution, outcome: str) -> ProbDist:

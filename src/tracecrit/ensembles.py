@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
-from .qmath import TOL, ZERO_TOL, DensityOperator, _require_density_stack, tensor, trace_norms, validate_density
+from .qmath import TOL, ZERO_TOL, DensityOperator, _require_density_stack, tensor, trace_norms
 
 #: Key length cap for sparse spiked distributions.
 MAX_SPIKED_BITS = 30
@@ -288,8 +288,9 @@ class CqEnsemble:
 
     Keys are the 2^n bit strings in lexicographic order (bit 0 leftmost);
     probes (DensityOperators or square matrices) share one dimension.  They
-    are checked and kept as one frozen (2^n, d, d) stack in key order, the
-    prior also as float64 weights.
+    are kept as one frozen (2^n, d, d) stack in key order, the prior also as
+    float64 weights.  The stack is checked as one unless every probe is a
+    DensityOperator, which was checked when it was built.
     """
 
     n_bits: int
@@ -310,7 +311,9 @@ class CqEnsemble:
         shapes = {np.shape(m) for m in matrices}
         if len(shapes) != 1:
             raise DimMismatch(f"probe shapes differ: {sorted(shapes)}")
-        stack = _require_density_stack(np.stack(matrices))
+        stack = np.stack(matrices)
+        if not all(isinstance(probes[k], DensityOperator) for k in expected):
+            stack = _require_density_stack(stack)
         weights = self.prior.as_array()
         stack.setflags(write=False)
         weights.setflags(write=False)
@@ -326,10 +329,10 @@ class CqEnsemble:
         return self.probe_stack.shape[1]
 
     def probe(self, key: str) -> DensityOperator:
-        """The probe of one key, re-validated from its row of the stack."""
+        """The probe of one key, a read-only view of its row of the stack."""
         if key not in self.prior._index:
             raise BadParams(f"unknown key {key!r}")
-        return DensityOperator(self.probe_stack[self.prior._index[key]])
+        return DensityOperator._trusted(self.probe_stack[self.prior._index[key]])
 
     @cached_property
     def average(self) -> DensityOperator:
@@ -337,7 +340,7 @@ class CqEnsemble:
         acc = np.zeros((self.probe_dim, self.probe_dim), dtype=complex)
         for w, rho in zip(self.weights.tolist(), self.probe_stack):
             acc += w * rho
-        return validate_density(acc)
+        return DensityOperator._trusted(acc)
 
     @cached_property
     def key_norms(self) -> np.ndarray:
@@ -352,7 +355,7 @@ def single_bit_pure_example(c: float) -> CqEnsemble:
     if not 0.0 <= c <= 1.0:
         raise BadOverlap(f"overlap must lie in [0, 1], got {c!r}")
     kets = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1.0 - c * c))]], dtype=complex)
-    probes = {k: np.outer(v, v.conj()) for k, v in zip("01", kets)}
+    probes = {k: DensityOperator._trusted(np.outer(v, v.conj())) for k, v in zip("01", kets)}
     return CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
 
 
@@ -365,8 +368,8 @@ def two_bit_pkl_example(
     for name, op in (("sigma", sigma), ("rho1", rho1), ("rho2", rho2)):
         if op.dim != 2:
             raise DimMismatch(f"{name} must be qubit-dimensioned, got dim {op.dim}")
-    first = tensor(sigma.matrix, rho1.matrix)
-    second = tensor(sigma.matrix, rho2.matrix)
+    first = DensityOperator._trusted(tensor(sigma.matrix, rho1.matrix))
+    second = DensityOperator._trusted(tensor(sigma.matrix, rho2.matrix))
     probes = {"00": first, "01": second, "10": second, "11": first}
     return CqEnsemble(2, ProbDist.uniform(bit_strings(2)), probes)
 
@@ -400,4 +403,5 @@ def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
         prior = ProbDist._from_numerators(residual_keys, matched, total)
     else:
         prior = ProbDist(residual_keys, matched / total)
-    return CqEnsemble(n_kept, prior, dict(zip(residual_keys, e.probe_stack[rows])))
+    probes = (DensityOperator._trusted(e.probe_stack[i]) for i in rows.tolist())
+    return CqEnsemble(n_kept, prior, dict(zip(residual_keys, probes)))

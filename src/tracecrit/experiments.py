@@ -258,7 +258,8 @@ def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple[DensityOperato
         return _two_bit_preset(preset)
     if overlap is not None:
         pair = single_bit_pure_example(overlap)
-        return validate_density(np.diag([1.0, 0.0])), pair.probe("0"), pair.probe("1")
+        ket0 = pair.probe("0")  # |0><0|, which is also sigma
+        return ket0, ket0, pair.probe("1")
     if any(spec is None for spec in (sigma, rho1, rho2)):
         raise ParseError("two-bit family needs 'preset', 'overlap', or explicit sigma/rho1/rho2")
     return sigma, rho1, rho2

@@ -81,7 +81,9 @@ class DensityOperator:
     """Hermitian, positive semidefinite operator with unit trace.
 
     Construction validates all three invariants and freezes the matrix,
-    so instances can be shared freely between threads.
+    so instances can be shared freely between threads.  An operator
+    derived from validated ones (a row of a checked stack, a product, an
+    average) is wrapped by ``_trusted`` instead, without a second check.
     """
 
     matrix: np.ndarray
@@ -89,6 +91,15 @@ class DensityOperator:
     def __post_init__(self):
         m = _require_density_stack(_as_square(self.matrix)[None])[0]
         object.__setattr__(self, "matrix", _frozen(m))
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a complex matrix computed from validated operators, unchecked
+        and uncopied; the matrix is frozen in place."""
+        matrix.setflags(write=False)
+        self = cls.__new__(cls)
+        vars(self).update(matrix=matrix)
+        return self
 
     @property
     def dim(self) -> int:
@@ -118,8 +129,14 @@ class PureState:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply."""
-    return np.kron(_as_complex(a), _as_complex(b))
+    """Kronecker product of two matrices; dimensions multiply.  One broadcast
+    multiply: the same bits as numpy's Kronecker routine, at a fraction of
+    its per-call cost."""
+    a, b = _as_complex(a), _as_complex(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimMismatch(f"tensor takes two matrices, got shapes {a.shape} and {b.shape}")
+    (r, c), (s, t) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r * s, c * t)
 
 
 def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:

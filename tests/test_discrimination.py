@@ -28,6 +28,7 @@ from tracecrit.errors import (
     ZeroMassOutcome,
 )
 
+from tracecrit.criteria import _outcome_mass
 from tracecrit.qmath import TOL
 
 from helpers import bits, pgm_elements_loop, random_density, random_ensemble, random_povm
@@ -169,6 +170,25 @@ class TestMeasureEnsemble:
         rng = np.random.default_rng(6)
         with pytest.raises(DimMismatch):
             measure_ensemble(random_ensemble(rng, 1, 3), projective_qubit_povm())
+
+    def test_joint_holds_the_measured_mass_read_only(self):
+        rng = np.random.default_rng(8)
+        e = random_ensemble(rng, 2, 3, uniform_prior=False)
+        povm = random_povm(rng, 3, 4)
+        joint = measure_ensemble(e, povm)
+        assert bits(joint.mass) == bits(_outcome_mass(e, povm))
+        assert (joint.row_labels, joint.col_labels) == (e.keys, povm.labels)
+        with pytest.raises(ValueError):
+            joint.mass[0, 0] = 0.0
+
+    def test_total_off_unit_by_accepted_slack_is_not_refused(self):
+        # each probe is sigma (x) rho with both factors accepted at trace 1 + 9e-10
+        sigma = validate_density(np.diag([1.0000000009, 0.0]))
+        e = two_bit_pkl_example(sigma, sigma, validate_density(np.diag([0.0, 1.0])))
+        joint = measure_ensemble(e, Povm((("all", np.eye(4)),)))
+        assert abs(joint.mass.sum() - 1.0) > TOL
+        with pytest.raises(BadParams, match="total mass"):
+            JointDistribution(joint.row_labels, joint.col_labels, joint.mass)
 
 
 class TestPosterior:

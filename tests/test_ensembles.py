@@ -334,9 +334,17 @@ class TestLeakSpec:
             LeakSpec(positions, values)
 
 
+#: A probe matrix failing each density check, its error and the start of its message.
+INVALID_PROBES = [
+    (np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian, "deviates from its adjoint by 3.000e-01"),
+    (np.diag([1.5, -0.5]), NotPsd, "smallest eigenvalue -5.000e-01"),
+    (np.diag([0.6, 0.6]), BadTrace, "trace is 1.2, off unit by 2.000e-01"),
+]
+
+
 class TestStackedValidation:
-    """CqEnsemble checks its probes itself, as one stack, whether they come
-    as DensityOperators or as plain matrices."""
+    """CqEnsemble checks plain-matrix probes itself, as one stack, and takes
+    DensityOperators, checked when they were built, as they are."""
 
     def test_matrices_and_operators_give_the_same_bits(self):
         rng = np.random.default_rng(21)
@@ -348,14 +356,7 @@ class TestStackedValidation:
         assert bits(a.probe_stack) == bits(b.probe_stack)
         assert bits(a.weights) == bits(b.weights)
 
-    @pytest.mark.parametrize(
-        "bad,error,message",
-        [
-            (np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian, "deviates from its adjoint by 3.000e-01"),
-            (np.diag([1.5, -0.5]), NotPsd, "smallest eigenvalue -5.000e-01"),
-            (np.diag([0.6, 0.6]), BadTrace, "trace is 1.2, off unit by 2.000e-01"),
-        ],
-    )
+    @pytest.mark.parametrize("bad,error,message", INVALID_PROBES)
     def test_invalid_matrix_names_its_deviation(self, bad, error, message):
         with pytest.raises(error, match=message):
             CqEnsemble(1, ProbDist.uniform(bit_strings(1)), {"0": np.eye(2) / 2, "1": bad})
@@ -373,6 +374,90 @@ class TestStackedValidation:
     def test_probe_reads_its_row(self):
         e = random_ensemble(np.random.default_rng(22), 2, 2)
         assert bits(e.probe("10").matrix) == bits(e.probe_stack[2])
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """A function that runs a callable and returns how many np.linalg.eigvalsh
+    and np.linalg.eigh calls it made."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    return count
+
+
+class TestValidateOnce:
+    """A density operator is eigen-checked once, where its matrix enters;
+    operators derived from checked ones are wrapped, read-only, unchecked."""
+
+    def _operators(self, n=2, dim=3):
+        rng = np.random.default_rng(31)
+        keys = bit_strings(n)
+        prior = ProbDist(keys, tuple(rng.dirichlet(np.ones(2**n)).tolist()))
+        return prior, {k: random_density(rng, dim) for k in keys}
+
+    def test_ensemble_of_operators_makes_no_eigensolve(self, eigensolves):
+        prior, ops = self._operators()
+        e = CqEnsemble(2, prior, ops)
+        assert eigensolves(lambda: CqEnsemble(2, prior, ops)) == 0
+        assert eigensolves(lambda: e.probe("01")) == 0
+        assert eigensolves(lambda: e.average) == 0
+        assert eigensolves(lambda: condition_on_leak(e, LeakSpec((0,), (1,))).probe("1")) == 0
+
+    def test_example_families_make_no_eigensolve(self, eigensolves):
+        sigma, rho1, rho2 = (random_density(np.random.default_rng(s), 2) for s in (1, 2, 3))
+        assert eigensolves(lambda: two_bit_pkl_example(sigma, rho1, rho2).average) == 0
+        assert eigensolves(lambda: single_bit_pure_example(0.3).probe("1")) == 0
+
+    def test_matrices_are_checked_as_one_stack(self, eigensolves):
+        prior, ops = self._operators()
+        matrices = {k: op.matrix for k, op in ops.items()}
+        assert eigensolves(lambda: CqEnsemble(2, prior, matrices)) == 1
+
+    @pytest.mark.parametrize("bad,error,message", INVALID_PROBES)
+    def test_one_raw_matrix_among_operators_is_checked(self, bad, error, message):
+        probes = {"0": validate_density(np.eye(2) / 2), "1": bad}
+        with pytest.raises(error, match=message):
+            CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
+
+    def test_derived_matrices_are_read_only(self):
+        prior, ops = self._operators()
+        e = CqEnsemble(2, prior, ops)
+        residual = condition_on_leak(e, LeakSpec((1,), (0,)))
+        sigma, rho1, rho2 = (random_density(np.random.default_rng(s), 2) for s in (4, 5, 6))
+        family = two_bit_pkl_example(sigma, rho1, rho2)
+        pure = single_bit_pure_example(0.6)
+        derived = [
+            e.probe("10"), e.average, residual.probe("0"), residual.average,
+            family.probe("00"), family.probe("01"), family.average,
+            pure.probe("0"), pure.probe("1"), pure.average,
+        ]
+        for op in derived:
+            assert isinstance(op, DensityOperator)
+            with pytest.raises(ValueError):
+                op.matrix[0, 0] = 0
+        for stack in (e.probe_stack, residual.probe_stack, family.probe_stack, pure.probe_stack):
+            assert not stack.flags.writeable
+
+    def test_derived_operators_keep_their_values(self):
+        prior, ops = self._operators()
+        e = CqEnsemble(2, prior, ops)
+        assert bits(e.probe("11").matrix) == bits(ops["11"].matrix)
+        residual = condition_on_leak(e, LeakSpec((0,), (1,)))
+        assert bits(residual.probe_stack) == bits(e.probe_stack[2:])
+        assert bits(e.average.matrix) == bits(average_probe_loop(e))
 
 
 class TestSerialization:

@@ -361,6 +361,18 @@ class TestCli:
         assert (code, err) == (0, "")
         assert {v["status"] for v in json.loads(out)["verdicts"]} == {"PASS"}
 
+    @pytest.mark.parametrize("experiment", ["cex_ii", "cex_iii"])
+    def test_product_off_unit_by_accepted_slack_runs(self, experiment):
+        # sigma (x) rho1 has trace 1 + 1.8e-9; each factor was accepted, so the product is too
+        params = {
+            "sigma": {"diag": [1.0000000009, 0]},
+            "rho1": {"diag": [1.0000000009, 0]},
+            "rho2": {"diag": [0, 1]},
+        }
+        code, out, err = run_cli(["--experiment", experiment, "--params", json.dumps(params)])
+        assert (code, err) == (0, "")
+        assert {v["status"] for v in json.loads(out)["verdicts"]} == {"PASS"}
+
     def test_bad_params_exit_two(self, capsys):
         assert main(["--experiment", "cex_i", "--params", "/nonexistent.json"]) == 2
 

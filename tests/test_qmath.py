@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tracecrit
 from tracecrit import (
     DensityOperator,
     PureState,
@@ -38,6 +40,23 @@ class TestTensor:
         out = tensor(projector(KET0), rho)
         np.testing.assert_allclose(out[:2, :2], rho)
         assert np.all(out[2:, :] == 0) and np.all(out[:, 2:] == 0)
+
+    def test_equals_kron_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        shapes = [(r, c) for r in range(1, 5) for c in range(1, 5)]
+        for sa in shapes:
+            for sb in shapes:
+                a = rng.normal(size=sa) + 1j * rng.normal(size=sa)
+                b = rng.normal(size=sb) + 1j * rng.normal(size=sb)
+                np.testing.assert_array_equal(tensor(a, b), np.kron(a, b))
+
+    def test_no_kron_in_the_package(self):
+        package = Path(tracecrit.__file__).parent
+        assert not [p.name for p in package.glob("*.py") if "np.kron" in p.read_text()]
+
+    def test_rejects_non_matrices(self):
+        with pytest.raises(DimMismatch, match="two matrices"):
+            tensor(KET0, KET1)
 
     def test_bilinear(self):
         rng = np.random.default_rng(1)

@@ -34,6 +34,10 @@ ENTANGLED_DIM_CAP = 256
 EVENT_CAP = 2**24
 #: Events per block of the Walsh-Hadamard event screen.
 _SCREEN_CHUNK = 2**16
+#: Sylvester-Hadamard blocks H_{2^r} for r = 0..4: entry (u, x) is (-1)^popcount(u & x).
+_HADAMARD_BLOCKS = tuple(
+    (-1.0) ** np.bitwise_count(np.arange(1 << r)[:, None] & np.arange(1 << r)) for r in range(5)
+)
 #: Matrix entries per block of a batched pair-difference or product stack.
 _STACK_BATCH_CELLS = 2**16
 
@@ -198,11 +202,17 @@ def event_deviation_bound(p, m: int):
     combos = list(itertools.combinations(range(n), m))
     screened = _screened_event_devs(probs, n, m, combos)
     # The screen and the bincount pass each round the exact event masses
-    # by at most their summation error: n + m pairwise levels for the
-    # screen, 2^(n-m) sequential terms for bincount.  Every position set
-    # that can hold the bincount maximum lies within twice that of the
-    # screened maximum.
-    slack = 4.0 * (2 ** (n - m) + n + m) * np.finfo(float).eps * float(probs.sum())
+    # by at most their summation error.  A bincount bin adds 2^(n-m) terms
+    # in sequence.  A pass of the blocked transform rounds each entry it
+    # writes by at most its 2^r - 1 additions, in any summation order (a
+    # fused multiply-add by +-1 rounds once, like the addition), relative
+    # to the sum of the absolute inputs.  Every entry of |H| is 1, so over
+    # both transforms a screened marginal is off by at most
+    # _walsh_additions(n) + _walsh_additions(m) roundings of sum(p).  Every
+    # position set that can hold the bincount maximum lies within twice
+    # both errors of the screened maximum.
+    additions = 2 ** (n - m) + _walsh_additions(n) + _walsh_additions(m)
+    slack = 4.0 * additions * np.finfo(float).eps * float(probs.sum())
     best_dev = -1.0
     best_event = None
     for c in np.flatnonzero(screened >= screened.max() - slack):
@@ -220,18 +230,33 @@ def event_deviation_bound(p, m: int):
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis, in place:
-    a[..., u] becomes sum_x a[..., x] (-1)^popcount(u & x)."""
-    size = a.shape[-1]
-    h = 1
-    while h < size:
-        pairs = a.reshape(*a.shape[:-1], size // (2 * h), 2, h)
-        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        h *= 2
-    return a
+    """Unnormalized Walsh-Hadamard transform along the last axis, leaving
+    ``a`` unchanged: entry u of the result is sum_x a[..., x] (-1)^popcount(u & x).
+
+    H_{2^n} is the Kronecker product of Sylvester blocks H_{2^r}, so the
+    transform is one matrix product per block of at most four index bits,
+    lowest bits first, with a smaller last block when 4 does not divide n
+    (Fino and Algazi, IEEE Trans. Computers C-25 (1976) 1142).  Each pass
+    writes every entry as a sum of 2^r terms, each an input times +-1;
+    `_walsh_additions` counts the additions.
+    """
+    *batch, size = a.shape
+    low = 0
+    while 1 << low < size:
+        r = min(4, size.bit_length() - 1 - low)
+        block = _HADAMARD_BLOCKS[r]
+        if low == 0:  # the block's bits are the last axis of rows of 2^r
+            a = a.reshape(-1, 1 << r) @ block
+        else:
+            a = np.matmul(block, a.reshape(-1, 1 << r, 1 << low))
+        low += r
+    return a.reshape(*batch, size)
+
+
+def _walsh_additions(bits: int) -> int:
+    """Additions that `_walsh_hadamard` makes into each entry of a transform
+    over 2^bits values: 2^r - 1 per pass of an r-bit block."""
+    return (bits // 4) * 15 + (1 << bits % 4) - 1
 
 
 def _screened_event_devs(probs: np.ndarray, n: int, m: int, combos: list) -> np.ndarray:
@@ -242,7 +267,7 @@ def _screened_event_devs(probs: np.ndarray, n: int, m: int, combos: list) -> np.
     pattern bits, of the Fourier coefficients of the subsets of P; position
     sets are screened in blocks of about ``_SCREEN_CHUNK`` events.
     """
-    fourier = _walsh_hadamard(probs.copy())
+    fourier = _walsh_hadamard(probs)
     # bit m-1-t of a subset u picks positions[t]
     pattern_bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     step = max(1, _SCREEN_CHUNK >> m)
@@ -291,7 +316,11 @@ def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
 
 def delta_E_variants(e: CqEnsemble, povm: "Povm") -> DeltaEVariants:
     """Evaluate all four candidate deviation readings for one measurement."""
-    mass = _outcome_mass(e, povm)
+    return _variants_from_mass(_outcome_mass(e, povm))
+
+
+def _variants_from_mass(mass: np.ndarray) -> DeltaEVariants:
+    """The four readings of a key x outcome mass, as `_outcome_mass` returns it."""
     n_keys, n_out = mass.shape
 
     outcome_mass = mass.sum(axis=0)

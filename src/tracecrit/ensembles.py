@@ -102,7 +102,14 @@ class ProbDist:
                 if below.size:
                     raise BadParams(f"negative probability mass {given[below[0]]!r}")
                 probs[negative] = 0.0
-            total = math.fsum(probs.tolist())
+            # A float sum of len(probs) nonnegative masses, in any order, and
+            # the correctly rounded one both lie within len(probs) * eps * total
+            # of the exact sum (Higham, SIAM J. Sci. Comput. 14 (1993) 783).
+            # So a plain sum that clears TOL by that much decides as fsum
+            # would; any other total, NaN and inf included, is taken by fsum.
+            total = float(probs.sum())
+            if not abs(total - 1.0) <= TOL - len(probs) * np.finfo(float).eps * total:
+                total = math.fsum(probs.tolist())
         else:
             if min(nums, default=0) < 0:
                 for i, v in enumerate(nums):

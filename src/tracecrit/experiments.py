@@ -34,10 +34,10 @@ from .bounds import (
 )
 from .coupling import independent_coupling, maximal_coupling, mismatch_probability
 from .criteria import (
+    _variants_from_mass,
     classical_dbar,
     criterion_d_averaged,
     criterion_d_entangled,
-    delta_E_variants,
     event_deviation_bound,
     variational_distance,
 )
@@ -394,8 +394,9 @@ def cmd_cex_iii(
     family = two_bit_pkl_example(sigma, rho1, rho2)
     povm = _family_measurement(sigma, rho1, rho2)
     d = criterion_d_averaged(family)
-    variants = delta_E_variants(family, povm)
-    dbar = classical_dbar(measure_ensemble(family, povm))
+    joint = measure_ensemble(family, povm)
+    variants = _variants_from_mass(joint.mass)
+    dbar = classical_dbar(joint)
 
     results = {
         "d": d,

@@ -183,7 +183,7 @@ def probdist_loop(labels, probs) -> tuple:
         cleaned.append(v)
     total = math.fsum(float(v) for v in cleaned)
     if not abs(total - 1.0) <= TOL:
-        raise BadParams(f"masses sum to {total!r}")
+        raise BadParams(f"masses sum to {total!r}, off unit by {abs(total - 1.0):.3e}")
     return labels, tuple(cleaned)
 
 

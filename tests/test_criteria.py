@@ -288,10 +288,11 @@ class TestEventDeviationBound:
             event_deviation_bound(ProbDist(("0" * 19,), (1.0,)), 1)
         assert 19 not in _BIT_STRINGS
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 16])
     def test_screen_matches_loop(self, n):
         # random; uniform (every event ties); spiked and weight-symmetric
-        # (every position set ties exactly, and only rounding tells them apart)
+        # (every position set ties exactly, and only rounding tells them apart);
+        # n = 16 is the benchmark's size, at its m and below
         labels = bit_strings(n)
         rng = np.random.default_rng(n)
         w = rng.random(2**n)
@@ -303,10 +304,60 @@ class TestEventDeviationBound:
             ProbDist(labels, tuple(by_weight / by_weight.sum())),
         )
         for p in dists:
-            for m in range(1, n + 1):
+            for m in range(1, n + 1) if n <= 12 else (1, 2, 3):
                 dev, event = event_deviation_bound(p, m)
                 want_dev, want_event = event_deviation_loop(p, m)
                 assert (dev.hex(), event) == (want_dev.hex(), want_event)
+
+
+def _walsh_definition(a: np.ndarray) -> np.ndarray:
+    """sum_x a[..., x] (-1)^popcount(u & x) for every u, in int64, from the
+    +-1 matrix in blocks of rows."""
+    size = a.shape[-1]
+    x = np.arange(size)
+    out = np.empty(a.shape, dtype=np.int64)
+    for start in range(0, size, 256):
+        u = np.arange(start, min(start + 256, size))
+        signs = 1 - 2 * (np.bitwise_count(u[:, None] & x) & 1).astype(np.int64)
+        out[..., u] = a @ signs.T
+    return out
+
+
+class TestWalshHadamard:
+    """The blocked transform against its +-1 definition, at every size from
+    2^0 to 2^12, with and without a leading batch axis."""
+
+    SHAPES = [shape for k in range(13) for shape in ((2**k,), (3, 2**k))]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_exact_on_small_integers(self, shape):
+        ints = np.random.default_rng(shape[-1]).integers(-8, 9, shape)
+        a = ints.astype(float)
+        got = criteria._walsh_hadamard(a)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, _walsh_definition(ints))
+        np.testing.assert_array_equal(a, ints)  # input left as it was
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_random_floats_within_bound(self, shape):
+        # 52-bit multiples of 2^-52 in [0, 1): the exact transform, scaled by
+        # 2^52, is an integer, found from its two 26-bit halves in int64
+        k = np.random.default_rng(shape[-1] + 1).integers(0, 2**52, shape)
+        a = k * 2.0**-52
+        got = criteria._walsh_hadamard(a)
+        high, low = _walsh_definition(k >> 26), _walsh_definition(k & (2**26 - 1))
+        exact = [h * 2**26 + l for h, l in zip(high.ravel().tolist(), low.ravel().tolist())]
+        errors = [abs(int(g * 2.0**52) - e) for g, e in zip(got.ravel().tolist(), exact)]
+        n = shape[-1].bit_length() - 1
+        # first order in the unit roundoff 2^-53, with room for the second
+        bound = 1.001 * criteria._walsh_additions(n) * 2.0**-53 * a.sum(axis=-1) * 2.0**52
+        assert np.all(np.reshape(errors, shape) <= np.asarray(bound)[..., None])
+        if n >= 6:
+            assert max(errors) > 0  # the inputs do round
+
+    def test_addition_counts(self):
+        # 2^r - 1 per r-bit block, blocks of four bits and a smaller last one
+        assert [criteria._walsh_additions(n) for n in range(10)] == [0, 1, 3, 7, 15, 16, 18, 22, 30, 31]
 
 
 class TestDeltaEVariants:

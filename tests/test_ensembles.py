@@ -1,4 +1,5 @@
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from tracecrit import (
     two_bit_pkl_example,
     validate_density,
 )
+from tracecrit import ensembles
 from tracecrit.criteria import criterion_d_averaged
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import (
@@ -31,11 +33,13 @@ from tracecrit.errors import (
     TooLarge,
     ZeroMass,
 )
+from tracecrit.qmath import TOL, ZERO_TOL
 
 from helpers import (
     average_probe_loop,
     bit_strings_recursive,
     bits,
+    probdist_loop,
     random_density,
     random_ensemble,
 )
@@ -68,6 +72,96 @@ class TestProbDist:
     def test_rejects_nan_mass(self, probs):
         with pytest.raises(BadParams, match="sum"):
             ProbDist(("a", "b"), probs)
+
+
+def _accepted_edges() -> tuple[float, float]:
+    """The smallest and the largest float total that |total - 1| <= TOL accepts."""
+    lo, hi = 1.0 - TOL, 1.0 + TOL
+    while not abs(lo - 1.0) <= TOL:
+        lo = math.nextafter(lo, 1.0)
+    while abs(math.nextafter(lo, 0.0) - 1.0) <= TOL:
+        lo = math.nextafter(lo, 0.0)
+    while not abs(hi - 1.0) <= TOL:
+        hi = math.nextafter(hi, 1.0)
+    while abs(math.nextafter(hi, 2.0) - 1.0) <= TOL:
+        hi = math.nextafter(hi, 2.0)
+    return lo, hi
+
+
+def _totals() -> list[float]:
+    """1 - TOL and 1 + TOL as accepted at the edge, one ulp either side of
+    each, and 1."""
+    lo, hi = _accepted_edges()
+    return [math.nextafter(lo, 0.0), lo, math.nextafter(lo, 1.0), 1.0,
+            math.nextafter(hi, 1.0), hi, math.nextafter(hi, 2.0)]
+
+
+def _masses_summing_to(total: float, size: int) -> list[float]:
+    """``size`` seeded float masses whose correctly rounded sum is ``total``."""
+    if size == 2:
+        return [0.25, total - 0.25]  # exact: both lie in [2^-2, 1)
+    w = np.random.default_rng(size).random(size) + 0.5
+    w = (w / w.sum()).tolist()  # every mass above 2^-28, so a multiple of 2^-80
+    rest = sum(int(v * 2.0**80) for v in w[:-1])
+    w[-1] = (int(total * 2.0**80) - rest) * 2.0**-80
+    return w
+
+
+def _extra_masses() -> list[float]:
+    """Masses added to a distribution: clamped negatives in [-ZERO_TOL, 0),
+    one just below that and refused, NaN and both infinities."""
+    return [-ZERO_TOL, -ZERO_TOL / 2, -5e-324, math.nextafter(-ZERO_TOL, -1.0), math.nan, math.inf, -math.inf]
+
+
+class TestProbDistTotal:
+    """A float distribution is accepted, or refused with its message, exactly
+    as by the correctly rounded total of `probdist_loop`."""
+
+    @staticmethod
+    def _assert_as_loop(probs) -> bool:
+        labels = bit_strings(16) if len(probs) == 2**16 else tuple(f"x{i}" for i in range(len(probs)))
+        try:
+            want = probdist_loop(labels, probs)
+        except BadParams as exc:
+            with pytest.raises(BadParams) as got:
+                ProbDist(labels, probs)
+            assert str(got.value) == str(exc)
+            return False
+        p = ProbDist(labels, probs)
+        assert bits(p.probs) == bits([float(v) for v in want[1]])
+        return True
+
+    @pytest.mark.parametrize("size", [2, 2**16])
+    def test_boundary_totals(self, size):
+        accepted = []
+        for total in _totals():
+            probs = _masses_summing_to(total, size)
+            assert math.fsum(probs) == total
+            accepted.append(self._assert_as_loop(probs))
+            for i, extra in enumerate(_extra_masses()):
+                changed = [extra, *probs] if i % 2 else [*probs[::-1], extra]
+                clamped = -ZERO_TOL <= extra < 0
+                assert self._assert_as_loop(changed) is (clamped and accepted[-1])
+        assert accepted == [False, True, True, True, True, True, False]
+
+    def test_sum_decides_only_clear_totals(self, monkeypatch):
+        """A total well inside TOL is accepted from the plain sum; a total
+        within rounding of the edge goes to one fsum."""
+        calls = 0
+
+        def counting(values):
+            nonlocal calls
+            calls += 1
+            return math.fsum(values)
+
+        monkeypatch.setattr(ensembles, "math", types.SimpleNamespace(**{**vars(math), "fsum": counting}))
+        labels = bit_strings(16)
+        ProbDist(labels, _masses_summing_to(1.0, 2**16))
+        assert calls == 0
+        lo, hi = _accepted_edges()
+        for total in (lo, hi):
+            ProbDist(labels, _masses_summing_to(total, 2**16))
+        assert calls == 2
 
 
 class TestBitStrings:

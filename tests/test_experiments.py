@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -14,7 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracecrit import criteria, discrimination
 from tracecrit.cli import main
+from tracecrit.criteria import classical_dbar, delta_E_variants
+from tracecrit.discrimination import measure_ensemble
+from tracecrit.ensembles import two_bit_pkl_example
 from tracecrit.errors import BadParams, ParseError, TooLarge, UnknownExperiment
 from tracecrit.experiments import (
     CODE_PRESETS,
@@ -23,10 +28,12 @@ from tracecrit.experiments import (
     TWO_BIT_PRESETS,
     _MAX_FILE_BYTES,
     _MAX_SWEEP_POINTS,
+    _family_measurement,
     _float_param,
     _int_list_param,
     _int_param,
     _jsonify,
+    _resolve_two_bit,
     parse_qubit,
     run_experiment,
     run_sweep,
@@ -137,6 +144,31 @@ class TestCexIII:
         params = {"sigma": {"diag": [0.5, 0.5]}, "rho1": {"diag": [1, 0]}, "rho2": {"diag": [0, 1]}}
         with pytest.raises(ParseError, match="pure"):
             run_experiment("cex_iii", params)
+
+    @pytest.mark.parametrize("params", [{"preset": "two-bit-mixed"}, {"overlap": 0.3}])
+    def test_measures_once(self, params, monkeypatch):
+        """The readings and dbar both come from one key x outcome mass, and
+        equal the public per-reading calls."""
+        calls = 0
+        original = criteria._outcome_mass
+
+        def counting(e, povm):
+            nonlocal calls
+            calls += 1
+            return original(e, povm)
+
+        for module in (criteria, discrimination):
+            monkeypatch.setattr(module, "_outcome_mass", counting)
+        report = run_experiment("cex_iii", params)
+        assert calls == 1
+        monkeypatch.undo()
+
+        sigma, rho1, rho2 = _resolve_two_bit(params.get("preset"), params.get("overlap"), None, None, None)
+        family = two_bit_pkl_example(sigma, rho1, rho2)
+        povm = _family_measurement(sigma, rho1, rho2)
+        want = dataclasses.asdict(delta_E_variants(family, povm))
+        want["dbar"] = classical_dbar(measure_ensemble(family, povm))
+        assert {k: report.results[k] for k in want} == want
 
 
 class TestSpiked:

@@ -40,6 +40,9 @@ _HADAMARD_BLOCKS = tuple(
 )
 #: Matrix entries per block of a batched pair-difference or product stack.
 _STACK_BATCH_CELLS = 2**16
+#: Key pairs eigensolved first, in decreasing order of their norm bound, to
+#: set the norm every other pair's bound must reach.
+_SEED_PAIRS = 4
 
 
 def variational_distance(p: ProbDist, q: ProbDist):
@@ -135,20 +138,88 @@ def pairwise_distance_bound(e: CqEnsemble, eps: float) -> PairwiseBound:
     The bound follows from the triangle inequality whenever every per-key
     distance is at most eps; the maximizing pair is returned either way,
     the first of tied pairs in ``itertools.combinations`` order.
+
+    One Gram product of the flattened probes bounds every pair's norm from
+    above, by the smaller of the Fuchs-van de Graaf bound
+
+        ||rho - sigma||_1 <= 2 sqrt(1 - F(rho, sigma)^2) <= 2 sqrt(1 - tr rho sigma)
+
+    (Fuchs and van de Graaf, IEEE Trans. Inf. Theory 45 (1999) 1216) and the
+    Frobenius bound ||rho - sigma||_1 <= sqrt(d) ||rho - sigma||_F, each
+    widened by the slack that validated probes and rounding need (see
+    `_pair_norm_bounds`).  Pairs are then eigensolved in decreasing order of
+    that bound: first a few, whose largest norm B is a lower bound on the
+    maximum, then every pair whose bound reaches B.  A skipped pair has a norm
+    below B, so it can neither hold nor tie the maximum, and each reported
+    norm comes from the same eigensolve of the same difference as without
+    the screen.  When no bound falls below B, every pair is eigensolved.
     """
     stack = e.probe_stack
     first, second = np.triu_indices(len(e.keys), 1)  # combinations order
-    norms = np.empty(len(first))
+    norms = np.full(len(first), -1.0)  # a skipped pair stays below every norm
     step = max(1, _STACK_BATCH_CELLS // stack[0].size)
-    for start in range(0, len(first), step):
-        block = slice(start, start + step)
-        norms[block] = trace_norms(stack[first[block]] - stack[second[block]])
+
+    def solve(pairs):
+        for start in range(0, len(pairs), step):
+            block = pairs[start : start + step]
+            norms[block] = trace_norms(stack[first[block]] - stack[second[block]])
+
+    bounds = _pair_norm_bounds(stack, first, second)
+    order = np.argsort(-bounds)
+    solve(order[:_SEED_PAIRS])
+    rest = order[_SEED_PAIRS:]
+    solve(rest[bounds[rest] >= norms.max(initial=-1.0)])
     worst_value = 0.0
     worst_pair = (e.keys[0], e.keys[0])
     if norms.size and norms.max() > worst_value:
         i = int(np.argmax(norms))
         worst_value, worst_pair = float(norms[i]), (e.keys[first[i]], e.keys[second[i]])
     return PairwiseBound(worst_value <= 2.0 * eps + TOL, worst_pair, worst_value)
+
+
+def _pair_norm_bounds(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """An upper bound on the computed trace norm of each pair difference
+    stack[first] - stack[second], from one Gram product of the probes.
+
+    What is bounded is what `trace_norms` computes: the absolute eigenvalue
+    sum of H_a - H_b, where H_a is the Hermitian matrix eigvalsh reads from
+    one triangle of probe a.  Every probe satisfies, with tau = 2 TOL (twice
+    the entry check, for derived probes such as products of validated
+    factors, whose trace can be off by 1.8 TOL):
+    lambda_min(H_a) >= -tau, |tr H_a - 1| <= tau, and H_a differs from
+    rho_a by at most tau per entry (the adjoint gap), so by at most
+    d tau / sqrt(2) in Frobenius norm.  Write H_a = P - P_, its positive and
+    negative parts; tr H_a > 0 leaves at most d - 1 negative eigenvalues, so
+    ||P_||_1 <= (d - 1) tau and tr P <= 1 + d tau.
+
+    Fidelity term.  For positive P, Q,
+    ||P - Q||_1^2 <= (tr P + tr Q)^2 - 4 F(P, Q)^2 <= (tr P + tr Q)^2 - 4 tr PQ
+    (purify both and take the partial trace).  tr PQ >= tr H_a H_b - d tau^2,
+    and the Gram entry g_ab = Re <rho_a, rho_b>_F is within 1.5 d tau of
+    tr H_a H_b, so ||P - Q||_1 <= 2 sqrt(1 - g_ab + 5 d tau) once Gram
+    rounding (about 4 d^2 eps) is added.  The negative parts add
+    2 (d - 1) tau outside the root.
+
+    Frobenius term.  ||H_a - H_b||_1 <= sqrt(d) ||H_a - H_b||_F, and
+    ||H_a - H_b||_F <= ||rho_a - rho_b||_F + sqrt(2) d tau; squared, that
+    adds at most 6 d tau to g_aa + g_bb - 2 g_ab, as ||rho_a - rho_b||_F <= 2.01.
+
+    Hence eta = 16 d TOL inside both roots.  Outside them, eta' = 8 d TOL
+    covers the negative parts, 4 (d - 1) TOL, and leaves 4 (d + 1) TOL for
+    the eigensolver's backward error (d eigenvalues, each within
+    p(d) eps ||H||_2 with ||H||_2 <= 2.01, for any p(d) up to about 8900), the
+    rounded difference and the correctly rounded sum.
+    """
+    n_keys, d = len(stack), stack.shape[1]
+    flat = stack.reshape(n_keys, -1).view(np.float64)  # (re, im) pairs
+    gram = flat @ flat.T  # Re <rho_a, rho_b>_F
+    cross = gram[first, second]
+    squares = gram.diagonal()
+    eta, eta_out = 16 * d * TOL, 8 * d * TOL
+    fidelity = 2.0 * np.sqrt(np.maximum(1.0 - cross, 0.0) + eta)
+    distance = np.maximum(squares[first] + squares[second] - 2.0 * cross, 0.0)  # ||.||_F^2
+    frobenius = np.sqrt(d * (distance + eta))
+    return np.minimum(fidelity, frobenius) + eta_out
 
 
 def classical_dbar(joint: "JointDistribution") -> float:
@@ -197,7 +268,6 @@ def event_deviation_bound(p, m: int):
         raise TooLarge(f"{n_events} events exceed the dense cap of {EVENT_CAP}")
 
     probs = p.as_array()
-    keys = np.arange(2**n, dtype=np.int64)
     target = 2.0**-m
     combos = list(itertools.combinations(range(n), m))
     screened = _screened_event_devs(probs, n, m, combos)
@@ -217,9 +287,13 @@ def event_deviation_bound(p, m: int):
     best_event = None
     for c in np.flatnonzero(screened >= screened.max() - slack):
         positions = combos[c]
-        idx = np.zeros(2**n, dtype=np.int64)
+        # axis pos of the (2,)*n key cube is key bit n-1-pos, here pattern bit m-1-t
+        idx = 0
         for t, pos in enumerate(positions):
-            idx |= ((keys >> (n - 1 - pos)) & 1) << (m - 1 - t)
+            shape = [1] * n
+            shape[pos] = 2
+            idx = idx + np.array([0, 1 << (m - 1 - t)]).reshape(shape)
+        idx = np.broadcast_to(idx, (2,) * n).reshape(-1)
         sums = np.bincount(idx, weights=probs, minlength=2**m)
         devs = np.abs(sums - target)
         j = int(np.argmax(devs))
@@ -268,13 +342,18 @@ def _screened_event_devs(probs: np.ndarray, n: int, m: int, combos: list) -> np.
     sets are screened in blocks of about ``_SCREEN_CHUNK`` events.
     """
     fourier = _walsh_hadamard(probs)
-    # bit m-1-t of a subset u picks positions[t]
-    pattern_bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     step = max(1, _SCREEN_CHUNK >> m)
     devs = np.empty(len(combos))
     for start in range(0, len(combos), step):
         block = np.asarray(combos[start : start + step], dtype=np.int64).reshape(-1, m)
-        subset_keys = (1 << (n - 1 - block)) @ pattern_bits.T
+        # bit m-1-t of a subset u picks positions[t]; each position doubles the
+        # filled prefix of a row, lowest subset bit first
+        subset_keys = np.empty((len(block), 1 << m), dtype=np.int64)
+        subset_keys[:, 0] = 0
+        for t in range(m - 1, -1, -1):
+            width = 1 << (m - 1 - t)
+            position = (1 << (n - 1 - block[:, t]))[:, None]
+            np.bitwise_or(subset_keys[:, :width], position, out=subset_keys[:, width : 2 * width])
         marginals = _walsh_hadamard(fourier[subset_keys]) * 2.0**-m
         devs[start : start + step] = np.abs(marginals - 2.0**-m).max(axis=1)
     return devs

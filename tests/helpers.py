@@ -27,8 +27,10 @@ from tracecrit.qmath import TOL, ZERO_TOL, _require_square_hermitian
 from tracecrit.sidechannel import _parity_check_rows
 
 
-def random_density(rng, dim: int) -> DensityOperator:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng, dim: int, rank: int | None = None) -> DensityOperator:
+    """A random density operator, of full rank unless ``rank`` is given."""
+    rank = dim if rank is None else rank
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = a @ a.conj().T
     return validate_density(m / np.trace(m).real)
 

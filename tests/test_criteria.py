@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecrit import (
     CqEnsemble,
@@ -32,6 +35,7 @@ from tracecrit import criteria
 from tracecrit.criteria import _outcome_mass
 from tracecrit.ensembles import _BIT_STRINGS, bit_strings
 from tracecrit.errors import BadParams, NonUniformPrior, TooLarge
+from tracecrit.qmath import TOL
 
 from helpers import (
     bits,
@@ -47,7 +51,9 @@ from helpers import (
     random_ensemble,
     random_povm,
     random_probdist,
+    random_unitary,
     success_probability_loop,
+    trace_norm_loop,
     variants_from_mass_loop,
 )
 
@@ -184,6 +190,112 @@ class TestPairwiseBound:
         assert out.worst_value == pytest.approx(2.0, abs=1e-12)
 
 
+def _uniform_ensemble(probes) -> CqEnsemble:
+    n = (len(probes) - 1).bit_length()
+    keys = bit_strings(n)
+    return CqEnsemble(n, ProbDist.uniform(keys), dict(zip(keys, probes)))
+
+
+def assert_screen_exact(e: CqEnsemble):
+    """The screened bound equals the per-pair loop bit for bit, and every
+    pair's Gram bound is at least its computed norm."""
+    out = pairwise_distance_bound(e, 0.1)
+    pair, value = pairwise_bound_loop(e)
+    assert (out.worst_pair, bits(out.worst_value)) == (pair, bits(value))
+    assert out.holds == (value <= 0.2 + TOL)
+    first, second = np.triu_indices(len(e.keys), 1)
+    stack = e.probe_stack
+    bounds = criteria._pair_norm_bounds(stack, first, second)
+    norms = [trace_norm_loop(stack[a] - stack[b]) for a, b in zip(first, second)]
+    assert np.all(bounds >= norms)
+
+
+def _near_tolerance_probe(rng, dim: int, kind: str) -> np.ndarray:
+    """A probe that passes the entry check within 0.9 TOL of failing it."""
+    vals = rng.random(dim)
+    vals /= vals.sum()
+    if kind == "lowest":  # one eigenvalue -0.9 TOL, trace still 1
+        vals[0] = -0.9 * TOL
+        vals[1:] *= (1.0 - vals[0]) / vals[1:].sum()
+    u = random_unitary(rng, dim)
+    m = (u * vals) @ u.conj().T
+    if kind == "trace+":
+        m *= 1.0 + 0.9 * TOL
+    elif kind == "trace-":
+        m *= 1.0 - 0.9 * TOL
+    elif kind == "gap":  # one upper entry off its adjoint by 0.9 TOL
+        m[0, -1] += 0.9 * TOL
+    return m
+
+
+class TestPairwiseScreen:
+    """The Gram-screened pairwise bound against the one-eigensolve-per-pair
+    loop, bit for bit, on inputs that tie, prune nothing or sit at the edge
+    of the entry check."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 5),
+        dim=st.integers(2, 8),
+        uniform=st.booleans(),
+        pure=st.booleans(),
+    )
+    def test_drawn_ensembles(self, seed, n, dim, uniform, pure):
+        rng = np.random.default_rng(seed)
+        keys = bit_strings(n)
+        prior = ProbDist.uniform(keys) if uniform else random_probdist(rng, keys)
+        ranks = [1 if pure else int(rng.integers(1, dim + 1)) for _ in keys]
+        probes = {k: random_density(rng, dim, r) for k, r in zip(keys, ranks)}
+        assert_screen_exact(CqEnsemble(n, prior, probes))
+
+    def test_ties(self):
+        rng = np.random.default_rng(31)
+        a, b = random_density(rng, 3, 2), random_density(rng, 3)
+        orthogonal = [np.diag(row) for row in np.eye(8)]
+        u = random_unitary(rng, 4)
+        rotated = [np.outer(u[:, i], u[:, i].conj()) for i in range(4)]
+        for probes in (
+            [a, b] * 4,  # repeated probes
+            [a] * 4 + [b] * 4,
+            orthogonal,  # every pair at norm 2
+            rotated,
+            [a] * 8,  # identical probes: every norm 0
+            [np.eye(5) / 5] * 4,  # maximally mixed
+            [a],  # one key, no pairs
+        ):
+            assert_screen_exact(_uniform_ensemble(probes))
+
+    def test_dim_16_with_16_keys(self):
+        rng = np.random.default_rng(32)
+        for ranks in ([16] * 16, [int(r) for r in rng.integers(1, 17, 16)], [1] * 16):
+            assert_screen_exact(_uniform_ensemble([random_density(rng, 16, r) for r in ranks]))
+
+    @pytest.mark.parametrize("kind", ["lowest", "trace+", "trace-", "gap"])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_near_tolerance_probes(self, kind, dim):
+        rng = np.random.default_rng([dim, 33])
+        base = _near_tolerance_probe(rng, dim, kind)
+        # near copies of one probe put the fidelity bound at its root, where
+        # the slack matters most
+        tweaks = [_near_tolerance_probe(rng, dim, kind) * 1e-6 for _ in range(7)]
+        probes = [base] + [(1.0 - 1e-6) * base + t for t in tweaks]
+        assert_screen_exact(_uniform_ensemble([validate_density(m) for m in probes]))
+        others = [_near_tolerance_probe(rng, dim, kind) for _ in range(8)]
+        assert_screen_exact(_uniform_ensemble(others))
+
+    def test_product_probes_off_unit_trace(self):
+        # sigma (x) rho has trace 1 + 1.8e-9 when both factors are 1 + 0.9e-9
+        big = 1.0000000009
+        for s, r1, r2 in (
+            ([big, 0.0], [big, 0.0], [0.0, 1.0]),
+            ([big, 0.0], [0.0, big], [big, 0.0]),
+            ([0.5, 0.5], [big, 0.0], [0.5, 0.5]),
+        ):
+            qubits = [validate_density(np.diag(v)) for v in (s, r1, r2)]
+            assert_screen_exact(two_bit_pkl_example(*qubits))
+
+
 class TestClassicalDbar:
     def test_independent_joint_is_zero(self):
         q = np.array([0.2, 0.5, 0.3])
@@ -308,6 +420,23 @@ class TestEventDeviationBound:
                 dev, event = event_deviation_bound(p, m)
                 want_dev, want_event = event_deviation_loop(p, m)
                 assert (dev.hex(), event) == (want_dev.hex(), want_event)
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_screen_per_position_set(self, n):
+        # every position set's screened deviation, against its own bincount
+        rng = np.random.default_rng([n, 12])
+        w = rng.random(2**n)
+        probs = w / w.sum()
+        keys = np.arange(2**n)
+        for m in range(1, n + 1):
+            combos = list(itertools.combinations(range(n), m))
+            want = []
+            for positions in combos:
+                idx = sum(((keys >> (n - 1 - p)) & 1) << (m - 1 - t) for t, p in enumerate(positions))
+                sums = np.bincount(idx, weights=probs, minlength=2**m)
+                want.append(np.abs(sums - 2.0**-m).max())
+            got = criteria._screened_event_devs(probs, n, m, combos)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def _walsh_definition(a: np.ndarray) -> np.ndarray:

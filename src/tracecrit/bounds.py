@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, BadRange, DimMismatch
-from .qmath import TOL, DensityOperator, trace_norm
+from .qmath import TOL, DensityOperator, _trace_norm
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def hypothesis_ii_exact(
     """
     if sigma0.dim != sigma1.dim:
         raise DimMismatch(f"dimensions differ: {sigma0.dim} vs {sigma1.dim}")
-    return 0.5 + (_criterion_value(d) / 4.0) * trace_norm(sigma0.matrix - sigma1.matrix)
+    return 0.5 + (_criterion_value(d) / 4.0) * _trace_norm(sigma0.matrix - sigma1.matrix)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensembles import CqEnsemble, ProbDist, SpikedDist, _floats, _joined, bit_strings
 from .errors import BadParams, DimMismatch, NonUniformPrior, TooLarge
-from .qmath import TOL, ZERO_TOL, trace_norm, trace_norms
+from .qmath import TOL, ZERO_TOL, _trace_norm, _trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
     from .discrimination import JointDistribution, Povm
@@ -75,12 +75,12 @@ def criterion_d_entangled(e: CqEnsemble) -> float:
         raise TooLarge(f"joint dimension {dim} exceeds the cap of {ENTANGLED_DIM_CAP}")
     n_keys, d = len(e.keys), e.probe_dim
     w = e.weights[:, None, None]
-    # (key, row, key, column) views of the block-diagonal matrices
-    joint, product = np.zeros((2, n_keys, d, n_keys, d), dtype=complex)
+    # (key, row, key, column) view of joint - product, held as one array:
+    # w_k rho_k - w_k rho_avg on the diagonal blocks and +0 elsewhere
+    diff = np.zeros((n_keys, d, n_keys, d), dtype=complex)
     diagonal = np.arange(n_keys)
-    joint[diagonal, :, diagonal, :] = w * e.probe_stack
-    product[diagonal, :, diagonal, :] = w * e.average.matrix
-    return 0.5 * trace_norm((joint - product).reshape(dim, dim))
+    diff[diagonal, :, diagonal, :] = w * e.probe_stack - w * e.average.matrix
+    return 0.5 * _trace_norm(diff.reshape(dim, dim))
 
 
 def d_k_per_key(e: CqEnsemble) -> dict[str, float]:
@@ -162,7 +162,7 @@ def pairwise_distance_bound(e: CqEnsemble, eps: float) -> PairwiseBound:
     def solve(pairs):
         for start in range(0, len(pairs), step):
             block = pairs[start : start + step]
-            norms[block] = trace_norms(stack[first[block]] - stack[second[block]])
+            norms[block] = _trace_norms(stack[first[block]] - stack[second[block]])
 
     bounds = _pair_norm_bounds(stack, first, second)
     order = np.argsort(-bounds)
@@ -181,7 +181,7 @@ def _pair_norm_bounds(stack: np.ndarray, first: np.ndarray, second: np.ndarray) 
     """An upper bound on the computed trace norm of each pair difference
     stack[first] - stack[second], from one Gram product of the probes.
 
-    What is bounded is what `trace_norms` computes: the absolute eigenvalue
+    What is bounded is what `_trace_norms` computes: the absolute eigenvalue
     sum of H_a - H_b, where H_a is the Hermitian matrix eigvalsh reads from
     one triangle of probe a.  Every probe satisfies, with tau = 2 TOL (twice
     the entry check, for derived probes such as products of validated

@@ -22,7 +22,7 @@ from .errors import (
     NotBinaryResidual,
     ZeroMassOutcome,
 )
-from .qmath import TOL, ZERO_TOL, DensityOperator, _adjoint_gaps, hermitian_eigen
+from .qmath import TOL, ZERO_TOL, DensityOperator, _adjoint_gaps, _hermitian_eigen
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +146,7 @@ def helstrom_binary(
     if not 0.0 <= p0 <= 1.0:
         raise BadRange(f"prior must lie in [0, 1], got {p0!r}")
     gamma = (1.0 - p0) * rho1.matrix - p0 * rho0.matrix
-    vals, vecs = hermitian_eigen(gamma)
+    vals, vecs = _hermitian_eigen(gamma)
     positive = vals > 0.0
     basis = vecs[:, positive]
     projector = basis @ basis.conj().T
@@ -181,7 +181,7 @@ def pgm(e: CqEnsemble) -> Povm:
     under the label 'null' so the elements sum to the identity.
     """
     avg = e.average.matrix
-    vals, vecs = hermitian_eigen(avg)
+    vals, vecs = _hermitian_eigen(avg)
     keep = vals > ZERO_TOL
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T

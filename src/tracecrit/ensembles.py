@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
-from .qmath import TOL, ZERO_TOL, DensityOperator, _require_density_stack, tensor, trace_norms
+from .qmath import TOL, ZERO_TOL, DensityOperator, _require_density_stack, _trace_norms, tensor
 
 #: Key length cap for sparse spiked distributions.
 MAX_SPIKED_BITS = 30
@@ -352,7 +352,7 @@ class CqEnsemble:
     @cached_property
     def key_norms(self) -> np.ndarray:
         """Unhalved trace norms ||rho_k - rho_avg||_1, in key order."""
-        norms = trace_norms(self.probe_stack - self.average.matrix)
+        norms = _trace_norms(self.probe_stack - self.average.matrix)
         norms.setflags(write=False)
         return norms
 

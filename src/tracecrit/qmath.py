@@ -4,6 +4,10 @@ All operations work on plain numpy arrays (row-major, complex128) and
 return fresh values; inputs are never mutated.  Dimensions stay small
 (<= ~64), so dense Hermitian eigendecomposition is the workhorse and no
 sparse or iterative machinery is needed.
+
+Each Hermitian matrix is checked once, where it enters: the public eigen
+kernels check their input, and their private cores eigensolve, unchecked,
+the matrices the package derives from checked operators.
 """
 
 from __future__ import annotations
@@ -148,7 +152,14 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
 
     Raises NotHermitian when the input fails the symmetry check.
     """
-    m = _require_square_hermitian(h)
+    return _hermitian_eigen(_require_square_hermitian(h))
+
+
+def _hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`hermitian_eigen` of a complex square matrix derived from checked
+    operators, unchecked: the check never changes data, so the bits are the
+    same, and a derived matrix may miss Hermiticity by the sum of its
+    operands' slack."""
     vals, vecs = np.linalg.eigh(m)
     vecs = vecs[:, ::-1]
     # each column's first component above ZERO_TOL; a unit column always has one
@@ -160,7 +171,13 @@ def trace_norms(stack) -> np.ndarray:
     """Trace norm of each Hermitian matrix of a (k, d, d) stack, from one
     batched eigensolve; each norm is the correctly rounded sum of its
     absolute eigenvalues."""
-    vals = np.abs(np.linalg.eigvalsh(_require_hermitian_stack(stack)))
+    return _trace_norms(_require_hermitian_stack(stack))
+
+
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    """`trace_norms` of a complex stack derived from checked operators,
+    unchecked, like `_hermitian_eigen`."""
+    vals = np.abs(np.linalg.eigvalsh(stack))
     return np.array([math.fsum(row) for row in vals.tolist()])
 
 
@@ -170,7 +187,13 @@ def trace_norm(a) -> float:
     The general (singular-value) trace norm is out of scope; every use in
     this toolkit is a difference of Hermitian operators.
     """
-    return float(trace_norms(_as_square(a)[None])[0])
+    return _trace_norm(_require_square_hermitian(a))
+
+
+def _trace_norm(m: np.ndarray) -> float:
+    """`trace_norm` of a complex square matrix derived from checked
+    operators, unchecked, like `_hermitian_eigen`."""
+    return float(_trace_norms(m[None])[0])
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -186,7 +209,7 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
         lead = flat[nonzero[0]]
         if lead.real < 0.0 or (lead.real == 0.0 and lead.imag < 0.0):
             diff = -diff
-    val = 0.5 * trace_norm(diff)
+    val = 0.5 * _trace_norm(diff)
     return min(max(val, 0.0), 1.0)
 
 

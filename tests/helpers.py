@@ -267,6 +267,28 @@ def bits(x) -> bytes:
     return a.astype(complex if np.iscomplexobj(a) else float).tobytes()
 
 
+def gap_qubit(sign: int) -> DensityOperator:
+    """A qubit probe that passes the entry check with both off-diagonal
+    entries at 0.2 + sign * 0.45 TOL i, so it misses its adjoint by 0.9 TOL.
+    A difference of two with opposite signs misses it by 1.8 TOL."""
+    c = 0.2 + sign * 0.45 * TOL * 1j
+    return validate_density(np.array([[0.5, c], [c, 0.5]]))
+
+
+def gap_ensemble() -> CqEnsemble:
+    """Two-bit ensemble of `gap_qubit` probes with signs +, +, +, -: the last
+    probe minus the average misses its adjoint by 1.35 TOL."""
+    plus, minus = gap_qubit(1), gap_qubit(-1)
+    keys = bit_strings(2)
+    return CqEnsemble(2, ProbDist.uniform(keys), dict(zip(keys, (plus, plus, plus, minus))))
+
+
+def unchecked_norm(diff) -> float:
+    """Trace norm of a matrix from its own eigensolve, with no Hermiticity
+    check: the oracle for differences derived from accepted operators."""
+    return math.fsum(abs(np.linalg.eigvalsh(diff)))
+
+
 def trace_norm_loop(a) -> float:
     """Trace norm of one Hermitian matrix from its own eigensolve."""
     m = _require_square_hermitian(a)

@@ -21,7 +21,7 @@ from tracecrit.errors import BadParams, BadRange
 from tracecrit.experiments import run_experiment
 from tracecrit.qmath import TOL
 
-from helpers import random_density
+from helpers import bits, gap_qubit, random_density, unchecked_norm
 
 
 class TestMarkovBound:
@@ -145,6 +145,12 @@ class TestMixtureExact:
         rng = np.random.default_rng(0)
         s = random_density(rng, 2)
         assert hypothesis_ii_exact(s, s, 0.3) == pytest.approx(0.5, abs=1e-9)
+
+    def test_difference_off_its_adjoint_is_not_refused(self):
+        # each accepted component misses its adjoint by 0.9 TOL, the difference by 1.8 TOL
+        s0, s1 = gap_qubit(1), gap_qubit(-1)
+        expected = 0.5 + (0.3 / 4.0) * unchecked_norm(s0.matrix - s1.matrix)
+        assert bits(hypothesis_ii_exact(s0, s1, 0.3)) == bits(expected)
 
     def test_never_exceeds_cap(self):
         rng = np.random.default_rng(1)

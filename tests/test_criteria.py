@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +47,8 @@ from helpers import (
     criterion_d_entangled_loop,
     d_k_per_key_loop,
     event_deviation_loop,
+    gap_ensemble,
+    gap_qubit,
     outcome_mass_loop,
     pairwise_bound_loop,
     random_density,
@@ -54,6 +58,7 @@ from helpers import (
     random_unitary,
     success_probability_loop,
     trace_norm_loop,
+    unchecked_norm,
     variants_from_mass_loop,
 )
 
@@ -133,6 +138,25 @@ class TestCriterionForms:
         e = random_ensemble(rng, 3, 64)
         with pytest.raises(TooLarge):
             criterion_d_entangled(e)
+
+    @pytest.mark.parametrize("n, dim", [(4, 16), (6, 4)])
+    def test_entangled_holds_one_joint_matrix(self, n, dim):
+        # numpy's buffers are traced, LAPACK's internal copy is not; joint
+        # and product arrays, a difference and a check would each add 1 MiB
+        e = random_ensemble(np.random.default_rng(n), n, dim)
+        one_matrix = 256 * 256 * np.dtype(complex).itemsize
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            criterion_d_entangled(e)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.5 * one_matrix
 
 
 class TestPerKeyDistances:
@@ -284,6 +308,25 @@ class TestPairwiseScreen:
         others = [_near_tolerance_probe(rng, dim, kind) for _ in range(8)]
         assert_screen_exact(_uniform_ensemble(others))
 
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_opposite_gap_probes(self, dim):
+        # upper corners off their adjoint by +0.9 TOL and -0.9 TOL: a pair
+        # difference misses its adjoint by 1.8 TOL and is eigensolved as it is
+        rng = np.random.default_rng([dim, 34])
+        probes = [_near_tolerance_probe(rng, dim, "gap") for _ in range(8)]
+        for m in probes[1::2]:
+            m[0, -1] -= 1.8 * TOL
+        qubits = [gap_qubit(1).matrix, gap_qubit(-1).matrix]
+        for e in (_uniform_ensemble([validate_density(m) for m in probes]), _uniform_ensemble(qubits)):
+            first, second = np.triu_indices(len(e.keys), 1)
+            stack = e.probe_stack
+            norms = [unchecked_norm(stack[a] - stack[b]) for a, b in zip(first, second)]
+            i = int(np.argmax(norms))
+            out = pairwise_distance_bound(e, 0.1)
+            assert out.worst_pair == (e.keys[first[i]], e.keys[second[i]])
+            assert bits(out.worst_value) == bits(norms[i])
+            assert np.all(criteria._pair_norm_bounds(stack, first, second) >= norms)
+
     def test_product_probes_off_unit_trace(self):
         # sigma (x) rho has trace 1 + 1.8e-9 when both factors are 1 + 0.9e-9
         big = 1.0000000009
@@ -294,6 +337,28 @@ class TestPairwiseScreen:
         ):
             qubits = [validate_density(np.diag(v)) for v in (s, r1, r2)]
             assert_screen_exact(two_bit_pkl_example(*qubits))
+
+
+class TestDerivedDifferences:
+    """A difference of accepted probes may miss its adjoint by the sum of
+    their slack.  It is eigensolved as it is, bit for bit like an unchecked
+    eigensolve of the same difference, not refused (pairwise differences:
+    `TestPairwiseScreen.test_opposite_gap_probes`)."""
+
+    def test_averaged_and_report(self):
+        e = gap_ensemble()  # the last probe minus the average misses by 1.35 TOL
+        avg = e.average.matrix
+        norms = [unchecked_norm(rho - avg) for rho in e.probe_stack]
+        d = 0.5 * math.fsum(w * v for w, v in zip(e.weights.tolist(), norms))
+        joint = np.zeros((8, 8), dtype=complex)
+        for i, (w, rho) in enumerate(zip(e.weights.tolist(), e.probe_stack)):
+            joint[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = w * rho - w * avg
+        assert bits(criterion_d_averaged(e)) == bits(d)
+        report = criterion_report(e, 0.1)
+        assert bits(report.d_averaged) == bits(d)
+        assert bits(report.d_entangled) == bits(0.5 * unchecked_norm(joint))
+        assert bits(list(report.d_k.values())) == bits(norms)
+        assert bits(report.d_max) == bits(max(norms) / 2.0)
 
 
 class TestClassicalDbar:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,14 @@ from tracecrit.errors import (
 from tracecrit.criteria import _outcome_mass
 from tracecrit.qmath import TOL
 
-from helpers import bits, pgm_elements_loop, random_density, random_ensemble, random_povm
+from helpers import (
+    bits,
+    gap_ensemble,
+    pgm_elements_loop,
+    random_density,
+    random_ensemble,
+    random_povm,
+)
 
 
 def projective_qubit_povm():
@@ -352,6 +361,17 @@ class TestPostLeakDiscrimination:
         assert success == pytest.approx(0.75, abs=1e-12)
         assert d == pytest.approx(0.25, abs=1e-12)
         assert success > 0.5 + d / 2
+
+    def test_differences_off_their_adjoint_are_not_refused(self):
+        # the last probe minus the average misses its adjoint by 1.35 TOL;
+        # leaking a first bit of 1 leaves the +, - probes of keys 10 and 11
+        e = gap_ensemble()
+        rho0, rho1 = e.probe_stack[2:]
+        vals = np.linalg.eigh(0.5 * rho1 - 0.5 * rho0)[0]
+        success = 0.5 + math.fsum(float(v) for v in vals if v > 0.0)
+        d = criterion_d_averaged(e)  # against the unchecked oracle in test_criteria
+        assert bits(post_leak_discrimination(e, LeakSpec((0,), (1,)))) == bits([success, d])
+        assert success > 0.5
 
     def test_non_binary_residual(self):
         rng = np.random.default_rng(13)

@@ -15,9 +15,17 @@ from tracecrit import (
     validate_density,
 )
 from tracecrit.errors import BadTrace, DimMismatch, NotHermitian, NotPsd
-from tracecrit.qmath import trace_norms
+from tracecrit.qmath import TOL, trace_norms
 
-from helpers import bits, random_density, random_pure_vector, random_unitary, trace_norm_loop
+from helpers import (
+    bits,
+    gap_qubit,
+    random_density,
+    random_pure_vector,
+    random_unitary,
+    trace_norm_loop,
+    unchecked_norm,
+)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -182,6 +190,13 @@ class TestTraceDistance:
             assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-9
             assert 0.0 <= trace_distance(a, b) <= 1.0
 
+    def test_difference_off_its_adjoint_is_not_refused(self):
+        # each accepted probe misses its adjoint by 0.9 TOL, the difference by 1.8 TOL
+        plus, minus = gap_qubit(1), gap_qubit(-1)
+        expected = 0.5 * unchecked_norm(plus.matrix - minus.matrix)
+        assert bits(trace_distance(plus, minus)) == bits(expected)
+        assert bits(trace_distance(minus, plus)) == bits(expected)
+
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             trace_distance(
@@ -264,6 +279,20 @@ class TestTraceNorms:
             trace_norms(np.stack([good, skew, worse]))
         assert str(stacked.value) == str(single.value)
         assert "1.000e+00" in str(stacked.value)
+
+    @pytest.mark.parametrize(
+        "gap, message",
+        [
+            (0.3, "matrix deviates from its adjoint by 3.000e-01 (tolerance 1.0e-09)"),
+            (1.1 * TOL, "matrix deviates from its adjoint by 1.100e-09 (tolerance 1.0e-09)"),
+        ],
+    )
+    def test_public_kernels_check_raw_input(self, gap, message):
+        raw = np.array([[0.5, 0.2 + gap], [0.2, 0.5]], dtype=complex)
+        for call in (trace_norm, hermitian_eigen, lambda m: trace_norms(np.stack([np.eye(2), m]))):
+            with pytest.raises(NotHermitian) as refused:
+                call(raw)
+            assert str(refused.value) == message
 
     def test_shape_errors(self):
         with pytest.raises(NotHermitian, match="square matrix"):

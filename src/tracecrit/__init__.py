@@ -29,7 +29,6 @@ from .criteria import (
     criterion_d_averaged,
     criterion_d_entangled,
     criterion_report,
-    d_k_per_key,
     decomposition_fallacy_check,
     delta_E_variants,
     event_deviation_bound,
@@ -43,7 +42,6 @@ from .discrimination import (
     measure_ensemble,
     pgm,
     post_leak_discrimination,
-    posterior,
     success_probability,
 )
 from .ensembles import (
@@ -53,16 +51,13 @@ from .ensembles import (
     SpikedDist,
     condition_on_leak,
     single_bit_pure_example,
-    spiked_distribution,
     two_bit_pkl_example,
 )
 from .experiments import ExperimentReport, Verdict, run_experiment, run_sweep
 from .qmath import (
     DensityOperator,
-    PureState,
     hermitian_eigen,
     tensor,
-    trace_distance,
     trace_norm,
     validate_density,
 )

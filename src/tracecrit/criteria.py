@@ -83,11 +83,6 @@ def criterion_d_entangled(e: CqEnsemble) -> float:
     return 0.5 * _trace_norm(diff.reshape(dim, dim))
 
 
-def d_k_per_key(e: CqEnsemble) -> dict[str, float]:
-    """Unhalved per-key trace norms ||rho_k - rho_avg||_1."""
-    return dict(zip(e.keys, e.key_norms.tolist()))
-
-
 @dataclass(frozen=True)
 class CriterionReport:
     """All distance-criterion values for one ensemble.
@@ -115,7 +110,7 @@ class CriterionReport:
 
 def criterion_report(e: CqEnsemble, epsilon: float) -> CriterionReport:
     """Evaluate both criterion forms and the per-key distances."""
-    dk = d_k_per_key(e)
+    dk = dict(zip(e.keys, e.key_norms.tolist()))
     return CriterionReport(
         d_entangled=criterion_d_entangled(e),
         d_averaged=criterion_d_averaged(e),

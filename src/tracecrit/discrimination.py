@@ -1,8 +1,8 @@
 """Measurements and attacker success probabilities.
 
 Covers the optimal two-hypothesis measurement, POVM application to an
-ensemble, Bayes posteriors, the pretty-good measurement as a multi-state
-lower bound, and discrimination of the residual key after a partial leak.
+ensemble, the pretty-good measurement as a multi-state lower bound, and
+discrimination of the residual key after a partial leak.
 """
 
 from __future__ import annotations
@@ -14,14 +14,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .criteria import _outcome_mass, criterion_d_averaged
-from .ensembles import CqEnsemble, LeakSpec, ProbDist, condition_on_leak
-from .errors import (
-    BadParams,
-    BadRange,
-    DimMismatch,
-    NotBinaryResidual,
-    ZeroMassOutcome,
-)
+from .ensembles import CqEnsemble, LeakSpec, condition_on_leak
+from .errors import BadParams, BadRange, DimMismatch, NotBinaryResidual
 from .qmath import TOL, ZERO_TOL, DensityOperator, _adjoint_gaps, _hermitian_eigen
 
 
@@ -158,19 +152,6 @@ def measure_ensemble(e: CqEnsemble, m: Povm) -> JointDistribution:
     """Joint distribution of the key and the measurement outcome, from the
     clamped mass of `criteria._outcome_mass`."""
     return JointDistribution._trusted(e.keys, m.labels, _outcome_mass(e, m))
-
-
-def posterior(j: JointDistribution, outcome: str) -> ProbDist:
-    """Bayes-normalized key distribution given one measurement outcome."""
-    try:
-        col = j.col_labels.index(outcome)
-    except ValueError:
-        raise BadParams(f"unknown outcome {outcome!r}") from None
-    column = j.mass[:, col]
-    total = math.fsum(column.tolist())
-    if total <= ZERO_TOL:
-        raise ZeroMassOutcome(f"outcome {outcome!r} has zero probability")
-    return ProbDist(j.row_labels, column / total)
 
 
 def pgm(e: CqEnsemble) -> Povm:

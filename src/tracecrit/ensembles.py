@@ -381,11 +381,6 @@ def two_bit_pkl_example(
     return CqEnsemble(2, ProbDist.uniform(bit_strings(2)), probes)
 
 
-def spiked_distribution(n: int, l: int) -> SpikedDist:
-    """Distribution with one key of mass 2^-l and a uniform remainder."""
-    return SpikedDist(n, l)
-
-
 def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
     """Ensemble over the unleaked bits, prior renormalized, probes unchanged."""
     n = e.n_bits

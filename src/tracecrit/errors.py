@@ -45,10 +45,6 @@ class ZeroMass(ToolkitError):
     """Conditioning event has zero prior probability."""
 
 
-class ZeroMassOutcome(ToolkitError):
-    """Posterior requested for an outcome with zero probability."""
-
-
 class NonUniformPrior(ToolkitError):
     """Joint distribution does not have a uniform row marginal."""
 

@@ -50,8 +50,8 @@ from .discrimination import (
 from .ensembles import (
     LeakSpec,
     ProbDist,
+    SpikedDist,
     single_bit_pure_example,
-    spiked_distribution,
     two_bit_pkl_example,
 )
 from .errors import BadParams, ParseError, TooLarge, UnknownExperiment
@@ -438,7 +438,7 @@ def cmd_cex_iii(
 def cmd_spiked(seed: int, *, n: _int_param = 8, l: _int_param = 3):
     """Spiked distribution: the whole key is guessable with probability
     2^-l while the distance from uniform is only 2^-l - 2^-n."""
-    dist = spiked_distribution(n, l)
+    dist = SpikedDist(n, l)
     analytic = Fraction(1, 2**l) - Fraction(1, 2**n)
     summed = dist.variational_from_uniform()
     dev, (positions, pattern) = event_deviation_bound(dist, n)
@@ -719,7 +719,10 @@ def run_sweep(
     The grid is the cartesian product of the per-parameter value lists in
     declaration order; rows are independent, so a fixed seed makes the
     whole sweep reproducible byte for byte.  The base and every grid value
-    are bound before the first point runs.
+    are bound before the first point runs.  The result columns are the
+    sorted union of every point's scalar results, blank where a point
+    lacks one; a grid value that is a list or an object is written as
+    compact JSON.
     """
     if not isinstance(experiment, str) or experiment not in REGISTRY:
         raise UnknownExperiment(f"unknown experiment {experiment!r}")
@@ -739,21 +742,15 @@ def run_sweep(
     given = itertools.product(*(grid[k] for k in names))
     points = [] if not names else list(zip(given, itertools.product(*columns)))
 
-    rows = []
-    result_keys: list[str] | None = None
-    for index, (point, bound) in enumerate(points):
+    runs = []
+    for point, bound in points:
         results, verdicts = REGISTRY[experiment](int(seed), **{**base, **dict(zip(names, bound))})
-        scalars = {
-            k: v
-            for k, v in sorted(_jsonify(results).items())
-            if isinstance(v, (int, float, str))
-        }
-        if result_keys is None:
-            result_keys = list(scalars)
-        all_ok = all(v.status != FAIL for v in verdicts)
-        rows.append([index, *point, *(scalars.get(k, "") for k in result_keys), all_ok])
-
-    header = [f"result:{k}" if k in names else k for k in result_keys or []]  # own column: a table preset overrides a grid n
+        cells = [json.dumps(v, sort_keys=True, separators=(",", ":")) if isinstance(v, (dict, list)) else v for v in point]
+        scalars = {k: v for k, v in _jsonify(results).items() if isinstance(v, (int, float, str))}
+        runs.append((cells, scalars, all(v.status != FAIL for v in verdicts)))
+    result_keys = sorted(set().union(*(scalars for _, scalars, _ in runs)))  # a point may lack a result
+    rows = [[i, *cells, *(scalars.get(k, "") for k in result_keys), ok] for i, (cells, scalars, ok) in enumerate(runs)]
+    header = [f"result:{k}" if k in names else k for k in result_keys]  # own column: a table preset overrides a grid n
     return _csv_text([["grid_index", *names, *header, "all_pass"], *rows])
 
 

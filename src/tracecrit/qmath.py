@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, BadTrace, DimMismatch, NotHermitian, NotPsd
+from .errors import BadTrace, DimMismatch, NotHermitian, NotPsd
 
 #: How far a validated unit-scale float may miss its exact constraint: an adjoint gap, a trace,
 #: a norm, an eigenvalue floor, a mass total, a POVM sum or the agreement of two routes.
@@ -110,28 +110,6 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit vector in a small Hilbert space."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = _as_complex(self.amplitudes).reshape(-1)
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > TOL:
-            raise BadParams(f"state vector norm is {nrm!r}, not 1 within {TOL:.1e}")
-        object.__setattr__(self, "amplitudes", _frozen(v))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def projector(self) -> DensityOperator:
-        v = self.amplitudes
-        return DensityOperator(np.outer(v, v.conj()))
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two matrices; dimensions multiply.  One broadcast
     multiply: the same bits as numpy's Kronecker routine, at a fraction of
@@ -194,23 +172,6 @@ def _trace_norm(m: np.ndarray) -> float:
     """`trace_norm` of a complex square matrix derived from checked
     operators, unchecked, like `_hermitian_eigen`."""
     return float(_trace_norms(m[None])[0])
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the trace norm of rho - sigma; a metric with values in [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"dimensions differ: {rho.dim} vs {sigma.dim}")
-    diff = rho.matrix - sigma.matrix
-    # canonicalize the overall sign so both argument orders hit the
-    # eigensolver with bit-identical input (symmetry holds exactly)
-    flat = diff.ravel()
-    nonzero = np.flatnonzero(flat)
-    if nonzero.size:
-        lead = flat[nonzero[0]]
-        if lead.real < 0.0 or (lead.real == 0.0 and lead.imag < 0.0):
-            diff = -diff
-    val = 0.5 * _trace_norm(diff)
-    return min(max(val, 0.0), 1.0)
 
 
 def validate_density(m) -> DensityOperator:

@@ -17,6 +17,7 @@ from tracecrit import (
     LeakSpec,
     LinearCode,
     ProbDist,
+    SpikedDist,
     classical_dbar,
     criterion_d_averaged,
     criterion_d_entangled,
@@ -33,7 +34,6 @@ from tracecrit import (
     post_leak_discrimination,
     single_bit_pure_example,
     singular_fraction,
-    spiked_distribution,
     two_bit_pkl_example,
     uniform_comparison_table,
     variational_distance,
@@ -173,7 +173,7 @@ def test_criterion_08_event_bound():
         dev, _ = event_deviation_bound(p, m)
         assert dev <= float(variational_distance(p, uniform))  # exact inequality
 
-    dev, _ = event_deviation_bound(spiked_distribution(8, 3), 8)
+    dev, _ = event_deviation_bound(SpikedDist(8, 3), 8)
     assert dev == Fraction(31, 256)
     assert float(dev) == 0.12109375
     done(8, "subsequence deviations stay below the distance to uniform")
@@ -181,7 +181,7 @@ def test_criterion_08_event_bound():
 
 def test_criterion_09_spiked_distribution_values():
     for n, l in ((8, 3), (16, 8), (30, 20)):
-        dist = spiked_distribution(n, l)
+        dist = SpikedDist(n, l)
         analytic = Fraction(1, 2**l) - Fraction(1, 2**n)
         summed = dist.variational_from_uniform()
         assert abs(float(analytic) - float(summed)) <= 1e-12

@@ -17,7 +17,7 @@ from tracecrit import (
     validate_density,
 )
 from tracecrit.cli import render_csv, render_markdown
-from tracecrit.errors import BadParams, BadRange
+from tracecrit.errors import BadParams, BadRange, DimMismatch
 from tracecrit.experiments import run_experiment
 from tracecrit.qmath import TOL
 
@@ -140,6 +140,11 @@ class TestMixtureExact:
         assert hypothesis_ii_exact(s0, s1, 0.5 + TOL / 2) == 0.75
         with pytest.raises(BadRange):
             hypothesis_ii_exact(s0, s1, 0.5 + 2 * TOL)
+
+    def test_dim_mismatch(self):
+        s0 = validate_density(np.eye(2) / 2)
+        with pytest.raises(DimMismatch, match="dimensions differ: 2 vs 3"):
+            hypothesis_ii_exact(s0, validate_density(np.eye(3) / 3), 0.3)
 
     def test_identical_components(self):
         rng = np.random.default_rng(0)

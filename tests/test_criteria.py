@@ -11,23 +11,23 @@ from hypothesis import strategies as st
 
 from tracecrit import (
     CqEnsemble,
+    CriterionReport,
     JointDistribution,
     LeakSpec,
     Povm,
     ProbDist,
+    SpikedDist,
     classical_dbar,
     condition_on_leak,
     criterion_d_averaged,
     criterion_d_entangled,
     criterion_report,
-    d_k_per_key,
     decomposition_fallacy_check,
     delta_E_variants,
     event_deviation_bound,
     measure_ensemble,
     pairwise_distance_bound,
     single_bit_pure_example,
-    spiked_distribution,
     success_probability,
     two_bit_pkl_example,
     validate_density,
@@ -164,12 +164,12 @@ class TestPerKeyDistances:
         rng = np.random.default_rng(4)
         rho = random_density(rng, 2)
         e = CqEnsemble(1, ProbDist.uniform(bit_strings(1)), {"0": rho, "1": rho})
-        assert all(v == pytest.approx(0.0, abs=1e-9) for v in d_k_per_key(e).values())
+        assert all(v == pytest.approx(0.0, abs=1e-9) for v in criterion_report(e, 0.0).d_k.values())
 
     def test_orthogonal_single_bit_unhalved(self):
         # || pure - I/2 ||_1 = 1 for each key
         e = single_bit_pure_example(0.0)
-        dk = d_k_per_key(e)
+        dk = criterion_report(e, 0.0).d_k
         assert dk["0"] == pytest.approx(1.0, abs=1e-12)
         assert dk["1"] == pytest.approx(1.0, abs=1e-12)
 
@@ -177,17 +177,29 @@ class TestPerKeyDistances:
         rng = np.random.default_rng(5)
         for _ in range(20):
             e = random_ensemble(rng, 2, 3)
-            assert max(d_k_per_key(e).values()) / 2 >= criterion_d_averaged(e) - 1e-12
+            assert max(criterion_report(e, 0.0).d_k.values()) / 2 >= criterion_d_averaged(e) - 1e-12
 
     def test_report_fields(self):
         e = single_bit_pure_example(0.6)
         report = criterion_report(e, epsilon=2**-16)
         assert report.d_averaged == pytest.approx(0.4, abs=1e-12)
         assert report.d_entangled == pytest.approx(report.d_averaged, abs=1e-9)
-        assert report.d_k == d_k_per_key(e)
+        assert report.d_k == d_k_per_key_loop(e)
         assert report.d_max == max(report.d_k.values()) / 2
         assert report.d_max >= report.d_averaged - 1e-12
         assert report.epsilon_label == 2**-16
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ((0.3, 0.2, 0.4), "disagree by 1.000e-01"),
+            ((0.2, 0.2, 0.1), "fell below the average"),
+        ],
+    )
+    def test_report_refuses_inconsistent_values(self, values, message):
+        d_entangled, d_averaged, d_max = values
+        with pytest.raises(BadParams, match=message):
+            CriterionReport(d_entangled, d_averaged, {}, d_max, 0.0)
 
 
 class TestPairwiseBound:
@@ -195,7 +207,7 @@ class TestPairwiseBound:
         rng = np.random.default_rng(6)
         for _ in range(10):
             e = random_ensemble(rng, 2, 3)
-            eps = max(d_k_per_key(e).values())
+            eps = max(criterion_report(e, 0.0).d_k.values())
             assert pairwise_distance_bound(e, eps).holds
 
     def test_identical_probes_zero(self):
@@ -412,14 +424,14 @@ class TestEventDeviationBound:
         assert dev == pytest.approx(0.0, abs=1e-15)
 
     def test_spiked_full_key_event(self):
-        dev, (positions, pattern) = event_deviation_bound(spiked_distribution(8, 3), 8)
+        dev, (positions, pattern) = event_deviation_bound(SpikedDist(8, 3), 8)
         assert dev == Fraction(1, 8) - Fraction(1, 256)
         assert float(dev) == 0.12109375
         assert positions == tuple(range(8))
         assert pattern == "0" * 8
 
     def test_sparse_matches_dense_path(self):
-        sparse = spiked_distribution(8, 3)
+        sparse = SpikedDist(8, 3)
         dense = sparse.to_probdist()
         for m in range(1, 9):
             dev_sparse, _ = event_deviation_bound(sparse, m)
@@ -444,7 +456,12 @@ class TestEventDeviationBound:
 
     def test_bad_subsequence_length(self):
         with pytest.raises(BadParams):
-            event_deviation_bound(spiked_distribution(8, 3), 9)
+            event_deviation_bound(SpikedDist(8, 3), 9)
+
+    @pytest.mark.parametrize("m", [0, 7])
+    def test_dense_subsequence_length_outside_range(self, m):
+        with pytest.raises(BadParams, match=r"must be in \[1, 6\], got " + str(m)):
+            event_deviation_bound(ProbDist.uniform(bit_strings(6)), m)
 
     def test_label_tuple_compared_by_value(self):
         rng = np.random.default_rng(11)
@@ -477,7 +494,7 @@ class TestEventDeviationBound:
         dists = (
             ProbDist(labels, tuple(w / w.sum())),
             ProbDist.uniform(labels),
-            spiked_distribution(n, (n + 1) // 2).to_probdist(),
+            SpikedDist(n, (n + 1) // 2).to_probdist(),
             ProbDist(labels, tuple(by_weight / by_weight.sum())),
         )
         for p in dists:
@@ -631,6 +648,11 @@ class TestDecompositionFallacy:
         assert decomposition_fallacy_check(p, p, 0.0)
         assert decomposition_fallacy_check(p, ProbDist(("a", "b"), (3 * tenth, 7 * tenth)), 0.5)
 
+    def test_negative_weight_refused(self):
+        p = ProbDist(("a", "b"), (0.5, 0.5))
+        with pytest.raises(BadParams, match="must be nonnegative, got -0.1"):
+            decomposition_fallacy_check(p, p, -0.1)
+
     def test_precondition_enforced(self):
         p = ProbDist(("a", "b"), (1.0, 0.0))
         q = ProbDist(("a", "b"), (0.0, 1.0))
@@ -667,7 +689,7 @@ class TestStackedKernels:
     def test_criterion_and_per_key_norms(self, dim, prior):
         e = stacked_case(dim, prior)
         assert bits(criterion_d_averaged(e)) == bits(criterion_d_averaged_loop(e))
-        got, want = d_k_per_key(e), d_k_per_key_loop(e)
+        got, want = criterion_report(e, 0.0).d_k, d_k_per_key_loop(e)
         assert list(got) == list(want)
         assert bits(list(got.values())) == bits(list(want.values()))
 

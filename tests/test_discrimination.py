@@ -14,10 +14,8 @@ from tracecrit import (
     measure_ensemble,
     pgm,
     post_leak_discrimination,
-    posterior,
     single_bit_pure_example,
     success_probability,
-    trace_distance,
     two_bit_pkl_example,
     validate_density,
 )
@@ -27,10 +25,9 @@ from tracecrit.errors import (
     BadRange,
     DimMismatch,
     NotBinaryResidual,
-    ZeroMassOutcome,
 )
 
-from tracecrit.criteria import _outcome_mass
+from tracecrit.criteria import _outcome_mass, _variants_from_mass
 from tracecrit.qmath import TOL
 
 from helpers import (
@@ -40,6 +37,7 @@ from helpers import (
     random_density,
     random_ensemble,
     random_povm,
+    trace_norm_loop,
 )
 
 
@@ -91,6 +89,14 @@ class TestPovm:
         with pytest.raises(DimMismatch, match="'b' has dim 3"):
             Povm((("a", np.eye(2)), ("b", np.eye(3))))
 
+    def test_rejects_empty(self):
+        with pytest.raises(BadParams, match="at least one element"):
+            Povm(())
+
+    def test_unknown_element_label(self):
+        with pytest.raises(BadParams, match="no measurement element labelled 'x'"):
+            projective_qubit_povm().element("x")
+
     def test_element_stack(self):
         m = random_povm(np.random.default_rng(3), 3, 4)
         assert m.stack.shape == (4, 3, 3)
@@ -125,7 +131,7 @@ class TestHelstrom:
         rng = np.random.default_rng(1)
         for _ in range(25):
             rho0, rho1 = random_density(rng, 3), random_density(rng, 3)
-            expected = 0.5 + 0.5 * trace_distance(rho0, rho1)
+            expected = 0.5 + 0.25 * trace_norm_loop(rho0.matrix - rho1.matrix)
             assert helstrom_binary(rho0, rho1, 0.5).p_success == pytest.approx(
                 expected, abs=1e-9
             )
@@ -201,11 +207,15 @@ class TestMeasureEnsemble:
 
 
 class TestPosterior:
+    """The Bayes posterior mass[:, o] / P(o) of each outcome o, read through
+    its deviation from the uniform key, as `_variants_from_mass` computes it
+    for every outcome."""
+
     def test_independent_joint_returns_prior(self):
-        mass = np.outer([0.25] * 4, [0.6, 0.4])
-        joint = JointDistribution(bit_strings(2), ("x", "y"), mass)
-        post = posterior(joint, "x")
-        assert post.as_array().tolist() == pytest.approx([0.25] * 4, abs=1e-12)
+        # every posterior is the uniform prior
+        out = _variants_from_mass(np.outer([0.25] * 4, [0.6, 0.4]))
+        assert out.max_posterior_dev == pytest.approx(0.0, abs=1e-12)
+        assert out.avg_posterior_dev == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_family_posterior(self):
         sigma = validate_density(np.diag([1.0, 0.0]))
@@ -215,28 +225,26 @@ class TestPosterior:
         from tracecrit.experiments import _family_measurement
 
         joint = measure_ensemble(e, _family_measurement(sigma, rho1, rho2))
-        post = posterior(joint, "a:e+")
-        assert post.as_array().tolist() == pytest.approx(
-            [3 / 7, 1 / 14, 1 / 14, 3 / 7], abs=1e-12
-        )
+        column = joint.mass[:, [joint.col_labels.index("a:e+")]]
+        # the posterior (3/7, 1/14, 1/14, 3/7) lies 5/14 from uniform
+        assert _variants_from_mass(column).max_posterior_dev == pytest.approx(5 / 14, abs=1e-12)
 
     def test_deterministic_channel_point_mass(self):
-        mass = np.diag([0.5, 0.5])
-        joint = JointDistribution(("0", "1"), ("x", "y"), mass)
-        assert posterior(joint, "x").as_array().tolist() == [1.0, 0.0]
+        out = _variants_from_mass(np.diag([0.5, 0.5]))
+        # each posterior is a point mass, 1/2 from uniform
+        assert (out.max_posterior_dev, out.avg_posterior_dev) == (0.5, 0.5)
 
     def test_zero_mass_outcome(self):
-        mass = np.array([[0.5, 0.0], [0.5, 0.0]])
-        joint = JointDistribution(("0", "1"), ("x", "y"), mass)
-        with pytest.raises(ZeroMassOutcome):
-            posterior(joint, "y")
+        # outcome y never occurs: it has no posterior, and no reading counts it
+        out = _variants_from_mass(np.array([[0.5, 0.0], [0.5, 0.0]]))
+        assert (out.outcome_vs_uniform, out.max_posterior_dev, out.avg_posterior_dev) == (0.0, 0.0, 0.0)
 
-    def test_outcome_with_mass_at_zero_tol_is_refused(self):
-        # 5e-13 is at or below ZERO_TOL, the support rule of delta_E_variants
-        mass = np.array([[0.5, 2.5e-13], [0.5, 2.5e-13]])
-        joint = JointDistribution(("0", "1"), ("x", "y"), mass)
-        with pytest.raises(ZeroMassOutcome):
-            posterior(joint, "y")
+    def test_outcome_with_mass_at_zero_tol_is_left_out(self):
+        # y's posterior is a point mass, 1/2 from uniform; at a total of
+        # 5e-13, at or below ZERO_TOL, it is left out, and at 2e-12 it counts
+        for y, want in ((5e-13, 0.0), (2e-12, 0.5)):
+            out = _variants_from_mass(np.array([[0.5, y], [0.5 - y, 0.0]]))
+            assert out.max_posterior_dev == pytest.approx(want, abs=1e-12)
 
 
 class TestPgm:
@@ -326,6 +334,11 @@ class TestSuccessProbability:
         with pytest.raises(BadParams):
             success_probability(e, m, {"0": "zz"})
 
+    def test_unknown_guess_outcome(self):
+        e = single_bit_pure_example(0.5)
+        with pytest.raises(BadParams, match="unknown outcome 'x'"):
+            success_probability(e, pgm(e), {"x": "0"})
+
     def test_dim_mismatch_after_the_guess_labels(self):
         e = random_ensemble(np.random.default_rng(6), 1, 3)
         m = projective_qubit_povm()
@@ -384,6 +397,12 @@ class TestJointDistribution:
     def test_rejects_bad_mass(self):
         with pytest.raises(BadParams):
             JointDistribution(("0",), ("x",), np.array([[0.5]]))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2, 2, 1)])
+    def test_rejects_mass_shape_unlike_the_labels(self, shape):
+        mass = np.full(shape, 1.0 / math.prod(shape))
+        with pytest.raises(BadParams, match="does not match the labels"):
+            JointDistribution(("0", "1"), ("x", "y"), mass)
 
     @pytest.mark.parametrize("cell", [(0, 0), (1, 1)])
     def test_rejects_nan_cell(self, cell):

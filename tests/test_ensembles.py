@@ -10,12 +10,11 @@ from tracecrit import (
     DensityOperator,
     LeakSpec,
     ProbDist,
-    PureState,
+    SpikedDist,
     condition_on_leak,
     measure_ensemble,
     pgm,
     single_bit_pure_example,
-    spiked_distribution,
     tensor,
     two_bit_pkl_example,
     validate_density,
@@ -63,6 +62,21 @@ class TestProbDist:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(BadParams, match="unique"):
             ProbDist(("a", "a"), (0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "probs,message", [((1.0,), "2 labels but 1 masses"), ((0.5, 0.25, 0.25), "2 labels but 3 masses")]
+    )
+    def test_rejects_label_and_mass_counts_that_differ(self, probs, message):
+        with pytest.raises(BadParams, match=message):
+            ProbDist(("a", "b"), probs)
+
+    def test_uniform_over_no_labels_refused(self):
+        with pytest.raises(BadParams, match="zero labels"):
+            ProbDist.uniform([])
+
+    def test_unknown_label_refused(self):
+        with pytest.raises(BadParams, match="unknown label 'c'"):
+            ProbDist.uniform(("a", "b")).mass("c")
 
     def test_clamps_float_noise(self):
         p = ProbDist(("a", "b"), (1.0 + 1e-13, -1e-13))
@@ -302,24 +316,24 @@ class TestTwoBitFamily:
 
 class TestSpikedDistribution:
     def test_peak_mass_by_construction(self):
-        assert spiked_distribution(8, 3).max_mass() == Fraction(1, 8)
+        assert SpikedDist(8, 3).max_mass() == Fraction(1, 8)
 
     def test_distance_to_uniform(self):
-        d = spiked_distribution(8, 3).variational_from_uniform()
+        d = SpikedDist(8, 3).variational_from_uniform()
         assert d == Fraction(1, 8) - Fraction(1, 256)
         assert float(d) == 0.12109375
 
     def test_total_mass_exact_up_to_cap(self):
         for n, l in [(1, 0), (8, 3), (16, 8), (30, 20), (30, 30)]:
-            assert spiked_distribution(n, l).total_mass() == 1
+            assert SpikedDist(n, l).total_mass() == 1
 
     def test_full_exponent_reduces_to_uniform(self):
-        d = spiked_distribution(8, 8)
+        d = SpikedDist(8, 8)
         assert d.variational_from_uniform() == 0
         assert d.spike_mass == d.rest_mass
 
     def test_dense_expansion_matches_sparse(self):
-        d = spiked_distribution(6, 2)
+        d = SpikedDist(6, 2)
         dense = d.to_probdist()
         assert dense.mass(d.spike_label) == d.spike_mass
         assert sum(dense.probs) == dense.denominator
@@ -327,7 +341,7 @@ class TestSpikedDistribution:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_dense_expansion_matches_per_label_masses(self, n):
         for l in sorted({0, 1, n // 2, n}):
-            d = spiked_distribution(n, l)
+            d = SpikedDist(n, l)
             dense = d.to_probdist()
             assert dense.labels == bit_strings(n)
             want = [d.mass(x) for x in dense.labels]
@@ -336,21 +350,26 @@ class TestSpikedDistribution:
             assert bits(dense.as_array()) == bits([float(m) for m in want])
 
     def test_entropy_matches_dense_sum(self):
-        d = spiked_distribution(8, 3)
+        d = SpikedDist(8, 3)
         dense_h = -sum(
             float(p) * math.log2(float(p)) for p in d.to_probdist().as_array() if p > 0
         )
         assert d.shannon_entropy() == pytest.approx(dense_h, abs=1e-12)
-        assert spiked_distribution(8, 0).shannon_entropy() == 0.0  # point mass
-        assert spiked_distribution(8, 8).shannon_entropy() == pytest.approx(8.0, abs=1e-12)
+        assert SpikedDist(8, 0).shannon_entropy() == 0.0  # point mass
+        assert SpikedDist(8, 8).shannon_entropy() == pytest.approx(8.0, abs=1e-12)
+
+    @pytest.mark.parametrize("label", ["0101", "0000000x"])
+    def test_mass_of_a_non_key_refused(self, label):
+        with pytest.raises(BadParams, match="is not a 8-bit string"):
+            SpikedDist(8, 3).mass(label)
 
     def test_bad_params(self):
         with pytest.raises(BadParams):
-            spiked_distribution(8, 9)
+            SpikedDist(8, 9)
         with pytest.raises(BadParams):
-            spiked_distribution(31, 3)
+            SpikedDist(31, 3)
         with pytest.raises(TooLarge):
-            spiked_distribution(30, 2).to_probdist()
+            SpikedDist(30, 2).to_probdist()
 
 
 class TestConditionOnLeak:
@@ -458,6 +477,12 @@ class TestStackedValidation:
     def test_first_failing_matrix_is_named(self):
         probes = {"0": np.diag([0.6, 0.6]), "1": np.diag([1.5, -0.5])}
         with pytest.raises(BadTrace, match="trace is 1.2"):
+            CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
+
+    @pytest.mark.parametrize("keys", [("0",), ("0", "1", "2")])
+    def test_probe_keys_must_match_the_prior(self, keys):
+        probes = dict.fromkeys(keys, np.eye(2) / 2)
+        with pytest.raises(BadParams, match="cover exactly the key values"):
             CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
 
     def test_unequal_shapes(self):
@@ -596,11 +621,10 @@ class TestProbeStack:
     def test_equality_is_identity(self):
         e = random_ensemble(np.random.default_rng(16), 1, 2)
         povm = pgm(e)
-        values = [e, e.average, PureState([1.0, 0.0]), povm, measure_ensemble(e, povm)]
+        values = [e, e.average, povm, measure_ensemble(e, povm)]
         twins = [
             condition_on_leak(e, LeakSpec((), ())),
             DensityOperator(e.average.matrix),
-            PureState([1.0, 0.0]),
             pgm(e),
             measure_ensemble(e, povm),
         ]

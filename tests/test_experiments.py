@@ -335,6 +335,31 @@ class TestSweep:
         with pytest.raises(UnknownExperiment):
             run_sweep("nope", {"x": [1]})
 
+    def test_result_columns_are_the_union_over_points(self):
+        # cex_i reports no maximal_mismatch above MAX_DENSE_COUPLING, so N = 2000 lacks it
+        first, second = (run_sweep("cex_i", {"N": values}) for values in ([2000, 4], [4, 2000]))
+        assert first.splitlines()[0] == second.splitlines()[0]
+        rows = {row["N"]: row for row in csv.DictReader(io.StringIO(first))}
+        assert (rows["2000"]["maximal_mismatch"], rows["4"]["maximal_mismatch"]) == ("", "0.0")
+
+    @pytest.mark.parametrize(
+        "experiment,grid,base,cells",
+        [
+            (
+                "cex_ii",
+                {"rho1": [{"diag": [0.6, 0.4]}, {"bloch": [0, 0, 0.5]}]},
+                {"sigma": {"diag": [1, 0]}, "rho2": {"diag": [0.1, 0.9]}},
+                ['{"diag":[0.6,0.4]}', '{"bloch":[0,0,0.5]}'],
+            ),
+            ("ecc", {"generator": [[[1, 0, 1], [0, 1, 1]]]}, {}, ["[[1,0,1],[0,1,1]]"]),
+        ],
+    )
+    def test_list_and_object_grid_values_are_compact_json(self, experiment, grid, base, cells):
+        (name,) = grid
+        rows = list(csv.DictReader(io.StringIO(run_sweep(experiment, grid, base=base))))
+        assert [row[name] for row in rows] == cells
+        assert [json.loads(cell) for cell in cells] == grid[name]
+
     @pytest.mark.parametrize(
         "experiment,grid,base,name,result",
         [
@@ -549,6 +574,9 @@ class TestCli:
             ("cex_iii", '{"sigma": {"diag": [1, 0]}, "rho1": {"diag": [1, 0]}, "rho2": {"bloch": [0, "0.5", 0]}}'),
             ("ecc", '{"code_file": "/nonexistent/code.txt"}'),
             ("ecc", '{"code_file": "."}'),
+            ("ecc", '{"code_file": 5}'),
+            ("toeplitz", '{"m": 3, "n": 3, "mode": "sample"}'),
+            ("toeplitz", '{"m": 3, "n": 3, "mode": "sample", "samples": 0}'),
             ("table", '{"preset": "headline-gap", "ms": 5}'),
             ("table", '{"preset": "headline-gap", "ms": []}'),
             ("cex_i", '{"N": 100000000}'),

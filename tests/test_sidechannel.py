@@ -76,12 +76,37 @@ class TestToeplitz:
         with pytest.raises(BadSeedLength):
             toeplitz_from_seed([1, 0], 2, 2)
 
+    def test_seed_entries_must_be_bits(self):
+        with pytest.raises(BadParams, match="seed entries must be bits"):
+            toeplitz_from_seed([0, 2, 1], 2, 2)
+
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(m + 1, 7)])
     def test_transposed_shape_has_the_same_rank(self, m, n):
         # the n x m matrix is the m x n one transposed with rows and columns reversed
         for s in range(2 ** (m + n - 1)):
             seed = [(s >> k) & 1 for k in range(m + n - 1)]
             assert gf2_rank(toeplitz_from_seed(seed, m, n)) == gf2_rank(toeplitz_from_seed(seed, n, m))
+
+
+class TestGf2MatrixChecks:
+    @pytest.mark.parametrize(
+        "rows,cols,row_bits,message",
+        [
+            (0, 2, (), "dimensions must be positive"),
+            (2, 0, (0, 0), "dimensions must be positive"),
+            (2, 2, (1,), "expected 2 packed rows, got 1"),
+            (1, 2, (4,), "row bits exceed 2 columns"),
+            (1, 2, (-1,), "row bits exceed 2 columns"),
+        ],
+    )
+    def test_constructor_refuses(self, rows, cols, row_bits, message):
+        with pytest.raises(BadParams, match=message):
+            Gf2Matrix(rows, cols, row_bits)
+
+    @pytest.mark.parametrize("rows", [[], [[]]])
+    def test_from_rows_refuses_an_empty_matrix(self, rows):
+        with pytest.raises(BadParams, match="at least one row and column"):
+            Gf2Matrix.from_rows(rows)
 
 
 class TestRank:
@@ -524,3 +549,7 @@ class TestPerfectCodes:
 
     def test_repetition_three_one(self):
         assert is_perfect_code(LinearCode(Gf2Matrix.from_rows([[1, 1, 1]])), 1)
+
+    def test_negative_radius_refused(self):
+        with pytest.raises(BadParams, match="radius must be nonnegative, got -1"):
+            is_perfect_code(LinearCode(Gf2Matrix.from_rows(HAMMING74)), -1)

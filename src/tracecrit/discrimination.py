@@ -69,12 +69,6 @@ class Povm:
     def dim(self) -> int:
         return self.elements[0][1].shape[0]
 
-    def element(self, label: str) -> np.ndarray:
-        try:
-            return self.elements[self.labels.index(label)][1]
-        except ValueError:
-            raise BadParams(f"no measurement element labelled {label!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:

@@ -20,50 +20,19 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from . import __version__
-from .bounds import (
-    GuaranteeScenario,
-    average_for_individual_guarantee,
-    hypothesis_ii_cap,
-    markov_bound,
-    uniform_comparison_table,
-)
-from .coupling import independent_coupling, maximal_coupling, mismatch_probability
-from .criteria import (
-    _variants_from_mass,
-    classical_dbar,
-    criterion_d_averaged,
-    criterion_d_entangled,
-    event_deviation_bound,
-    variational_distance,
-)
-from .discrimination import (
-    Povm,
-    helstrom_binary,
-    measure_ensemble,
-    post_leak_discrimination,
-)
-from .ensembles import (
-    LeakSpec,
-    ProbDist,
-    SpikedDist,
-    single_bit_pure_example,
-    two_bit_pkl_example,
-)
 from .errors import BadParams, ParseError, TooLarge, UnknownExperiment
-from .qmath import TOL, ZERO_TOL, DensityOperator, hermitian_eigen, tensor, trace_norm, validate_density
-from .sidechannel import (
-    LinearCode,
-    Gf2Matrix,
-    code_from_text,
-    decision_region_census,
-    is_perfect_code,
-    singular_fraction,
-)
+
+if TYPE_CHECKING:
+    from .discrimination import Povm
+    from .qmath import DensityOperator
+    from .sidechannel import LinearCode
+
+# Each command and helper imports the kernels it calls at its top, so one
+# CLI request loads only the modules of its experiment; a preset name is
+# checked first, so an unknown one loads none.
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -179,9 +148,9 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, np.integer):
+    if isinstance(value, numbers.Integral):  # numpy integers register as Integral
         return int(value)
-    if isinstance(value, (Fraction, np.floating)):  # a Fraction's float is finite
+    if isinstance(value, numbers.Real):  # numpy floats and Fractions; a Fraction's float is finite
         value = float(value)
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
@@ -226,8 +195,12 @@ class ExperimentReport:
         )
 
 
-def parse_qubit(spec, name: str = "qubit spec") -> DensityOperator:
+def parse_qubit(spec, name: str = "qubit spec") -> "DensityOperator":
     """Qubit density operator from a {'diag': [a, b]} or {'bloch': [x, y, z]} spec called ``name``."""
+    import numpy as np
+
+    from .qmath import ZERO_TOL, validate_density
+
     if not isinstance(spec, Mapping):
         raise ParseError(f"{name} must be a mapping, got {spec!r}")
     try:
@@ -248,14 +221,16 @@ def parse_qubit(spec, name: str = "qubit spec") -> DensityOperator:
     raise ParseError(f"{name} needs a 'diag' or 'bloch' entry, got {spec!r}")
 
 
-def _two_bit_preset(name) -> tuple[DensityOperator, ...]:
+def _two_bit_preset(name) -> tuple["DensityOperator", ...]:
     spec = _preset(name, TWO_BIT_PRESETS, "two-bit")
     return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
 
 
-def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple[DensityOperator, ...]:
+def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple["DensityOperator", ...]:
     if preset is not None:
         return _two_bit_preset(preset)
+    from .ensembles import single_bit_pure_example
+
     if overlap is not None:
         pair = single_bit_pure_example(overlap)
         ket0 = pair.probe("0")  # |0><0|, which is also sigma
@@ -268,6 +243,11 @@ def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple[DensityOperato
 def cmd_cex_i(seed: int, *, N: _int_param = 4):
     """Independent coupling of identical uniform distributions: the mismatch
     probability sits at 1 - 1/N even though the distance is zero."""
+    from .coupling import independent_coupling, maximal_coupling, mismatch_probability
+    from .criteria import variational_distance
+    from .ensembles import ProbDist
+    from .qmath import ZERO_TOL
+
     if N < 2:
         raise BadParams(f"need at least two atoms, got {N}")
     if N > _MAX_ATOMS:
@@ -314,6 +294,12 @@ def cmd_cex_ii(
     bit lets the second be read out with probability 1/2 + d, above the
     1/2 + d/2 that a probability-(1-d) uniform key would allow."""
     sigma, rho1, rho2 = _resolve_two_bit(preset, overlap, sigma, rho1, rho2)
+    from .bounds import hypothesis_ii_cap
+    from .criteria import criterion_d_averaged, criterion_d_entangled
+    from .discrimination import helstrom_binary, post_leak_discrimination
+    from .ensembles import LeakSpec, two_bit_pkl_example
+    from .qmath import TOL, ZERO_TOL, trace_norm
+
     family = two_bit_pkl_example(sigma, rho1, rho2)
     gap = trace_norm(rho1.matrix - rho2.matrix)
     d = criterion_d_averaged(family)
@@ -365,9 +351,14 @@ def cmd_cex_ii(
     return results, verdicts
 
 
-def _family_measurement(sigma: DensityOperator, rho1: DensityOperator, rho2: DensityOperator) -> Povm:
+def _family_measurement(sigma: "DensityOperator", rho1: "DensityOperator", rho2: "DensityOperator") -> "Povm":
     """Product measurement: the sigma eigenbasis on the first qubit and the
     eigenbasis of rho1 - rho2 on the second."""
+    import numpy as np
+
+    from .discrimination import Povm
+    from .qmath import hermitian_eigen, tensor
+
     _, first_basis = hermitian_eigen(sigma.matrix)
     _, second_basis = hermitian_eigen(rho1.matrix - rho2.matrix)
     elements = []
@@ -388,6 +379,13 @@ def cmd_cex_iii(
     """A concrete measurement whose induced distribution deviates from
     uniform by more than d under the joint or posterior readings."""
     sigma, rho1, rho2 = _resolve_two_bit(preset, overlap, sigma, rho1, rho2)
+    import numpy as np
+
+    from .criteria import _variants_from_mass, classical_dbar, criterion_d_averaged
+    from .discrimination import measure_ensemble
+    from .ensembles import two_bit_pkl_example
+    from .qmath import TOL, ZERO_TOL
+
     purity = float(np.trace(sigma.matrix @ sigma.matrix).real)
     if purity < 1.0 - TOL:
         raise ParseError(f"sigma must be pure for this construction, purity {purity!r}")
@@ -438,6 +436,9 @@ def cmd_cex_iii(
 def cmd_spiked(seed: int, *, n: _int_param = 8, l: _int_param = 3):
     """Spiked distribution: the whole key is guessable with probability
     2^-l while the distance from uniform is only 2^-l - 2^-n."""
+    from .criteria import event_deviation_bound
+    from .ensembles import SpikedDist
+
     dist = SpikedDist(n, l)
     analytic = Fraction(1, 2**l) - Fraction(1, 2**n)
     summed = dist.variational_from_uniform()
@@ -481,6 +482,8 @@ def cmd_toeplitz(
     seed: int, *, m: _int_param = 2, n: _int_param = 2, mode="exhaustive", samples: _int_param = None
 ):
     """Singular fraction of a Toeplitz hash family; singular members leak."""
+    from .sidechannel import singular_fraction
+
     fraction = singular_fraction(m, n, mode=mode, samples=samples, seed=seed)
     results = {
         "m": m,
@@ -520,9 +523,11 @@ def _read_text(path: str) -> str:
     return data.decode()
 
 
-def _resolve_code(preset, generator, code_file) -> LinearCode:
+def _resolve_code(preset, generator, code_file) -> "LinearCode":
     if preset is not None:
-        return LinearCode(Gf2Matrix.from_rows(_preset(preset, CODE_PRESETS, "code")))
+        generator = _preset(preset, CODE_PRESETS, "code")
+    from .sidechannel import Gf2Matrix, LinearCode, code_from_text
+
     if generator is not None:
         return LinearCode(Gf2Matrix.from_rows(generator))
     if code_file is not None:
@@ -539,6 +544,8 @@ def _resolve_code(preset, generator, code_file) -> LinearCode:
 def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syndrome"):
     """Decision-region census: unequal regions bias the decoded message."""
     code = _resolve_code(preset, generator, code_file)
+    from .sidechannel import decision_region_census, is_perfect_code
+
     census = decision_region_census(code, rule)
     perfect_radius = next(
         (t for t in range(code.n + 1) if is_perfect_code(code, t)), None
@@ -593,6 +600,8 @@ def cmd_markov(
     eps: _float_param = None, delta: _float_param = None, guarantees: _int_param = 1
 ):
     """Markov budget arithmetic, with the chained individual-guarantee cost."""
+    from .bounds import average_for_individual_guarantee, markov_bound
+
     bound = markov_bound(mean, threshold)
     results = {"mean": mean, "threshold": threshold, "bound": bound}
     verdicts = [
@@ -629,6 +638,9 @@ def cmd_table(
         n, l, m, epsilon = spec["n"], spec["l"], spec["m"], spec.get("epsilon")
     if n is None or l is None or m is None:
         raise ParseError("table scenario needs n, l and m (or a preset)")
+    from .bounds import GuaranteeScenario, uniform_comparison_table
+    from .qmath import ZERO_TOL
+
     scenario = GuaranteeScenario(n=n, l=l, m=m, epsilon=epsilon)
     rows = uniform_comparison_table(scenario, ms)
 

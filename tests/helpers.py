@@ -358,7 +358,7 @@ def success_probability_loop(e: CqEnsemble, m: Povm, guess: dict) -> float:
     for outcome, key in guess.items():
         p = float(e.prior.mass(key))
         rho = e.probe(key).matrix
-        terms.append(p * float(np.trace(rho @ m.element(outcome)).real))
+        terms.append(p * float(np.trace(rho @ m.stack[m.labels.index(outcome)]).real))
     return math.fsum(terms)
 
 

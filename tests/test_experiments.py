@@ -278,24 +278,36 @@ class TestRunner:
         assert a.canonical_json() == b.canonical_json()
 
     def test_jsonify_scalars(self):
+        """Python, numpy and Fraction scalars of every width serialize to the
+        canonical bytes of their Python int or float."""
+
+        class Count(int):
+            pass
+
         value = {
             "ints": [7, np.int64(-3), np.uint8(200), True, None, "s"],
             1: Fraction(1, 3),
             "floats": (0.5, np.float64(0.25), np.float32(1.5)),
-            "nonfinite": [float("inf"), -math.inf, math.nan, np.float64(-np.inf)],
+            "nonfinite": [float("inf"), -math.inf, math.nan, np.float64(-np.inf), np.float32("nan"), np.float16("inf")],
+            "widths": [np.int8(-128), np.int16(-2), np.int32(2**31 - 1), np.uint64(2**64 - 1), Count(5)],
+            "float_widths": [np.float32(0.1), np.float32(-2.5), np.float64(1 / 3), np.float16(0.5)],
         }
         out = _jsonify(value)
         assert out == {
             "ints": [7, -3, 200, True, None, "s"],
             "1": 1 / 3,
             "floats": [0.5, 0.25, 1.5],
-            "nonfinite": ["inf", "-inf", "nan", "-inf"],
+            "nonfinite": ["inf", "-inf", "nan", "-inf", "nan", "inf"],
+            "widths": [-128, -2, 2**31 - 1, 2**64 - 1, 5],
+            "float_widths": [float(np.float32(0.1)), -2.5, 1 / 3, 0.5],
         }
         assert [type(v) for v in out["ints"]] == [int, int, int, bool, type(None), str]
-        assert [type(v) for v in out["floats"]] == [float] * 3
+        assert [type(v) for v in out["floats"] + out["float_widths"]] == [float] * 7
         assert json.dumps(out, sort_keys=True, separators=(",", ":"), allow_nan=False) == (
-            '{"1":0.3333333333333333,"floats":[0.5,0.25,1.5],'
-            '"ints":[7,-3,200,true,null,"s"],"nonfinite":["inf","-inf","nan","-inf"]}'
+            '{"1":0.3333333333333333,"float_widths":[0.10000000149011612,-2.5,0.3333333333333333,0.5],'
+            '"floats":[0.5,0.25,1.5],"ints":[7,-3,200,true,null,"s"],'
+            '"nonfinite":["inf","-inf","nan","-inf","nan","inf"],'
+            '"widths":[-128,-2,2147483647,18446744073709551615,5]}'
         )
 
     def test_canonical_json_excludes_timing(self):

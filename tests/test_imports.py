@@ -1,11 +1,18 @@
 """Structure of the package: the runtime dependency stays numpy only, every
 module of the package imports from the standard library, numpy and the
-package itself, and every name the package exports has a reader."""
+package itself, every name the package exports has a reader, a CLI
+request loads only the modules of its experiment, and the first read of a
+package attribute binds the whole API."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tracecrit"
@@ -36,15 +43,21 @@ def test_package_imports_only_stdlib_numpy_and_itself():
         assert roots <= ALLOWED, f"{path.name} imports {sorted(roots - ALLOWED)}"
 
 
-def exports() -> set[str]:
-    """The names `tracecrit/__init__.py` imports from its modules."""
+def export_sources() -> dict[str, str]:
+    """Each name `tracecrit/__init__.py` imports from its modules, with the
+    module, wherever in the file the import block stands."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
+        alias.asname or alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
+
+
+def exports() -> set[str]:
+    """The names `tracecrit/__init__.py` imports from its modules."""
+    return set(export_sources())
 
 
 def loaded_names(paths) -> set[str]:
@@ -79,6 +92,7 @@ def readers() -> dict[str, set[str]]:
 
 
 def test_every_export_has_a_reader():
+    assert exports()
     found = readers()
     unread = sorted(
         name for name in exports() - HELD.keys() if not any(name in names for names in found.values())
@@ -96,3 +110,109 @@ def test_held_names_are_exported_unread_and_explained():
         assert item, f"{name}: reason {reason!r} is neither 'oracle' nor 'ROADMAP item N'"
         if item.group(1):
             assert re.search(rf"^{item.group(1)}\. \*\*", roadmap, re.M), f"{name}: no {reason}"
+
+
+# -- what a fresh interpreter loads ------------------------------------------
+
+#: The modules the library API binds: every module but the CLI front end.
+LIBRARY = {"bounds", "coupling", "criteria", "discrimination", "ensembles", "errors", "experiments", "qmath", "sidechannel"}
+KERNELS = LIBRARY - {"errors", "experiments"}
+
+#: Prefix of every probe: at exit, write the loaded package modules (short
+#: names) and numpy, as JSON, to the path in argv[1], and drop that path.
+PROBE = """\
+import atexit, json, sys
+def _dump(path=sys.argv.pop(1)):
+    names = [m for m in sys.modules if m == "numpy" or m.startswith("tracecrit.")]
+    with open(path, "w") as f:
+        json.dump(sorted(m.replace("tracecrit.", "", 1) for m in names), f)
+atexit.register(_dump)
+"""
+
+#: `python -m tracecrit`, with the probe's argv.
+CLI = "import runpy\nrunpy.run_module('tracecrit', run_name='__main__', alter_sys=True)\n"
+
+
+def run_probe(tmp_path, code: str, *argv: str):
+    """Run the probe then `code` in a fresh interpreter; its process and the
+    modules loaded when it exits."""
+    out = tmp_path / "modules.json"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE + code, str(out), *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc, set(json.loads(out.read_text()))
+
+
+REFUSED = {
+    "unknown-experiment": ["--experiment", "nope"],
+    "malformed-json": ["--experiment", "cex_ii", "--params", "{"],
+    "missing-experiment": ["--params", "{}"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED)
+def test_refused_request_loads_no_kernel(tmp_path, argv):
+    proc, modules = run_probe(tmp_path, CLI, *argv)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+    assert not modules & (KERNELS | {"numpy"}), sorted(modules)
+
+
+#: Requests, each with the modules it must not load.
+NOT_IN_TABLE = {"sidechannel", "criteria", "discrimination", "coupling", "ensembles"}
+NOT_IN_GF2 = {"criteria", "discrimination", "coupling", "bounds"}
+RUNS = {
+    "table-preset": (["--experiment", "table", "--params", '{"preset": "bb84-headline"}'], NOT_IN_TABLE),
+    "table-ms": (["--experiment", "table", "--params", '{"n": 100, "l": 10, "m": 20, "ms": [1, 20]}'], NOT_IN_TABLE),
+    "ecc": (["--experiment", "ecc", "--params", '{"preset": "code52", "rule": "min_distance"}'], NOT_IN_GF2),
+    "toeplitz": (["--experiment", "toeplitz", "--params", '{"m": 3, "n": 4}', "--format", "csv"], NOT_IN_GF2),
+}
+
+
+@pytest.mark.parametrize("argv, absent", RUNS.values(), ids=RUNS)
+def test_request_loads_only_its_modules(tmp_path, argv, absent):
+    proc, modules = run_probe(tmp_path, CLI, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert {"cli", "experiments", "numpy"} <= modules
+    assert not modules & absent, sorted(modules & absent)
+
+
+#: After the first read: the public names, and the exports that are the
+#: very object of the module they are imported from, given as JSON in argv[1].
+NAMESPACE = """
+import tracecrit
+public = sorted(n for n in vars(tracecrit) if not n.startswith("_"))
+sources = json.loads(sys.argv[1])
+same = sorted(n for n, m in sources.items() if getattr(tracecrit, n) is getattr(sys.modules["tracecrit." + m], n))
+print(json.dumps({"public": public, "same": same}))
+"""
+
+#: First reads of the package, each with the submodules it binds besides LIBRARY.
+FIRST_READS = {
+    "export": ("import tracecrit\ntracecrit.markov_bound\n", set()),
+    "from-cli": ("from tracecrit import cli\n", {"cli"}),
+    "star": ("from tracecrit import *\n", set()),
+    "dir": ("import tracecrit\ndir(tracecrit)\n", set()),
+}
+
+
+@pytest.mark.parametrize("first, extra", FIRST_READS.values(), ids=FIRST_READS)
+def test_first_read_binds_the_whole_api(tmp_path, first, extra):
+    sources = export_sources()
+    assert sources
+    proc, modules = run_probe(tmp_path, first + NAMESPACE, json.dumps(sources))
+    assert proc.returncode == 0, proc.stderr
+    assert modules == LIBRARY | extra | {"numpy"}
+    doc = json.loads(proc.stdout)
+    assert set(doc["public"]) == set(sources) | LIBRARY | extra
+    assert doc["same"] == sorted(sources)
+
+
+def test_bare_import_loads_nothing(tmp_path):
+    proc, modules = run_probe(tmp_path, "import tracecrit\nassert tracecrit.__version__\n")
+    assert proc.returncode == 0, proc.stderr
+    assert modules == set()

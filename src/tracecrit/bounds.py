@@ -3,31 +3,37 @@
 Exponents routinely exceed what double precision can hold linearly, so
 every table quantity is computed in the log2 domain first and the linear
 value is derived from it (underflowing gracefully to zero).
+
+The arithmetic is float and log2 only, so this module loads no numpy and
+no kernel at import: a `table` or `markov` request starts without them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import TOL, BadParams, BadRange, DimMismatch
 
-from .errors import BadParams, BadRange, DimMismatch
-from .qmath import TOL, DensityOperator, _trace_norm
+if TYPE_CHECKING:
+    from .qmath import DensityOperator
 
 
 @dataclass(frozen=True)
 class GuaranteeScenario:
     """Protocol-scale parameters for guarantee comparisons.
 
-    ``epsilon`` defaults to 2^-l when omitted.
+    ``epsilon`` defaults to 2^-l when omitted.  ``epsilon_log2`` is its
+    log2, exactly -l for the default even where 2^-l underflows to 0.0.
     """
 
     n: int
     l: int
     m: int
     epsilon: float | None = None
+    epsilon_log2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.m <= self.n:
@@ -37,11 +43,39 @@ class GuaranteeScenario:
         eps = self.epsilon if self.epsilon is not None else 2.0**-self.l
         if not 0.0 <= eps < 1.0:
             raise BadParams(f"epsilon must lie in [0, 1), got {eps!r}")
+        if self.epsilon is None:
+            eps_log2 = -float(self.l)
+        else:
+            eps_log2 = math.log2(eps) if eps > 0 else -math.inf
         object.__setattr__(self, "epsilon", float(eps))
+        object.__setattr__(self, "epsilon_log2", eps_log2)
 
 
 #: log2 of the smallest normal double; smaller budgets lose their precision.
 _MIN_NORMAL_LOG2 = math.log2(sys.float_info.min)
+
+
+#: log2(e), the factor numpy's logaddexp2 scales its log1p by.
+_LOG2E = 1.4426950408889634
+
+
+def _logaddexp2(x: float, y: float) -> float:
+    """log2(2**x + 2**y), bit for bit numpy's ``np.logaddexp2`` on doubles:
+    its ``npy_logaddexp2`` step by step, with the same libm calls.  Before
+    Python 3.11 there is no ``math.exp2`` (``2.0 ** t`` rounds differently),
+    so numpy computes it."""
+    if not hasattr(math, "exp2"):
+        import numpy as np
+
+        return float(np.logaddexp2(x, y))
+    if x == y:  # equal infinities too, without an inf - inf
+        return x + 1.0
+    gap = x - y
+    if gap > 0:
+        return x + _LOG2E * math.log1p(math.exp2(-gap))
+    if gap <= 0:
+        return y + _LOG2E * math.log1p(math.exp2(gap))
+    return gap  # NaN
 
 
 def _linear(log2_value: float) -> float:
@@ -113,6 +147,8 @@ def hypothesis_ii_exact(
 
     Always at most the cap, with equality for orthogonal pure components.
     """
+    from .qmath import _trace_norm
+
     if sigma0.dim != sigma1.dim:
         raise DimMismatch(f"dimensions differ: {sigma0.dim} vs {sigma1.dim}")
     return 0.5 + (_criterion_value(d) / 4.0) * _trace_norm(sigma0.matrix - sigma1.matrix)
@@ -148,12 +184,11 @@ def uniform_comparison_table(
     lengths = tuple(ms) if ms is not None else (scenario.m,)
     if any(not 0 < m <= scenario.n for m in lengths):
         raise BadParams("every subsequence length must lie in (0, n]")
-    eps = scenario.epsilon
-    eps_log2 = math.log2(eps) if eps > 0 else -math.inf
+    eps_log2 = scenario.epsilon_log2
     rows = []
     for m in lengths:
         uniform_log2 = -float(m)
-        bound_log2 = float(np.logaddexp2(uniform_log2, eps_log2))
+        bound_log2 = _logaddexp2(uniform_log2, eps_log2)
         ratio_log2 = bound_log2 + m
         rows.append(
             ComparisonRow(

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .ensembles import CqEnsemble, ProbDist, SpikedDist, _floats, _joined, bit_strings
-from .errors import BadParams, DimMismatch, NonUniformPrior, TooLarge
-from .qmath import TOL, ZERO_TOL, _trace_norm, _trace_norms
+from .errors import TOL, ZERO_TOL, BadParams, DimMismatch, NonUniformPrior, TooLarge
+from .qmath import _trace_norm, _trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
     from .discrimination import JointDistribution, Povm

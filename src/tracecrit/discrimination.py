@@ -15,8 +15,8 @@ import numpy as np
 
 from .criteria import _outcome_mass, criterion_d_averaged
 from .ensembles import CqEnsemble, LeakSpec, condition_on_leak
-from .errors import BadParams, BadRange, DimMismatch, NotBinaryResidual
-from .qmath import TOL, ZERO_TOL, DensityOperator, _adjoint_gaps, _hermitian_eigen
+from .errors import TOL, ZERO_TOL, BadParams, BadRange, DimMismatch, NotBinaryResidual
+from .qmath import DensityOperator, _adjoint_gaps, _hermitian_eigen
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
-from .qmath import TOL, ZERO_TOL, DensityOperator, _require_density_stack, _trace_norms, tensor
+from .errors import TOL, ZERO_TOL, BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
+from .qmath import DensityOperator, _require_density_stack, _trace_norms, tensor
 
 #: Key length cap for sparse spiked distributions.
 MAX_SPIKED_BITS = 30

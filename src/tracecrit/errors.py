@@ -1,8 +1,16 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit, and its two float tolerances.
 
 Every error names the violated contract; validation errors include the
-offending magnitude in their message so reports stay diagnosable.
+offending magnitude in their message so reports stay diagnosable.  The
+tolerances live here because every module imports this one and it imports
+nothing, so `bounds` reads them without loading numpy.
 """
+
+#: How far a validated unit-scale float may miss its exact constraint: an adjoint gap, a trace,
+#: a norm, an eigenvalue floor, a mass total, a POVM sum or the agreement of two routes.
+TOL = 1e-9
+#: Magnitude at or below which a mass, an eigenvalue or a vector component counts as zero.
+ZERO_TOL = 1e-12
 
 
 class ToolkitError(Exception):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from . import __version__
-from .errors import BadParams, ParseError, TooLarge, UnknownExperiment
+from .errors import TOL, ZERO_TOL, BadParams, ParseError, TooLarge, UnknownExperiment
 
 if TYPE_CHECKING:
     from .discrimination import Povm
@@ -199,7 +199,7 @@ def parse_qubit(spec, name: str = "qubit spec") -> "DensityOperator":
     """Qubit density operator from a {'diag': [a, b]} or {'bloch': [x, y, z]} spec called ``name``."""
     import numpy as np
 
-    from .qmath import ZERO_TOL, validate_density
+    from .qmath import validate_density
 
     if not isinstance(spec, Mapping):
         raise ParseError(f"{name} must be a mapping, got {spec!r}")
@@ -246,7 +246,6 @@ def cmd_cex_i(seed: int, *, N: _int_param = 4):
     from .coupling import independent_coupling, maximal_coupling, mismatch_probability
     from .criteria import variational_distance
     from .ensembles import ProbDist
-    from .qmath import ZERO_TOL
 
     if N < 2:
         raise BadParams(f"need at least two atoms, got {N}")
@@ -298,7 +297,7 @@ def cmd_cex_ii(
     from .criteria import criterion_d_averaged, criterion_d_entangled
     from .discrimination import helstrom_binary, post_leak_discrimination
     from .ensembles import LeakSpec, two_bit_pkl_example
-    from .qmath import TOL, ZERO_TOL, trace_norm
+    from .qmath import trace_norm
 
     family = two_bit_pkl_example(sigma, rho1, rho2)
     gap = trace_norm(rho1.matrix - rho2.matrix)
@@ -384,7 +383,6 @@ def cmd_cex_iii(
     from .criteria import _variants_from_mass, classical_dbar, criterion_d_averaged
     from .discrimination import measure_ensemble
     from .ensembles import two_bit_pkl_example
-    from .qmath import TOL, ZERO_TOL
 
     purity = float(np.trace(sigma.matrix @ sigma.matrix).real)
     if purity < 1.0 - TOL:
@@ -639,7 +637,6 @@ def cmd_table(
     if n is None or l is None or m is None:
         raise ParseError("table scenario needs n, l and m (or a preset)")
     from .bounds import GuaranteeScenario, uniform_comparison_table
-    from .qmath import ZERO_TOL
 
     scenario = GuaranteeScenario(n=n, l=l, m=m, epsilon=epsilon)
     rows = uniform_comparison_table(scenario, ms)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadTrace, DimMismatch, NotHermitian, NotPsd
-
-#: How far a validated unit-scale float may miss its exact constraint: an adjoint gap, a trace,
-#: a norm, an eigenvalue floor, a mass total, a POVM sum or the agreement of two routes.
-TOL = 1e-9
-#: Magnitude at or below which a mass, an eigenvalue or a vector component counts as zero.
-ZERO_TOL = 1e-12
+from .errors import TOL, ZERO_TOL, BadTrace, DimMismatch, NotHermitian, NotPsd
 
 
 def _as_complex(a) -> np.ndarray:

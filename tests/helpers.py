@@ -22,8 +22,8 @@ from tracecrit import (
     variational_distance,
 )
 from tracecrit.ensembles import bit_strings
-from tracecrit.errors import BadParams
-from tracecrit.qmath import TOL, ZERO_TOL, _require_square_hermitian
+from tracecrit.errors import TOL, ZERO_TOL, BadParams
+from tracecrit.qmath import _require_square_hermitian
 from tracecrit.sidechannel import _parity_check_rows
 
 

@@ -16,10 +16,10 @@ from tracecrit import (
     uniform_comparison_table,
     validate_density,
 )
+from tracecrit.bounds import _logaddexp2
 from tracecrit.cli import render_csv, render_markdown
-from tracecrit.errors import BadParams, BadRange, DimMismatch
+from tracecrit.errors import TOL, BadParams, BadRange, DimMismatch
 from tracecrit.experiments import run_experiment
-from tracecrit.qmath import TOL
 
 from helpers import bits, gap_qubit, random_density, unchecked_norm
 
@@ -192,6 +192,23 @@ class TestComparisonTable:
         assert row.uniform_log2 == -5000.0  # log form does not
         assert row.ratio_log2 == pytest.approx(4980.0, abs=1e-9)
 
+    @pytest.mark.parametrize("l", [1074, 1075, 1100, 5000])
+    def test_default_epsilon_keeps_its_exponent(self, l):
+        # 2^-l underflows to 0.0 past l = 1074; the default's log2 stays -l,
+        # so the bound at m = l is 2^-(l-1), twice the uniform probability
+        scenario = GuaranteeScenario(n=l, l=l, m=l)
+        assert scenario.epsilon == 2.0**-l
+        assert scenario.epsilon_log2 == -l
+        (row,) = uniform_comparison_table(scenario)
+        assert row.bound_log2 == 1.0 - l
+        assert row.ratio_log2 == 1.0 and row.ratio == 2.0
+
+    def test_explicit_zero_epsilon_at_large_l(self):
+        scenario = GuaranteeScenario(n=2000, l=1100, m=1100, epsilon=0.0)
+        assert scenario.epsilon_log2 == -math.inf
+        (row,) = uniform_comparison_table(scenario)
+        assert row.bound_log2 == -1100.0 and row.ratio_log2 == 0.0
+
     def test_scenario_validation(self):
         with pytest.raises(BadParams):
             GuaranteeScenario(n=10, l=3, m=11)
@@ -209,3 +226,51 @@ class TestComparisonTable:
         table = [line for line in md_lines if line.startswith("| ")]
         assert table[0].startswith("| result")
         assert len({len(line) for line in table}) == 1  # aligned columns
+
+
+def assert_matches_logaddexp2(x, y):
+    """`_logaddexp2` of each pair equals `np.logaddexp2` bit for bit, and is
+    NaN where numpy's is."""
+    got = np.array([_logaddexp2(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN, and 1e308 - -1e308
+        want = np.logaddexp2(x, y)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    differ = np.flatnonzero(got[~nan].view(np.int64) != want[~nan].view(np.int64))
+    first = differ[:1].tolist()
+    assert not differ.size, f"{differ.size} of {x.size} differ, first at {x[~nan][first]}, {y[~nan][first]}"
+
+
+class TestLogAddExp2:
+    """The table's log-sum-exp reproduces numpy's bits, so `table` prints the
+    same bytes without loading numpy."""
+
+    def test_near_equal_pairs(self):
+        # dense where rounding is delicate: with 2.0 ** t in place of
+        # math.exp2, 41 of these differ from numpy (near zero, where the
+        # sum's last bit still shows the correction's)
+        rng = np.random.default_rng(24)
+        x = rng.uniform(-20.0, 1.0, 250_000)
+        assert_matches_logaddexp2(x, x + rng.uniform(-1.0, 1.0, x.size))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(25)
+        x, y = rng.uniform(-3000.0, 10.0, (2, 50_000))
+        assert_matches_logaddexp2(x, y)
+
+    def test_table_domain(self):
+        # -m for every m < 3000 against log2 epsilon: seven explicit values
+        # and the defaults -l
+        eps_log2 = np.log2([1e-5, 1e-3, 0.1, 0.5, 0.999, 1e-300, 5e-324])
+        ys = np.concatenate([eps_log2, -np.arange(0.0, 3000.0, 30.0)])
+        x, y = np.meshgrid(-np.arange(1.0, 3000.0), ys)
+        assert_matches_logaddexp2(x.ravel(), y.ravel())
+
+    def test_equal_infinite_and_nan_arguments(self):
+        specials = [0.0, -0.0, 1.0, -1074.0, 1e308, -1e308, math.inf, -math.inf, math.nan]
+        x, y = np.array([(a, b) for a in specials for b in specials]).T
+        assert_matches_logaddexp2(x, y)
+        assert _logaddexp2(-5.0, -5.0) == -4.0
+        assert _logaddexp2(-math.inf, -math.inf) == -math.inf
+        assert _logaddexp2(-math.inf, -7.0) == -7.0
+        assert math.isnan(_logaddexp2(math.nan, 1.0)) and math.isnan(_logaddexp2(1.0, math.nan))

@@ -12,8 +12,7 @@ from tracecrit import (
     mismatch_probability,
     variational_distance,
 )
-from tracecrit.qmath import TOL
-from tracecrit.errors import BadParams
+from tracecrit.errors import TOL, BadParams
 
 from helpers import (
     bits,

@@ -36,8 +36,7 @@ from tracecrit import (
 from tracecrit import criteria
 from tracecrit.criteria import _outcome_mass
 from tracecrit.ensembles import _BIT_STRINGS, bit_strings
-from tracecrit.errors import BadParams, NonUniformPrior, TooLarge
-from tracecrit.qmath import TOL
+from tracecrit.errors import TOL, BadParams, NonUniformPrior, TooLarge
 
 from helpers import (
     bits,

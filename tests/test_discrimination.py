@@ -21,6 +21,7 @@ from tracecrit import (
 )
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import (
+    TOL,
     BadParams,
     BadRange,
     DimMismatch,
@@ -28,7 +29,6 @@ from tracecrit.errors import (
 )
 
 from tracecrit.criteria import _outcome_mass, _variants_from_mass
-from tracecrit.qmath import TOL
 
 from helpers import (
     bits,

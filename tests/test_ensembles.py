@@ -23,6 +23,8 @@ from tracecrit import ensembles
 from tracecrit.criteria import criterion_d_averaged
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import (
+    TOL,
+    ZERO_TOL,
     BadOverlap,
     BadParams,
     BadTrace,
@@ -32,7 +34,6 @@ from tracecrit.errors import (
     TooLarge,
     ZeroMass,
 )
-from tracecrit.qmath import TOL, ZERO_TOL
 
 from helpers import (
     average_probe_loop,

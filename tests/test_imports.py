@@ -6,6 +6,7 @@ package attribute binds the whole API."""
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -162,22 +163,29 @@ def test_refused_request_loads_no_kernel(tmp_path, argv):
     assert not modules & (KERNELS | {"numpy"}), sorted(modules)
 
 
-#: Requests, each with the modules it must not load.
-NOT_IN_TABLE = {"sidechannel", "criteria", "discrimination", "coupling", "ensembles"}
+#: The guarantee experiments, `table` and `markov`, do float and log2
+#: arithmetic only: they load `bounds` and no numpy and no other kernel.
+#: Before Python 3.11 (no `math.exp2`) `table` borrows numpy's logaddexp2.
+GUARANTEE = {"cli", "experiments", "errors", "bounds"}
+NOT_IN_MARKOV = (KERNELS - {"bounds"}) | {"numpy"}
+NOT_IN_TABLE = NOT_IN_MARKOV if hasattr(math, "exp2") else NOT_IN_MARKOV - {"numpy"}
+GF2 = {"cli", "experiments", "numpy", "sidechannel"}
 NOT_IN_GF2 = {"criteria", "discrimination", "coupling", "bounds"}
+#: Requests, each with the modules it must load and those it must not.
 RUNS = {
-    "table-preset": (["--experiment", "table", "--params", '{"preset": "bb84-headline"}'], NOT_IN_TABLE),
-    "table-ms": (["--experiment", "table", "--params", '{"n": 100, "l": 10, "m": 20, "ms": [1, 20]}'], NOT_IN_TABLE),
-    "ecc": (["--experiment", "ecc", "--params", '{"preset": "code52", "rule": "min_distance"}'], NOT_IN_GF2),
-    "toeplitz": (["--experiment", "toeplitz", "--params", '{"m": 3, "n": 4}', "--format", "csv"], NOT_IN_GF2),
+    "table-preset": (["--experiment", "table", "--params", '{"preset": "bb84-headline"}'], GUARANTEE, NOT_IN_TABLE),
+    "table-ms": (["--experiment", "table", "--params", '{"n": 100, "l": 10, "m": 20, "ms": [1, 20]}'], GUARANTEE, NOT_IN_TABLE),
+    "markov": (["--experiment", "markov", "--params", '{"eps": 0.01, "delta": 0.5, "guarantees": 3}'], GUARANTEE, NOT_IN_MARKOV),
+    "ecc": (["--experiment", "ecc", "--params", '{"preset": "code52", "rule": "min_distance"}'], GF2, NOT_IN_GF2),
+    "toeplitz": (["--experiment", "toeplitz", "--params", '{"m": 3, "n": 4}', "--format", "csv"], GF2, NOT_IN_GF2),
 }
 
 
-@pytest.mark.parametrize("argv, absent", RUNS.values(), ids=RUNS)
-def test_request_loads_only_its_modules(tmp_path, argv, absent):
+@pytest.mark.parametrize("argv, present, absent", RUNS.values(), ids=RUNS)
+def test_request_loads_only_its_modules(tmp_path, argv, present, absent):
     proc, modules = run_probe(tmp_path, CLI, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert {"cli", "experiments", "numpy"} <= modules
+    assert present <= modules, sorted(present - modules)
     assert not modules & absent, sorted(modules & absent)
 
 

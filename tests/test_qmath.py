@@ -12,8 +12,8 @@ from tracecrit import (
     trace_norm,
     validate_density,
 )
-from tracecrit.errors import BadTrace, DimMismatch, NotHermitian, NotPsd
-from tracecrit.qmath import TOL, trace_norms
+from tracecrit.errors import TOL, BadTrace, DimMismatch, NotHermitian, NotPsd
+from tracecrit.qmath import trace_norms
 
 from helpers import (
     bits,

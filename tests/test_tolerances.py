@@ -1,20 +1,23 @@
 """One tolerance policy: the package's float tolerances are the two named in
-`qmath`, and every other module reads them instead of its own literal."""
+`errors`, and every other module reads them instead of its own literal."""
 
 import ast
 import importlib
 from pathlib import Path
 
+from tracecrit import errors, qmath
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tracecrit"
-#: Names the tolerances had before they were folded into qmath.TOL and qmath.ZERO_TOL.
+#: Names the tolerances had before they were folded into TOL and ZERO_TOL.
 RETIRED = (
     "HERM_TOL", "TRACE_TOL", "NORM_TOL", "PSD_TOL", "_PHASE_TOL", "MASS_TOL", "NEG_MASS_TOL",
     "POVM_SUM_TOL", "PGM_KERNEL_TOL", "JOINT_MASS_TOL", "SUPPORT_TOL", "_EQUIV_TOL",
 )
 
 
-def test_only_qmath_holds_tolerance_sized_floats():
-    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "qmath.py")
+def test_only_errors_holds_tolerance_sized_floats():
+    assert qmath.TOL is errors.TOL and qmath.ZERO_TOL is errors.ZERO_TOL
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "errors.py")
     assert paths
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

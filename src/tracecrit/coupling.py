@@ -75,10 +75,6 @@ class Coupling:
             cells[on] += self.diagonal[rows[on]] * scale
         return cells, None if self.denominator is None else self.denominator * scale
 
-    def mass(self, i: int, j: int):
-        (cell,), whole = self._cells(np.array([i]), np.array([j]))
-        return float(cell) if whole is None else Fraction(cell, whole)
-
 
 def maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
     """Coupling whose mismatch probability equals the variational distance.

@@ -17,13 +17,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import TOL, ZERO_TOL, BadOverlap, BadParams, DimMismatch, TooLarge, ZeroMass
+from .errors import TOL, ZERO_TOL, BadOverlap, BadParams, DimMismatch, ZeroMass
 from .qmath import DensityOperator, _require_density_stack, _trace_norms, tensor
 
 #: Key length cap for sparse spiked distributions.
 MAX_SPIKED_BITS = 30
-#: Key length cap for expanding a spiked distribution into a dense table.
-_MAX_DENSE_BITS = 20
 #: bit_strings(n) by n, each built once per process and then held.
 _BIT_STRINGS: dict[int, tuple[str, ...]] = {0: ("",), 1: ("0", "1")}
 
@@ -226,14 +224,6 @@ class SpikedDist:
         """Mass of each non-spike key."""
         return (1 - self.spike_mass) / (2**self.n_bits - 1)  # n >= 1, so never 0 / 0
 
-    def mass(self, label: str) -> Fraction:
-        if len(label) != self.n_bits or set(label) - {"0", "1"}:
-            raise BadParams(f"label {label!r} is not a {self.n_bits}-bit string")
-        return self.spike_mass if label == self.spike_label else self.rest_mass
-
-    def total_mass(self) -> Fraction:
-        return self.spike_mass + (2**self.n_bits - 1) * self.rest_mass
-
     def max_mass(self) -> Fraction:
         return max(self.spike_mass, self.rest_mass)
 
@@ -251,20 +241,6 @@ class SpikedDist:
             if value > 0.0 and count > 0:
                 total -= count * value * math.log2(value)
         return total
-
-    def to_probdist(self) -> ProbDist:
-        if self.n_bits > _MAX_DENSE_BITS:
-            raise TooLarge(
-                f"dense expansion of a {self.n_bits}-bit distribution exceeds the "
-                f"{_MAX_DENSE_BITS}-bit cap"
-            )
-        # both mass levels over 2^l (2^n - 1); the spike is the first label
-        others = 2**self.n_bits - 1
-        numerators = [2**self.spike_exponent - 1] * (others + 1)
-        numerators[0] = others
-        return ProbDist._from_numerators(
-            bit_strings(self.n_bits), numerators, 2**self.spike_exponent * others
-        )
 
 
 @dataclass(frozen=True)

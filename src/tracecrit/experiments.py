@@ -106,15 +106,28 @@ def _skip(relation: str, detail: str) -> Verdict:
     return Verdict(relation, NOT_APPLICABLE, detail)
 
 
+def _is_integer(value) -> bool:
+    """Whether a value is an integer: an Integral other than a bool, or an integral float."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return integral or (isinstance(value, float) and value.is_integer())
+
+
 def _int_param(value, name: str) -> int:
     """An integer parameter; strings, booleans, non-integral numbers and
     magnitudes above 2^53, past which floats skip integers, exit 2."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if integral or (isinstance(value, float) and value.is_integer()):
+    if _is_integer(value):
         if abs(value) <= 2**53:
             return int(value)
         raise BadParams(f"parameter {name!r} must have magnitude at most 2^53")
     raise BadParams(f"parameter {name!r} must be an integer, got {value!r}")
+
+
+def _seed(seed) -> int:
+    """The seed as an int in [0, 2^64), the range the CLI's --seed takes;
+    anything else exits 2."""
+    if _is_integer(seed) and 0 <= seed < 2**64:
+        return int(seed)
+    raise BadParams(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def _float_param(value, name: str) -> float:
@@ -648,6 +661,8 @@ def cmd_table(
         "rows": [dataclasses.asdict(r) for r in rows],
         "headline_ratio_log2": rows[0].ratio_log2,
     }
+    if epsilon is None and scenario.epsilon == 0.0:  # the default 2^-l underflowed
+        results["epsilon_log2"] = scenario.epsilon_log2
     verdicts = [
         _verdict(
             "bound-dominates-uniform",
@@ -670,9 +685,17 @@ REGISTRY = {
 }
 
 
+def _command(name):
+    """The experiment registered as ``name``; any other name, a non-string
+    included, raises UnknownExperiment."""
+    if not isinstance(name, str) or name not in REGISTRY:
+        raise UnknownExperiment(f"unknown experiment {name!r}; available: {', '.join(sorted(REGISTRY))}")
+    return REGISTRY[name]
+
+
 def _parameters(name: str, keys) -> Mapping[str, inspect.Parameter]:
     """The command's parameters; a key it does not declare raises ParseError."""
-    parameters = inspect.signature(REGISTRY[name]).parameters
+    parameters = inspect.signature(_command(name)).parameters
     declared = [k for k in parameters if k != "seed"]
     undeclared = [k for k in keys if k not in declared]
     if undeclared:
@@ -695,21 +718,20 @@ def _bind(name: str, params: Mapping) -> dict:
 
 
 def run_experiment(name: str, params: Mapping | None = None, seed: int = 0) -> ExperimentReport:
-    """Run one registered experiment and wrap its results in a report; a null
-    or mistyped value or a name its signature lacks raises before it runs."""
-    if name not in REGISTRY:
-        raise UnknownExperiment(
-            f"unknown experiment {name!r}; available: {', '.join(sorted(REGISTRY))}"
-        )
+    """Run one registered experiment and wrap its results in a report; a seed
+    outside [0, 2^64), a null or mistyped value or a name its signature
+    lacks raises before it runs."""
+    command = _command(name)
+    seed = _seed(seed)
     params = dict(params or {})
     kwargs = _bind(name, params)
     start = time.perf_counter()
-    results, verdicts = REGISTRY[name](int(seed), **kwargs)
+    results, verdicts = command(seed, **kwargs)
     elapsed = time.perf_counter() - start
     return ExperimentReport(
         experiment=name,
         params=params,
-        seed=int(seed),
+        seed=seed,
         results=results,
         verdicts=tuple(verdicts),
         version=__version__,
@@ -727,14 +749,14 @@ def run_sweep(
 
     The grid is the cartesian product of the per-parameter value lists in
     declaration order; rows are independent, so a fixed seed makes the
-    whole sweep reproducible byte for byte.  The base and every grid value
-    are bound before the first point runs.  The result columns are the
-    sorted union of every point's scalar results, blank where a point
-    lacks one; a grid value that is a list or an object is written as
-    compact JSON.
+    whole sweep reproducible byte for byte.  The seed, the base and every
+    grid value are checked before the first point runs.  The result
+    columns are the sorted union of every point's scalar results, blank
+    where a point lacks one; a grid value that is a list or an object is
+    written as compact JSON.
     """
-    if not isinstance(experiment, str) or experiment not in REGISTRY:
-        raise UnknownExperiment(f"unknown experiment {experiment!r}")
+    command = _command(experiment)
+    seed = _seed(seed)
     if not isinstance(grid, Mapping) or not all(
         isinstance(v, (list, tuple)) for v in grid.values()
     ):
@@ -753,7 +775,7 @@ def run_sweep(
 
     runs = []
     for point, bound in points:
-        results, verdicts = REGISTRY[experiment](int(seed), **{**base, **dict(zip(names, bound))})
+        results, verdicts = command(seed, **{**base, **dict(zip(names, bound))})
         cells = [json.dumps(v, sort_keys=True, separators=(",", ":")) if isinstance(v, (dict, list)) else v for v in point]
         scalars = {k: v for k, v in _jsonify(results).items() if isinstance(v, (int, float, str))}
         runs.append((cells, scalars, all(v.status != FAIL for v in verdicts)))

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 All operations work on plain numpy arrays (row-major, complex128) and
-return fresh values; inputs are never mutated.  Dimensions stay small
-(<= ~64), so dense Hermitian eigendecomposition is the workhorse and no
-sparse or iterative machinery is needed.
+return fresh values; inputs are never mutated.  Dimensions stay small (at
+most 256, the joint key-probe matrix of the entangled criterion form), so
+dense Hermitian eigendecomposition is the workhorse and no sparse or
+iterative machinery is needed.
 
 Each Hermitian matrix is checked once, where it enters: the public eigen
 kernels check their input, and their private cores eigensolve, unchecked,
@@ -139,16 +140,11 @@ def _hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs * (pivots.conj() / np.abs(pivots))
 
 
-def trace_norms(stack) -> np.ndarray:
-    """Trace norm of each Hermitian matrix of a (k, d, d) stack, from one
-    batched eigensolve; each norm is the correctly rounded sum of its
-    absolute eigenvalues."""
-    return _trace_norms(_require_hermitian_stack(stack))
-
-
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
-    """`trace_norms` of a complex stack derived from checked operators,
-    unchecked, like `_hermitian_eigen`."""
+    """Trace norm of each matrix of a complex (k, d, d) stack derived from
+    checked operators, unchecked, like `_hermitian_eigen`: one batched
+    eigensolve, each norm the correctly rounded sum of its absolute
+    eigenvalues."""
     vals = np.abs(np.linalg.eigvalsh(stack))
     return np.array([math.fsum(row) for row in vals.tolist()])
 

@@ -61,12 +61,6 @@ class Gf2Matrix:
         packed = tuple(sum(b << j for j, b in enumerate(r)) for r in rows)
         return cls(len(rows), n, packed)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
-    def to_rows(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
 
 def toeplitz_from_seed(seed_bits, m: int, n: int) -> Gf2Matrix:
     """m x n Toeplitz matrix with entry(i, j) = seed[i - j + n - 1].
@@ -264,16 +258,9 @@ class LinearCode:
     def k(self) -> int:
         return self.generator.rows
 
-    def codeword(self, message: int) -> int:
-        """Encode a message index; message bit t (leftmost first) selects row t."""
-        word = 0
-        for t in range(self.k):
-            if (message >> (self.k - 1 - t)) & 1:
-                word ^= self.generator.row_bits[t]
-        return word
-
     def codewords(self) -> np.ndarray:
-        """Every codeword, indexed by message as in :meth:`codeword`."""
+        """Every codeword, indexed by message: bit t of the k-bit message,
+        counted from the leftmost, selects generator row t."""
         return _xor_span(reversed(self.generator.row_bits))
 
 

@@ -8,12 +8,15 @@ from fractions import Fraction
 import numpy as np
 
 from tracecrit import (
+    Coupling,
     CqEnsemble,
     DensityOperator,
+    Gf2Matrix,
     LeakSpec,
     LinearCode,
     Povm,
     ProbDist,
+    SpikedDist,
     gf2_rank,
     hermitian_eigen,
     toeplitz_from_seed,
@@ -74,6 +77,42 @@ def random_povm(rng, dim: int, n_outcomes: int) -> Povm:
     return Povm(tuple(elements))
 
 
+# -- scalar views of the packed and factored forms ------------------------
+
+
+def spiked_mass(d: SpikedDist, label: str) -> Fraction:
+    """Mass of one key of a spiked distribution."""
+    return d.spike_mass if label == d.spike_label else d.rest_mass
+
+
+def spiked_dense(d: SpikedDist) -> ProbDist:
+    """A spiked distribution as an exact dense ProbDist, one Fraction per key."""
+    keys = bit_strings(d.n_bits)
+    return ProbDist(keys, [spiked_mass(d, x) for x in keys])
+
+
+def matrix_rows(mat: Gf2Matrix) -> list[list[int]]:
+    """A packed GF(2) matrix as rows of bits, column j from bit j of a row."""
+    return [[(row >> j) & 1 for j in range(mat.cols)] for row in mat.row_bits]
+
+
+def codeword(code: LinearCode, message: int) -> int:
+    """Encode a message index one generator row at a time: bit t of the
+    k-bit message, counted from the leftmost, selects row t."""
+    word = 0
+    for t in range(code.k):
+        if (message >> (code.k - 1 - t)) & 1:
+            word ^= code.generator.row_bits[t]
+    return word
+
+
+def coupling_cell(c: Coupling, i: int, j: int):
+    """Mass of cell (i, j) of a factored coupling: a Fraction when its
+    marginals are exact, else a float."""
+    (cell,), whole = c._cells(np.array([i]), np.array([j]))
+    return float(cell) if whole is None else Fraction(cell, whole)
+
+
 # -- loop oracles for the batched kernels --------------------------------
 
 
@@ -109,7 +148,7 @@ def census_loop(code: LinearCode, rule: str) -> tuple[list[int], float]:
     from uniform."""
     n, k = code.n, code.k
     words = np.arange(2**n, dtype=np.int64)
-    cws = np.asarray([code.codeword(i) for i in range(2**k)], dtype=np.int64)
+    cws = np.asarray([codeword(code, i) for i in range(2**k)], dtype=np.int64)
     if rule == "syndrome":
         h_rows = _parity_check_rows(code)
         col_syndrome = np.zeros(n, dtype=np.int64)

@@ -16,6 +16,7 @@ from tracecrit.errors import TOL, BadParams
 
 from helpers import (
     bits,
+    coupling_cell,
     dense_maximal_coupling,
     independent_mismatch_loop,
     masses,
@@ -34,7 +35,7 @@ class TestMaximalCoupling:
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert c.mass(i, j) == 0
+                    assert coupling_cell(c, i, j) == 0
 
     def test_hand_construction(self):
         p = ProbDist(("x", "y"), (0.7, 0.3))
@@ -42,7 +43,7 @@ class TestMaximalCoupling:
         c = maximal_coupling(p, q)
         assert mismatch_probability(c) == pytest.approx(0.3, abs=1e-12)
         # overlap 0.4 + 0.3; residual 0.3 concentrated on (x, y)
-        assert c.mass(0, 1) == pytest.approx(0.3, abs=1e-12)
+        assert coupling_cell(c, 0, 1) == pytest.approx(0.3, abs=1e-12)
 
     def test_disjoint_supports(self):
         p = ProbDist(("a", "b"), (1.0, 0.0))
@@ -93,7 +94,7 @@ def assert_matches_dense(p, q):
     assert (type(got), got) == (type(want), want)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
-            assert c.mass(i, j) == cell
+            assert coupling_cell(c, i, j) == cell
 
 
 class TestFactoredMaximalCoupling:

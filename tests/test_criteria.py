@@ -55,6 +55,7 @@ from helpers import (
     random_povm,
     random_probdist,
     random_unitary,
+    spiked_dense,
     success_probability_loop,
     trace_norm_loop,
     unchecked_norm,
@@ -431,7 +432,7 @@ class TestEventDeviationBound:
 
     def test_sparse_matches_dense_path(self):
         sparse = SpikedDist(8, 3)
-        dense = sparse.to_probdist()
+        dense = spiked_dense(sparse)
         for m in range(1, 9):
             dev_sparse, _ = event_deviation_bound(sparse, m)
             dev_dense, _ = event_deviation_bound(dense, m)
@@ -493,7 +494,7 @@ class TestEventDeviationBound:
         dists = (
             ProbDist(labels, tuple(w / w.sum())),
             ProbDist.uniform(labels),
-            SpikedDist(n, (n + 1) // 2).to_probdist(),
+            spiked_dense(SpikedDist(n, (n + 1) // 2)),
             ProbDist(labels, tuple(by_weight / by_weight.sum())),
         )
         for p in dists:

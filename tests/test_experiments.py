@@ -261,11 +261,55 @@ class TestMarkovAndTable:
         report = run_experiment("table", {"preset": "bb84-headline"})
         assert report.results["epsilon"] == 1e-5
 
+    def test_table_keeps_the_log2_of_an_underflowing_default_epsilon(self):
+        report = run_experiment("table", {"n": 2000, "l": 1100, "m": 1100})
+        assert (report.results["epsilon"], report.results["epsilon_log2"]) == (0.0, -1100.0)
+        assert report.results["rows"][0]["bound_log2"] == -1099.0
+        # 2^-1074 is the least subnormal; a given epsilon of 0 is no underflow
+        for params in ({"l": 1074}, {"l": 1100, "epsilon": 0.0}, {"l": 20}):
+            results = run_experiment("table", {"n": 2000, "m": 1100, **params}).results
+            assert "epsilon_log2" not in results
+
 
 class TestRunner:
     def test_unknown_experiment(self):
         with pytest.raises(UnknownExperiment):
             run_experiment("nope", {})
+
+    @pytest.mark.parametrize("name", ["nope", ["x"], None, 3])
+    def test_run_and_sweep_refuse_an_unknown_name_alike(self, name):
+        with pytest.raises(UnknownExperiment) as single:
+            run_experiment(name)
+        with pytest.raises(UnknownExperiment) as swept:
+            run_sweep(name, {})
+        assert str(swept.value) == str(single.value) == (
+            f"unknown experiment {name!r}; available: {', '.join(sorted(REGISTRY))}"
+        )
+
+    @pytest.mark.parametrize(
+        "seed", [3.7, 2.9, -5, -1.0, 2**64, 2.0**64, True, "3", None, math.nan, math.inf]
+    )
+    def test_seed_outside_the_cli_range_refused_before_any_run(self, seed, monkeypatch):
+        calls = []
+
+        def recorder(seed, *, x=1):
+            calls.append(seed)
+            return {"x": x}, []
+
+        monkeypatch.setitem(REGISTRY, "cex_i", recorder)
+        message = r"seed must be an integer in \[0, 2\^64\), got "
+        with pytest.raises(BadParams, match=message):
+            run_experiment("cex_i", {}, seed=seed)
+        with pytest.raises(BadParams, match=message):
+            run_sweep("cex_i", {"x": [1, 2]}, seed=seed)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 5, 3.0, np.int64(7), 2**64 - 1])
+    def test_integer_seed_in_range_runs(self, seed):
+        report = run_experiment("cex_i", {"N": 4}, seed=seed)
+        assert type(report.seed) is int and report.seed == seed
+        sampled = {"grid": {"samples": [50]}, "base": {"mode": "sample"}}
+        assert run_sweep("toeplitz", **sampled, seed=seed) == run_sweep("toeplitz", **sampled, seed=int(seed))
 
     def test_registry_is_complete(self):
         assert set(REGISTRY) == {

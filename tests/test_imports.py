@@ -1,8 +1,9 @@
 """Structure of the package: the runtime dependency stays numpy only, every
 module of the package imports from the standard library, numpy and the
-package itself, every name the package exports has a reader, a CLI
-request loads only the modules of its experiment, and the first read of a
-package attribute binds the whole API."""
+package itself, every name the package exports and every public function,
+class and method it defines has a reader, a CLI request loads only the
+modules of its experiment, and the first read of a package attribute binds
+the whole API."""
 
 import ast
 import json
@@ -29,6 +30,9 @@ HELD = {
     "success_probability": "ROADMAP item 1",
     "toeplitz_from_seed": "ROADMAP item 9",
 }
+
+#: Public methods that the standard library calls by name, with their caller.
+OVERRIDES = {"error": "argparse.ArgumentParser.parse_args"}
 
 
 def test_package_imports_only_stdlib_numpy_and_itself():
@@ -99,6 +103,47 @@ def test_every_export_has_a_reader():
         name for name in exports() - HELD.keys() if not any(name in names for names in found.values())
     )
     assert not unread, f"exported but read by no module, bench/ or README's Library section: {unread}"
+
+
+def public_definitions() -> dict[str, str]:
+    """Each public function, class and method the package defines, by
+    qualified name ("module.Class.method"), with its bare name; a method of
+    a private class counts, since callers reach it through instances."""
+    defs = ast.FunctionDef, ast.ClassDef
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, defs):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            named = [(node.name, node)] + [(f"{node.name}.{m.name}", m) for m in members if isinstance(m, defs)]
+            out.update((f"{path.stem}.{q}", d.name) for q, d in named if not d.name.startswith("_"))
+    return out
+
+
+def test_every_public_definition_has_a_reader():
+    """Every public function, class and method defined in the package is
+    read by name somewhere in the package, bench/ or README's Library code,
+    by the rule of `test_every_export_has_a_reader`.  The rule matches bare
+    names, so it cannot see a method whose name a read attribute of another
+    type shares (a `mass` method beside `ProbDist.mass`), nor one that only
+    another unread method calls."""
+    defined = public_definitions()
+    assert defined
+    found = readers()
+    unread = sorted(
+        qualname
+        for qualname, name in defined.items()
+        if name not in HELD.keys() | OVERRIDES.keys() and not any(name in names for names in found.values())
+    )
+    assert not unread, f"defined but read by no module, bench/ or README's Library section: {unread}"
+
+
+def test_overrides_are_defined_and_unread():
+    defined, found = set(public_definitions().values()), readers()
+    for name in OVERRIDES:
+        assert name in defined, f"{name} is exempt but not defined"
+        assert not any(name in names for names in found.values()), f"{name} has a reader; drop it from OVERRIDES"
 
 
 def test_held_names_are_exported_unread_and_explained():

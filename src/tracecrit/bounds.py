@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import TOL, BadParams, BadRange, DimMismatch
+from .errors import TOL, BadParams
 
 if TYPE_CHECKING:
     from .qmath import DensityOperator
@@ -61,13 +61,7 @@ _LOG2E = 1.4426950408889634
 
 def _logaddexp2(x: float, y: float) -> float:
     """log2(2**x + 2**y), bit for bit numpy's ``np.logaddexp2`` on doubles:
-    its ``npy_logaddexp2`` step by step, with the same libm calls.  Before
-    Python 3.11 there is no ``math.exp2`` (``2.0 ** t`` rounds differently),
-    so numpy computes it."""
-    if not hasattr(math, "exp2"):
-        import numpy as np
-
-        return float(np.logaddexp2(x, y))
+    its ``npy_logaddexp2`` step by step, with the same libm calls."""
     if x == y:  # equal infinities too, without an inf - inf
         return x + 1.0
     gap = x - y
@@ -131,7 +125,7 @@ def _criterion_value(d: float) -> float:
     """d clamped into [0, 1/2]; a d computed from validated states misses
     that range only by rounding, so only a miss beyond ``TOL`` is refused."""
     if not -TOL <= d <= 0.5 + TOL:  # NaN fails too
-        raise BadRange(f"criterion value must lie in [0, 1/2], got {d!r}")
+        raise BadParams(f"criterion value must lie in [0, 1/2], got {d!r}")
     return min(max(d, 0.0), 0.5)
 
 
@@ -150,7 +144,7 @@ def hypothesis_ii_exact(
     from .qmath import _trace_norm
 
     if sigma0.dim != sigma1.dim:
-        raise DimMismatch(f"dimensions differ: {sigma0.dim} vs {sigma1.dim}")
+        raise BadParams(f"dimensions differ: {sigma0.dim} vs {sigma1.dim}")
     return 0.5 + (_criterion_value(d) / 4.0) * _trace_norm(sigma0.matrix - sigma1.matrix)
 
 

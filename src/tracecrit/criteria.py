@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .ensembles import CqEnsemble, ProbDist, SpikedDist, _floats, _joined, bit_strings
-from .errors import TOL, ZERO_TOL, BadParams, DimMismatch, NonUniformPrior, TooLarge
+from .errors import TOL, ZERO_TOL, BadParams, NonUniformPrior, TooLarge
 from .qmath import _trace_norm, _trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
@@ -377,7 +377,7 @@ def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
     rounding and is clamped to zero.
     """
     if povm.dim != e.probe_dim:
-        raise DimMismatch(f"measurement dim {povm.dim} does not match probe dim {e.probe_dim}")
+        raise BadParams(f"measurement dim {povm.dim} does not match probe dim {e.probe_dim}")
     ops = povm.stack
     mass = np.empty((len(e.keys), len(ops)))
     step = max(1, _STACK_BATCH_CELLS // ops.size)

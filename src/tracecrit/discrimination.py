@@ -15,7 +15,7 @@ import numpy as np
 
 from .criteria import _outcome_mass, criterion_d_averaged
 from .ensembles import CqEnsemble, LeakSpec, condition_on_leak
-from .errors import TOL, ZERO_TOL, BadParams, BadRange, DimMismatch, NotBinaryResidual
+from .errors import TOL, ZERO_TOL, BadParams
 from .qmath import DensityOperator, _adjoint_gaps, _hermitian_eigen
 
 
@@ -41,7 +41,7 @@ class Povm:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise BadParams(f"element {label!r} is not square")
             if m.shape[0] != ops[0].shape[0]:
-                raise DimMismatch(
+                raise BadParams(
                     f"element {label!r} has dim {m.shape[0]}, expected {ops[0].shape[0]}"
                 )
         stack = np.stack(ops)
@@ -130,9 +130,9 @@ def helstrom_binary(
     1/2 + ||rho1 - rho0||_1 / 4.
     """
     if rho0.dim != rho1.dim:
-        raise DimMismatch(f"dimensions differ: {rho0.dim} vs {rho1.dim}")
+        raise BadParams(f"dimensions differ: {rho0.dim} vs {rho1.dim}")
     if not 0.0 <= p0 <= 1.0:
-        raise BadRange(f"prior must lie in [0, 1], got {p0!r}")
+        raise BadParams(f"prior must lie in [0, 1], got {p0!r}")
     gamma = (1.0 - p0) * rho1.matrix - p0 * rho0.matrix
     vals, vecs = _hermitian_eigen(gamma)
     positive = vals > 0.0
@@ -199,7 +199,7 @@ def post_leak_discrimination(e: CqEnsemble, leak: LeakSpec) -> PostLeakResult:
     """
     residual = condition_on_leak(e, leak)
     if residual.n_bits != 1:
-        raise NotBinaryResidual(
+        raise BadParams(
             f"leak leaves {residual.n_bits} unknown bits; exactly 1 is required"
         )
     p0 = float(residual.prior.mass("0"))

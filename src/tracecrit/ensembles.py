@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import TOL, ZERO_TOL, BadOverlap, BadParams, DimMismatch, ZeroMass
+from .errors import TOL, ZERO_TOL, BadParams
 from .qmath import DensityOperator, _require_density_stack, _trace_norms, tensor
 
 #: Key length cap for sparse spiked distributions.
@@ -293,7 +293,7 @@ class CqEnsemble:
         matrices = [getattr(probes[k], "matrix", probes[k]) for k in expected]
         shapes = {np.shape(m) for m in matrices}
         if len(shapes) != 1:
-            raise DimMismatch(f"probe shapes differ: {sorted(shapes)}")
+            raise BadParams(f"probe shapes differ: {sorted(shapes)}")
         stack = np.stack(matrices)
         if not all(isinstance(probes[k], DensityOperator) for k in expected):
             stack = _require_density_stack(stack)
@@ -336,7 +336,7 @@ class CqEnsemble:
 def single_bit_pure_example(c: float) -> CqEnsemble:
     """One-bit key with pure probes of real overlap c, embedded in dim 2."""
     if not 0.0 <= c <= 1.0:
-        raise BadOverlap(f"overlap must lie in [0, 1], got {c!r}")
+        raise BadParams(f"overlap must lie in [0, 1], got {c!r}")
     kets = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1.0 - c * c))]], dtype=complex)
     probes = {k: DensityOperator._trusted(np.outer(v, v.conj())) for k, v in zip("01", kets)}
     return CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
@@ -350,7 +350,7 @@ def two_bit_pkl_example(
     carry sigma (x) rho2."""
     for name, op in (("sigma", sigma), ("rho1", rho1), ("rho2", rho2)):
         if op.dim != 2:
-            raise DimMismatch(f"{name} must be qubit-dimensioned, got dim {op.dim}")
+            raise BadParams(f"{name} must be qubit-dimensioned, got dim {op.dim}")
     first = DensityOperator._trusted(tensor(sigma.matrix, rho1.matrix))
     second = DensityOperator._trusted(tensor(sigma.matrix, rho2.matrix))
     probes = {"00": first, "01": second, "10": second, "11": first}
@@ -373,7 +373,7 @@ def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
     exact = e.prior.denominator is not None
     total = sum(matched.tolist()) if exact else math.fsum(matched.tolist())
     if total <= 0:
-        raise ZeroMass("leaked pattern has zero prior probability")
+        raise BadParams("leaked pattern has zero prior probability")
 
     n_kept = n - len(leak.positions)
     residual_keys = bit_strings(n_kept)

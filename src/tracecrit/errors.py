@@ -1,7 +1,9 @@
 """Exception types raised across the toolkit, and its two float tolerances.
 
 Every error names the violated contract; validation errors include the
-offending magnitude in their message so reports stay diagnosable.  The
+offending magnitude in their message so reports stay diagnosable.
+`BadParams` is the one type for a violated precondition; a narrower class
+exists only where some caller tells it apart from `BadParams`.  The
 tolerances live here because every module imports this one and it imports
 nothing, so `bounds` reads them without loading numpy.
 """
@@ -29,44 +31,18 @@ class BadTrace(ToolkitError):
     """Operator trace is not 1 within tolerance."""
 
 
-class DimMismatch(ToolkitError):
-    """Operands have incompatible dimensions."""
-
-
 class TooLarge(ToolkitError):
-    """Requested computation exceeds the dense-enumeration size cap."""
-
-
-class BadOverlap(ToolkitError):
-    """Pure-state overlap parameter outside [0, 1]."""
+    """A valid request exceeds a size cap, where smaller sizes would run."""
 
 
 class BadParams(ToolkitError):
-    """Parameters violate an operation precondition."""
-
-
-class BadRange(ToolkitError):
-    """Scalar argument outside its documented range."""
-
-
-class ZeroMass(ToolkitError):
-    """Conditioning event has zero prior probability."""
+    """Parameters violate an operation precondition: a value outside its
+    range, operands of mismatched dimensions, a leak or seed that does not
+    fit its use."""
 
 
 class NonUniformPrior(ToolkitError):
     """Joint distribution does not have a uniform row marginal."""
-
-
-class NotBinaryResidual(ToolkitError):
-    """Leak does not leave exactly one unknown bit."""
-
-
-class BadSeedLength(ToolkitError):
-    """Toeplitz seed length is not rows + cols - 1."""
-
-
-class BadShape(ToolkitError):
-    """Matrix shape violates an operation precondition."""
 
 
 class ParseError(ToolkitError):

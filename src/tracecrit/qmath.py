@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOL, ZERO_TOL, BadTrace, DimMismatch, NotHermitian, NotPsd
+from .errors import TOL, ZERO_TOL, BadParams, BadTrace, NotHermitian, NotPsd
 
 
 def _as_complex(a) -> np.ndarray:
@@ -111,7 +111,7 @@ def tensor(a, b) -> np.ndarray:
     its per-call cost."""
     a, b = _as_complex(a), _as_complex(b)
     if a.ndim != 2 or b.ndim != 2:
-        raise DimMismatch(f"tensor takes two matrices, got shapes {a.shape} and {b.shape}")
+        raise BadParams(f"tensor takes two matrices, got shapes {a.shape} and {b.shape}")
     (r, c), (s, t) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(r * s, c * t)
 

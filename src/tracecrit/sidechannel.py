@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import bit_strings
-from .errors import BadParams, BadSeedLength, BadShape, TooLarge
+from .errors import BadParams, TooLarge
 
 #: Seed-space cap for exhaustive singular-fraction enumeration.
 EXHAUSTIVE_SEED_CAP = 2**24
@@ -69,7 +69,7 @@ def toeplitz_from_seed(seed_bits, m: int, n: int) -> Gf2Matrix:
     """
     seed = tuple(int(b) for b in seed_bits)
     if len(seed) != m + n - 1:
-        raise BadSeedLength(f"need {m + n - 1} seed bits for {m}x{n}, got {len(seed)}")
+        raise BadParams(f"need {m + n - 1} seed bits for {m}x{n}, got {len(seed)}")
     if set(seed) - {0, 1}:
         raise BadParams("seed entries must be bits")
     packed = tuple(
@@ -120,7 +120,7 @@ def pac_leakage(mat: Gf2Matrix) -> int:
     the nominal output entropy are leaked.
     """
     if mat.rows > mat.cols:
-        raise BadShape(f"hash must compress: {mat.rows} rows > {mat.cols} cols")
+        raise BadParams(f"hash must compress: {mat.rows} rows > {mat.cols} cols")
     return mat.rows - gf2_rank(mat)
 
 

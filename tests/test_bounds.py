@@ -18,7 +18,7 @@ from tracecrit import (
 )
 from tracecrit.bounds import _logaddexp2
 from tracecrit.cli import render_csv, render_markdown
-from tracecrit.errors import TOL, BadParams, BadRange, DimMismatch
+from tracecrit.errors import TOL, BadParams
 from tracecrit.experiments import run_experiment
 
 from helpers import bits, gap_qubit, random_density, unchecked_norm
@@ -100,7 +100,7 @@ class TestMixtureCap:
         assert hypothesis_ii_cap(0.25) == 0.625
 
     def test_range_check(self):
-        with pytest.raises(BadRange):
+        with pytest.raises(BadParams, match=r"criterion value must lie in \[0, 1/2\], got 0\.6"):
             hypothesis_ii_cap(0.6)
 
     def test_rounding_past_the_range_is_clamped(self):
@@ -108,7 +108,7 @@ class TestMixtureCap:
         assert hypothesis_ii_cap(0.5 + TOL / 2) == 0.75
         assert hypothesis_ii_cap(-TOL / 2) == 0.5
         for d in (0.5 + 2 * TOL, -2 * TOL, math.nan):
-            with pytest.raises(BadRange):
+            with pytest.raises(BadParams, match="criterion value must lie in"):
                 hypothesis_ii_cap(d)
 
     def test_orthogonal_violation_margin(self):
@@ -138,12 +138,12 @@ class TestMixtureExact:
         s0 = validate_density(np.diag([1.0, 0.0]))
         s1 = validate_density(np.diag([0.0, 1.0]))
         assert hypothesis_ii_exact(s0, s1, 0.5 + TOL / 2) == 0.75
-        with pytest.raises(BadRange):
+        with pytest.raises(BadParams, match="criterion value must lie in"):
             hypothesis_ii_exact(s0, s1, 0.5 + 2 * TOL)
 
     def test_dim_mismatch(self):
         s0 = validate_density(np.eye(2) / 2)
-        with pytest.raises(DimMismatch, match="dimensions differ: 2 vs 3"):
+        with pytest.raises(BadParams, match="dimensions differ: 2 vs 3"):
             hypothesis_ii_exact(s0, validate_density(np.eye(3) / 3), 0.3)
 
     def test_identical_components(self):

@@ -23,9 +23,6 @@ from tracecrit.ensembles import bit_strings
 from tracecrit.errors import (
     TOL,
     BadParams,
-    BadRange,
-    DimMismatch,
-    NotBinaryResidual,
 )
 
 from tracecrit.criteria import _outcome_mass, _variants_from_mass
@@ -86,7 +83,7 @@ class TestPovm:
     def test_shape_errors(self):
         with pytest.raises(BadParams, match="'a' is not square"):
             Povm((("a", np.ones((2, 3))),))
-        with pytest.raises(DimMismatch, match="'b' has dim 3"):
+        with pytest.raises(BadParams, match="'b' has dim 3, expected 2"):
             Povm((("a", np.eye(2)), ("b", np.eye(3))))
 
     def test_rejects_empty(self):
@@ -139,9 +136,9 @@ class TestHelstrom:
 
     def test_errors(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(BadParams, match="dimensions differ: 2 vs 3"):
             helstrom_binary(random_density(rng, 2), random_density(rng, 3), 0.5)
-        with pytest.raises(BadRange):
+        with pytest.raises(BadParams, match=r"prior must lie in \[0, 1\], got 1\.5"):
             helstrom_binary(random_density(rng, 2), random_density(rng, 2), 1.5)
 
 
@@ -179,7 +176,7 @@ class TestMeasureEnsemble:
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(6)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(BadParams, match="measurement dim 2 does not match probe dim 3"):
             measure_ensemble(random_ensemble(rng, 1, 3), projective_qubit_povm())
 
     def test_joint_holds_the_measured_mass_read_only(self):
@@ -338,7 +335,7 @@ class TestSuccessProbability:
     def test_dim_mismatch_after_the_guess_labels(self):
         e = random_ensemble(np.random.default_rng(6), 1, 3)
         m = projective_qubit_povm()
-        with pytest.raises(DimMismatch):
+        with pytest.raises(BadParams, match="measurement dim 2 does not match probe dim 3"):
             success_probability(e, m, {"0": "0"})
         with pytest.raises(BadParams, match="unknown key"):
             success_probability(e, m, {"0": "zz"})
@@ -385,7 +382,7 @@ class TestPostLeakDiscrimination:
     def test_non_binary_residual(self):
         rng = np.random.default_rng(13)
         e = random_ensemble(rng, 3, 2)
-        with pytest.raises(NotBinaryResidual):
+        with pytest.raises(BadParams, match="leak leaves 2 unknown bits; exactly 1 is required"):
             post_leak_discrimination(e, LeakSpec((0,), (0,)))
 
 

@@ -842,10 +842,12 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_refused(experiment, params):
+def assert_refused(experiment, params) -> str:
+    """The one `error:` line of a request that exits 2 with nothing on stdout."""
     code, out, err = run_cli(["--experiment", experiment, "--params", json.dumps(params)])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    return err
 
 
 class TestDeclaredParams:
@@ -987,7 +989,8 @@ class TestDeclaredParams:
     @pytest.mark.parametrize("experiment", ["cex_ii", "cex_iii"])
     @pytest.mark.parametrize("overlap", [1.5, -0.1])
     def test_out_of_range_overlap_exit_two(self, experiment, overlap):
-        assert_refused(experiment, {"overlap": overlap})
+        err = assert_refused(experiment, {"overlap": overlap})
+        assert err == f"error: overlap must lie in [0, 1], got {overlap}\n"
 
     def test_sample_mode_matrix_size_cap(self):
         params = {"m": 1000000, "n": 1, "mode": "sample", "samples": 1}

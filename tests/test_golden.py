@@ -3,11 +3,15 @@
 ``golden_outputs.json`` holds the exit code and the exact output text of
 each invocation below, recorded once and kept as fixed data.  Markdown
 reports carry a wall-clock ``- elapsed:`` line, which is stripped on both
-sides before comparing.
+sides before comparing.  The same bytes must come out under a pre-AVX2
+OpenBLAS kernel, which rounds complex products without FMA.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +84,39 @@ def test_output_matches_golden(name, golden, tmp_path):
     code, text = run_case(CASES[name], tmp_path / "out")
     assert code == golden[name]["exit"]
     assert text == golden[name]["output"]
+
+
+#: An OpenBLAS kernel without FMA, chosen at load time by OPENBLAS_CORETYPE.
+PRE_AVX2 = "Sandybridge"
+
+#: Rerun every case in a fresh interpreter; print the names whose exit code
+#: or output differs from the golden record, as JSON.
+RERUN = """
+import json, tempfile
+from pathlib import Path
+from test_golden import CASES, GOLDEN, run_case
+golden = json.loads(GOLDEN.read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "out"
+    differ = [n for n in sorted(CASES) if run_case(CASES[n], out) != (golden[n]["exit"], golden[n]["output"])]
+print(json.dumps(differ))
+"""
+
+
+def _blas_switches_kernels() -> bool:
+    """numpy's OpenBLAS is a DYNAMIC_ARCH build, which picks its kernel when
+    it loads and so obeys OPENBLAS_CORETYPE."""
+    import numpy as np
+
+    return "DYNAMIC_ARCH" in str(np.__config__.CONFIG.get("Build Dependencies", {}).get("blas"))
+
+
+@pytest.mark.skipif(not _blas_switches_kernels(), reason="numpy's OpenBLAS is not a DYNAMIC_ARCH build")
+def test_goldens_hold_on_a_pre_avx2_blas_kernel():
+    here = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=PRE_AVX2, OPENBLAS_VERBOSE="2")
+    proc = subprocess.run([sys.executable, "-c", RERUN], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert f"Core: {PRE_AVX2}" in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -12,7 +12,7 @@ from tracecrit import (
     trace_norm,
     validate_density,
 )
-from tracecrit.errors import TOL, BadTrace, DimMismatch, NotHermitian, NotPsd
+from tracecrit.errors import TOL, BadParams, BadTrace, NotHermitian, NotPsd
 from tracecrit.qmath import _require_hermitian_stack, _trace_norms
 
 from helpers import (
@@ -59,7 +59,7 @@ class TestTensor:
         assert not [p.name for p in package.glob("*.py") if "np.kron" in p.read_text()]
 
     def test_rejects_non_matrices(self):
-        with pytest.raises(DimMismatch, match="two matrices"):
+        with pytest.raises(BadParams, match="two matrices"):
             tensor(KET0, KET1)
 
     def test_bilinear(self):

@@ -22,7 +22,7 @@ from tracecrit.cli import render_csv
 from tracecrit.experiments import CODE_PRESETS, run_experiment
 from tracecrit import sidechannel
 from tracecrit.sidechannel import EXHAUSTIVE_SEED_CAP, _parity_check_rows
-from tracecrit.errors import BadParams, BadSeedLength, BadShape, TooLarge
+from tracecrit.errors import BadParams, TooLarge
 
 from helpers import census_loop, codeword, matrix_rows, singular_fraction_loop
 
@@ -73,7 +73,7 @@ class TestToeplitz:
                     assert matrix_rows(t) == [[s1, s0], [s2, s1]]
 
     def test_seed_length_check(self):
-        with pytest.raises(BadSeedLength):
+        with pytest.raises(BadParams, match="need 3 seed bits for 2x2, got 2"):
             toeplitz_from_seed([1, 0], 2, 2)
 
     def test_seed_entries_must_be_bits(self):
@@ -154,7 +154,7 @@ class TestPacLeakage:
             assert pac_leakage(mat) == deficit
 
     def test_rejects_expanding_shape(self):
-        with pytest.raises(BadShape):
+        with pytest.raises(BadParams, match="hash must compress: 3 rows > 2 cols"):
             pac_leakage(Gf2Matrix.from_rows([[1, 0], [0, 1], [1, 1]]))
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensembles import ProbDist, _common, _joined
+from .ensembles import ProbDist, _joined
 from .errors import BadParams
 
 
@@ -23,19 +23,20 @@ class Coupling:
     """Joint mass over X x X' with declared marginals, built by
     `maximal_coupling` or `independent_coupling`.
 
-    The marginals ``p`` and ``q`` and the optional ``diagonal`` are
-    read-only arrays over one common ``denominator``: Python-int numerators
-    when every mass is exact, else float64 with ``denominator`` None.  The
-    mass is kept factored and never expanded, so huge label universes stay
-    cheap: ``diagonal[i]`` on cell (i, i) plus the rank-one residual
-    ``res_p[i] * res_q[j] / leftover``, where ``res_p = p - diagonal``,
-    ``res_q = q - diagonal`` and ``leftover`` is the total of ``res_p``, all
-    in the units of ``p``.  Without a diagonal the coupling is the
-    independent product P(x)Q(x'), i.e. residuals P and Q and leftover 1.
+    Both sides share one label index, ``row_labels``: the outer join of the
+    marginals' labels, missing labels at zero mass.  The marginals ``p`` and
+    ``q`` and the optional ``diagonal`` are read-only arrays over it and over
+    one common ``denominator``: Python-int numerators when every mass is
+    exact, else float64 with ``denominator`` None.  The mass is kept factored
+    and never expanded, so huge label universes stay cheap: ``diagonal[i]``
+    on cell (i, i) plus the rank-one residual ``res_p[i] * res_q[j] /
+    leftover``, where ``res_p = p - diagonal``, ``res_q = q - diagonal`` and
+    ``leftover`` is the total of ``res_p``, all in the units of ``p``.
+    Without a diagonal the coupling is the independent product P(x)Q(x'),
+    i.e. residuals P and Q and leftover 1.
     """
 
     row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
     p: np.ndarray
     q: np.ndarray
     denominator: int | None
@@ -61,20 +62,6 @@ class Coupling:
             if a is not None:
                 a.setflags(write=False)
 
-    def _cells(self, rows: np.ndarray, cols: np.ndarray):
-        """(cells, whole): the factored mass of cells (rows[t], cols[t]), the diagonal
-        on matching cells plus res_p * res_q / leftover, as int numerators over
-        whole = denominator * (leftover or 1), or as float64 with whole None.
-        A leftover of 0 means every residual is 0."""
-        scale = self.leftover or 1
-        cells = self.res_p[rows] * self.res_q[cols]
-        if self.denominator is None:  # divide now, so the diagonal is in scale
-            cells, scale = cells / scale, 1
-        if self.diagonal is not None:
-            on = rows == cols
-            cells[on] += self.diagonal[rows[on]] * scale
-        return cells, None if self.denominator is None else self.denominator * scale
-
 
 def maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
     """Coupling whose mismatch probability equals the variational distance.
@@ -83,31 +70,33 @@ def maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:
     by the outer product of the normalized residuals, which is deterministic
     and independent of label order.  Kept factored, so it costs O(N).
     """
-    P, Q, den = _joined(p, q)
-    if not len(P) == len(p.labels) == len(q.labels):
+    labels, P, Q, den = _joined(p, q)
+    if not len(labels) == len(p.labels) == len(q.labels):
         raise BadParams("coupled distributions must share one label universe")
-    return Coupling(p.labels, p.labels, P, Q, den, np.where(Q < P, Q, P))
+    return Coupling(labels, P, Q, den, np.where(Q < P, Q, P))
 
 
 def independent_coupling(p: ProbDist, q: ProbDist) -> Coupling:
     """Product coupling P(x)Q(x'); kept in factored form."""
-    (P, Q), den = _common(p, q)
-    return Coupling(p.labels, q.labels, P, Q, den)
+    return Coupling(*_joined(p, q))
 
 
 def mismatch_probability(c: Coupling):
-    """Pr[X != X'] = 1 minus the mass on matching labels.
+    """Pr[X != X'] = 1 minus the mass on matching labels, summed over the
+    one label index: diagonal[i] + res_p[i] * res_q[i] / leftover, where a
+    leftover of 0 means every residual is 0.
 
     Exact marginals give an exact Fraction; the factored arrays are reduced
     without expansion.
     """
-    if c.row_labels == c.col_labels:
-        rows = cols = np.arange(len(c.row_labels))
-    else:
-        col_index = {x: j for j, x in enumerate(c.col_labels)}
-        pairs = [(i, col_index[x]) for i, x in enumerate(c.row_labels) if x in col_index]
-        rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    cells, whole = c._cells(rows, cols)
-    if whole is None:
-        return 1.0 - math.fsum(cells.tolist())
-    return Fraction(whole - int(cells.sum()), whole)
+    scale = c.leftover or 1
+    matches = c.res_p * c.res_q
+    if c.denominator is None:  # divide first, so the diagonal adds in units of p
+        matches /= scale
+        if c.diagonal is not None:
+            matches += c.diagonal
+        return 1.0 - math.fsum(matches.tolist())
+    if c.diagonal is not None:
+        matches += c.diagonal * scale
+    whole = c.denominator * scale
+    return Fraction(whole - int(matches.sum()), whole)

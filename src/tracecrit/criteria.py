@@ -51,7 +51,7 @@ def variational_distance(p: ProbDist, q: ProbDist):
     Label sets are outer-joined with zero mass for missing labels.  Two
     exact distributions give an exact Fraction.
     """
-    P, Q, den = _joined(p, q)
+    _, P, Q, den = _joined(p, q)
     if den is not None:
         return Fraction(int(np.abs(P - Q).sum()), 2 * den)
     return math.fsum(np.abs(P - Q).tolist()) / 2.0
@@ -425,7 +425,7 @@ def decomposition_fallacy_check(p: ProbDist, q: ProbDist, eps: float) -> bool:
         raise BadParams(f"mixture weight must be nonnegative, got {eps!r}")
     if float(variational_distance(p, q)) > eps + ZERO_TOL and eps <= 1:
         raise BadParams("precondition failed: distance between p and q exceeds eps")
-    P, Q, den = _joined(p, q)
+    _, P, Q, den = _joined(p, q)
     if den is not None:
         P, Q = _floats(P, den), _floats(Q, den)
     return bool(np.all(P >= (1.0 - eps) * Q - ZERO_TOL))

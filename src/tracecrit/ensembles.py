@@ -10,6 +10,7 @@ where a computation genuinely needs it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,6 +38,15 @@ def bit_strings(n: int) -> tuple[str, ...]:
         low = bit_strings(n // 2)
         _BIT_STRINGS[n] = tuple(a + b for a in bit_strings(n - n // 2) for b in low)
     return _BIT_STRINGS[n]
+
+
+def _ints(values, message: str) -> tuple[int, ...]:
+    """values as a tuple of ints, refused with BadParams(message) when one is a
+    bool or not an Integral, which int() would round or take silently."""
+    values = tuple(values)
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+        raise BadParams(message)
+    return tuple(map(int, values))
 
 
 def _exact_parts(values):
@@ -165,30 +175,25 @@ class ProbDist:
         return _floats(self.probs, self.denominator)
 
 
-def _common(*dists):
-    """The distributions' mass arrays over one common denominator: int
-    numerators when every one is exact, else float64 with denominator None."""
-    if any(d.denominator is None for d in dists):
-        return [d.as_array() for d in dists], None
-    den = math.lcm(*(d.denominator for d in dists))
-    arrays = [d.probs if d.denominator == den else d.probs * (den // d.denominator) for d in dists]
-    return arrays, den
-
-
 def _joined(p: ProbDist, q: ProbDist):
-    """(P, Q, denominator): the masses of p and q on the outer join of their
-    labels, p's labels first and a missing label at zero mass, over one
-    common denominator as in `_common`."""
-    (a, b), den = _common(p, q)
+    """(labels, P, Q, denominator): the masses of p and q on the outer join of
+    their labels, p's labels first and a missing label at zero mass, as int
+    numerators over one common denominator when both are exact, else float64
+    with denominator None."""
+    if p.denominator is None or q.denominator is None:
+        a, b, den = p.as_array(), q.as_array(), None
+    else:
+        den = math.lcm(p.denominator, q.denominator)
+        a, b = (d.probs if d.denominator == den else d.probs * (den // d.denominator) for d in (p, q))
     if p.labels == q.labels:
-        return a, b, den
+        return p.labels, a, b, den
     where = dict(p._index)
     for x in q.labels:
         where.setdefault(x, len(where))
     P, Q = np.zeros((2, len(where)), dtype=float if den is None else object)
     P[: len(a)] = a
     Q[[where[x] for x in q.labels]] = b
-    return P, Q, den
+    return tuple(where), P, Q, den
 
 
 @dataclass(frozen=True)
@@ -251,8 +256,8 @@ class LeakSpec:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        positions = tuple(int(p) for p in self.positions)
-        values = tuple(int(v) for v in self.values)
+        positions = _ints(self.positions, "leak positions must be integers")
+        values = _ints(self.values, "leaked values must be bits")
         if len(positions) != len(values):
             raise BadParams("positions and values must have equal length")
         if any(p < 0 for p in positions):

@@ -503,7 +503,7 @@ def cmd_toeplitz(
         "seed_space_bits": m + n - 1,
         "singular_fraction": fraction,
     }
-    if samples is not None:
+    if mode == "sample":  # exhaustive runs draw nothing, so a samples value is unused
         results["samples"] = samples
     verdicts = [
         _verdict(

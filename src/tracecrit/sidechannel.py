@@ -10,13 +10,12 @@ over packed bit matrices.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import bit_strings
+from .ensembles import _ints, bit_strings
 from .errors import BadParams, TooLarge
 
 #: Seed-space cap for exhaustive singular-fraction enumeration.
@@ -36,9 +35,9 @@ class Gf2Matrix:
     row_bits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
+        if min(_ints((self.rows, self.cols), "matrix dimensions must be integers")) <= 0:
             raise BadParams("matrix dimensions must be positive")
-        bits = tuple(int(r) for r in self.row_bits)
+        bits = _ints(self.row_bits, "packed rows must be integers")
         if len(bits) != self.rows:
             raise BadParams(f"expected {self.rows} packed rows, got {len(bits)}")
         if any(r < 0 or r >> self.cols for r in bits):
@@ -56,7 +55,8 @@ class Gf2Matrix:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise BadParams("rows have unequal lengths")
-        if any(not isinstance(b, numbers.Integral) or isinstance(b, bool) or b not in (0, 1) for r in rows for b in r):
+        rows = [_ints(r, "entries must be bits") for r in rows]
+        if any(set(r) - {0, 1} for r in rows):
             raise BadParams("entries must be bits")
         packed = tuple(sum(b << j for j, b in enumerate(r)) for r in rows)
         return cls(len(rows), n, packed)
@@ -67,7 +67,7 @@ def toeplitz_from_seed(seed_bits, m: int, n: int) -> Gf2Matrix:
 
     Diagonals are constant; the seed must supply m + n - 1 bits.
     """
-    seed = tuple(int(b) for b in seed_bits)
+    seed = _ints(seed_bits, "seed entries must be bits")
     if len(seed) != m + n - 1:
         raise BadParams(f"need {m + n - 1} seed bits for {m}x{n}, got {len(seed)}")
     if set(seed) - {0, 1}:

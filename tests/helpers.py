@@ -109,8 +109,11 @@ def codeword(code: LinearCode, message: int) -> int:
 def coupling_cell(c: Coupling, i: int, j: int):
     """Mass of cell (i, j) of a factored coupling: a Fraction when its
     marginals are exact, else a float."""
-    (cell,), whole = c._cells(np.array([i]), np.array([j]))
-    return float(cell) if whole is None else Fraction(cell, whole)
+    scale = c.leftover or 1  # a leftover of 0 means every residual is 0
+    on = c.diagonal[i] if c.diagonal is not None and i == j else 0
+    if c.denominator is None:
+        return float(c.res_p[i] * c.res_q[j] / scale + on)
+    return Fraction(c.res_p[i] * c.res_q[j], c.denominator * scale) + Fraction(on, c.denominator)
 
 
 # -- loop oracles for the batched kernels --------------------------------

@@ -148,7 +148,7 @@ class TestFactoredMaximalCoupling:
         assert c.denominator == 4
         assert (c.res_p.tolist(), c.res_q.tolist(), c.leftover) == ([1, 0], [0, 1], 1)
         with pytest.raises(TypeError):
-            Coupling(p.labels, p.labels, c.p, c.q, 4, c.diagonal, res_p=c.res_p)
+            Coupling(p.labels, c.p, c.q, 4, c.diagonal, res_p=c.res_p)
 
     def test_residual_totals_within_the_mass_tolerance(self):
         # P sums to 1 + 5e-10, inside TOL, so the residual totals differ by that much

@@ -433,11 +433,25 @@ class TestLeakSpec:
 
     @pytest.mark.parametrize(
         "positions,values,message",
-        [((0, 1), (0,), "equal length"), ((-1,), (0,), "nonnegative")],
+        [
+            ((0, 1), (0,), "equal length"),
+            ((-1,), (0,), "nonnegative"),
+            # int() would round 0.7 to 0 and 1.9 to 1, and takes True as 1
+            ((0.7,), (1,), "leak positions must be integers"),
+            ((True,), (1,), "leak positions must be integers"),
+            ((0,), (1.9,), "leaked values must be bits"),
+            ((0,), (True,), "leaked values must be bits"),
+            ((0,), (np.bool_(True),), "leaked values must be bits"),
+        ],
     )
     def test_malformed_specs_refused(self, positions, values, message):
         with pytest.raises(BadParams, match=message):
             LeakSpec(positions, values)
+
+    def test_numpy_integers_accepted(self):
+        leak = LeakSpec((np.int64(0), 2), (np.int8(1), 0))
+        assert (leak.positions, leak.values) == ((0, 2), (1, 0))
+        assert all(type(v) is int for v in (*leak.positions, *leak.values))
 
 
 #: A probe matrix failing each density check, its error and the start of its message.

@@ -198,6 +198,13 @@ class TestToeplitz:
         b = run_experiment("toeplitz", {"m": 3, "n": 4, "mode": "sample", "samples": 200}, seed=5)
         assert a.results["singular_fraction"] == b.results["singular_fraction"]
 
+    def test_samples_reported_only_when_drawn(self):
+        exhaustive = run_experiment("toeplitz", {"m": 2, "n": 2, "samples": 10})
+        assert exhaustive.results == run_experiment("toeplitz", {"m": 2, "n": 2}).results
+        assert "samples" not in exhaustive.results
+        sampled = run_experiment("toeplitz", {"m": 2, "n": 2, "mode": "sample", "samples": 10})
+        assert sampled.results["samples"] == 10
+
 
 class TestEcc:
     def test_hamming_preset(self):

@@ -474,6 +474,8 @@ GUARANTEE = {"cli", "experiments", "errors", "bounds"}
 NOT_IN_MARKOV = (KERNELS - {"bounds"}) | {"numpy"}
 GF2 = {"cli", "experiments", "numpy", "sidechannel"}
 NOT_IN_GF2 = {"criteria", "discrimination", "coupling", "bounds"}
+#: The quantum and coupling experiments load numpy and the kernels below.
+DENSITY = {"cli", "experiments", "numpy", "criteria", "ensembles", "qmath"}
 #: Requests, each with the modules it must load and those it must not.
 RUNS = {
     "table-preset": (["--experiment", "table", "--params", '{"preset": "bb84-headline"}'], GUARANTEE, NOT_IN_MARKOV),
@@ -481,6 +483,10 @@ RUNS = {
     "markov": (["--experiment", "markov", "--params", '{"eps": 0.01, "delta": 0.5, "guarantees": 3}'], GUARANTEE, NOT_IN_MARKOV),
     "ecc": (["--experiment", "ecc", "--params", '{"preset": "code52", "rule": "min_distance"}'], GF2, NOT_IN_GF2),
     "toeplitz": (["--experiment", "toeplitz", "--params", '{"m": 3, "n": 4}', "--format", "csv"], GF2, NOT_IN_GF2),
+    "cex_i": (["--experiment", "cex_i", "--params", '{"N": 256}'], DENSITY | {"coupling"}, {"discrimination", "sidechannel", "bounds"}),
+    "spiked": (["--experiment", "spiked", "--params", '{"n": 10, "l": 3}'], DENSITY, {"coupling", "discrimination", "sidechannel", "bounds"}),
+    "cex_ii": (["--experiment", "cex_ii", "--params", '{"preset": "two-bit-mixed"}'], DENSITY | {"bounds", "discrimination"}, {"coupling", "sidechannel"}),
+    "cex_iii": (["--experiment", "cex_iii", "--params", '{"preset": "two-bit-mixed"}'], DENSITY | {"discrimination"}, {"coupling", "sidechannel", "bounds"}),
 }
 
 

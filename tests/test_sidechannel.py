@@ -80,6 +80,12 @@ class TestToeplitz:
         with pytest.raises(BadParams, match="seed entries must be bits"):
             toeplitz_from_seed([0, 2, 1], 2, 2)
 
+    @pytest.mark.parametrize("seed", [[0.5, 1.5, 1], [1.0, 0, 1], [True, 0, 1]])
+    def test_seed_entries_must_be_integers(self, seed):
+        # int() would floor 0.5 and 1.5, and takes 1.0 and True as 1
+        with pytest.raises(BadParams, match="seed entries must be bits"):
+            toeplitz_from_seed(seed, 2, 2)
+
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(m + 1, 7)])
     def test_transposed_shape_has_the_same_rank(self, m, n):
         # the n x m matrix is the m x n one transposed with rows and columns reversed
@@ -97,11 +103,20 @@ class TestGf2MatrixChecks:
             (2, 2, (1,), "expected 2 packed rows, got 1"),
             (1, 2, (4,), "row bits exceed 2 columns"),
             (1, 2, (-1,), "row bits exceed 2 columns"),
+            (2, 2, (1.5, 2), "packed rows must be integers"),
+            (1, 2, (True,), "packed rows must be integers"),
+            (2.0, 2, (0, 0), "dimensions must be integers"),
+            (1, True, (0,), "dimensions must be integers"),
         ],
     )
     def test_constructor_refuses(self, rows, cols, row_bits, message):
         with pytest.raises(BadParams, match=message):
             Gf2Matrix(rows, cols, row_bits)
+
+    @pytest.mark.parametrize("rows", [[[1, 0.0]], [[True, 0]], [[1, 2]]])
+    def test_from_rows_refuses_non_bits(self, rows):
+        with pytest.raises(BadParams, match="entries must be bits"):
+            Gf2Matrix.from_rows(rows)
 
     @pytest.mark.parametrize("rows", [[], [[]]])
     def test_from_rows_refuses_an_empty_matrix(self, rows):

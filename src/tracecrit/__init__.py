@@ -57,13 +57,7 @@ def _api() -> dict:
         two_bit_pkl_example,
     )
     from .experiments import ExperimentReport, Verdict, run_experiment, run_sweep
-    from .qmath import (
-        DensityOperator,
-        hermitian_eigen,
-        tensor,
-        trace_norm,
-        validate_density,
-    )
+    from .qmath import DensityOperator, tensor, validate_density
     from .sidechannel import (
         CensusResult,
         Gf2Matrix,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensembles import CqEnsemble, ProbDist, SpikedDist, _floats, _joined, bit_strings
+from .ensembles import CqEnsemble, ProbDist, SpikedDist, _floats, _ints, _joined, bit_strings
 from .errors import TOL, ZERO_TOL, BadParams, NonUniformPrior, TooLarge
 from .qmath import _trace_norm, _trace_norms
 
@@ -247,6 +247,7 @@ def event_deviation_bound(p, m: int):
     The deviation never exceeds the variational distance to uniform, since
     subsequence events are events.
     """
+    (m,) = _ints((m,), f"subsequence length must be an integer, got {m!r}")
     if isinstance(p, SpikedDist):
         if not 1 <= m <= p.n_bits:
             raise BadParams(f"subsequence length must be in [1, {p.n_bits}], got {m}")

@@ -108,38 +108,27 @@ class JointDistribution:
         return self
 
 
-class HelstromResult(NamedTuple):
-    p_success: float
-    projector: np.ndarray
-
-
 class PostLeakResult(NamedTuple):
     p_success: float
     d_full: float
 
 
-def helstrom_binary(
-    rho0: DensityOperator, rho1: DensityOperator, p0: float
-) -> HelstromResult:
+def helstrom_binary(rho0: DensityOperator, rho1: DensityOperator, p0: float) -> float:
     """Optimal success probability for discriminating two states.
 
     With prior p0 on the first hypothesis, the optimum accepts hypothesis 1
-    on the strictly positive eigenspace of (1-p0) rho1 - p0 rho0 (the zero
-    eigenspace is assigned to hypothesis 0, a convention that does not
-    affect the success probability).  For p0 = 1/2 this reduces to
-    1/2 + ||rho1 - rho0||_1 / 4.
+    on the positive eigenspace of (1-p0) rho1 - p0 rho0, so it succeeds with
+    probability p0 plus the sum of that operator's positive eigenvalues.
+    For p0 = 1/2 this reduces to 1/2 + ||rho1 - rho0||_1 / 4.
     """
     if rho0.dim != rho1.dim:
         raise BadParams(f"dimensions differ: {rho0.dim} vs {rho1.dim}")
     if not 0.0 <= p0 <= 1.0:
         raise BadParams(f"prior must lie in [0, 1], got {p0!r}")
     gamma = (1.0 - p0) * rho1.matrix - p0 * rho0.matrix
-    vals, vecs = _hermitian_eigen(gamma)
-    positive = vals > 0.0
-    basis = vecs[:, positive]
-    projector = basis @ basis.conj().T
-    p_success = p0 + math.fsum(float(v) for v in vals[positive])
-    return HelstromResult(min(max(p_success, 0.0), 1.0), projector)
+    vals, _ = _hermitian_eigen(gamma)
+    p_success = p0 + math.fsum(float(v) for v in vals[vals > 0.0])
+    return min(max(p_success, 0.0), 1.0)
 
 
 def measure_ensemble(e: CqEnsemble, m: Povm) -> JointDistribution:
@@ -203,5 +192,5 @@ def post_leak_discrimination(e: CqEnsemble, leak: LeakSpec) -> PostLeakResult:
             f"leak leaves {residual.n_bits} unknown bits; exactly 1 is required"
         )
     p0 = float(residual.prior.mass("0"))
-    outcome = helstrom_binary(residual.probe("0"), residual.probe("1"), p0)
-    return PostLeakResult(outcome.p_success, criterion_d_averaged(e))
+    p_success = helstrom_binary(residual.probe("0"), residual.probe("1"), p0)
+    return PostLeakResult(p_success, criterion_d_averaged(e))

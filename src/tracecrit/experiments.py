@@ -310,14 +310,14 @@ def cmd_cex_ii(
     from .criteria import criterion_d_averaged, criterion_d_entangled
     from .discrimination import helstrom_binary, post_leak_discrimination
     from .ensembles import LeakSpec, two_bit_pkl_example
-    from .qmath import trace_norm
+    from .qmath import _trace_norm
 
     family = two_bit_pkl_example(sigma, rho1, rho2)
-    gap = trace_norm(rho1.matrix - rho2.matrix)
+    gap = _trace_norm(rho1.matrix - rho2.matrix)
     d = criterion_d_averaged(family)
     success, d_again = post_leak_discrimination(family, LeakSpec((0,), (0,)))
     cap = hypothesis_ii_cap(d)
-    single = helstrom_binary(rho1, rho2, 0.5).p_success
+    single = helstrom_binary(rho1, rho2, 0.5)
 
     results = {
         "d": d,
@@ -369,10 +369,10 @@ def _family_measurement(sigma: "DensityOperator", rho1: "DensityOperator", rho2:
     import numpy as np
 
     from .discrimination import Povm
-    from .qmath import hermitian_eigen, tensor
+    from .qmath import _hermitian_eigen, tensor
 
-    _, first_basis = hermitian_eigen(sigma.matrix)
-    _, second_basis = hermitian_eigen(rho1.matrix - rho2.matrix)
+    _, first_basis = _hermitian_eigen(sigma.matrix)
+    _, second_basis = _hermitian_eigen(rho1.matrix - rho2.matrix)
     elements = []
     for i, fl in enumerate(("a", "b")):
         va = first_basis[:, i]

@@ -6,9 +6,10 @@ most 256, the joint key-probe matrix of the entangled criterion form), so
 dense Hermitian eigendecomposition is the workhorse and no sparse or
 iterative machinery is needed.
 
-Each Hermitian matrix is checked once, where it enters: the public eigen
-kernels check their input, and their private cores eigensolve, unchecked,
-the matrices the package derives from checked operators.
+Each Hermitian matrix is checked once, where it enters: `validate_density`
+and the ensemble and measurement constructors check what a caller passes,
+and the private eigen cores solve, unchecked, the matrices the package
+derives from checked operators.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ def _as_square(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def _require_square_hermitian(a) -> np.ndarray:
-    return _require_hermitian_stack(_as_square(a)[None])[0]
 
 
 def _require_density_stack(stack) -> np.ndarray:
@@ -116,23 +113,15 @@ def tensor(a, b) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(r * s, c * t)
 
 
-def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in descending order with matching orthonormal eigenvectors.
+def _hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues in descending order with matching orthonormal eigenvectors
+    of a complex square matrix derived from checked operators, unchecked: a
+    derived matrix may miss Hermiticity by the sum of its operands' slack.
 
     The global phase of each eigenvector column is fixed so that its first
     component of non-negligible magnitude is real and positive.  Measurement
     bases built from eigenvectors are therefore reproducible run to run.
-
-    Raises NotHermitian when the input fails the symmetry check.
     """
-    return _hermitian_eigen(_require_square_hermitian(h))
-
-
-def _hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`hermitian_eigen` of a complex square matrix derived from checked
-    operators, unchecked: the check never changes data, so the bits are the
-    same, and a derived matrix may miss Hermiticity by the sum of its
-    operands' slack."""
     vals, vecs = np.linalg.eigh(m)
     vecs = vecs[:, ::-1]
     # each column's first component above ZERO_TOL; a unit column always has one
@@ -149,18 +138,11 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in vals.tolist()])
 
 
-def trace_norm(a) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix.
-
-    The general (singular-value) trace norm is out of scope; every use in
-    this toolkit is a difference of Hermitian operators.
-    """
-    return _trace_norm(_require_square_hermitian(a))
-
-
 def _trace_norm(m: np.ndarray) -> float:
-    """`trace_norm` of a complex square matrix derived from checked
-    operators, unchecked, like `_hermitian_eigen`."""
+    """Sum of absolute eigenvalues of a complex square matrix derived from
+    checked operators, unchecked, like `_hermitian_eigen`.  The general
+    (singular-value) trace norm is out of scope; every use in this toolkit
+    is a difference of Hermitian operators."""
     return float(_trace_norms(m[None])[0])
 
 

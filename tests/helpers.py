@@ -18,15 +18,13 @@ from tracecrit import (
     ProbDist,
     SpikedDist,
     gf2_rank,
-    hermitian_eigen,
     toeplitz_from_seed,
-    trace_norm,
     validate_density,
     variational_distance,
 )
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import TOL, ZERO_TOL, BadParams
-from tracecrit.qmath import _require_square_hermitian
+from tracecrit.qmath import _hermitian_eigen, _require_hermitian_stack
 from tracecrit.sidechannel import _parity_check_rows
 
 
@@ -333,7 +331,7 @@ def unchecked_norm(diff) -> float:
 
 def trace_norm_loop(a) -> float:
     """Trace norm of one Hermitian matrix from its own eigensolve."""
-    m = _require_square_hermitian(a)
+    m = _require_hermitian_stack(np.asarray(a)[None])[0]
     return math.fsum(abs(float(v)) for v in np.linalg.eigvalsh(m))
 
 
@@ -391,7 +389,16 @@ def criterion_d_entangled_loop(e: CqEnsemble) -> float:
         block = slice(i * d, (i + 1) * d)
         joint[block, block] = float(p) * e.probe(k).matrix
         product[block, block] = float(p) * avg
-    return 0.5 * trace_norm(joint - product)
+    return 0.5 * trace_norm_loop(joint - product)
+
+
+def helstrom_projector(rho0: DensityOperator, rho1: DensityOperator, p0: float) -> np.ndarray:
+    """Projector onto the positive eigenspace of (1 - p0) rho1 - p0 rho0,
+    where the optimal two-state test accepts hypothesis 1, from numpy's
+    eigensolver directly."""
+    vals, vecs = np.linalg.eigh((1.0 - p0) * rho1.matrix - p0 * rho0.matrix)
+    basis = vecs[:, vals > 0.0]
+    return basis @ basis.conj().T
 
 
 def success_probability_loop(e: CqEnsemble, m: Povm, guess: dict) -> float:
@@ -423,7 +430,7 @@ def condition_on_leak_loop(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
 
 def pgm_elements_loop(e: CqEnsemble) -> list:
     """Pretty-good measurement elements of the keys, one sandwich per key."""
-    vals, vecs = hermitian_eigen(average_probe_loop(e))
+    vals, vecs = _hermitian_eigen(average_probe_loop(e))
     keep = vals > ZERO_TOL
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T

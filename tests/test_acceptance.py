@@ -44,7 +44,7 @@ from tracecrit.discrimination import JointDistribution
 from tracecrit.ensembles import bit_strings
 from tracecrit.experiments import run_experiment
 
-from helpers import random_density, random_ensemble, random_povm, random_probdist
+from helpers import random_density, random_ensemble, random_povm, random_probdist, trace_norm_loop
 
 
 def done(number: int, label: str):
@@ -62,13 +62,11 @@ def test_criterion_01_equivalence_of_criterion_forms():
 
 
 def test_criterion_02_two_bit_family_distance_identity():
-    from tracecrit import trace_norm
-
     rng = np.random.default_rng(1002)
     for _ in range(100):
         sigma, rho1, rho2 = (random_density(rng, 2) for _ in range(3))
         family = two_bit_pkl_example(sigma, rho1, rho2)
-        expected = 0.25 * trace_norm(rho1.matrix - rho2.matrix)
+        expected = 0.25 * trace_norm_loop(rho1.matrix - rho2.matrix)
         assert abs(criterion_d_averaged(family) - expected) <= 1e-9
     done(2, "two-bit family criterion equals quarter pair norm")
 
@@ -78,7 +76,7 @@ def test_criterion_03_single_bit_success_margin():
     for c in grid:
         e = single_bit_pure_example(float(c))
         d = criterion_d_averaged(e)
-        success = helstrom_binary(e.probe("0"), e.probe("1"), 0.5).p_success
+        success = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
         cap = 0.5 + d / 2
         assert abs(success - (0.5 + d)) <= 1e-9
         assert abs((success - cap) - d / 2) <= 1e-9
@@ -89,14 +87,12 @@ def test_criterion_03_single_bit_success_margin():
 
 def test_criterion_04_post_leak_violation():
     rng = np.random.default_rng(1004)
-    from tracecrit import trace_norm
-
     for _ in range(100):
         sigma, rho1, rho2 = (random_density(rng, 2) for _ in range(3))
         family = two_bit_pkl_example(sigma, rho1, rho2)
         success, d = post_leak_discrimination(family, LeakSpec((0,), (0,)))
         assert abs(success - (0.5 + d)) <= 1e-9
-        if trace_norm(rho1.matrix - rho2.matrix) > 1e-6:
+        if trace_norm_loop(rho1.matrix - rho2.matrix) > 1e-6:
             assert success > 0.5 + d / 2
     done(4, "post-leak success is 1/2 + d and beats the mixture cap")
 

@@ -100,10 +100,8 @@ class TestVariationalDistance:
 
 class TestCriterionForms:
     def test_single_bit_quarter_norm(self):
-        from tracecrit import trace_norm
-
         e = single_bit_pure_example(0.3)
-        quarter = 0.25 * trace_norm(e.probe("0").matrix - e.probe("1").matrix)
+        quarter = 0.25 * trace_norm_loop(e.probe("0").matrix - e.probe("1").matrix)
         assert criterion_d_averaged(e) == pytest.approx(quarter, abs=1e-12)
 
     def test_equal_probes_zero(self):

@@ -30,6 +30,7 @@ from tracecrit.criteria import _outcome_mass, _variants_from_mass
 from helpers import (
     bits,
     gap_ensemble,
+    helstrom_projector,
     pgm_elements_loop,
     random_density,
     random_ensemble,
@@ -103,13 +104,13 @@ class TestHelstrom:
     def test_orthogonal_pure_states(self):
         rho0 = validate_density(np.diag([1.0, 0.0]))
         rho1 = validate_density(np.diag([0.0, 1.0]))
-        assert helstrom_binary(rho0, rho1, 0.5).p_success == pytest.approx(1.0, abs=1e-12)
+        assert helstrom_binary(rho0, rho1, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_states_give_prior_guess(self):
         rng = np.random.default_rng(0)
         rho = random_density(rng, 3)
         for p0 in (0.2, 0.5, 0.9):
-            assert helstrom_binary(rho, rho, p0).p_success == pytest.approx(
+            assert helstrom_binary(rho, rho, p0) == pytest.approx(
                 max(p0, 1.0 - p0), abs=1e-9
             )
 
@@ -117,22 +118,17 @@ class TestHelstrom:
         for c in np.linspace(0.0, 1.0, 11):
             e = single_bit_pure_example(float(c))
             d = criterion_d_averaged(e)
-            out = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
-            assert out.p_success == pytest.approx(0.5 + d, abs=1e-9)
+            success = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
+            assert success == pytest.approx(0.5 + d, abs=1e-9)
 
     def test_equal_prior_matches_trace_distance(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             rho0, rho1 = random_density(rng, 3), random_density(rng, 3)
             expected = 0.5 + 0.25 * trace_norm_loop(rho0.matrix - rho1.matrix)
-            assert helstrom_binary(rho0, rho1, 0.5).p_success == pytest.approx(
+            assert helstrom_binary(rho0, rho1, 0.5) == pytest.approx(
                 expected, abs=1e-9
             )
-
-    def test_projector_is_idempotent(self):
-        rng = np.random.default_rng(2)
-        out = helstrom_binary(random_density(rng, 3), random_density(rng, 3), 0.3)
-        np.testing.assert_allclose(out.projector @ out.projector, out.projector, atol=1e-10)
 
     def test_errors(self):
         rng = np.random.default_rng(3)
@@ -261,7 +257,7 @@ class TestPgm:
             e = random_ensemble(rng, 1, 3)
             m = pgm(e)
             guess = {k: k for k in e.keys if k in m.labels}
-            optimal = helstrom_binary(e.probe("0"), e.probe("1"), 0.5).p_success
+            optimal = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
             assert success_probability(e, m, guess) <= optimal + 1e-9
 
     @pytest.mark.parametrize("uniform", [True, False])
@@ -294,19 +290,20 @@ class TestSuccessProbability:
 
     def test_matches_helstrom_via_projector(self):
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            e = random_ensemble(rng, 1, 3)
-            out = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
-            proj = out.projector
+        for i in range(20):
+            e = random_ensemble(rng, 1, 3, uniform_prior=i % 2 == 0)
+            p0 = float(e.prior.mass("0"))
+            proj = helstrom_projector(e.probe("0"), e.probe("1"), p0)
             m = Povm((("0", np.eye(3) - proj), ("1", proj)))
             two_path = success_probability(e, m, {"0": "0", "1": "1"})
-            assert two_path == pytest.approx(out.p_success, abs=1e-12)
+            optimal = helstrom_binary(e.probe("0"), e.probe("1"), p0)
+            assert two_path == pytest.approx(optimal, abs=1e-12)
 
     def test_no_random_povm_beats_helstrom(self):
         rng = np.random.default_rng(10)
         for _ in range(15):
             e = random_ensemble(rng, 1, 2)
-            optimal = helstrom_binary(e.probe("0"), e.probe("1"), 0.5).p_success
+            optimal = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
             povm = random_povm(rng, 2, 3)
             joint = measure_ensemble(e, povm)
             # best deterministic guess per outcome

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import types
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from tracecrit import (
     ProbDist,
     SpikedDist,
     condition_on_leak,
+    event_deviation_bound,
     measure_ensemble,
     pgm,
     single_bit_pure_example,
@@ -38,6 +41,7 @@ from helpers import (
     probdist_loop,
     random_density,
     random_ensemble,
+    random_probdist,
     spiked_dense,
     spiked_mass,
 )
@@ -191,6 +195,34 @@ class TestBitStrings:
     def test_rejects_negative_count(self):
         with pytest.raises(BadParams, match="nonnegative"):
             bit_strings(-1)
+
+    def test_numpy_integer_count_accepted(self):
+        assert bit_strings(np.int64(2)) is bit_strings(2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bit_strings(2.5), "bit count must be an integer, got 2.5"),
+        (lambda: bit_strings(1.0), "bit count must be an integer, got 1.0"),  # 1 is held
+        (lambda: bit_strings(True), "bit count must be an integer, got True"),
+        (lambda: CqEnsemble(1.5, ProbDist.uniform("01"), {}), "bit count must be an integer, got 1.5"),
+        (lambda: SpikedDist(8.5, 3), "key length and spike exponent must be integers"),
+        (lambda: SpikedDist(8, 2.5), "key length and spike exponent must be integers"),
+        (lambda: event_deviation_bound(SpikedDist(8, 3), 2.0), "subsequence length must be an integer, got 2.0"),
+        (
+            lambda: event_deviation_bound(ProbDist.uniform(bit_strings(3)), 2.0),
+            "subsequence length must be an integer, got 2.0",
+        ),
+    ],
+    ids=[
+        "bit_strings", "bit_strings-held", "bit_strings-bool", "CqEnsemble",
+        "SpikedDist-n", "SpikedDist-spike", "event_deviation_bound-spiked", "event_deviation_bound-dense",
+    ],
+)
+def test_non_integer_sizes_refused(call, message):
+    with pytest.raises(BadParams, match=re.escape(message)):
+        call()
 
 
 class _Label(str):
@@ -612,6 +644,27 @@ class TestProbeStack:
         for a in (e.probe_stack, e.weights, e.key_norms):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_average_holds_the_bits_of_a_loop_over_the_weights(self, n):
+        """The accumulated average against a key-order loop from a zero
+        matrix, on real probes whose imaginary parts are -0.0 and on complex
+        ones, under uniform and random priors."""
+        rng = np.random.default_rng(n)
+        keys = bit_strings(n)
+        for dim, uniform, real in itertools.product((1, 2, 3, 16), (True, False), (True, False)):
+            probes = {}
+            for k in keys:
+                m = random_density(rng, dim).matrix
+                probes[k] = np.array(m.real if real else m, dtype=complex)
+                if real:
+                    probes[k].imag[...] = -0.0
+            prior = ProbDist.uniform(keys) if uniform else random_probdist(rng, keys)
+            e = CqEnsemble(n, prior, probes)
+            acc = np.zeros((dim, dim), dtype=complex)
+            for w, rho in zip(e.weights.tolist(), e.probe_stack):
+                acc += w * rho
+            assert bits(e.average.matrix) == bits(acc)
 
     def test_average_and_norms_computed_once(self):
         e = random_ensemble(np.random.default_rng(13), 3, 3)

@@ -15,7 +15,6 @@ def _api() -> dict:
         GuaranteeScenario,
         average_for_individual_guarantee,
         hypothesis_ii_cap,
-        hypothesis_ii_exact,
         markov_bound,
         uniform_comparison_table,
     )
@@ -32,7 +31,6 @@ def _api() -> dict:
         criterion_d_averaged,
         criterion_d_entangled,
         criterion_report,
-        decomposition_fallacy_check,
         delta_E_variants,
         event_deviation_bound,
         pairwise_distance_bound,
@@ -45,7 +43,6 @@ def _api() -> dict:
         measure_ensemble,
         pgm,
         post_leak_discrimination,
-        success_probability,
     )
     from .ensembles import (
         CqEnsemble,
@@ -66,9 +63,7 @@ def _api() -> dict:
         decision_region_census,
         gf2_rank,
         is_perfect_code,
-        pac_leakage,
         singular_fraction,
-        toeplitz_from_seed,
     )
     return locals()
 

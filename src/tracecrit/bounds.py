@@ -13,12 +13,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .errors import TOL, BadParams
-
-if TYPE_CHECKING:
-    from .qmath import DensityOperator
 
 
 @dataclass(frozen=True)
@@ -121,31 +117,15 @@ def average_for_individual_guarantee(
     return GuaranteeBudget(eps * factor, factor)
 
 
-def _criterion_value(d: float) -> float:
-    """d clamped into [0, 1/2]; a d computed from validated states misses
-    that range only by rounding, so only a miss beyond ``TOL`` is refused."""
+def hypothesis_ii_cap(d: float) -> float:
+    """Success cap 1/2 + d/2 implied by the probability-(1-d) mixture reading.
+
+    d is clamped into [0, 1/2]; a d computed from validated states misses
+    that range only by rounding, so only a miss beyond ``TOL`` is refused.
+    """
     if not -TOL <= d <= 0.5 + TOL:  # NaN fails too
         raise BadParams(f"criterion value must lie in [0, 1/2], got {d!r}")
-    return min(max(d, 0.0), 0.5)
-
-
-def hypothesis_ii_cap(d: float) -> float:
-    """Success cap 1/2 + d/2 implied by the probability-(1-d) mixture reading."""
-    return 0.5 + _criterion_value(d) / 2.0
-
-
-def hypothesis_ii_exact(
-    sigma0: DensityOperator, sigma1: DensityOperator, d: float
-) -> float:
-    """Exact mixture-reading success 1/2 + (d/4)||sigma0 - sigma1||_1.
-
-    Always at most the cap, with equality for orthogonal pure components.
-    """
-    from .qmath import _trace_norm
-
-    if sigma0.dim != sigma1.dim:
-        raise BadParams(f"dimensions differ: {sigma0.dim} vs {sigma1.dim}")
-    return 0.5 + (_criterion_value(d) / 4.0) * _trace_norm(sigma0.matrix - sigma1.matrix)
+    return 0.5 + min(max(d, 0.0), 0.5) / 2.0
 
 
 @dataclass(frozen=True)

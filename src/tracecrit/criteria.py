@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensembles import CqEnsemble, ProbDist, SpikedDist, _floats, _ints, _joined, bit_strings
+from .ensembles import CqEnsemble, ProbDist, SpikedDist, _ints, _joined, bit_strings
 from .errors import TOL, ZERO_TOL, BadParams, NonUniformPrior, TooLarge
 from .qmath import _trace_norm, _trace_norms
 
@@ -230,15 +230,6 @@ def classical_dbar(joint: "JointDistribution") -> float:
     return 0.5 * math.fsum(np.abs(joint.mass - u * col).ravel().tolist())
 
 
-def _event_deviation_spiked(p: SpikedDist, m: int):
-    n = p.n_bits
-    u = Fraction(1, 2**m)
-    block = 2 ** (n - m)
-    hit = p.spike_mass + (block - 1) * p.rest_mass
-    # any other pattern deviates from 2^-m by 1 / (2^m - 1) of the spike prefix's deviation
-    return abs(hit - u), (tuple(range(m)), p.spike_label[:m])
-
-
 def event_deviation_bound(p, m: int):
     """Largest deviation of any m-bit subsequence event from 2^-m.
 
@@ -251,7 +242,9 @@ def event_deviation_bound(p, m: int):
     if isinstance(p, SpikedDist):
         if not 1 <= m <= p.n_bits:
             raise BadParams(f"subsequence length must be in [1, {p.n_bits}], got {m}")
-        return _event_deviation_spiked(p, m)
+        hit = p.spike_mass + (2 ** (p.n_bits - m) - 1) * p.rest_mass
+        # any other pattern deviates from 2^-m by 1 / (2^m - 1) of the spike prefix's deviation
+        return abs(hit - Fraction(1, 2**m)), (tuple(range(m)), p.spike_label[:m])
 
     n = len(p.labels[0])
     expected = bit_strings(n) if len(p.labels) == 1 << n else None  # builds no more than p holds
@@ -413,20 +406,3 @@ def _variants_from_mass(mass: np.ndarray) -> DeltaEVariants:
     v_avg = math.fsum((outcome_mass[support] * post_devs).tolist())
 
     return DeltaEVariants(v_outcome, v_joint, v_max, v_avg)
-
-
-def decomposition_fallacy_check(p: ProbDist, q: ProbDist, eps: float) -> bool:
-    """Whether p admits the mixture form p = (1-eps) q + eps p'.
-
-    Feasible exactly when p(x) >= (1-eps) q(x) for every x; the residual
-    then normalizes to a valid distribution automatically.  A distance of
-    eps between p and q does not imply feasibility, which is the point.
-    """
-    if eps < 0:
-        raise BadParams(f"mixture weight must be nonnegative, got {eps!r}")
-    if float(variational_distance(p, q)) > eps + ZERO_TOL and eps <= 1:
-        raise BadParams("precondition failed: distance between p and q exceeds eps")
-    _, P, Q, den = _joined(p, q)
-    if den is not None:
-        P, Q = _floats(P, den), _floats(Q, den)
-    return bool(np.all(P >= (1.0 - eps) * Q - ZERO_TOL))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,25 +157,6 @@ def pgm(e: CqEnsemble) -> Povm:
     if float(np.trace(kernel).real) > TOL:
         elements.append(("null", 0.5 * (kernel + kernel.conj().T)))
     return Povm(tuple(elements))
-
-
-def success_probability(e: CqEnsemble, m: Povm, guess: Mapping[str, str]) -> float:
-    """Probability that the guessed key equals the true key.
-
-    ``guess`` maps outcome labels to key values; outcomes without an entry
-    never count as success, so deliberately bad or partial strategies can
-    be scored too.
-    """
-    key_index = {k: i for i, k in enumerate(e.keys)}
-    outcome_index = {x: i for i, x in enumerate(m.labels)}
-    for outcome, key in guess.items():
-        if outcome not in outcome_index:
-            raise BadParams(f"guess references unknown outcome {outcome!r}")
-        if key not in key_index:
-            raise BadParams(f"guess references unknown key {key!r}")
-    rows = [key_index[key] for key in guess.values()]
-    cols = [outcome_index[x] for x in guess]
-    return math.fsum(_outcome_mass(e, m)[rows, cols].tolist())
 
 
 def post_leak_discrimination(e: CqEnsemble, leak: LeakSpec) -> PostLeakResult:

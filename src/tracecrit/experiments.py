@@ -234,14 +234,10 @@ def parse_qubit(spec, name: str = "qubit spec") -> "DensityOperator":
     raise ParseError(f"{name} needs a 'diag' or 'bloch' entry, got {spec!r}")
 
 
-def _two_bit_preset(name) -> tuple["DensityOperator", ...]:
-    spec = _preset(name, TWO_BIT_PRESETS, "two-bit")
-    return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
-
-
 def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple["DensityOperator", ...]:
     if preset is not None:
-        return _two_bit_preset(preset)
+        spec = _preset(preset, TWO_BIT_PRESETS, "two-bit")
+        return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
     from .ensembles import single_bit_pure_example
 
     if overlap is not None:

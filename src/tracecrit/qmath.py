@@ -26,12 +26,6 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 def _adjoint_gaps(stack: np.ndarray) -> np.ndarray:
     """Largest entrywise deviation of each matrix of a (k, d, d) stack from
     its adjoint."""
@@ -50,13 +44,6 @@ def _require_hermitian_stack(stack) -> np.ndarray:
                 f"matrix deviates from its adjoint by {gap:.3e} (tolerance {TOL:.1e})"
             )
     return stack
-
-
-def _as_square(a) -> np.ndarray:
-    a = _as_complex(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    return a
 
 
 def _require_density_stack(stack) -> np.ndarray:
@@ -85,8 +72,12 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _require_density_stack(_as_square(self.matrix)[None])[0]
-        object.__setattr__(self, "matrix", _frozen(m))
+        m = np.array(self.matrix, dtype=complex)  # the one copy, checked then frozen
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
+        _require_density_stack(m[None])
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
@@ -152,4 +143,4 @@ def validate_density(m) -> DensityOperator:
     Raises NotHermitian, NotPsd or BadTrace naming the violated invariant
     and its magnitude.
     """
-    return DensityOperator(_as_complex(m))
+    return DensityOperator(m)

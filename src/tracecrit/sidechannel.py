@@ -62,22 +62,6 @@ class Gf2Matrix:
         return cls(len(rows), n, packed)
 
 
-def toeplitz_from_seed(seed_bits, m: int, n: int) -> Gf2Matrix:
-    """m x n Toeplitz matrix with entry(i, j) = seed[i - j + n - 1].
-
-    Diagonals are constant; the seed must supply m + n - 1 bits.
-    """
-    seed = _ints(seed_bits, "seed entries must be bits")
-    if len(seed) != m + n - 1:
-        raise BadParams(f"need {m + n - 1} seed bits for {m}x{n}, got {len(seed)}")
-    if set(seed) - {0, 1}:
-        raise BadParams("seed entries must be bits")
-    packed = tuple(
-        sum(seed[i - j + n - 1] << j for j in range(n)) for i in range(m)
-    )
-    return Gf2Matrix(m, n, packed)
-
-
 def _gf2_rref(mat: Gf2Matrix) -> tuple[list[int], list[int]]:
     """Reduced row echelon form over GF(2) by Gaussian elimination on packed rows.
 
@@ -110,18 +94,6 @@ def _gf2_rref(mat: Gf2Matrix) -> tuple[list[int], list[int]]:
 def gf2_rank(mat: Gf2Matrix) -> int:
     """Rank over GF(2)."""
     return len(_gf2_rref(mat)[1])
-
-
-def pac_leakage(mat: Gf2Matrix) -> int:
-    """Bits of the hash output revealed by rank deficiency.
-
-    For an m x n compressing hash (m <= n) applied to a uniform input, the
-    output is uniform on a subspace of dimension rank, so m - rank bits of
-    the nominal output entropy are leaked.
-    """
-    if mat.rows > mat.cols:
-        raise BadParams(f"hash must compress: {mat.rows} rows > {mat.cols} cols")
-    return mat.rows - gf2_rank(mat)
 
 
 #: Matrix entries ranked together in one batch (2 MiB of bits), which
@@ -160,7 +132,7 @@ def _gf2_ranks(rows: np.ndarray, cols: int) -> np.ndarray:
 
 def _toeplitz_ranks(seeds: np.ndarray, m: int, n: int) -> np.ndarray:
     """Ranks of the m x n Toeplitz matrices of a (count, words) array of seeds,
-    entry(i, j) = seed[i - j + n - 1] as in :func:`toeplitz_from_seed`.
+    the matrix of a seed having entry(i, j) = seed[i - j + n - 1].
 
     Each seed is m + n - 1 bits in little-endian uint64 words (bit k in bit
     k % 64 of word k // 64).  Row i, seed bits i..i + n - 1 with its columns

@@ -18,7 +18,6 @@ from tracecrit import (
     ProbDist,
     SpikedDist,
     gf2_rank,
-    toeplitz_from_seed,
     validate_density,
     variational_distance,
 )
@@ -92,6 +91,17 @@ def spiked_dense(d: SpikedDist) -> ProbDist:
 def matrix_rows(mat: Gf2Matrix) -> list[list[int]]:
     """A packed GF(2) matrix as rows of bits, column j from bit j of a row."""
     return [[(row >> j) & 1 for j in range(mat.cols)] for row in mat.row_bits]
+
+
+def toeplitz_from_seed(seed, m: int, n: int) -> Gf2Matrix:
+    """The m x n Toeplitz matrix of m + n - 1 seed bits, entry(i, j) = seed[i - j + n - 1]."""
+    return Gf2Matrix(m, n, tuple(sum(int(seed[i - j + n - 1]) << j for j in range(n)) for i in range(m)))
+
+
+def pac_leakage(mat: Gf2Matrix) -> int:
+    """Bits a compressing hash leaks by rank deficiency: a uniform input maps
+    uniformly onto a subspace of dimension rank, rows - rank bits short."""
+    return mat.rows - gf2_rank(mat)
 
 
 def codeword(code: LinearCode, message: int) -> int:
@@ -244,6 +254,14 @@ def variational_distance_loop(p: ProbDist, q: ProbDist):
     return math.fsum(float(v) for v in diffs) / 2.0
 
 
+def decomposition_fallacy_check(p: ProbDist, q: ProbDist, eps: float) -> bool:
+    """Whether p = (1 - eps) q + eps p' for some distribution p': exactly when
+    p(x) >= (1 - eps) q(x) at every label of either, one label at a time."""
+    pm = dict(zip(p.labels, masses(p)))
+    qm = dict(zip(q.labels, masses(q)))
+    return all(float(pm.get(x, 0)) >= (1.0 - eps) * float(qm.get(x, 0)) - ZERO_TOL for x in pm.keys() | qm.keys())
+
+
 def _mismatch_from_matches(matches):
     if _exact(matches):
         return 1 - sum(matches, Fraction(0))
@@ -327,6 +345,12 @@ def unchecked_norm(diff) -> float:
     """Trace norm of a matrix from its own eigensolve, with no Hermiticity
     check: the oracle for differences derived from accepted operators."""
     return math.fsum(abs(np.linalg.eigvalsh(diff)))
+
+
+def hypothesis_ii_exact(sigma0: DensityOperator, sigma1: DensityOperator, d: float) -> float:
+    """Exact success of the mixture reading, 1/2 + (d/4)||sigma0 - sigma1||_1:
+    at most the cap 1/2 + d/2, with equality for orthogonal pure components."""
+    return 0.5 + (d / 4.0) * unchecked_norm(sigma0.matrix - sigma1.matrix)
 
 
 def trace_norm_loop(a) -> float:

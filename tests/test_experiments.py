@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -276,6 +277,43 @@ class TestMarkovAndTable:
         for params in ({"l": 1074}, {"l": 1100, "epsilon": 0.0}, {"l": 20}):
             results = run_experiment("table", {"n": 2000, "m": 1100, **params}).results
             assert "epsilon_log2" not in results
+
+
+IDENTICAL_PROBES = {"sigma": {"diag": [1, 0]}, "rho1": {"diag": [0.5, 0.5]}, "rho2": {"diag": [0.5, 0.5]}}
+
+
+class TestNotApplicableBranches:
+    """Each experiment that can skip a verdict, on both sides of the skip."""
+
+    #: sha256 of the canonical JSON of one request on the skipping side of each branch.
+    PINNED = [
+        ("cex_i", {"N": 1025}, "5461118400793f74d66e3436acf964b5314216bdc7f46c87be7906971e8d403f"),
+        ("cex_ii", {"overlap": 1.0}, "af36b0269eba9b2cefa75e206f306713305e72e760cd30a361de067cd950a23b"),
+        ("cex_iii", IDENTICAL_PROBES, "7083609eabfbab39a6fd2d8f7776df5e89bc6df35daa6bd2bd29699bfd39e414"),
+        ("markov", {}, "f96c7a348eed344e20f28e2def38c5a833b76955dc46788f928d10c4dd90fb5f"),
+    ]
+    #: Requests on every side of every branch that chooses a verdict's status.
+    SIDES = [
+        ("cex_i", [{"N": 1024}, {"N": 1025}]),
+        ("cex_ii", [{"overlap": 0.6}, {"overlap": 1.0}, IDENTICAL_PROBES]),
+        ("cex_iii", [{"preset": "two-bit-mixed"}, IDENTICAL_PROBES]),
+        ("toeplitz", [{"m": 2, "n": 2}, {"m": 3, "n": 4}, {"m": 2, "n": 2, "mode": "sample", "samples": 10}]),
+        ("ecc", [{"preset": p, "rule": r} for p in ("hamming74", "code52") for r in ("syndrome", "min_distance")]),
+        ("markov", [{}, {"eps": 0.5, "delta": 0.5}]),
+    ]
+
+    @pytest.mark.parametrize("experiment, params, digest", PINNED, ids=[p[0] for p in PINNED])
+    def test_skip_report_bytes(self, experiment, params, digest):
+        report = run_experiment(experiment, params)
+        assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+        assert "NOT-APPLICABLE" in verdict_map(report).values()
+
+    @pytest.mark.parametrize("experiment, sides", SIDES, ids=[s[0] for s in SIDES])
+    def test_same_relations_on_every_side(self, experiment, sides):
+        reports = [run_experiment(experiment, params) for params in sides]
+        relations = {tuple(v.relation for v in r.verdicts) for r in reports}
+        assert len(relations) == 1
+        assert len({tuple(v.status for v in r.verdicts) for r in reports}) > 1
 
 
 class TestRunner:

@@ -36,6 +36,8 @@ class GuaranteeScenario:
             raise BadParams(f"need 0 < m <= n, got m={self.m}, n={self.n}")
         if self.l < 0:
             raise BadParams(f"exponent l must be nonnegative, got {self.l}")
+        if self.l == 0 and self.epsilon is None:
+            raise BadParams("exponent l must be positive when epsilon is omitted, its default 2^-l being 1")
         eps = self.epsilon if self.epsilon is not None else 2.0**-self.l
         if not 0.0 <= eps < 1.0:
             raise BadParams(f"epsilon must lie in [0, 1), got {eps!r}")

@@ -274,15 +274,11 @@ def event_deviation_bound(p, m: int):
     slack = 4.0 * additions * np.finfo(float).eps * float(probs.sum())
     best_dev = -1.0
     best_event = None
+    keys = np.arange(2**n)
     for c in np.flatnonzero(screened >= screened.max() - slack):
         positions = combos[c]
-        # axis pos of the (2,)*n key cube is key bit n-1-pos, here pattern bit m-1-t
-        idx = 0
-        for t, pos in enumerate(positions):
-            shape = [1] * n
-            shape[pos] = 2
-            idx = idx + np.array([0, 1 << (m - 1 - t)]).reshape(shape)
-        idx = np.broadcast_to(idx, (2,) * n).reshape(-1)
+        # position pos is key bit n-1-pos, here pattern bit m-1-t
+        idx = sum(((keys >> (n - 1 - pos)) & 1) << (m - 1 - t) for t, pos in enumerate(positions))
         sums = np.bincount(idx, weights=probs, minlength=2**m)
         devs = np.abs(sums - target)
         j = int(np.argmax(devs))

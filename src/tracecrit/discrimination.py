@@ -15,7 +15,7 @@ import numpy as np
 
 from .criteria import _outcome_mass, criterion_d_averaged
 from .ensembles import CqEnsemble, LeakSpec, condition_on_leak
-from .errors import TOL, ZERO_TOL, BadParams
+from .errors import _PGM_SUPPORT_CUTOFF, TOL, ZERO_TOL, BadParams
 from .qmath import DensityOperator, _adjoint_gaps, _hermitian_eigen
 
 
@@ -141,12 +141,14 @@ def pgm(e: CqEnsemble) -> Povm:
     """Pretty-good measurement built from the ensemble.
 
     Elements are avg^(-1/2) p_k rho_k avg^(-1/2) with the pseudo-inverse
-    taken on the support of the average probe; any kernel is completed
-    under the label 'null' so the elements sum to the identity.
+    taken on the support of the average probe, its eigenvalues above
+    max(ZERO_TOL, 1e-6 lam_max); any kernel is completed under the label
+    'null' so the elements sum to the identity.  Any measurement is a lower
+    bound on the guessing probability, so a cut support keeps it one.
     """
     avg = e.average.matrix
     vals, vecs = _hermitian_eigen(avg)
-    keep = vals > ZERO_TOL
+    keep = vals > max(ZERO_TOL, _PGM_SUPPORT_CUTOFF * vals[0])
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
 

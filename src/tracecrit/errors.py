@@ -1,4 +1,4 @@
-"""Exception types raised across the toolkit, and its two float tolerances.
+"""Exception types raised across the toolkit, its two float tolerances and `pgm`'s eigenvalue floor.
 
 Every error names the violated contract; validation errors include the
 offending magnitude in their message so reports stay diagnosable.
@@ -13,6 +13,10 @@ nothing, so `bounds` reads them without loading numpy.
 TOL = 1e-9
 #: Magnitude at or below which a mass, an eigenvalue or a vector component counts as zero.
 ZERO_TOL = 1e-12
+#: Relative floor of the average-probe eigenvalues `pgm` inverts.  The sandwich
+#: avg^(-1/2) X avg^(-1/2) scales rounding of size eps_mach * lam_max by lam_max / lam,
+#: so a floor of 1e-6 lam_max keeps every element within TOL of positive and of the identity sum.
+_PGM_SUPPORT_CUTOFF = 1e-6
 
 
 class ToolkitError(Exception):

@@ -98,12 +98,16 @@ class Verdict:
         return {"relation": self.relation, "status": self.status, "detail": self.detail}
 
 
-def _verdict(relation: str, ok: bool, detail: str) -> Verdict:
+def _verdict(relation: str, ok: bool, detail: str, skip: str | None = None) -> Verdict:
+    """PASS or FAIL by ``ok``; given a ``skip`` reason, NOT-APPLICABLE with that reason as its detail."""
+    if skip is not None:
+        return Verdict(relation, NOT_APPLICABLE, skip)
     return Verdict(relation, PASS if ok else FAIL, detail)
 
 
-def _skip(relation: str, detail: str) -> Verdict:
-    return Verdict(relation, NOT_APPLICABLE, detail)
+def _all_pass(verdicts) -> bool:
+    """Whether no verdict FAILed: NOT-APPLICABLE passes, as in the exit code."""
+    return all(v.status != FAIL for v in verdicts)
 
 
 def _is_integer(value) -> bool:
@@ -187,7 +191,7 @@ class ExperimentReport:
     elapsed_seconds: float | None = None
 
     def all_ok(self) -> bool:
-        return all(v.status != FAIL for v in self.verdicts)
+        return _all_pass(self.verdicts)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         doc = {
@@ -272,25 +276,23 @@ def cmd_cex_i(seed: int, *, N: _int_param = 4):
         "independent_mismatch_num": ind.numerator,
         "independent_mismatch_den": ind.denominator,
     }
+    skip = None if N <= MAX_DENSE_COUPLING else f"dense coupling skipped at N={N}"
+    mm = math.nan
+    if skip is None:
+        mm = results["maximal_mismatch"] = float(mismatch_probability(maximal_coupling(p, q)))
     verdicts = [
         _verdict(
             "independent-mismatch-exceeds-delta",
             ind > delta,
             f"mismatch {float(ind)!r} vs delta {float(delta)!r}",
-        )
+        ),
+        _verdict(
+            "maximal-coupling-attains-delta",
+            abs(mm - float(delta)) <= ZERO_TOL,
+            f"maximal mismatch {mm!r} vs delta {float(delta)!r}",
+            skip,
+        ),
     ]
-    if N <= MAX_DENSE_COUPLING:
-        mm = mismatch_probability(maximal_coupling(p, q))
-        results["maximal_mismatch"] = float(mm)
-        verdicts.append(
-            _verdict(
-                "maximal-coupling-attains-delta",
-                abs(float(mm) - float(delta)) <= ZERO_TOL,
-                f"maximal mismatch {float(mm)!r} vs delta {float(delta)!r}",
-            )
-        )
-    else:
-        verdicts.append(_skip("maximal-coupling-attains-delta", f"dense coupling skipped at N={N}"))
     return results, verdicts
 
 
@@ -325,7 +327,7 @@ def cmd_cex_ii(
         "single_bit_success": single,
         "single_bit_margin": single - cap,
     }
-    degenerate = gap <= ZERO_TOL
+    skip = "identical probes, d = 0" if gap <= ZERO_TOL else None
     verdicts = [
         _verdict(
             "family-distance-identity",
@@ -337,47 +339,36 @@ def cmd_cex_ii(
             abs(success - (0.5 + d)) <= TOL,
             f"success {success!r} vs 1/2 + d = {0.5 + d!r}",
         ),
+        _verdict(
+            "post-leak-success-exceeds-mixture-cap",
+            success > cap,
+            f"success {success!r} vs cap {cap!r}",
+            skip,
+        ),
+        _verdict(
+            "single-bit-success-exceeds-mixture-cap",
+            single > cap,
+            f"success {single!r} vs cap {cap!r}",
+            skip,
+        ),
     ]
-    if degenerate:
-        verdicts.append(_skip("post-leak-success-exceeds-mixture-cap", "identical probes, d = 0"))
-        verdicts.append(_skip("single-bit-success-exceeds-mixture-cap", "identical probes, d = 0"))
-    else:
-        verdicts.append(
-            _verdict(
-                "post-leak-success-exceeds-mixture-cap",
-                success > cap,
-                f"success {success!r} vs cap {cap!r}",
-            )
-        )
-        verdicts.append(
-            _verdict(
-                "single-bit-success-exceeds-mixture-cap",
-                single > cap,
-                f"success {single!r} vs cap {cap!r}",
-            )
-        )
     return results, verdicts
 
 
 def _family_measurement(sigma: "DensityOperator", rho1: "DensityOperator", rho2: "DensityOperator") -> "Povm":
     """Product measurement: the sigma eigenbasis on the first qubit and the
     eigenbasis of rho1 - rho2 on the second."""
-    import numpy as np
-
     from .discrimination import Povm
-    from .qmath import _hermitian_eigen, tensor
+    from .qmath import _hermitian_eigen
 
-    _, first_basis = _hermitian_eigen(sigma.matrix)
-    _, second_basis = _hermitian_eigen(rho1.matrix - rho2.matrix)
-    elements = []
-    for i, fl in enumerate(("a", "b")):
-        va = first_basis[:, i]
-        pa = np.outer(va, va.conj())
-        for j, sl in enumerate(("e+", "e-")):
-            vb = second_basis[:, j]
-            pb = np.outer(vb, vb.conj())
-            elements.append((f"{fl}:{sl}", tensor(pa, pb)))
-    return Povm(tuple(elements))
+    # row i of each transpose is eigenvector i; pa[i] and pb[j] are their projectors
+    a, b = (_hermitian_eigen(m)[1].T for m in (sigma.matrix, rho1.matrix - rho2.matrix))
+    pa = a[:, :, None] * a.conj()[:, None, :]
+    pb = b[:, :, None] * b.conj()[:, None, :]
+    # pa[i] (x) pb[j] at index 2i + j, as `qmath.tensor` multiplies them
+    stack = (pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]).reshape(4, 4, 4)
+    labels = [f"{fl}:{sl}" for fl in ("a", "b") for sl in ("e+", "e-")]
+    return Povm(tuple(zip(labels, stack)))
 
 
 def cmd_cex_iii(
@@ -411,32 +402,25 @@ def cmd_cex_iii(
         "avg_posterior_dev": variants.avg_posterior_dev,
         "dbar": dbar,
     }
-    verdicts = []
-    if d <= ZERO_TOL:
-        verdicts.append(_skip("delta-e-exceeds-d", "identical probes, d = 0"))
-    else:
-        worst = max(variants.joint_vs_product_uniform, variants.max_posterior_dev)
-        verdicts.append(
-            _verdict(
-                "delta-e-exceeds-d",
-                worst > d + ZERO_TOL,
-                f"worst reading {worst!r} vs d {d!r}",
-            )
-        )
-    verdicts.append(
+    worst = max(variants.joint_vs_product_uniform, variants.max_posterior_dev)
+    verdicts = [
+        _verdict(
+            "delta-e-exceeds-d",
+            worst > d + ZERO_TOL,
+            f"worst reading {worst!r} vs d {d!r}",
+            "identical probes, d = 0" if d <= ZERO_TOL else None,
+        ),
         _verdict(
             "averaged-reading-respects-d",
             variants.avg_posterior_dev <= d + TOL,
             f"averaged reading {variants.avg_posterior_dev!r} vs d {d!r}",
-        )
-    )
-    verdicts.append(
+        ),
         _verdict(
             "averaged-reading-equals-dbar",
             abs(variants.avg_posterior_dev - dbar) <= ZERO_TOL,
             f"averaged reading {variants.avg_posterior_dev!r} vs dbar {dbar!r}",
-        )
-    )
+        ),
+    ]
     return results, verdicts
 
 
@@ -506,18 +490,14 @@ def cmd_toeplitz(
             "family-has-singular-members",
             fraction > 0.0,
             f"singular fraction {fraction!r}",
-        )
+        ),
+        _verdict(
+            "exhaustive-2x2-fraction-half",
+            fraction == 0.5,
+            f"fraction {fraction!r} vs 0.5",
+            None if (m, n, mode) == (2, 2, "exhaustive") else "only checked for 2x2 exhaustive",
+        ),
     ]
-    if (m, n, mode) == (2, 2, "exhaustive"):
-        verdicts.append(
-            _verdict(
-                "exhaustive-2x2-fraction-half",
-                fraction == 0.5,
-                f"fraction {fraction!r} vs 0.5",
-            )
-        )
-    else:
-        verdicts.append(_skip("exhaustive-2x2-fraction-half", "only checked for 2x2 exhaustive"))
     return results, verdicts
 
 
@@ -558,6 +538,8 @@ def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syn
         (t for t in range(code.n + 1) if is_perfect_code(code, t)), None
     )
     sizes = census.region_sizes
+    perfect = perfect_radius is not None
+    distinct = sorted(set(sizes.values())) if perfect else []  # up to 2^k sizes, read only when perfect
     results = {
         "n": code.n,
         "k": code.k,
@@ -573,32 +555,22 @@ def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syn
             "census-regions-sum",
             sum(sizes.values()) == 2**code.n,
             f"sum {sum(sizes.values())} vs 2^n = {2 ** code.n}",
-        )
+        ),
+        _verdict(
+            "perfect-code-equal-regions",
+            len(distinct) == 1 and census.bias_delta == 0.0,
+            f"sizes {distinct}, bias {census.bias_delta!r}",
+            None if perfect else "code is not perfect",
+        ),
+        _verdict(
+            "nonperfect-min-distance-bias",
+            census.bias_delta > 0.0,
+            f"bias {census.bias_delta!r}",
+            "code is perfect" if perfect
+            else None if rule == "min_distance"
+            else "syndrome regions are cosets, always equal",
+        ),
     ]
-    if perfect_radius is not None:
-        equal = len(set(sizes.values())) == 1
-        verdicts.append(
-            _verdict(
-                "perfect-code-equal-regions",
-                equal and census.bias_delta == 0.0,
-                f"sizes {sorted(set(sizes.values()))}, bias {census.bias_delta!r}",
-            )
-        )
-        verdicts.append(_skip("nonperfect-min-distance-bias", "code is perfect"))
-    else:
-        verdicts.append(_skip("perfect-code-equal-regions", "code is not perfect"))
-        if rule == "min_distance":
-            verdicts.append(
-                _verdict(
-                    "nonperfect-min-distance-bias",
-                    census.bias_delta > 0.0,
-                    f"bias {census.bias_delta!r}",
-                )
-            )
-        else:
-            verdicts.append(
-                _skip("nonperfect-min-distance-bias", "syndrome regions are cosets, always equal")
-            )
     return results, verdicts
 
 
@@ -611,27 +583,27 @@ def cmd_markov(
 
     bound = markov_bound(mean, threshold)
     results = {"mean": mean, "threshold": threshold, "bound": bound}
+    skip = None if eps is not None and delta is not None else "no eps/delta supplied"
+    required = target = math.nan
+    if skip is None:
+        budget = average_for_individual_guarantee(eps, delta, guarantees)
+        required, target = budget.required_average, eps * delta**guarantees
+        results["required_average"] = required
+        results["degradation_factor"] = budget.degradation_factor
+        results["guarantees"] = guarantees
     verdicts = [
         _verdict(
             "markov-bound-arithmetic",
             bound == min(1.0, mean / threshold),
             f"bound {bound!r} vs min(1, mean/threshold)",
-        )
+        ),
+        _verdict(
+            "individual-guarantee-budget",
+            required == target,
+            f"required {required!r} vs eps*delta^{guarantees}",
+            skip,
+        ),
     ]
-    if eps is not None and delta is not None:
-        budget = average_for_individual_guarantee(eps, delta, guarantees)
-        results["required_average"] = budget.required_average
-        results["degradation_factor"] = budget.degradation_factor
-        results["guarantees"] = guarantees
-        verdicts.append(
-            _verdict(
-                "individual-guarantee-budget",
-                budget.required_average == eps * delta**guarantees,
-                f"required {budget.required_average!r} vs eps*delta^{guarantees}",
-            )
-        )
-    else:
-        verdicts.append(_skip("individual-guarantee-budget", "no eps/delta supplied"))
     return results, verdicts
 
 
@@ -774,7 +746,7 @@ def run_sweep(
         results, verdicts = command(seed, **{**base, **dict(zip(names, bound))})
         cells = [json.dumps(v, sort_keys=True, separators=(",", ":")) if isinstance(v, (dict, list)) else v for v in point]
         scalars = {k: v for k, v in _jsonify(results).items() if isinstance(v, (int, float, str))}
-        runs.append((cells, scalars, all(v.status != FAIL for v in verdicts)))
+        runs.append((cells, scalars, _all_pass(verdicts)))
     result_keys = sorted(set().union(*(scalars for _, scalars, _ in runs)))  # a point may lack a result
     rows = [[i, *cells, *(scalars.get(k, "") for k in result_keys), ok] for i, (cells, scalars, ok) in enumerate(runs)]
     header = [f"result:{k}" if k in names else k for k in result_keys]  # own column: a table preset overrides a grid n

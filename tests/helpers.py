@@ -22,7 +22,7 @@ from tracecrit import (
     variational_distance,
 )
 from tracecrit.ensembles import bit_strings
-from tracecrit.errors import TOL, ZERO_TOL, BadParams
+from tracecrit.errors import _PGM_SUPPORT_CUTOFF, TOL, ZERO_TOL, BadParams
 from tracecrit.qmath import _hermitian_eigen, _require_hermitian_stack
 from tracecrit.sidechannel import _parity_check_rows
 
@@ -453,9 +453,10 @@ def condition_on_leak_loop(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
 
 
 def pgm_elements_loop(e: CqEnsemble) -> list:
-    """Pretty-good measurement elements of the keys, one sandwich per key."""
+    """Pretty-good measurement elements of the keys, one sandwich per key,
+    on the support `pgm` keeps: eigenvalues above max(ZERO_TOL, c lam_max)."""
     vals, vecs = _hermitian_eigen(average_probe_loop(e))
-    keep = vals > ZERO_TOL
+    keep = vals > max(ZERO_TOL, _PGM_SUPPORT_CUTOFF * vals.max())
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
     elements = []

@@ -277,6 +277,24 @@ class TestPgm:
         m = pgm(e)
         assert "null" in m.labels  # kernel projector completes the measurement
 
+    def test_near_degenerate_probes_give_a_measurement(self):
+        # eight pure probes, each one shared vector perturbed by eps: the
+        # average probe's small eigenvalues sit near eps^2, where an inverse
+        # square root cut only at ZERO_TOL scaled rounding past TOL
+        rng = np.random.default_rng(1)
+        keys = bit_strings(3)
+        for _ in range(300):
+            eps = 10 ** rng.uniform(-7, -3)
+            base = rng.normal(size=4) + 1j * rng.normal(size=4)
+            vecs = base + eps * (rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            e = CqEnsemble(3, ProbDist.uniform(keys), dict(zip(keys, vecs[:, :, None] * vecs.conj()[:, None, :])))
+            m = pgm(e)  # the Povm checks positivity and the identity sum within TOL
+            assert m.labels[:8] == keys
+            want = pgm_elements_loop(e)
+            for (_, got), (_, op) in zip(m.elements, want):
+                np.testing.assert_allclose(got, op, atol=1e-6)
+
 
 class TestSuccessProbability:
     def test_random_guessing_is_two_to_minus_n(self):

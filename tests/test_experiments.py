@@ -1037,6 +1037,11 @@ class TestDeclaredParams:
         err = assert_refused(experiment, {"overlap": overlap})
         assert err == f"error: overlap must lie in [0, 1], got {overlap}\n"
 
+    def test_table_without_epsilon_blames_l_zero(self):
+        err = assert_refused("table", {"n": 1, "l": 0, "m": 1})
+        assert err == "error: exponent l must be positive when epsilon is omitted, its default 2^-l being 1\n"
+        assert run_experiment("table", {"n": 1, "l": 0, "m": 1, "epsilon": 0.5}).all_ok()
+
     def test_sample_mode_matrix_size_cap(self):
         params = {"m": 1000000, "n": 1, "mode": "sample", "samples": 1}
         start = time.perf_counter()

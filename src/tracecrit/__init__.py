@@ -48,12 +48,12 @@ def _api() -> dict:
         CqEnsemble,
         LeakSpec,
         ProbDist,
-        SpikedDist,
         condition_on_leak,
         single_bit_pure_example,
         two_bit_pkl_example,
     )
     from .experiments import ExperimentReport, Verdict, run_experiment, run_sweep
+    from .keys import SpikedDist
     from .qmath import DensityOperator, tensor, validate_density
     from .sidechannel import (
         CensusResult,

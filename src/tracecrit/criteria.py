@@ -21,8 +21,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensembles import CqEnsemble, ProbDist, SpikedDist, _ints, _joined, bit_strings
+from .ensembles import CqEnsemble, ProbDist, _joined
 from .errors import TOL, ZERO_TOL, BadParams, NonUniformPrior, TooLarge
+from .keys import SpikedDist, _ints, bit_strings
 from .qmath import _trace_norm, _trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
@@ -234,18 +235,14 @@ def event_deviation_bound(p, m: int):
     """Largest deviation of any m-bit subsequence event from 2^-m.
 
     ``p`` may be a dense :class:`ProbDist` over complete n-bit keys or a
-    sparse :class:`SpikedDist`.  Returns ``(max_dev, (positions, pattern))``.
+    sparse :class:`SpikedDist`, which answers exactly through its own
+    ``event_deviation``.  Returns ``(max_dev, (positions, pattern))``.
     The deviation never exceeds the variational distance to uniform, since
     subsequence events are events.
     """
-    (m,) = _ints((m,), f"subsequence length must be an integer, got {m!r}")
     if isinstance(p, SpikedDist):
-        if not 1 <= m <= p.n_bits:
-            raise BadParams(f"subsequence length must be in [1, {p.n_bits}], got {m}")
-        hit = p.spike_mass + (2 ** (p.n_bits - m) - 1) * p.rest_mass
-        # any other pattern deviates from 2^-m by 1 / (2^m - 1) of the spike prefix's deviation
-        return abs(hit - Fraction(1, 2**m)), (tuple(range(m)), p.spike_label[:m])
-
+        return p.event_deviation(m)
+    (m,) = _ints((m,), f"subsequence length must be an integer, got {m!r}")
     n = len(p.labels[0])
     expected = bit_strings(n) if len(p.labels) == 1 << n else None  # builds no more than p holds
     if p.labels is not expected and p.labels != expected:

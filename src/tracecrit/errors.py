@@ -1,11 +1,12 @@
-"""Exception types raised across the toolkit, its two float tolerances and `pgm`'s eigenvalue floor.
+"""Exception types raised across the toolkit, its float tolerances, `pgm`'s floor and the Toeplitz seed cap.
 
 Every error names the violated contract; validation errors include the
 offending magnitude in their message so reports stay diagnosable.
 `BadParams` is the one type for a violated precondition; a narrower class
 exists only where some caller tells it apart from `BadParams`.  The
 tolerances live here because every module imports this one and it imports
-nothing, so `bounds` reads them without loading numpy.
+nothing, so `bounds` reads them without loading numpy; the seed cap lives
+here so that `toeplitz` refuses an over-cap request before it loads numpy.
 """
 
 #: How far a validated unit-scale float may miss its exact constraint: an adjoint gap, a trace,
@@ -17,6 +18,8 @@ ZERO_TOL = 1e-12
 #: avg^(-1/2) X avg^(-1/2) scales rounding of size eps_mach * lam_max by lam_max / lam,
 #: so a floor of 1e-6 lam_max keeps every element within TOL of positive and of the identity sum.
 _PGM_SUPPORT_CUTOFF = 1e-6
+#: Seed-space cap for exhaustive singular-fraction enumeration, and sample cap of the sampled one.
+EXHAUSTIVE_SEED_CAP = 2**24
 
 
 class ToolkitError(Exception):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from . import __version__
-from .errors import TOL, ZERO_TOL, BadParams, ParseError, TooLarge, UnknownExperiment
+from .errors import EXHAUSTIVE_SEED_CAP, TOL, ZERO_TOL, BadParams, ParseError, TooLarge, UnknownExperiment
 
 if TYPE_CHECKING:
     from .discrimination import Povm
@@ -31,8 +31,8 @@ if TYPE_CHECKING:
     from .sidechannel import LinearCode
 
 # Each command and helper imports the kernels it calls at its top, so one
-# CLI request loads only the modules of its experiment; a preset name is
-# checked first, so an unknown one loads none.
+# CLI request loads only the modules of its experiment; a preset name and
+# the Toeplitz seed caps are checked first, so a request they refuse loads none.
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -427,13 +427,12 @@ def cmd_cex_iii(
 def cmd_spiked(seed: int, *, n: _int_param = 8, l: _int_param = 3):
     """Spiked distribution: the whole key is guessable with probability
     2^-l while the distance from uniform is only 2^-l - 2^-n."""
-    from .criteria import event_deviation_bound
-    from .ensembles import SpikedDist
+    from .keys import SpikedDist
 
     dist = SpikedDist(n, l)
     analytic = Fraction(1, 2**l) - Fraction(1, 2**n)
     summed = dist.variational_from_uniform()
-    dev, (positions, pattern) = event_deviation_bound(dist, n)
+    dev, (positions, pattern) = dist.event_deviation(n)
 
     results = {
         "n": n,
@@ -472,7 +471,13 @@ def cmd_spiked(seed: int, *, n: _int_param = 8, l: _int_param = 3):
 def cmd_toeplitz(
     seed: int, *, m: _int_param = 2, n: _int_param = 2, mode="exhaustive", samples: _int_param = None
 ):
-    """Singular fraction of a Toeplitz hash family; singular members leak."""
+    """Singular fraction of a Toeplitz hash family; singular members leak.
+    A request over either seed cap is refused before numpy loads, as
+    `singular_fraction` would refuse it, with its message."""
+    if mode == "exhaustive" and m + n - 1 >= EXHAUSTIVE_SEED_CAP.bit_length():
+        raise TooLarge(f"2^{m + n - 1} seeds exceed the exhaustive cap of {EXHAUSTIVE_SEED_CAP}")
+    if mode == "sample" and samples is not None and samples > EXHAUSTIVE_SEED_CAP:
+        raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
     from .sidechannel import singular_fraction
 
     fraction = singular_fraction(m, n, mode=mode, samples=samples, seed=seed)

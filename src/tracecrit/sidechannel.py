@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import _ints, bit_strings
-from .errors import BadParams, TooLarge
+from .errors import EXHAUSTIVE_SEED_CAP, BadParams, TooLarge
+from .keys import _ints, bit_strings
 
-#: Seed-space cap for exhaustive singular-fraction enumeration.
-EXHAUSTIVE_SEED_CAP = 2**24
 #: Block-length cap for decision-region censuses (2^n received words).
 CENSUS_BIT_CAP = 20
 

@@ -88,6 +88,19 @@ def spiked_dense(d: SpikedDist) -> ProbDist:
     return ProbDist(keys, [spiked_mass(d, x) for x in keys])
 
 
+def spiked_entropy_closed_form(n: int, l: int) -> float:
+    """Entropy in bits of SpikedDist(n, l) in closed form,
+    l 2^-l + (1 - 2^-l)(n + log2(1 - 2^-n) - log2(1 - 2^-l)), both logs
+    through log1p; 0 at l = 0, where the second term's weight vanishes."""
+    if l == 0:
+        return 0.0
+
+    def log2_1m(k):  # log2(1 - 2^-k)
+        return math.log1p(-(2.0**-k)) / math.log(2)
+
+    return l * 2.0**-l + (1 - 2.0**-l) * (n + log2_1m(n) - log2_1m(l))
+
+
 def matrix_rows(mat: Gf2Matrix) -> list[list[int]]:
     """A packed GF(2) matrix as rows of bits, column j from bit j of a row."""
     return [[(row >> j) & 1 for j in range(mat.cols)] for row in mat.row_bits]

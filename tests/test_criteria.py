@@ -435,6 +435,31 @@ class TestEventDeviationBound:
             dev_dense, _ = event_deviation_bound(dense, m)
             assert float(dev_sparse) == pytest.approx(dev_dense, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sparse_routes_match_dense_path_everywhere(self, n):
+        # every (l, m): the method and the public route agree exactly, and the
+        # dense route over the expanded table agrees to its summation error
+        # (a bin adds 2^(n-m) rounded masses) on the spike's all-zeros prefix
+        for l in range(n + 1):
+            sparse = SpikedDist(n, l)
+            dense = spiked_dense(sparse)
+            for m in range(1, n + 1):
+                dev, event = sparse.event_deviation(m)
+                assert event_deviation_bound(sparse, m) == (dev, event)
+                assert event == (tuple(range(m)), "0" * m)
+                dense_dev, (_, pattern) = event_deviation_bound(dense, m)
+                assert abs(float(dev) - dense_dev) <= 2 ** (n - m + 1) * np.finfo(float).eps
+                if dev and m > 1:  # at m = 1 the other pattern ties; at dev = 0 every pattern does
+                    assert pattern == "0" * m
+            for m in (0, n + 1):
+                message = rf"must be in \[1, {n}\], got {m}$"
+                with pytest.raises(BadParams, match=message):
+                    sparse.event_deviation(m)
+                with pytest.raises(BadParams, match=message):
+                    event_deviation_bound(sparse, m)
+                with pytest.raises(BadParams, match=message):
+                    event_deviation_bound(dense, m)
+
     def test_bounded_by_variational_distance(self):
         rng = np.random.default_rng(10)
         labels = bit_strings(8)

@@ -1,6 +1,6 @@
 """Structure of the package: the runtime dependency stays numpy only, every
 module of the package imports from the standard library, numpy and the
-package itself, `bounds` from the standard library and `errors` alone,
+package itself, `bounds` and `keys` from the standard library and `errors` alone,
 every name the package exports and every public function, class and method
 it defines has a reader, every exception class beyond `BadParams` has a
 caller that tells it apart, a CLI request loads only the modules of its
@@ -53,18 +53,31 @@ def test_package_imports_only_stdlib_numpy_and_itself():
         assert roots <= ALLOWED, f"{path.name} imports {sorted(roots - ALLOWED)}"
 
 
-def test_bounds_imports_only_the_standard_library_and_errors():
-    """`table` and `markov` run on `bounds` alone, without numpy or a kernel,
-    so every import in it, a function's own included, is of the standard
-    library or of `errors`."""
+def non_stdlib_imports(module: str) -> set[str]:
+    """Every import in a package module, a function's own included, that is
+    not of the standard library: relative ones as ".name"."""
     imported = set()
-    for node in ast.walk(ast.parse((PACKAGE / "bounds.py").read_text())):
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or "").split(".")[0])
     assert imported
-    assert imported - set(sys.stdlib_module_names) <= {".errors"}, sorted(imported)
+    return imported - set(sys.stdlib_module_names)
+
+
+def test_bounds_imports_only_the_standard_library_and_errors():
+    """`table` and `markov` run on `bounds` alone, without numpy or a kernel,
+    so every import in it, a function's own included, is of the standard
+    library or of `errors`."""
+    assert non_stdlib_imports("bounds") <= {".errors"}
+
+
+def test_keys_imports_only_the_standard_library_and_errors():
+    """`spiked` runs on `keys` alone, and the GF(2) kernels read their bit
+    strings from it, so every import in it is of the standard library or of
+    `errors`: neither loads numpy through it."""
+    assert non_stdlib_imports("keys") <= {".errors"}
 
 
 def export_sources() -> dict[str, str]:
@@ -410,7 +423,9 @@ def test_distinguished_classes_have_their_reader():
 # -- what a fresh interpreter loads ------------------------------------------
 
 #: The modules the library API binds: every module but the CLI front end.
-LIBRARY = {"bounds", "coupling", "criteria", "discrimination", "ensembles", "errors", "experiments", "qmath", "sidechannel"}
+LIBRARY = {
+    "bounds", "coupling", "criteria", "discrimination", "ensembles", "errors", "experiments", "keys", "qmath", "sidechannel"
+}
 KERNELS = LIBRARY - {"errors", "experiments"}
 
 #: Prefix of every probe: at exit, write the loaded package modules (short
@@ -447,6 +462,11 @@ REFUSED = {
     "unknown-experiment": ["--experiment", "nope"],
     "malformed-json": ["--experiment", "cex_ii", "--params", "{"],
     "missing-experiment": ["--params", "{}"],
+    # over the seed caps, refused by the command before it loads `sidechannel`
+    "toeplitz-over-cap": ["--experiment", "toeplitz", "--params", '{"m": 13, "n": 13}'],
+    "toeplitz-samples-over-cap": [
+        "--experiment", "toeplitz", "--params", '{"m": 3, "n": 3, "mode": "sample", "samples": 16777217}'
+    ],
 }
 
 
@@ -461,8 +481,11 @@ def test_refused_request_loads_no_kernel(tmp_path, argv):
 #: arithmetic only: they load `bounds` and no numpy and no other kernel.
 GUARANTEE = {"cli", "experiments", "errors", "bounds"}
 NOT_IN_MARKOV = (KERNELS - {"bounds"}) | {"numpy"}
+#: `spiked` is exact Fraction arithmetic on `keys`: no numpy and no other kernel.
+SPIKED = {"cli", "experiments", "errors", "keys"}
+NOT_IN_SPIKED = (KERNELS - {"keys"}) | {"numpy"}
 GF2 = {"cli", "experiments", "numpy", "sidechannel"}
-NOT_IN_GF2 = {"criteria", "discrimination", "coupling", "bounds"}
+NOT_IN_GF2 = {"criteria", "discrimination", "coupling", "bounds", "ensembles", "qmath"}
 #: The quantum and coupling experiments load numpy and the kernels below.
 DENSITY = {"cli", "experiments", "numpy", "criteria", "ensembles", "qmath"}
 #: Requests, each with the modules it must load and those it must not.
@@ -473,7 +496,7 @@ RUNS = {
     "ecc": (["--experiment", "ecc", "--params", '{"preset": "code52", "rule": "min_distance"}'], GF2, NOT_IN_GF2),
     "toeplitz": (["--experiment", "toeplitz", "--params", '{"m": 3, "n": 4}', "--format", "csv"], GF2, NOT_IN_GF2),
     "cex_i": (["--experiment", "cex_i", "--params", '{"N": 256}'], DENSITY | {"coupling"}, {"discrimination", "sidechannel", "bounds"}),
-    "spiked": (["--experiment", "spiked", "--params", '{"n": 10, "l": 3}'], DENSITY, {"coupling", "discrimination", "sidechannel", "bounds"}),
+    "spiked": (["--experiment", "spiked", "--params", '{"n": 10, "l": 3}'], SPIKED, NOT_IN_SPIKED),
     "cex_ii": (["--experiment", "cex_ii", "--params", '{"preset": "two-bit-mixed"}'], DENSITY | {"bounds", "discrimination"}, {"coupling", "sidechannel"}),
     "cex_iii": (["--experiment", "cex_iii", "--params", '{"preset": "two-bit-mixed"}'], DENSITY | {"discrimination"}, {"coupling", "sidechannel", "bounds"}),
 }

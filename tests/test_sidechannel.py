@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -15,11 +16,11 @@ from tracecrit import (
     is_perfect_code,
     singular_fraction,
 )
-from tracecrit.cli import render_csv
+from tracecrit.cli import main, render_csv
 from tracecrit.experiments import CODE_PRESETS, run_experiment
 from tracecrit import sidechannel
 from tracecrit.sidechannel import EXHAUSTIVE_SEED_CAP, _parity_check_rows
-from tracecrit.errors import BadParams, TooLarge
+from tracecrit.errors import BadParams, ToolkitError, TooLarge
 
 from helpers import census_loop, codeword, matrix_rows, pac_leakage, singular_fraction_loop, toeplitz_from_seed
 
@@ -221,6 +222,45 @@ class TestSingularFraction:
         with pytest.raises(TooLarge, match="elimination steps"):
             singular_fraction(m, n, mode="sample", samples=1, seed=1)
         assert time.perf_counter() - start < 1.0
+
+
+def _cap_pairs():
+    """(m, n) with m + n - 1 from 24 to 27, m <= 0 among them, in both orders;
+    at 24, under the cap, only pairs the kernel refuses on their sign."""
+    pairs = []
+    for bits in range(24, 28):
+        shapes = [(0, bits + 1), (-5, bits + 6)]
+        if bits >= EXHAUSTIVE_SEED_CAP.bit_length():
+            shapes += [(1, bits), (bits // 2, bits + 1 - bits // 2)]
+        pairs += [p for m, n in shapes for p in ((m, n), (n, m))]
+    return pairs
+
+
+class TestCapsCheckedBeforeImport:
+    """`cmd_toeplitz` refuses over-cap requests before it loads numpy; its
+    stderr line must stay the one `singular_fraction` refuses with."""
+
+    @staticmethod
+    def refusal(capsys, params) -> str:
+        assert main(["--experiment", "toeplitz", "--params", json.dumps(params)]) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("m,n", _cap_pairs())
+    def test_exhaustive(self, capsys, m, n):
+        with pytest.raises(ToolkitError) as kernel:
+            singular_fraction(m, n)
+        over = m + n - 1 >= EXHAUSTIVE_SEED_CAP.bit_length()
+        assert isinstance(kernel.value, TooLarge) == over
+        assert self.refusal(capsys, {"m": m, "n": n}) == f"error: {kernel.value}\n"
+
+    @pytest.mark.parametrize("samples", [EXHAUSTIVE_SEED_CAP + 1, 2**53, 0, -1])
+    def test_sampled(self, capsys, samples):
+        # a count at or below zero is refused first; the CLI always passes a seed
+        with pytest.raises(ToolkitError) as kernel:
+            singular_fraction(3, 3, mode="sample", samples=samples, seed=0)
+        assert isinstance(kernel.value, TooLarge) == (samples > 0)
+        params = {"m": 3, "n": 3, "mode": "sample", "samples": samples}
+        assert self.refusal(capsys, params) == f"error: {kernel.value}\n"
 
 
 SMALL_SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 6)]

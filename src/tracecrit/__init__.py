@@ -49,7 +49,6 @@ def _api() -> dict:
         LeakSpec,
         ProbDist,
         condition_on_leak,
-        single_bit_pure_example,
         two_bit_pkl_example,
     )
     from .experiments import ExperimentReport, Verdict, run_experiment, run_sweep

@@ -224,11 +224,11 @@ def classical_dbar(joint: "JointDistribution") -> float:
     n_rows = len(joint.row_labels)
     u = 1.0 / n_rows
     row_sums = joint.mass.sum(axis=1)
-    gap = float(np.max(np.abs(row_sums - u)))
+    gap = float(abs(row_sums - u).max())
     if gap > TOL:
         raise NonUniformPrior(f"row marginal deviates from uniform by {gap:.3e}")
     col = joint.mass.sum(axis=0)
-    return 0.5 * math.fsum(np.abs(joint.mass - u * col).ravel().tolist())
+    return 0.5 * math.fsum(abs(joint.mass - u * col).ravel().tolist())
 
 
 def event_deviation_bound(p, m: int):
@@ -371,7 +371,7 @@ def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
     for start in range(0, len(e.keys), step):
         block = slice(start, start + step)
         products = np.matmul(e.probe_stack[block, None], ops[None])
-        mass[block] = e.weights[block, None] * np.trace(products, axis1=2, axis2=3).real
+        mass[block] = e.weights[block, None] * products.trace(0, 2, 3).real
     return np.maximum(mass, 0.0, out=mass)
 
 
@@ -385,16 +385,16 @@ def _variants_from_mass(mass: np.ndarray) -> DeltaEVariants:
     n_keys, n_out = mass.shape
 
     outcome_mass = mass.sum(axis=0)
-    support = np.flatnonzero(outcome_mass > ZERO_TOL)
+    support = (outcome_mass > ZERO_TOL).nonzero()[0]
     u_support = 1.0 / len(support)
-    v_outcome = 0.5 * math.fsum(np.abs(outcome_mass[support] - u_support).tolist())
+    v_outcome = 0.5 * math.fsum(abs(outcome_mass[support] - u_support).tolist())
 
     u_cell = (1.0 / n_keys) * (1.0 / n_out)
-    v_joint = 0.5 * math.fsum(np.abs(mass - u_cell).ravel().tolist())
+    v_joint = 0.5 * math.fsum(abs(mass - u_cell).ravel().tolist())
 
     u_key = 1.0 / n_keys
     posteriors = mass[:, support] / outcome_mass[support]
-    post_devs = [0.5 * math.fsum(col) for col in np.abs(posteriors - u_key).T.tolist()]
+    post_devs = [0.5 * math.fsum(col) for col in abs(posteriors - u_key).T.tolist()]
     v_max = max(post_devs)
     v_avg = math.fsum((outcome_mass[support] * post_devs).tolist())
 

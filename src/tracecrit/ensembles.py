@@ -40,11 +40,6 @@ def _exact_parts(values):
     return nums, den
 
 
-def _floats(nums: np.ndarray, den: int) -> np.ndarray:
-    """Numerators over den as float64; int / int rounds correctly, like float(Fraction)."""
-    return (nums / den).astype(np.float64)
-
-
 @dataclass(frozen=True, eq=False)
 class ProbDist:
     """Finite labelled probability distribution, masses held in one array.
@@ -62,7 +57,8 @@ class ProbDist:
 
     def __post_init__(self):
         labels = self.labels
-        if not any(labels is keys for keys in _BIT_STRINGS.values()):  # unique strings as built
+        # bit_strings(n), unique strings as built, is the memo's entry for its length 2^n
+        if type(labels) is not tuple or labels is not _BIT_STRINGS.get(len(labels).bit_length() - 1):
             labels = tuple(labels)
             if set(map(type, labels)) - {str}:
                 labels = tuple(map(str, labels))
@@ -145,7 +141,7 @@ class ProbDist:
         """Float64 masses, a fresh writable array."""
         if self.denominator is None:
             return self.probs.copy()
-        return _floats(self.probs, self.denominator)
+        return (self.probs / self.denominator).astype(np.float64)  # int / int rounds like float(Fraction)
 
 
 def _joined(p: ProbDist, q: ProbDist):
@@ -220,7 +216,7 @@ class CqEnsemble:
         shapes = {np.shape(m) for m in matrices}
         if len(shapes) != 1:
             raise BadParams(f"probe shapes differ: {sorted(shapes)}")
-        stack = np.stack(matrices)
+        stack = np.array(matrices)  # as np.stack would, at a third of its cost: the shapes are equal
         if not all(isinstance(probes[k], DensityOperator) for k in expected):
             stack = _require_density_stack(stack)
         weights = self.prior.as_array()
@@ -260,13 +256,13 @@ class CqEnsemble:
         return norms
 
 
-def single_bit_pure_example(c: float) -> CqEnsemble:
-    """One-bit key with pure probes of real overlap c, embedded in dim 2."""
+def _overlap_pair(c: float) -> tuple[DensityOperator, DensityOperator]:
+    """The pure qubit states |0><0| and |v><v|, v = (c, sqrt(1 - c^2)), of real overlap c."""
     if not 0.0 <= c <= 1.0:
         raise BadParams(f"overlap must lie in [0, 1], got {c!r}")
     kets = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1.0 - c * c))]], dtype=complex)
-    probes = {k: DensityOperator._trusted(np.outer(v, v.conj())) for k, v in zip("01", kets)}
-    return CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
+    ket0, ket = kets[:, :, None] * kets.conj()[:, None, :]  # each row's outer product
+    return DensityOperator._trusted(ket0), DensityOperator._trusted(ket)
 
 
 def two_bit_pkl_example(
@@ -295,7 +291,7 @@ def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
     # matching rows come in residual key order
     mask = sum(1 << (n - 1 - pos) for pos in leak.positions)
     leaked = sum(bit << (n - 1 - pos) for pos, bit in zip(leak.positions, leak.values))
-    rows = np.flatnonzero((np.arange(2**n) & mask) == leaked)
+    rows = [i for i in range(2**n) if i & mask == leaked]
     matched = e.prior.probs[rows]
     exact = e.prior.denominator is not None
     total = sum(matched.tolist()) if exact else math.fsum(matched.tolist())
@@ -308,5 +304,5 @@ def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
         prior = ProbDist._from_numerators(residual_keys, matched, total)
     else:
         prior = ProbDist(residual_keys, matched / total)
-    probes = (DensityOperator._trusted(e.probe_stack[i]) for i in rows.tolist())
+    probes = (DensityOperator._trusted(e.probe_stack[i]) for i in rows)
     return CqEnsemble(n_kept, prior, dict(zip(residual_keys, probes)))

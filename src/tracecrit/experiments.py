@@ -157,20 +157,27 @@ def _preset(name, presets: Mapping, kind: str):
     return presets[name]
 
 
+#: The exact types `_jsonify` returns as they are; numpy integers and floats go on.
+_PLAIN = {int, str, bool, type(None)}
+
+
 def _jsonify(value):
     """Coerce results into JSON-safe, canonical-friendly values."""
-    if type(value) in (int, str, bool, type(None)):  # exact types; numpy ints go on
+    kind = type(value)
+    if kind is float:  # the common case first, without the numbers ABCs
+        return value if math.isfinite(value) else repr(value)
+    if kind in _PLAIN:
         return value
     if isinstance(value, dict):
+        if set(map(type, value.values())) <= _PLAIN and set(map(type, value)) <= {str}:
+            return dict(value)  # a flat map, an ecc census's 2^k region sizes, copied without recursion
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, numbers.Integral):  # numpy integers register as Integral
         return int(value)
-    if isinstance(value, numbers.Real):  # numpy floats and Fractions; a Fraction's float is finite
-        value = float(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
+    if isinstance(value, numbers.Real):  # numpy floats and Fractions, as their float
+        return _jsonify(float(value))
     return value
 
 
@@ -242,12 +249,11 @@ def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple["DensityOperat
     if preset is not None:
         spec = _preset(preset, TWO_BIT_PRESETS, "two-bit")
         return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
-    from .ensembles import single_bit_pure_example
+    from .ensembles import _overlap_pair
 
     if overlap is not None:
-        pair = single_bit_pure_example(overlap)
-        ket0 = pair.probe("0")  # |0><0|, which is also sigma
-        return ket0, ket0, pair.probe("1")
+        ket0, ket = _overlap_pair(overlap)  # |0><0| is also sigma
+        return ket0, ket0, ket
     if any(spec is None for spec in (sigma, rho1, rho2)):
         raise ParseError("two-bit family needs 'preset', 'overlap', or explicit sigma/rho1/rho2")
     return sigma, rho1, rho2
@@ -358,13 +364,15 @@ def cmd_cex_ii(
 def _family_measurement(sigma: "DensityOperator", rho1: "DensityOperator", rho2: "DensityOperator") -> "Povm":
     """Product measurement: the sigma eigenbasis on the first qubit and the
     eigenbasis of rho1 - rho2 on the second."""
-    from .discrimination import Povm
-    from .qmath import _hermitian_eigen
+    import numpy as np
 
-    # row i of each transpose is eigenvector i; pa[i] and pb[j] are their projectors
-    a, b = (_hermitian_eigen(m)[1].T for m in (sigma.matrix, rho1.matrix - rho2.matrix))
-    pa = a[:, :, None] * a.conj()[:, None, :]
-    pb = b[:, :, None] * b.conj()[:, None, :]
+    from .discrimination import Povm
+    from .qmath import _phase_fixed
+
+    # row i of each factor is its eigenvector i, in `_hermitian_eigen`'s order and phases
+    solves = [np.linalg.eigh(m)[1][:, ::-1] for m in (sigma.matrix, rho1.matrix - rho2.matrix)]
+    vecs = _phase_fixed(np.array(solves)).swapaxes(1, 2)
+    pa, pb = vecs[:, :, :, None] * vecs.conj()[:, :, None, :]  # pa[i] and pb[j] are their projectors
     # pa[i] (x) pb[j] at index 2i + j, as `qmath.tensor` multiplies them
     stack = (pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]).reshape(4, 4, 4)
     labels = [f"{fl}:{sl}" for fl in ("a", "b") for sl in ("e+", "e-")]
@@ -378,13 +386,11 @@ def cmd_cex_iii(
     """A concrete measurement whose induced distribution deviates from
     uniform by more than d under the joint or posterior readings."""
     sigma, rho1, rho2 = _resolve_two_bit(preset, overlap, sigma, rho1, rho2)
-    import numpy as np
-
     from .criteria import _variants_from_mass, classical_dbar, criterion_d_averaged
     from .discrimination import measure_ensemble
     from .ensembles import two_bit_pkl_example
 
-    purity = float(np.trace(sigma.matrix @ sigma.matrix).real)
+    purity = float((sigma.matrix @ sigma.matrix).trace().real)
     if purity < 1.0 - TOL:
         raise ParseError(f"sigma must be pure for this construction, purity {purity!r}")
     family = two_bit_pkl_example(sigma, rho1, rho2)

@@ -22,20 +22,16 @@ import numpy as np
 from .errors import TOL, ZERO_TOL, BadParams, BadTrace, NotHermitian, NotPsd
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
 def _adjoint_gaps(stack: np.ndarray) -> np.ndarray:
     """Largest entrywise deviation of each matrix of a (k, d, d) stack from
     its adjoint."""
-    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    return abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
 
 
 def _require_hermitian_stack(stack) -> np.ndarray:
     """The stack as complex, after checking every matrix for Hermiticity;
     the first failing matrix names the deviation."""
-    stack = _as_complex(stack)
+    stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
         raise NotHermitian(f"expected a stack of square matrices, got shape {stack.shape}")
     for gap in _adjoint_gaps(stack).tolist():
@@ -97,7 +93,7 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product of two matrices; dimensions multiply.  One broadcast
     multiply: the same bits as numpy's Kronecker routine, at a fraction of
     its per-call cost."""
-    a, b = _as_complex(a), _as_complex(b)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.ndim != 2 or b.ndim != 2:
         raise BadParams(f"tensor takes two matrices, got shapes {a.shape} and {b.shape}")
     (r, c), (s, t) = a.shape, b.shape
@@ -105,19 +101,22 @@ def tensor(a, b) -> np.ndarray:
 
 
 def _hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in descending order with matching orthonormal eigenvectors
-    of a complex square matrix derived from checked operators, unchecked: a
-    derived matrix may miss Hermiticity by the sum of its operands' slack.
-
-    The global phase of each eigenvector column is fixed so that its first
-    component of non-negligible magnitude is real and positive.  Measurement
-    bases built from eigenvectors are therefore reproducible run to run.
-    """
+    """Eigenvalues in descending order with matching orthonormal eigenvectors,
+    phase-fixed by `_phase_fixed`, of a complex square matrix derived from
+    checked operators, unchecked: a derived matrix may miss Hermiticity by
+    the sum of its operands' slack."""
     vals, vecs = np.linalg.eigh(m)
-    vecs = vecs[:, ::-1]
+    return vals[::-1].copy(), _phase_fixed(vecs[None, :, ::-1])[0]
+
+
+def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
+    """Each column of a (k, d, d) stack of eigenvectors times the global phase
+    that makes its first non-negligible component real and positive, so bases
+    built from eigenvectors are reproducible run to run."""
+    k, d, _ = vecs.shape
     # each column's first component above ZERO_TOL; a unit column always has one
-    pivots = vecs[np.argmax(np.abs(vecs) > ZERO_TOL, axis=0), np.arange(vecs.shape[1])]
-    return vals[::-1].copy(), vecs * (pivots.conj() / np.abs(pivots))
+    pivots = vecs[np.arange(k)[:, None], (abs(vecs) > ZERO_TOL).argmax(1), np.arange(d)]
+    return vecs * (pivots.conj() / abs(pivots))[:, None, :]
 
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
@@ -125,7 +124,7 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
     checked operators, unchecked, like `_hermitian_eigen`: one batched
     eigensolve, each norm the correctly rounded sum of its absolute
     eigenvalues."""
-    vals = np.abs(np.linalg.eigvalsh(stack))
+    vals = abs(np.linalg.eigvalsh(stack))
     return np.array([math.fsum(row) for row in vals.tolist()])
 
 
@@ -134,7 +133,7 @@ def _trace_norm(m: np.ndarray) -> float:
     checked operators, unchecked, like `_hermitian_eigen`.  The general
     (singular-value) trace norm is out of scope; every use in this toolkit
     is a difference of Hermitian operators."""
-    return float(_trace_norms(m[None])[0])
+    return math.fsum(abs(np.linalg.eigvalsh(m)).tolist())
 
 
 def validate_density(m) -> DensityOperator:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import numbers
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from tracecrit import (
 )
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import _PGM_SUPPORT_CUTOFF, TOL, ZERO_TOL, BadParams
+from tracecrit.experiments import TWO_BIT_PRESETS
 from tracecrit.qmath import _hermitian_eigen, _require_hermitian_stack
 from tracecrit.sidechannel import _parity_check_rows
 
@@ -57,6 +59,16 @@ def random_ensemble(rng, n_bits: int, dim: int, uniform_prior: bool = True) -> C
     prior = ProbDist.uniform(keys) if uniform_prior else random_probdist(rng, keys)
     probes = {k: random_density(rng, dim) for k in keys}
     return CqEnsemble(n_bits, prior, probes)
+
+
+def single_bit_pure_example(c: float) -> CqEnsemble:
+    """One-bit key with pure probes of real overlap c, embedded in dim 2: the
+    ensemble the CLI's overlap pair was once read from, kept as its oracle."""
+    if not 0.0 <= c <= 1.0:
+        raise BadParams(f"overlap must lie in [0, 1], got {c!r}")
+    kets = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1.0 - c * c))]], dtype=complex)
+    probes = {k: DensityOperator._trusted(np.outer(v, v.conj())) for k, v in zip("01", kets)}
+    return CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
 
 
 def random_povm(rng, dim: int, n_outcomes: int) -> Povm:
@@ -507,3 +519,87 @@ def variants_from_mass_loop(mass: np.ndarray) -> tuple:
         post_devs.append(0.5 * math.fsum(abs(float(v) - u_key) for v in posterior))
     v_avg = math.fsum(float(outcome_mass[j]) * dev for j, dev in zip(support, post_devs))
     return v_outcome, v_joint, max(post_devs), v_avg
+
+
+def helstrom_binary_loop(rho0: DensityOperator, rho1: DensityOperator, p0: float) -> float:
+    """Optimal two-state success, p0 plus the positive values that
+    `_hermitian_eigen` returns for (1 - p0) rho1 - p0 rho0, clamped into [0, 1]."""
+    vals, _ = _hermitian_eigen((1.0 - p0) * rho1.matrix - p0 * rho0.matrix)
+    p_success = p0 + math.fsum(float(v) for v in vals[vals > 0.0])
+    return min(max(p_success, 0.0), 1.0)
+
+
+def hermitian_eigen_loop(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and eigenvectors of one matrix, each column's
+    phase fixed by its first component above ZERO_TOL, found column by column."""
+    vals, vecs = np.linalg.eigh(m)
+    vecs = vecs[:, ::-1]
+    pivots = vecs[np.argmax(np.abs(vecs) > ZERO_TOL, axis=0), np.arange(vecs.shape[1])]
+    return vals[::-1].copy(), vecs * (pivots.conj() / np.abs(pivots))
+
+
+def family_measurement_loop(sigma: DensityOperator, rho1: DensityOperator, rho2: DensityOperator) -> np.ndarray:
+    """The (4, 4, 4) element stack of `cex_iii`'s product measurement, one
+    Kronecker product of two projectors per element, pa[i] (x) pb[j] at 2i + j."""
+    a = hermitian_eigen_loop(sigma.matrix)[1]
+    b = hermitian_eigen_loop(rho1.matrix - rho2.matrix)[1]
+    return np.array(
+        [np.kron(np.outer(a[:, i], a[:, i].conj()), np.outer(b[:, j], b[:, j].conj())) for i in range(2) for j in range(2)]
+    )
+
+
+def jsonify_recursive(value):
+    """JSON-safe form of a report value, one `numbers` test per scalar:
+    non-finite floats as their repr, dict keys as strings, tuples as lists."""
+    if type(value) in (int, str, bool, type(None)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): jsonify_recursive(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify_recursive(v) for v in value]
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        value = float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
+def random_bloch(rng, sphere: bool = False) -> tuple[float, float, float]:
+    """A Bloch vector uniform in the unit ball, or on the unit sphere."""
+    v = rng.normal(size=3)
+    radius = 1.0 if sphere else rng.random() ** (1 / 3)
+    return tuple((radius * v / np.linalg.norm(v)).tolist())
+
+
+def two_bit_bloch(params: dict) -> tuple[tuple[float, float, float], ...]:
+    """Bloch vectors (sigma, rho1, rho2) of a `cex_ii`/`cex_iii` request, read
+    from its preset, its overlap or its three qubit specs: a 'diag' [a, b] is
+    (0, 0, a - b), and the overlap-c pair is |0><0| and |v><v| with
+    v = (c, sqrt(1 - c^2)), that is (2 c s, 0, c^2 - s^2)."""
+    if "overlap" in params:
+        c = params["overlap"]
+        s = math.sqrt(max(0.0, 1.0 - c * c))
+        return (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (2 * c * s, 0.0, c * c - s * s)
+    specs = TWO_BIT_PRESETS[params["preset"]] if "preset" in params else params
+    vectors = []
+    for name in ("sigma", "rho1", "rho2"):
+        spec = specs[name]
+        if "diag" in spec:
+            a, b = spec["diag"]
+            vectors.append((0.0, 0.0, a - b))
+        else:
+            vectors.append(tuple(spec["bloch"]))
+    return tuple(vectors)
+
+
+def bloch_geometry(r1, r2) -> tuple[float, float, float]:
+    """(g, x1, x2): g = |r1 - r2|, which is ||rho1 - rho2||_1, and each r_j's
+    component along n = (r1 - r2) / g, the Bloch direction of the top
+    eigenvector of rho1 - rho2; x1 = x2 = 0 when g = 0."""
+    diff = [a - b for a, b in zip(r1, r2)]
+    g = math.hypot(*diff)
+    if g == 0.0:
+        return 0.0, 0.0, 0.0
+    return g, math.fsum(a * b for a, b in zip(r1, diff)) / g, math.fsum(a * b for a, b in zip(r2, diff)) / g

@@ -32,7 +32,6 @@ from tracecrit import (
     measure_ensemble,
     mismatch_probability,
     post_leak_discrimination,
-    single_bit_pure_example,
     singular_fraction,
     two_bit_pkl_example,
     uniform_comparison_table,
@@ -44,7 +43,15 @@ from tracecrit.discrimination import JointDistribution
 from tracecrit.ensembles import bit_strings
 from tracecrit.experiments import run_experiment
 
-from helpers import random_density, random_ensemble, random_povm, random_probdist, toeplitz_from_seed, trace_norm_loop
+from helpers import (
+    random_density,
+    random_ensemble,
+    random_povm,
+    random_probdist,
+    single_bit_pure_example,
+    toeplitz_from_seed,
+    trace_norm_loop,
+)
 
 
 def done(number: int, label: str):

@@ -11,7 +11,6 @@ from tracecrit import (
     helstrom_binary,
     hypothesis_ii_cap,
     markov_bound,
-    single_bit_pure_example,
     uniform_comparison_table,
     validate_density,
 )
@@ -20,7 +19,7 @@ from tracecrit.cli import render_csv, render_markdown
 from tracecrit.errors import TOL, BadParams
 from tracecrit.experiments import run_experiment
 
-from helpers import hypothesis_ii_exact, random_density
+from helpers import hypothesis_ii_exact, random_density, single_bit_pure_example
 
 
 class TestMarkovBound:

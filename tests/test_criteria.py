@@ -26,7 +26,6 @@ from tracecrit import (
     event_deviation_bound,
     measure_ensemble,
     pairwise_distance_bound,
-    single_bit_pure_example,
     two_bit_pkl_example,
     validate_density,
     variational_distance,
@@ -54,6 +53,7 @@ from helpers import (
     random_povm,
     random_probdist,
     random_unitary,
+    single_bit_pure_example,
     spiked_dense,
     success_probability_loop,
     trace_norm_loop,

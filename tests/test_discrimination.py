@@ -14,7 +14,6 @@ from tracecrit import (
     measure_ensemble,
     pgm,
     post_leak_discrimination,
-    single_bit_pure_example,
     two_bit_pkl_example,
     validate_density,
 )
@@ -29,11 +28,13 @@ from tracecrit.criteria import _outcome_mass, _variants_from_mass
 from helpers import (
     bits,
     gap_ensemble,
+    helstrom_binary_loop,
     helstrom_projector,
     pgm_elements_loop,
     random_density,
     random_ensemble,
     random_povm,
+    single_bit_pure_example,
     success_probability_loop,
     trace_norm_loop,
 )
@@ -129,6 +130,19 @@ class TestHelstrom:
             assert helstrom_binary(rho0, rho1, 0.5) == pytest.approx(
                 expected, abs=1e-9
             )
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_eigh_values_match_the_hermitian_eigen_route(self, dim):
+        """Read from the eigh solve itself, the positive values give the bits
+        that p0 plus the positive values of `_hermitian_eigen` give, at the
+        priors 0, 1/2 and 1 and at random ones, on full and low-rank states."""
+        rng = np.random.default_rng([32, dim])
+        for _ in range(40):
+            rho0 = random_density(rng, dim, rank=int(rng.integers(1, dim + 1)))
+            rho1 = random_density(rng, dim)
+            for p0 in (0.0, 0.5, 1.0, float(rng.random())):
+                assert bits(helstrom_binary(rho0, rho1, p0)) == bits(helstrom_binary_loop(rho0, rho1, p0))
+                assert bits(helstrom_binary(rho1, rho0, p0)) == bits(helstrom_binary_loop(rho1, rho0, p0))
 
     def test_errors(self):
         rng = np.random.default_rng(3)

@@ -17,7 +17,6 @@ from tracecrit import (
     event_deviation_bound,
     measure_ensemble,
     pgm,
-    single_bit_pure_example,
     tensor,
     two_bit_pkl_example,
     validate_density,
@@ -42,6 +41,7 @@ from helpers import (
     random_density,
     random_ensemble,
     random_probdist,
+    single_bit_pure_example,
     spiked_dense,
     spiked_entropy_closed_form,
     spiked_mass,
@@ -310,6 +310,23 @@ class TestSingleBitPureExample:
     def test_bad_overlap(self):
         with pytest.raises(BadParams, match=r"overlap must lie in \[0, 1\], got 1\.5"):
             single_bit_pure_example(1.5)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, 5e-324, 0.37, 0.9999999999999999, 1.0])
+    def test_overlap_pair_holds_the_one_bit_probes(self, c):
+        """The pair the CLI reads an overlap into has the bits of the one-bit
+        ensemble's two probes, and is read-only."""
+        pair = ensembles._overlap_pair(c)
+        e = single_bit_pure_example(c)
+        for op, key in zip(pair, "01"):
+            assert bits(op.matrix) == bits(e.probe(key).matrix)
+            assert not op.matrix.flags.writeable
+
+    @pytest.mark.parametrize("c", [1.5, -0.1, 1.0000000000000002, -5e-324, math.inf, math.nan])
+    def test_overlap_pair_refuses_what_the_ensemble_refuses(self, c):
+        with pytest.raises(BadParams, match=re.escape(f"overlap must lie in [0, 1], got {c!r}")):
+            ensembles._overlap_pair(c)
+        with pytest.raises(BadParams, match=re.escape(f"overlap must lie in [0, 1], got {c!r}")):
+            single_bit_pure_example(c)
 
 
 class TestTwoBitFamily:

@@ -40,6 +40,8 @@ from tracecrit.experiments import (
     run_sweep,
 )
 
+from helpers import bits, family_measurement_loop, jsonify_recursive, random_density
+
 
 def verdict_map(report):
     return {v.relation: v.status for v in report.verdicts}
@@ -170,6 +172,37 @@ class TestCexIII:
         want = dataclasses.asdict(delta_E_variants(family, povm))
         want["dbar"] = classical_dbar(measure_ensemble(family, povm))
         assert {k: report.results[k] for k in want} == want
+
+    def test_family_measurement_matches_its_projector_loop(self):
+        """The stacked eigenvectors, phase fix and projectors give each element
+        the bits of one Kronecker product of two projectors, as
+        `_hermitian_eigen` orders and phase-fixes them: on random qubits, on
+        the presets, and on equal probes, whose difference is zero."""
+        rng = np.random.default_rng(32)
+        triples = [tuple(random_density(rng, 2, rank=1 if i == 0 else None) for i in range(3)) for _ in range(60)]
+        triples += [tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2")) for spec in TWO_BIT_PRESETS.values()]
+        triples += [(triples[0][0], triples[0][1], triples[0][1])]
+        for sigma, rho1, rho2 in triples:
+            povm = _family_measurement(sigma, rho1, rho2)
+            assert povm.labels == ("a:e+", "a:e-", "b:e+", "b:e-")
+            assert bits(povm.stack) == bits(family_measurement_loop(sigma, rho1, rho2))
+
+    @pytest.mark.parametrize("experiment,eigvalsh,eigh", [("cex_ii", 3, 2), ("cex_iii", 2, 2)])
+    def test_overlap_run_makes_its_eigensolves(self, experiment, eigvalsh, eigh, monkeypatch):
+        """An overlap run solves what it did before its overhead was cut: no
+        check is dropped and no eigh becomes an eigvalsh, whose values-only
+        path may round differently."""
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_experiment(experiment, {"overlap": 0.37})
+        assert (calls.count("eigvalsh"), calls.count("eigh")) == (eigvalsh, eigh)
 
 
 class TestSpiked:
@@ -365,6 +398,29 @@ class TestRunner:
         a = run_experiment("cex_ii", {"preset": "two-bit-mixed"}, seed=3)
         b = run_experiment("cex_ii", {"preset": "two-bit-mixed"}, seed=3)
         assert a.canonical_json() == b.canonical_json()
+
+    def test_jsonify_matches_the_recursive_route(self):
+        """The exact-float and flat-map shortcuts give what one `numbers` test
+        per scalar gives, types included: non-finite floats, numpy scalars,
+        Fractions, bools, nested lists and a 2^16-entry integer map."""
+        region_sizes = {format(i, "016b"): i % 7 for i in range(2**16)}
+        docs = [
+            {"a": 0.5, "b": math.nan, "c": -math.inf, "d": math.inf, "e": -0.0, "f": 5e-324},
+            {"np": [np.float64(math.nan), np.float32(-np.inf), np.int64(-3), np.uint8(7), np.float64(0.1)]},
+            {"fractions": [Fraction(1, 3), Fraction(-7, 2), Fraction(4, 2)], 2: True, None: False},
+            {"nested": [[1, [2.5, (3, math.inf)]], ({"x": (np.float64(2.0),)},)], "empty": {}, "list": []},
+            {"flat": {"a": 1, "b": True, "c": None, "d": "s"}, "ints_as_keys": {1: 2, 3: 4}},
+            {"mixed": {"a": 1, "b": 2.5}, "numpy_int": {"a": np.int64(1)}, "bool_key": {True: 1}},
+            {"region_sizes": region_sizes, "num": 2**70, "sub": dict(region_sizes)},
+            [1.5, "x", None, 2**64],
+            math.nan,
+        ]
+        for doc in docs:
+            got, want = _jsonify(doc), jsonify_recursive(doc)
+            assert repr(got) == repr(want)
+            assert json.dumps(got, sort_keys=True, allow_nan=False) == json.dumps(want, sort_keys=True, allow_nan=False)
+        copied = _jsonify(region_sizes)
+        assert copied == region_sizes and copied is not region_sizes
 
     def test_jsonify_scalars(self):
         """Python, numpy and Fraction scalars of every width serialize to the

@@ -124,6 +124,15 @@ class TestTraceNorm:
         rho = random_density(np.random.default_rng(2), 3).matrix
         assert _trace_norm(rho - rho) == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16])
+    def test_one_matrix_matches_a_stack_of_one(self, dim):
+        """Solved as a matrix, the norm has the bits of the batched route on a
+        stack holding only that matrix."""
+        rng = np.random.default_rng([32, dim])
+        for _ in range(20):
+            diff = random_density(rng, dim).matrix - random_density(rng, dim).matrix
+            assert bits(_trace_norm(diff)) == bits(_trace_norms(diff[None])[0])
+
     def test_orthogonal_pure_states(self):
         assert _trace_norm(projector(KET0) - projector(KET1)) == pytest.approx(2.0, abs=1e-12)
 

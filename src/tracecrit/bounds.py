@@ -12,41 +12,48 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import TOL, BadParams
 
 
-@dataclass(frozen=True)
-class GuaranteeScenario:
-    """Protocol-scale parameters for guarantee comparisons.
-
-    ``epsilon`` defaults to 2^-l when omitted.  ``epsilon_log2`` is its
-    log2, exactly -l for the default even where 2^-l underflows to 0.0.
-    """
-
+class _Scenario(NamedTuple):
     n: int
     l: int
     m: int
-    epsilon: float | None = None
-    epsilon_log2: float = field(init=False, repr=False, compare=False)
+    epsilon: float
+    epsilon_log2: float
 
-    def __post_init__(self):
-        if not 0 < self.m <= self.n:
-            raise BadParams(f"need 0 < m <= n, got m={self.m}, n={self.n}")
-        if self.l < 0:
-            raise BadParams(f"exponent l must be nonnegative, got {self.l}")
-        if self.l == 0 and self.epsilon is None:
+
+class GuaranteeScenario(_Scenario):
+    """Protocol-scale parameters for guarantee comparisons.
+
+    ``epsilon`` defaults to 2^-l when omitted.  ``epsilon_log2`` is its
+    log2, exactly -l for the default even where 2^-l underflows to 0.0;
+    it is derived, never given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, l: int, m: int, epsilon: float | None = None):
+        if not 0 < m <= n:
+            raise BadParams(f"need 0 < m <= n, got m={m}, n={n}")
+        if l < 0:
+            raise BadParams(f"exponent l must be nonnegative, got {l}")
+        if l == 0 and epsilon is None:
             raise BadParams("exponent l must be positive when epsilon is omitted, its default 2^-l being 1")
-        eps = self.epsilon if self.epsilon is not None else 2.0**-self.l
+        eps = epsilon if epsilon is not None else 2.0**-l
         if not 0.0 <= eps < 1.0:
             raise BadParams(f"epsilon must lie in [0, 1), got {eps!r}")
-        if self.epsilon is None:
-            eps_log2 = -float(self.l)
+        if epsilon is None:
+            eps_log2 = -float(l)
         else:
             eps_log2 = math.log2(eps) if eps > 0 else -math.inf
-        object.__setattr__(self, "epsilon", float(eps))
-        object.__setattr__(self, "epsilon_log2", eps_log2)
+        return super().__new__(cls, n, l, m, float(eps), eps_log2)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the stored fields as they are: `__new__` takes no epsilon_log2
+        return type(self)._make, (tuple(self),)
 
 
 #: log2 of the smallest normal double; smaller budgets lose their precision.
@@ -87,8 +94,7 @@ def markov_bound(mean: float, threshold: float) -> float:
     return min(1.0, mean / threshold)
 
 
-@dataclass(frozen=True)
-class GuaranteeBudget:
+class GuaranteeBudget(NamedTuple):
     required_average: float
     degradation_factor: float
 
@@ -130,8 +136,7 @@ def hypothesis_ii_cap(d: float) -> float:
     return 0.5 + min(max(d, 0.0), 0.5) / 2.0
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One subsequence length in the uniform-vs-certified comparison.
 
     ``ratio`` measures how much worse the certified bound 2^-m + eps is

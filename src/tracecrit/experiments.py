@@ -8,19 +8,13 @@ relation held, failed, or did not apply to the supplied instance.
 
 # No `from __future__ import annotations`: _bind calls each parameter's annotation, its kind.
 
-import csv
-import dataclasses
-import inspect
-import io
 import itertools
 import json
 import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import __version__
 from .errors import EXHAUSTIVE_SEED_CAP, TOL, ZERO_TOL, BadParams, ParseError, TooLarge, UnknownExperiment
@@ -88,8 +82,7 @@ SCENARIO_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     relation: str
     status: str
     detail: str
@@ -181,8 +174,7 @@ def _jsonify(value):
     return value
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     """One experiment run: inputs, named numeric results, verdicts.
 
     The canonical JSON form excludes elapsed time, so repeated runs with
@@ -433,6 +425,8 @@ def cmd_cex_iii(
 def cmd_spiked(seed: int, *, n: _int_param = 8, l: _int_param = 3):
     """Spiked distribution: the whole key is guessable with probability
     2^-l while the distance from uniform is only 2^-l - 2^-n."""
+    from fractions import Fraction
+
     from .keys import SpikedDist
 
     dist = SpikedDist(n, l)
@@ -637,7 +631,7 @@ def cmd_table(
         "n": scenario.n,
         "l": scenario.l,
         "epsilon": scenario.epsilon,
-        "rows": [dataclasses.asdict(r) for r in rows],
+        "rows": [r._asdict() for r in rows],
         "headline_ratio_log2": rows[0].ratio_log2,
     }
     if epsilon is None and scenario.epsilon == 0.0:  # the default 2^-l underflowed
@@ -672,28 +666,29 @@ def _command(name):
     return REGISTRY[name]
 
 
-def _parameters(name: str, keys) -> Mapping[str, inspect.Parameter]:
-    """The command's parameters; a key it does not declare raises ParseError."""
-    parameters = inspect.signature(_command(name)).parameters
-    declared = [k for k in parameters if k != "seed"]
+def _kinds(name: str, keys) -> dict:
+    """The command's parameter kinds, its annotations, by name; a key it does
+    not declare, as a keyword-only parameter after the seed, raises ParseError."""
+    command = _command(name)
+    declared = command.__kwdefaults__
     undeclared = [k for k in keys if k not in declared]
     if undeclared:
         raise ParseError(f"{name} has no parameters {undeclared!r}; it declares {', '.join(declared)}")
-    return parameters
+    return command.__annotations__
 
 
-def _coerce(parameter: inspect.Parameter, value):
-    """The value by its parameter's kind, the annotation, if any; null raises ParseError."""
+def _coerce(kinds: dict, key: str, value):
+    """The value by its parameter's kind, if it has one; null raises ParseError."""
     if value is None:
-        raise ParseError(f"parameter {parameter.name!r} is null; omit it to take its default")
-    kind = parameter.annotation
-    return value if kind is parameter.empty else kind(value, parameter.name)
+        raise ParseError(f"parameter {key!r} is null; omit it to take its default")
+    kind = kinds.get(key)
+    return value if kind is None else kind(value, key)
 
 
 def _bind(name: str, params: Mapping) -> dict:
     """Every given value by its parameter's kind, whether the run reads it or not."""
-    parameters = _parameters(name, params)
-    return {k: _coerce(parameters[k], v) for k, v in params.items()}
+    kinds = _kinds(name, params)
+    return {k: _coerce(kinds, k, v) for k, v in params.items()}
 
 
 def run_experiment(name: str, params: Mapping | None = None, seed: int = 0) -> ExperimentReport:
@@ -747,8 +742,8 @@ def run_sweep(
         raise TooLarge(f"sweep grid has {count} points, above the cap of {_MAX_SWEEP_POINTS}")
     base = _bind(experiment, base or {})
     names = list(grid.keys())
-    parameters = _parameters(experiment, names)
-    columns = [[_coerce(parameters[k], v) for v in grid[k]] for k in names]
+    kinds = _kinds(experiment, names)
+    columns = [[_coerce(kinds, k, v) for v in grid[k]] for k in names]
     given = itertools.product(*(grid[k] for k in names))
     points = [] if not names else list(zip(given, itertools.product(*columns)))
 
@@ -766,6 +761,9 @@ def run_sweep(
 
 def _csv_text(rows) -> str:
     """CSV with minimal quoting and bare newline line ends."""
+    import csv
+    import io
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()

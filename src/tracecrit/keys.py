@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BadParams
 
@@ -46,8 +46,12 @@ def _ints(values, message: str) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
-@dataclass(frozen=True)
-class SpikedDist:
+class _Spiked(NamedTuple):
+    n_bits: int
+    spike_exponent: int
+
+
+class SpikedDist(_Spiked):
     """One heavy key value plus a uniform remainder, stored sparsely.
 
     The spike sits on the all-zeros key with mass 2^-spike_exponent; the
@@ -56,17 +60,15 @@ class SpikedDist:
     n = 30 where a dense table would be infeasible.
     """
 
-    n_bits: int
-    spike_exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, l = _ints(
-            (self.n_bits, self.spike_exponent), "key length and spike exponent must be integers"
-        )
+    def __new__(cls, n_bits: int, spike_exponent: int):
+        n, l = _ints((n_bits, spike_exponent), "key length and spike exponent must be integers")
         if not 1 <= n <= MAX_SPIKED_BITS:
             raise BadParams(f"key length must be in [1, {MAX_SPIKED_BITS}], got {n}")
         if not 0 <= l <= n:
             raise BadParams(f"spike exponent must be in [0, {n}], got {l}")
+        return super().__new__(cls, n_bits, spike_exponent)
 
     @property
     def spike_label(self) -> str:

@@ -4,7 +4,8 @@ A compressing Toeplitz hash with rank deficiency r leaks r bits of the
 hashed key even when the input is perfectly uniform, and a linear code
 whose decision regions are unequal biases the a-priori distribution of
 decoded messages.  Both effects are quantified here by exact enumeration
-over packed bit matrices.
+over packed bit matrices.  The array kernels import numpy when they run,
+so a code refused by its checks or by the census cap loads none.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EXHAUSTIVE_SEED_CAP, BadParams, TooLarge
 from .keys import _ints, bit_strings
@@ -113,6 +112,8 @@ def _gf2_ranks(rows: np.ndarray, cols: int) -> np.ndarray:
     leaves every row and the pivot row leaves the matrix.  The rank is the
     number of columns that found a pivot.  ``rows`` is overwritten.
     """
+    import numpy as np
+
     n_rows, batch, words = rows.shape
     width = 8 * rows.itemsize
     weight = np.arange(n_rows, 0, -1, dtype=np.result_type(rows.dtype, np.min_scalar_type(n_rows)))
@@ -139,6 +140,8 @@ def _toeplitz_ranks(seeds: np.ndarray, m: int, n: int) -> np.ndarray:
     The n x m matrix of a seed, the m x n one transposed and reversed, has the
     same rank, so the taller of the two is ranked, with rows min(m, n) bits wide.
     """
+    import numpy as np
+
     m, n = max(m, n), min(m, n)
     seed = np.concatenate([seeds.T, np.zeros((1, len(seeds)), seeds.dtype)])  # one zero word past the seed
     word, shift = np.divmod(np.arange(m)[:, None] + np.arange(0, n, 64), 64)  # (m, row words)
@@ -162,6 +165,8 @@ def singular_fraction(
     are ranked in batches of bounded size, and a request may take no more
     elimination steps than the costliest exhaustive one.
     """
+    import numpy as np
+
     bits = m + n - 1
     full = min(m, n)
     if mode == "exhaustive":
@@ -236,6 +241,8 @@ class LinearCode:
 
 def _xor_span(gens) -> np.ndarray:
     """XOR of every subset of ``gens``: entry i takes gens[b] for each set bit b of i."""
+    import numpy as np
+
     span = np.zeros(1, dtype=np.int64)
     for g in gens:
         span = np.concatenate([span, span ^ g])
@@ -293,6 +300,7 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
     n, k = code.n, code.k
     if n > CENSUS_BIT_CAP:
         raise TooLarge(f"block length {n} exceeds the census cap of {CENSUS_BIT_CAP} bits")
+    import numpy as np
 
     h_rows = _parity_check_rows(code)
     syndromes = _xor_span(sum(((h >> j) & 1) << r for r, h in enumerate(h_rows)) for j in range(n))

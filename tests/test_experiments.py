@@ -274,6 +274,22 @@ class TestEcc:
         with pytest.raises(ParseError):
             run_experiment("ecc", {"preset": "golay"})
 
+    #: Codes of 21 columns, one past the census cap, each refused by a check
+    #: that precedes the cap: the generator's bits, its rank, then the rule.
+    OVER_CAP = {
+        "non-bit-entry": ({"generator": [[1] * 20 + [2]]}, "entries must be bits"),
+        "rank-deficient": ({"generator": [[1] * 21, [1] * 21]}, "generator matrix must have full row rank over GF(2)"),
+        "unknown-rule": (
+            {"generator": [[1] * 21], "rule": "ml"},
+            "rule must be one of ('syndrome', 'min_distance'), got 'ml'",
+        ),
+        "census-cap": ({"generator": [[1] * 21]}, "block length 21 exceeds the census cap of 20 bits"),
+    }
+
+    @pytest.mark.parametrize("params, message", OVER_CAP.values(), ids=OVER_CAP)
+    def test_over_cap_refusal_order(self, params, message):
+        assert assert_refused("ecc", params) == f"error: {message}\n"
+
 
 class TestMarkovAndTable:
     def test_markov_defaults(self):
@@ -961,6 +977,23 @@ class TestDeclaredParams:
         assert seed.name == "seed" and seed.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
         assert rest and all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in rest)
         assert all(p.default is not inspect.Parameter.empty for p in rest)
+
+    @pytest.mark.parametrize("experiment", sorted(REGISTRY))
+    def test_kwdefaults_and_annotations_match_the_signature(self, experiment):
+        """`run_experiment` reads a command's parameters from these two, not
+        from `inspect`, so they must declare what its signature declares."""
+        command = REGISTRY[experiment]
+        parameters = list(inspect.signature(command).parameters.values())[1:]
+        assert list(command.__kwdefaults__.items()) == [(p.name, p.default) for p in parameters]
+        declared = {p.name: p.annotation for p in parameters if p.annotation is not p.empty}
+        assert {k: v for k, v in command.__annotations__.items() if k != "seed"} == declared
+
+    @pytest.mark.parametrize("experiment", sorted(REGISTRY))
+    def test_undeclared_name_message(self, experiment):
+        names = ", ".join(list(inspect.signature(REGISTRY[experiment]).parameters)[1:])
+        message = f"{experiment} has no parameters ['undeclared', 'seed']; it declares {names}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            run_experiment(experiment, {"undeclared": 1, "seed": 2})
 
     @pytest.mark.parametrize("experiment", sorted(REGISTRY))
     def test_undeclared_name_exit_two(self, experiment):

@@ -4,7 +4,9 @@ package itself, `bounds` and `keys` from the standard library and `errors` alone
 every name the package exports and every public function, class and method
 it defines has a reader, every exception class beyond `BadParams` has a
 caller that tells it apart, a CLI request loads only the modules of its
-experiment, and the first read of a package attribute binds the whole API."""
+experiment, a request that computes with no array loads neither numpy nor
+`dataclasses` nor `inspect`, and the first read of a package attribute binds
+the whole API."""
 
 import ast
 import json
@@ -53,15 +55,21 @@ def test_package_imports_only_stdlib_numpy_and_itself():
         assert roots <= ALLOWED, f"{path.name} imports {sorted(roots - ALLOWED)}"
 
 
-def non_stdlib_imports(module: str) -> set[str]:
-    """Every import in a package module, a function's own included, that is
-    not of the standard library: relative ones as ".name"."""
+def all_imports(module: str) -> set[str]:
+    """Every import in a package module, a function's own included: absolute
+    ones by their top-level name, relative ones as ".name"."""
     imported = set()
     for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or "").split(".")[0])
+    return imported
+
+
+def non_stdlib_imports(module: str) -> set[str]:
+    """Every import in a package module that is not of the standard library."""
+    imported = all_imports(module)
     assert imported
     return imported - set(sys.stdlib_module_names)
 
@@ -71,6 +79,21 @@ def test_bounds_imports_only_the_standard_library_and_errors():
     so every import in it, a function's own included, is of the standard
     library or of `errors`."""
     assert non_stdlib_imports("bounds") <= {".errors"}
+
+
+#: The modules every CLI request loads, whatever it runs.
+EVERY_REQUEST = ("cli", "experiments", "bounds", "keys", "errors")
+#: Standard-library modules whose import costs a request that builds no
+#: array some milliseconds; numpy imports `inspect` itself.
+COSTLY_STDLIB = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("module", EVERY_REQUEST)
+def test_request_modules_import_no_dataclasses_or_inspect(module):
+    """Their records are NamedTuples and parameters are bound from a
+    command's `__kwdefaults__` and `__annotations__`, so no import in them,
+    a function's own included, is of `dataclasses` or `inspect`."""
+    assert not all_imports(module) & COSTLY_STDLIB
 
 
 def test_keys_imports_only_the_standard_library_and_errors():
@@ -429,11 +452,12 @@ LIBRARY = {
 KERNELS = LIBRARY - {"errors", "experiments"}
 
 #: Prefix of every probe: at exit, write the loaded package modules (short
-#: names) and numpy, as JSON, to the path in argv[1], and drop that path.
+#: names), numpy, `dataclasses` and `inspect`, as JSON, to the path in
+#: argv[1], and drop that path.
 PROBE = """\
 import atexit, json, sys
 def _dump(path=sys.argv.pop(1)):
-    names = [m for m in sys.modules if m == "numpy" or m.startswith("tracecrit.")]
+    names = [m for m in sys.modules if m in ("numpy", "dataclasses", "inspect") or m.startswith("tracecrit.")]
     with open(path, "w") as f:
         json.dump(sorted(m.replace("tracecrit.", "", 1) for m in names), f)
 atexit.register(_dump)
@@ -474,16 +498,28 @@ REFUSED = {
 def test_refused_request_loads_no_kernel(tmp_path, argv):
     proc, modules = run_probe(tmp_path, CLI, *argv)
     assert proc.returncode == 2 and proc.stderr.startswith("error: ")
-    assert not modules & (KERNELS | {"numpy"}), sorted(modules)
+    assert not modules & (KERNELS | {"numpy"} | COSTLY_STDLIB), sorted(modules)
+
+
+def test_over_cap_ecc_refusal_loads_no_numpy(tmp_path):
+    """A 21-column code passes its checks in `sidechannel`, then the census
+    refuses it by its cap before it imports numpy."""
+    generator = json.dumps({"generator": [[1] * 21]})
+    proc, modules = run_probe(tmp_path, CLI, "--experiment", "ecc", "--params", generator)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: block length 21 exceeds the census cap of 20 bits\n"
+    assert "sidechannel" in modules and "numpy" not in modules, sorted(modules)
 
 
 #: The guarantee experiments, `table` and `markov`, do float and log2
-#: arithmetic only: they load `bounds` and no numpy and no other kernel.
+#: arithmetic only: they load `bounds` and no numpy, no other kernel and
+#: neither `dataclasses` nor `inspect`.
 GUARANTEE = {"cli", "experiments", "errors", "bounds"}
-NOT_IN_MARKOV = (KERNELS - {"bounds"}) | {"numpy"}
-#: `spiked` is exact Fraction arithmetic on `keys`: no numpy and no other kernel.
+NOT_IN_MARKOV = (KERNELS - {"bounds"}) | {"numpy"} | COSTLY_STDLIB
+#: `spiked` is exact Fraction arithmetic on `keys`: no numpy, no other
+#: kernel and neither `dataclasses` nor `inspect`.
 SPIKED = {"cli", "experiments", "errors", "keys"}
-NOT_IN_SPIKED = (KERNELS - {"keys"}) | {"numpy"}
+NOT_IN_SPIKED = (KERNELS - {"keys"}) | {"numpy"} | COSTLY_STDLIB
 GF2 = {"cli", "experiments", "numpy", "sidechannel"}
 NOT_IN_GF2 = {"criteria", "discrimination", "coupling", "bounds", "ensembles", "qmath"}
 #: The quantum and coupling experiments load numpy and the kernels below.
@@ -535,7 +571,7 @@ def test_first_read_binds_the_whole_api(tmp_path, first, extra):
     assert sources
     proc, modules = run_probe(tmp_path, first + NAMESPACE, json.dumps(sources))
     assert proc.returncode == 0, proc.stderr
-    assert modules == LIBRARY | extra | {"numpy"}
+    assert modules - COSTLY_STDLIB == LIBRARY | extra | {"numpy"}
     doc = json.loads(proc.stdout)
     assert set(doc["public"]) == set(sources) | LIBRARY | extra
     assert doc["same"] == sorted(sources)

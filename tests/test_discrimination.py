@@ -1,14 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tracecrit import (
     CqEnsemble,
+    DensityOperator,
     JointDistribution,
     LeakSpec,
     Povm,
     ProbDist,
+    condition_on_leak,
     criterion_d_averaged,
     helstrom_binary,
     measure_ensemble,
@@ -30,6 +33,7 @@ from helpers import (
     gap_ensemble,
     helstrom_binary_loop,
     helstrom_projector,
+    masses,
     pgm_elements_loop,
     random_density,
     random_ensemble,
@@ -351,7 +355,82 @@ class TestSuccessProbability:
         assert success_probability_loop(e, m, swapped) == pytest.approx(0.0, abs=1e-9)
 
 
+LEAK_PRIORS = ["uniform", "fraction", "dirichlet"]
+
+
+def leak_case(n: int, dim: int, prior: str) -> CqEnsemble:
+    """Seeded n-bit ensemble of dim-dimensional probes under an exact
+    uniform prior, an exact Fraction prior whose first key has mass 0, or a
+    float Dirichlet prior."""
+    rng = np.random.default_rng([n, dim, LEAK_PRIORS.index(prior)])
+    keys = bit_strings(n)
+    if prior == "dirichlet":
+        dist = ProbDist(keys, tuple(rng.dirichlet(np.ones(len(keys))).tolist()))
+    elif prior == "fraction":
+        ints = [0] + [int(v) for v in rng.integers(1, 50, len(keys) - 1)]
+        dist = ProbDist(keys, tuple(Fraction(v, sum(ints)) for v in ints))
+    else:
+        dist = ProbDist.uniform(keys)
+    return CqEnsemble(n, dist, {k: random_density(rng, dim) for k in keys})
+
+
+def one_bit_leaks(n: int):
+    """Every leak of n - 1 of the n bits: each kept position, each pattern."""
+    for kept in range(n):
+        positions = tuple(p for p in range(n) if p != kept)
+        for pattern in range(2 ** (n - 1)):
+            yield LeakSpec(positions, tuple((pattern >> (n - 2 - t)) & 1 for t in range(n - 1)))
+
+
 class TestPostLeakDiscrimination:
+    @pytest.mark.parametrize("prior", LEAK_PRIORS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_conditioned_ensemble_bit_for_bit(self, n, prior):
+        """Against the route through a conditioned ensemble: condition on the
+        leak, then the Helstrom test on the residual's two stack rows under
+        its first key's mass."""
+        for dim in range(1, 5):
+            e = leak_case(n, dim, prior)
+            d = criterion_d_averaged(e)
+            for leak in one_bit_leaks(n):
+                residual = condition_on_leak(e, leak)
+                rho0, rho1 = (DensityOperator._trusted(m) for m in residual.probe_stack)
+                want = helstrom_binary(rho0, rho1, float(masses(residual.prior)[0]))
+                got = post_leak_discrimination(e, leak)
+                assert bits(got) == bits([want, d]), (n, dim, leak)
+                assert type(got.p_success) is float
+
+    def test_refuses_a_position_outside_the_key(self):
+        e = random_ensemble(np.random.default_rng(14), 2, 2)
+        for leak, pos in ((LeakSpec((2,), (0,)), 2), (LeakSpec((0, 5), (0, 1)), 5)):
+            with pytest.raises(BadParams, match=f"^leak position {pos} outside a 2-bit key$"):
+                post_leak_discrimination(e, leak)
+
+    @pytest.mark.parametrize("probs", [(Fraction(1, 4),) * 4 + (0,) * 4, (0.25,) * 4 + (0.0,) * 4])
+    def test_refuses_a_zero_probability_pattern_before_counting_bits(self, probs):
+        """Every key with a first bit of 1 has mass 0, so each leak of a first
+        bit of 1 is refused for its pattern, whatever it leaves unknown."""
+        rng = np.random.default_rng(15)
+        keys = bit_strings(3)
+        e = CqEnsemble(3, ProbDist(keys, probs), {k: random_density(rng, 2) for k in keys})
+        for leak in (LeakSpec((0,), (1,)), LeakSpec((0, 1), (1, 0)), LeakSpec((0, 1, 2), (1, 1, 1))):
+            with pytest.raises(BadParams, match="^leaked pattern has zero prior probability$"):
+                post_leak_discrimination(e, leak)
+
+    @pytest.mark.parametrize(
+        "n, leak, left",
+        [
+            (2, LeakSpec((0, 1), (1, 0)), 0),
+            (3, LeakSpec((0, 1, 2), (0, 1, 1)), 0),
+            (2, LeakSpec((), ()), 2),
+            (4, LeakSpec((1, 3), (1, 0)), 2),
+        ],
+    )
+    def test_refuses_a_leak_that_leaves_other_than_one_bit(self, n, leak, left):
+        e = random_ensemble(np.random.default_rng(16), n, 2, uniform_prior=False)
+        with pytest.raises(BadParams, match=f"^leak leaves {left} unknown bits; exactly 1 is required$"):
+            post_leak_discrimination(e, leak)
+
     def test_two_bit_family_success_half_plus_d(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

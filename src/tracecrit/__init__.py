@@ -48,7 +48,6 @@ def _api() -> dict:
         CqEnsemble,
         LeakSpec,
         ProbDist,
-        condition_on_leak,
         two_bit_pkl_example,
     )
     from .experiments import ExperimentReport, Verdict, run_experiment, run_sweep

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .criteria import _outcome_mass, criterion_d_averaged
-from .ensembles import CqEnsemble, LeakSpec, condition_on_leak
+from .ensembles import CqEnsemble, LeakSpec
 from .errors import _PGM_SUPPORT_CUTOFF, TOL, ZERO_TOL, BadParams
 from .qmath import DensityOperator, _adjoint_gaps, _hermitian_eigen
 
@@ -164,16 +164,26 @@ def pgm(e: CqEnsemble) -> Povm:
 def post_leak_discrimination(e: CqEnsemble, leak: LeakSpec) -> PostLeakResult:
     """Optimal discrimination of the one remaining bit after a partial leak.
 
-    Conditions the ensemble on the leaked bits, runs the optimal binary
-    measurement on the two surviving hypotheses, and returns that success
-    probability next to the criterion value of the *full* ensemble for
-    comparison against composition-style caps.
+    Reads the probes of the two keys that match the leaked bits, runs the
+    optimal binary measurement on them under their renormalized prior, and
+    returns that success probability next to the criterion value of the
+    *full* ensemble for comparison against composition-style caps.
     """
-    residual = condition_on_leak(e, leak)
-    if residual.n_bits != 1:
-        raise BadParams(
-            f"leak leaves {residual.n_bits} unknown bits; exactly 1 is required"
-        )
-    p0 = float(residual.prior.mass("0"))
-    p_success = helstrom_binary(residual.probe("0"), residual.probe("1"), p0)
+    n = e.n_bits
+    if leak.positions and leak.positions[-1] >= n:
+        raise BadParams(f"leak position {leak.positions[-1]} outside a {n}-bit key")
+    # key i holds bit (i >> (n - 1 - pos)) & 1 at position pos, so the
+    # matching rows come in residual key order
+    mask = sum(1 << (n - 1 - pos) for pos in leak.positions)
+    leaked = sum(bit << (n - 1 - pos) for pos, bit in zip(leak.positions, leak.values))
+    rows = [i for i in range(2**n) if i & mask == leaked]
+    matched = e.prior.probs[rows].tolist()
+    total = math.fsum(matched) if e.prior.denominator is None else sum(matched)
+    if total <= 0:
+        raise BadParams("leaked pattern has zero prior probability")
+    if len(rows) != 2:
+        raise BadParams(f"leak leaves {n - len(leak.positions)} unknown bits; exactly 1 is required")
+    rho0, rho1 = (DensityOperator._trusted(e.probe_stack[i]) for i in rows)
+    # int / int for exact numerators: correctly rounded, as float(Fraction) is
+    p_success = helstrom_binary(rho0, rho1, matched[0] / total)
     return PostLeakResult(p_success, criterion_d_averaged(e))

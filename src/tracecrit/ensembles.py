@@ -69,7 +69,7 @@ class ProbDist:
             raise BadParams(f"{len(labels)} labels but {len(given)} masses")
         if self.denominator is None:
             nums, den = _exact_parts(given)
-        else:  # numerators built by _from_numerators
+        else:  # numerators built by uniform
             nums, den = list(given), self.denominator
         if den is None:
             probs = np.array(given, dtype=np.float64)
@@ -108,34 +108,15 @@ class ProbDist:
 
     @classmethod
     def uniform(cls, labels) -> "ProbDist":
-        """Exact uniform distribution."""
+        """Exact uniform distribution, validated like any other but built
+        from int numerators, without a Fraction per mass."""
         labels = tuple(labels)
         if not labels:
             raise BadParams("cannot build a distribution over zero labels")
-        return cls._from_numerators(labels, [1] * len(labels), len(labels))
-
-    @classmethod
-    def _from_numerators(cls, labels, numerators, denominator: int) -> "ProbDist":
-        """Exact distribution of int numerators over one denominator, validated
-        like any other but without a Fraction per mass."""
         self = cls.__new__(cls)
-        vars(self).update(labels=labels, probs=tuple(numerators), denominator=denominator)
+        vars(self).update(labels=labels, probs=(1,) * len(labels), denominator=len(labels))
         self.__post_init__()
         return self
-
-    @cached_property
-    def _index(self) -> dict:
-        return {x: i for i, x in enumerate(self.labels)}
-
-    def mass(self, label: str):
-        """One label's mass: a Fraction when exact, else a float."""
-        try:
-            i = self._index[label]
-        except KeyError:
-            raise BadParams(f"unknown label {label!r}") from None
-        if self.denominator is None:
-            return float(self.probs[i])
-        return Fraction(self.probs[i], self.denominator)
 
     def as_array(self) -> np.ndarray:
         """Float64 masses, a fresh writable array."""
@@ -156,7 +137,7 @@ def _joined(p: ProbDist, q: ProbDist):
         a, b = (d.probs if d.denominator == den else d.probs * (den // d.denominator) for d in (p, q))
     if p.labels == q.labels:
         return p.labels, a, b, den
-    where = dict(p._index)
+    where = {x: i for i, x in enumerate(p.labels)}
     for x in q.labels:
         where.setdefault(x, len(where))
     P, Q = np.zeros((2, len(where)), dtype=float if den is None else object)
@@ -233,12 +214,6 @@ class CqEnsemble:
     def probe_dim(self) -> int:
         return self.probe_stack.shape[1]
 
-    def probe(self, key: str) -> DensityOperator:
-        """The probe of one key, a read-only view of its row of the stack."""
-        if key not in self.prior._index:
-            raise BadParams(f"unknown key {key!r}")
-        return DensityOperator._trusted(self.probe_stack[self.prior._index[key]])
-
     @cached_property
     def average(self) -> DensityOperator:
         """Prior-weighted average probe, accumulated in key order: the last
@@ -278,31 +253,3 @@ def two_bit_pkl_example(
     second = DensityOperator._trusted(tensor(sigma.matrix, rho2.matrix))
     probes = {"00": first, "01": second, "10": second, "11": first}
     return CqEnsemble(2, ProbDist.uniform(bit_strings(2)), probes)
-
-
-def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
-    """Ensemble over the unleaked bits, prior renormalized, probes unchanged."""
-    n = e.n_bits
-    if leak.positions and leak.positions[-1] >= n:
-        raise BadParams(
-            f"leak position {leak.positions[-1]} outside a {n}-bit key"
-        )
-    # key i holds bit (i >> (n - 1 - pos)) & 1 at position pos, so the
-    # matching rows come in residual key order
-    mask = sum(1 << (n - 1 - pos) for pos in leak.positions)
-    leaked = sum(bit << (n - 1 - pos) for pos, bit in zip(leak.positions, leak.values))
-    rows = [i for i in range(2**n) if i & mask == leaked]
-    matched = e.prior.probs[rows]
-    exact = e.prior.denominator is not None
-    total = sum(matched.tolist()) if exact else math.fsum(matched.tolist())
-    if total <= 0:
-        raise BadParams("leaked pattern has zero prior probability")
-
-    n_kept = n - len(leak.positions)
-    residual_keys = bit_strings(n_kept)
-    if exact:  # the matched numerators over their sum
-        prior = ProbDist._from_numerators(residual_keys, matched, total)
-    else:
-        prior = ProbDist(residual_keys, matched / total)
-    probes = (DensityOperator._trusted(e.probe_stack[i]) for i in rows)
-    return CqEnsemble(n_kept, prior, dict(zip(residual_keys, probes)))

@@ -1,12 +1,13 @@
-"""Exception types raised across the toolkit, its float tolerances, `pgm`'s floor and the Toeplitz seed cap.
+"""Exception types raised across the toolkit, its float tolerances, `pgm`'s floor and the Toeplitz seed cap with its check.
 
 Every error names the violated contract; validation errors include the
 offending magnitude in their message so reports stay diagnosable.
 `BadParams` is the one type for a violated precondition; a narrower class
 exists only where some caller tells it apart from `BadParams`.  The
 tolerances live here because every module imports this one and it imports
-nothing, so `bounds` reads them without loading numpy; the seed cap lives
-here so that `toeplitz` refuses an over-cap request before it loads numpy.
+nothing, so `bounds` reads them without loading numpy; the seed cap and
+its check live here so that `toeplitz` refuses an over-cap request before
+it loads numpy, with the message `singular_fraction` gives.
 """
 
 #: How far a validated unit-scale float may miss its exact constraint: an adjoint gap, a trace,
@@ -20,6 +21,15 @@ ZERO_TOL = 1e-12
 _PGM_SUPPORT_CUTOFF = 1e-6
 #: Seed-space cap for exhaustive singular-fraction enumeration, and sample cap of the sampled one.
 EXHAUSTIVE_SEED_CAP = 2**24
+
+
+def _check_seed_cap(mode: str, bits: int, samples: int | None) -> None:
+    """Refuse, as `TooLarge`, an exhaustive run over 2^bits seeds or a
+    sampled run of more samples than `EXHAUSTIVE_SEED_CAP`."""
+    if mode == "exhaustive" and bits >= EXHAUSTIVE_SEED_CAP.bit_length():  # compare exponents: no 2**bits yet
+        raise TooLarge(f"2^{bits} seeds exceed the exhaustive cap of {EXHAUSTIVE_SEED_CAP}")
+    if mode == "sample" and samples is not None and samples > EXHAUSTIVE_SEED_CAP:
+        raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
 
 
 class ToolkitError(Exception):

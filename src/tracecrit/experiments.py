@@ -17,7 +17,7 @@ import time
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import __version__
-from .errors import EXHAUSTIVE_SEED_CAP, TOL, ZERO_TOL, BadParams, ParseError, TooLarge, UnknownExperiment
+from .errors import TOL, ZERO_TOL, BadParams, ParseError, TooLarge, UnknownExperiment, _check_seed_cap
 
 if TYPE_CHECKING:
     from .discrimination import Povm
@@ -86,9 +86,6 @@ class Verdict(NamedTuple):
     relation: str
     status: str
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"relation": self.relation, "status": self.status, "detail": self.detail}
 
 
 def _verdict(relation: str, ok: bool, detail: str, skip: str | None = None) -> Verdict:
@@ -198,7 +195,7 @@ class ExperimentReport(NamedTuple):
             "params": _jsonify(self.params),
             "seed": self.seed,
             "results": _jsonify(self.results),
-            "verdicts": [v.to_dict() for v in self.verdicts],
+            "verdicts": [v._asdict() for v in self.verdicts],
             "version": self.version,
         }
         if include_timing and self.elapsed_seconds is not None:
@@ -311,7 +308,7 @@ def cmd_cex_ii(
     family = two_bit_pkl_example(sigma, rho1, rho2)
     gap = _trace_norm(rho1.matrix - rho2.matrix)
     d = criterion_d_averaged(family)
-    success, d_again = post_leak_discrimination(family, LeakSpec((0,), (0,)))
+    success = post_leak_discrimination(family, LeakSpec((0,), (0,))).p_success
     cap = hypothesis_ii_cap(d)
     single = helstrom_binary(rho1, rho2, 0.5)
 
@@ -472,12 +469,9 @@ def cmd_toeplitz(
     seed: int, *, m: _int_param = 2, n: _int_param = 2, mode="exhaustive", samples: _int_param = None
 ):
     """Singular fraction of a Toeplitz hash family; singular members leak.
-    A request over either seed cap is refused before numpy loads, as
-    `singular_fraction` would refuse it, with its message."""
-    if mode == "exhaustive" and m + n - 1 >= EXHAUSTIVE_SEED_CAP.bit_length():
-        raise TooLarge(f"2^{m + n - 1} seeds exceed the exhaustive cap of {EXHAUSTIVE_SEED_CAP}")
-    if mode == "sample" and samples is not None and samples > EXHAUSTIVE_SEED_CAP:
-        raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
+    A request over either seed cap is refused before numpy loads, by the
+    check `singular_fraction` makes, with its message."""
+    _check_seed_cap(mode, m + n - 1, samples)
     from .sidechannel import singular_fraction
 
     fraction = singular_fraction(m, n, mode=mode, samples=samples, seed=seed)

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import EXHAUSTIVE_SEED_CAP, BadParams, TooLarge
+from .errors import EXHAUSTIVE_SEED_CAP, BadParams, TooLarge, _check_seed_cap
 from .keys import _ints, bit_strings
 
 #: Block-length cap for decision-region censuses (2^n received words).
@@ -170,8 +170,7 @@ def singular_fraction(
     bits = m + n - 1
     full = min(m, n)
     if mode == "exhaustive":
-        if bits >= EXHAUSTIVE_SEED_CAP.bit_length():  # compare exponents: no 2**bits yet
-            raise TooLarge(f"2^{bits} seeds exceed the exhaustive cap of {EXHAUSTIVE_SEED_CAP}")
+        _check_seed_cap(mode, bits, samples)
         total = 2**bits
 
         def draw(start: int, count: int) -> np.ndarray:
@@ -182,8 +181,7 @@ def singular_fraction(
             raise BadParams("sample mode needs a positive sample count")
         if seed is None:
             raise BadParams("sample mode needs an explicit seed for reproducibility")
-        if samples > EXHAUSTIVE_SEED_CAP:
-            raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
+        _check_seed_cap(mode, bits, samples)
         total = samples
         # randrange(2) is bit 30 of each MT19937 output with bit 31 clear
         _, key, _ = random.Random(seed).getstate()

@@ -89,6 +89,23 @@ def random_povm(rng, dim: int, n_outcomes: int) -> Povm:
 # -- scalar views of the packed and factored forms ------------------------
 
 
+def mass(p: ProbDist, label: str):
+    """One label's mass: a Fraction when p is exact, else a float."""
+    if label not in p.labels:
+        raise BadParams(f"unknown label {label!r}")
+    i = p.labels.index(label)
+    if p.denominator is None:
+        return float(p.probs[i])
+    return Fraction(p.probs[i], p.denominator)
+
+
+def probe(e: CqEnsemble, key: str) -> DensityOperator:
+    """The probe of one key, a read-only view of its row of the stack."""
+    if key not in e.keys:
+        raise BadParams(f"unknown key {key!r}")
+    return DensityOperator._trusted(e.probe_stack[e.keys.index(key)])
+
+
 def spiked_mass(d: SpikedDist, label: str) -> Fraction:
     """Mass of one key of a spiked distribution."""
     return d.spike_mass if label == d.spike_label else d.rest_mass
@@ -239,7 +256,7 @@ def event_deviation_loop(p: ProbDist, m: int):
 def masses(p: ProbDist) -> tuple:
     """The masses of p in label order, one scalar each: Fractions when p is
     exact, floats otherwise."""
-    return tuple(p.mass(x) for x in p.labels)
+    return tuple(mass(p, x) for x in p.labels)
 
 
 def probdist_loop(labels, probs) -> tuple:
@@ -388,20 +405,20 @@ def average_probe_loop(e: CqEnsemble) -> np.ndarray:
     """Prior-weighted average probe, one key at a time."""
     acc = np.zeros((e.probe_dim, e.probe_dim), dtype=complex)
     for k, p in zip(e.keys, masses(e.prior)):
-        acc += float(p) * e.probe(k).matrix
+        acc += float(p) * probe(e, k).matrix
     return acc
 
 
 def d_k_per_key_loop(e: CqEnsemble) -> dict:
     """Unhalved per-key norms ||rho_k - rho_avg||_1, one eigensolve per key."""
     avg = average_probe_loop(e)
-    return {k: trace_norm_loop(e.probe(k).matrix - avg) for k in e.keys}
+    return {k: trace_norm_loop(probe(e, k).matrix - avg) for k in e.keys}
 
 
 def criterion_d_averaged_loop(e: CqEnsemble) -> float:
     avg = average_probe_loop(e)
     return 0.5 * math.fsum(
-        float(p) * trace_norm_loop(e.probe(k).matrix - avg)
+        float(p) * trace_norm_loop(probe(e, k).matrix - avg)
         for k, p in zip(e.keys, masses(e.prior))
     )
 
@@ -411,7 +428,7 @@ def pairwise_bound_loop(e: CqEnsemble):
     worst_value = 0.0
     worst_pair = (e.keys[0], e.keys[0])
     for k1, k2 in itertools.combinations(e.keys, 2):
-        v = trace_norm_loop(e.probe(k1).matrix - e.probe(k2).matrix)
+        v = trace_norm_loop(probe(e, k1).matrix - probe(e, k2).matrix)
         if v > worst_value:
             worst_value, worst_pair = v, (k1, k2)
     return worst_pair, worst_value
@@ -421,7 +438,7 @@ def outcome_mass_loop(e: CqEnsemble, povm: Povm) -> np.ndarray:
     """Key x outcome mass p_k tr(rho_k E_o), one product per cell."""
     mass = np.zeros((len(e.keys), len(povm.elements)))
     for i, (k, p) in enumerate(zip(e.keys, masses(e.prior))):
-        rho = e.probe(k).matrix
+        rho = probe(e, k).matrix
         for j, (_, op) in enumerate(povm.elements):
             mass[i, j] = float(p) * float(np.trace(rho @ op).real)
     return mass
@@ -436,7 +453,7 @@ def criterion_d_entangled_loop(e: CqEnsemble) -> float:
     product = np.zeros((dim, dim), dtype=complex)
     for i, (k, p) in enumerate(zip(e.keys, masses(e.prior))):
         block = slice(i * d, (i + 1) * d)
-        joint[block, block] = float(p) * e.probe(k).matrix
+        joint[block, block] = float(p) * probe(e, k).matrix
         product[block, block] = float(p) * avg
     return 0.5 * trace_norm_loop(joint - product)
 
@@ -454,10 +471,32 @@ def success_probability_loop(e: CqEnsemble, m: Povm, guess: dict) -> float:
     """Guessing success, one trace product per guessed outcome."""
     terms = []
     for outcome, key in guess.items():
-        p = float(e.prior.mass(key))
-        rho = e.probe(key).matrix
+        p = float(mass(e.prior, key))
+        rho = probe(e, key).matrix
         terms.append(p * float(np.trace(rho @ m.stack[m.labels.index(outcome)]).real))
     return math.fsum(terms)
+
+
+def condition_on_leak(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
+    """Ensemble over the unleaked bits, prior renormalized, probes unchanged:
+    the matching rows selected by mask, as `post_leak_discrimination` selects
+    them, and kept as a validated ensemble."""
+    n = e.n_bits
+    if leak.positions and leak.positions[-1] >= n:
+        raise BadParams(f"leak position {leak.positions[-1]} outside a {n}-bit key")
+    mask = sum(1 << (n - 1 - pos) for pos in leak.positions)
+    leaked = sum(bit << (n - 1 - pos) for pos, bit in zip(leak.positions, leak.values))
+    rows = [i for i in range(2**n) if i & mask == leaked]
+    matched = e.prior.probs[rows]
+    exact = e.prior.denominator is not None
+    total = sum(matched.tolist()) if exact else math.fsum(matched.tolist())
+    if total <= 0:
+        raise BadParams("leaked pattern has zero prior probability")
+    n_kept = n - len(leak.positions)
+    residual_keys = bit_strings(n_kept)
+    probs = [Fraction(v, total) for v in matched.tolist()] if exact else matched / total
+    probes = (DensityOperator._trusted(e.probe_stack[i]) for i in rows)
+    return CqEnsemble(n_kept, ProbDist(residual_keys, probs), dict(zip(residual_keys, probes)))
 
 
 def condition_on_leak_loop(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
@@ -473,7 +512,7 @@ def condition_on_leak_loop(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
     norm = sum((p for _, p in matched.values()), Fraction(0)) if exact else total
     residual_keys = bit_strings(len(kept))
     probs = tuple(matched[r][1] / norm for r in residual_keys)
-    probes = {r: e.probe(matched[r][0]) for r in residual_keys}
+    probes = {r: probe(e, matched[r][0]) for r in residual_keys}
     return CqEnsemble(len(kept), ProbDist(residual_keys, probs), probes)
 
 
@@ -486,7 +525,7 @@ def pgm_elements_loop(e: CqEnsemble) -> list:
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
     elements = []
     for k, p in zip(e.keys, masses(e.prior)):
-        op = inv_sqrt @ (float(p) * e.probe(k).matrix) @ inv_sqrt
+        op = inv_sqrt @ (float(p) * probe(e, k).matrix) @ inv_sqrt
         elements.append((k, 0.5 * (op + op.conj().T)))
     return elements
 

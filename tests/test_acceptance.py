@@ -44,6 +44,7 @@ from tracecrit.ensembles import bit_strings
 from tracecrit.experiments import run_experiment
 
 from helpers import (
+    probe,
     random_density,
     random_ensemble,
     random_povm,
@@ -83,7 +84,7 @@ def test_criterion_03_single_bit_success_margin():
     for c in grid:
         e = single_bit_pure_example(float(c))
         d = criterion_d_averaged(e)
-        success = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
+        success = helstrom_binary(probe(e, "0"), probe(e, "1"), 0.5)
         cap = 0.5 + d / 2
         assert abs(success - (0.5 + d)) <= 1e-9
         assert abs((success - cap) - d / 2) <= 1e-9

@@ -19,7 +19,7 @@ from tracecrit.cli import render_csv, render_markdown
 from tracecrit.errors import TOL, BadParams
 from tracecrit.experiments import run_experiment
 
-from helpers import hypothesis_ii_exact, random_density, single_bit_pure_example
+from helpers import hypothesis_ii_exact, probe, random_density, single_bit_pure_example
 
 
 class TestMarkovBound:
@@ -112,14 +112,14 @@ class TestMixtureCap:
     def test_orthogonal_violation_margin(self):
         # actual optimal success at d = 1/2 is 1.0, a 0.25 margin over the cap
         e = single_bit_pure_example(0.0)
-        success = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
+        success = helstrom_binary(probe(e, "0"), probe(e, "1"), 0.5)
         assert success - hypothesis_ii_cap(0.5) == pytest.approx(0.25, abs=1e-12)
 
     def test_margin_is_half_d_across_overlaps(self):
         for c in np.linspace(0.0, 1.0, 21):
             e = single_bit_pure_example(float(c))
             d = criterion_d_averaged(e)
-            success = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
+            success = helstrom_binary(probe(e, "0"), probe(e, "1"), 0.5)
             assert success - hypothesis_ii_cap(d) == pytest.approx(d / 2, abs=1e-9)
 
 

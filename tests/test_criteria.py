@@ -18,7 +18,6 @@ from tracecrit import (
     ProbDist,
     SpikedDist,
     classical_dbar,
-    condition_on_leak,
     criterion_d_averaged,
     criterion_d_entangled,
     criterion_report,
@@ -38,6 +37,7 @@ from tracecrit.errors import TOL, BadParams, NonUniformPrior, TooLarge
 from helpers import (
     bits,
     classical_dbar_loop,
+    condition_on_leak,
     condition_on_leak_loop,
     criterion_d_averaged_loop,
     criterion_d_entangled_loop,
@@ -48,6 +48,7 @@ from helpers import (
     gap_qubit,
     outcome_mass_loop,
     pairwise_bound_loop,
+    probe,
     random_density,
     random_ensemble,
     random_povm,
@@ -100,7 +101,7 @@ class TestVariationalDistance:
 class TestCriterionForms:
     def test_single_bit_quarter_norm(self):
         e = single_bit_pure_example(0.3)
-        quarter = 0.25 * trace_norm_loop(e.probe("0").matrix - e.probe("1").matrix)
+        quarter = 0.25 * trace_norm_loop(probe(e, "0").matrix - probe(e, "1").matrix)
         assert criterion_d_averaged(e) == pytest.approx(quarter, abs=1e-12)
 
     def test_equal_probes_zero(self):
@@ -117,7 +118,7 @@ class TestCriterionForms:
             assert abs(criterion_d_entangled(e) - criterion_d_averaged(e)) <= 1e-9
 
     def test_forms_agree_after_conditioning(self):
-        from tracecrit import LeakSpec, condition_on_leak
+        from tracecrit import LeakSpec
 
         rng = np.random.default_rng(2)
         e = condition_on_leak(random_ensemble(rng, 3, 2), LeakSpec((1,), (0,)))

@@ -11,7 +11,6 @@ from tracecrit import (
     LeakSpec,
     Povm,
     ProbDist,
-    condition_on_leak,
     criterion_d_averaged,
     helstrom_binary,
     measure_ensemble,
@@ -30,11 +29,14 @@ from tracecrit.criteria import _outcome_mass, _variants_from_mass
 
 from helpers import (
     bits,
+    condition_on_leak,
     gap_ensemble,
     helstrom_binary_loop,
     helstrom_projector,
+    mass,
     masses,
     pgm_elements_loop,
+    probe,
     random_density,
     random_ensemble,
     random_povm,
@@ -123,7 +125,7 @@ class TestHelstrom:
         for c in np.linspace(0.0, 1.0, 11):
             e = single_bit_pure_example(float(c))
             d = criterion_d_averaged(e)
-            success = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
+            success = helstrom_binary(probe(e, "0"), probe(e, "1"), 0.5)
             assert success == pytest.approx(0.5 + d, abs=1e-9)
 
     def test_equal_prior_matches_trace_distance(self):
@@ -275,7 +277,7 @@ class TestPgm:
             e = random_ensemble(rng, 1, 3)
             m = pgm(e)
             guess = {k: k for k in e.keys if k in m.labels}
-            optimal = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
+            optimal = helstrom_binary(probe(e, "0"), probe(e, "1"), 0.5)
             assert success_probability_loop(e, m, guess) <= optimal + 1e-9
 
     @pytest.mark.parametrize("uniform", [True, False])
@@ -328,18 +330,18 @@ class TestSuccessProbability:
         rng = np.random.default_rng(9)
         for i in range(20):
             e = random_ensemble(rng, 1, 3, uniform_prior=i % 2 == 0)
-            p0 = float(e.prior.mass("0"))
-            proj = helstrom_projector(e.probe("0"), e.probe("1"), p0)
+            p0 = float(mass(e.prior, "0"))
+            proj = helstrom_projector(probe(e, "0"), probe(e, "1"), p0)
             m = Povm((("0", np.eye(3) - proj), ("1", proj)))
             two_path = success_probability_loop(e, m, {"0": "0", "1": "1"})
-            optimal = helstrom_binary(e.probe("0"), e.probe("1"), p0)
+            optimal = helstrom_binary(probe(e, "0"), probe(e, "1"), p0)
             assert two_path == pytest.approx(optimal, abs=1e-12)
 
     def test_no_random_povm_beats_helstrom(self):
         rng = np.random.default_rng(10)
         for _ in range(15):
             e = random_ensemble(rng, 1, 2)
-            optimal = helstrom_binary(e.probe("0"), e.probe("1"), 0.5)
+            optimal = helstrom_binary(probe(e, "0"), probe(e, "1"), 0.5)
             povm = random_povm(rng, 2, 3)
             joint = measure_ensemble(e, povm)
             # best deterministic guess per outcome

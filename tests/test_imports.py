@@ -465,6 +465,22 @@ atexit.register(_dump)
 
 #: `python -m tracecrit`, with the probe's argv.
 CLI = "import runpy\nrunpy.run_module('tracecrit', run_name='__main__', alter_sys=True)\n"
+#: The console script that `[project.scripts]` installs as `tracecrit`, with the probe's argv.
+SCRIPT = "import sys\nfrom tracecrit.cli import main\nsys.exit(main())\n"
+
+
+def both_entries(cases: dict, scripted=None) -> list:
+    """Parameters (entry code, *case) for each case: through `python -m
+    tracecrit` under the case's name, and, for the names in `scripted`
+    (every case by default), through the console script under
+    "<name>-script"."""
+    params = []
+    for name, case in cases.items():
+        case = case if isinstance(case, tuple) else (case,)
+        params.append(pytest.param(CLI, *case, id=name))
+        if scripted is None or name in scripted:
+            params.append(pytest.param(SCRIPT, *case, id=f"{name}-script"))
+    return params
 
 
 def run_probe(tmp_path, code: str, *argv: str):
@@ -494,18 +510,19 @@ REFUSED = {
 }
 
 
-@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED)
-def test_refused_request_loads_no_kernel(tmp_path, argv):
-    proc, modules = run_probe(tmp_path, CLI, *argv)
+@pytest.mark.parametrize("entry, argv", both_entries(REFUSED))
+def test_refused_request_loads_no_kernel(tmp_path, entry, argv):
+    proc, modules = run_probe(tmp_path, entry, *argv)
     assert proc.returncode == 2 and proc.stderr.startswith("error: ")
     assert not modules & (KERNELS | {"numpy"} | COSTLY_STDLIB), sorted(modules)
 
 
-def test_over_cap_ecc_refusal_loads_no_numpy(tmp_path):
+@pytest.mark.parametrize("entry", [CLI, SCRIPT], ids=["module", "script"])
+def test_over_cap_ecc_refusal_loads_no_numpy(tmp_path, entry):
     """A 21-column code passes its checks in `sidechannel`, then the census
     refuses it by its cap before it imports numpy."""
     generator = json.dumps({"generator": [[1] * 21]})
-    proc, modules = run_probe(tmp_path, CLI, "--experiment", "ecc", "--params", generator)
+    proc, modules = run_probe(tmp_path, entry, "--experiment", "ecc", "--params", generator)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: block length 21 exceeds the census cap of 20 bits\n"
     assert "sidechannel" in modules and "numpy" not in modules, sorted(modules)
@@ -538,9 +555,9 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("argv, present, absent", RUNS.values(), ids=RUNS)
-def test_request_loads_only_its_modules(tmp_path, argv, present, absent):
-    proc, modules = run_probe(tmp_path, CLI, *argv)
+@pytest.mark.parametrize("entry, argv, present, absent", both_entries(RUNS, scripted=("spiked", "table-preset")))
+def test_request_loads_only_its_modules(tmp_path, entry, argv, present, absent):
+    proc, modules = run_probe(tmp_path, entry, *argv)
     assert proc.returncode == 0, proc.stderr
     assert present <= modules, sorted(present - modules)
     assert not modules & absent, sorted(modules & absent)

@@ -3,7 +3,8 @@ module of the package imports from the standard library, numpy and the
 package itself, `bounds` and `keys` from the standard library and `errors` alone,
 every name the package exports and every public function, class and method
 it defines has a reader, every exception class beyond `BadParams` has a
-caller that tells it apart, a CLI request loads only the modules of its
+caller that tells it apart, a CLI request, started as `python -m tracecrit`
+or through the console script's code, loads only the modules of its
 experiment, a request that computes with no array loads neither numpy nor
 `dataclasses` nor `inspect`, and the first read of a package attribute binds
 the whole API."""

@@ -815,6 +815,24 @@ class TestCli:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 2 and rows[1][1] == str(path) and rows[1][-1] == "True"
 
+    @pytest.mark.parametrize(
+        "params,code",
+        [
+            # n = 70 gives a 71-bit seed space: 64 samples find no singular seed, so point 1 FAILs
+            ({"experiment": "toeplitz", "grid": {"n": [2, 70]}, "base": {"m": 2, "mode": "sample", "samples": 64}}, 1),
+            ({"experiment": "toeplitz", "grid": {"n": [2, 3]}, "base": {"m": 2}}, 0),
+            ({"experiment": "cex_ii", "grid": {"overlap": [0, 0.5, 1.0]}}, 0),
+        ],
+        ids=["one-point-fails", "toeplitz-all-pass", "cex_ii-all-pass"],
+    )
+    def test_sweep_exit_code_follows_its_points(self, params, code):
+        """A sweep exits 1 when any point fails and 0 when all pass, and
+        writes the text of `run_sweep` either way."""
+        want = run_sweep(params["experiment"], params["grid"], base=params.get("base"))
+        rows = list(csv.reader(io.StringIO(want)))
+        assert [row[-1] for row in rows[1:]] == (["True", "False"] if code else ["True"] * (len(rows) - 1))
+        assert run_cli(["--experiment", "sweep", "--params", json.dumps(params)]) == (code, want, "")
+
     @pytest.mark.parametrize("kind", ["params", "code_file"])
     def test_file_past_the_byte_bound_exit_two(self, kind, tmp_path):
         path = tmp_path / "f"

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import ToolkitError
-from .experiments import REGISTRY, ExperimentReport, _csv_text, _read_text, run_experiment, run_sweep
+from .experiments import REGISTRY, ExperimentReport, _csv_text, _read_text, _sweep, run_experiment
 
 
 def uint64(text: str) -> int:
@@ -145,11 +145,8 @@ def main(argv=None) -> int:
             if not params.get("experiment") or set(params) - {"experiment", "grid", "base"}:
                 raise ToolkitError(f"sweep params are 'experiment', 'grid' and 'base', got {sorted(params)!r}")
             grid, base = params.get("grid", {}), params.get("base")
-            text = run_sweep(params["experiment"], grid, seed=args.seed, base=base)
-            import csv
-            import io
-
-            ok = all(row[-1] == "True" for row in list(csv.reader(io.StringIO(text)))[1:])
+            rows, ok = _sweep(params["experiment"], grid, args.seed, base)
+            text = _csv_text(rows)
         else:
             report = run_experiment(args.experiment, params, seed=args.seed)
             text = RENDERERS[args.format or "json"](report)

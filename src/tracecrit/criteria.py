@@ -24,7 +24,7 @@ import numpy as np
 from .ensembles import CqEnsemble, ProbDist, _joined
 from .errors import TOL, ZERO_TOL, BadParams, NonUniformPrior, TooLarge
 from .keys import SpikedDist, _ints, bit_strings
-from .qmath import _trace_norm, _trace_norms
+from .qmath import _trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
     from .discrimination import JointDistribution, Povm
@@ -81,7 +81,8 @@ def criterion_d_entangled(e: CqEnsemble) -> float:
     diff = np.zeros((n_keys, d, n_keys, d), dtype=complex)
     diagonal = np.arange(n_keys)
     diff[diagonal, :, diagonal, :] = w * e.probe_stack - w * e.average.matrix
-    return 0.5 * _trace_norm(diff.reshape(dim, dim))
+    (norm,) = _trace_norms(diff.reshape(1, dim, dim)).tolist()
+    return 0.5 * norm
 
 
 @dataclass(frozen=True)

@@ -303,10 +303,10 @@ def cmd_cex_ii(
     from .criteria import criterion_d_averaged, criterion_d_entangled
     from .discrimination import helstrom_binary, post_leak_discrimination
     from .ensembles import LeakSpec, two_bit_pkl_example
-    from .qmath import _trace_norm
+    from .qmath import _trace_norms
 
     family = two_bit_pkl_example(sigma, rho1, rho2)
-    gap = _trace_norm(rho1.matrix - rho2.matrix)
+    (gap,) = _trace_norms((rho1.matrix - rho2.matrix)[None]).tolist()
     d = criterion_d_averaged(family)
     success = post_leak_discrimination(family, LeakSpec((0,), (0,))).p_success
     cap = hypothesis_ii_cap(d)
@@ -356,11 +356,10 @@ def _family_measurement(sigma: "DensityOperator", rho1: "DensityOperator", rho2:
     import numpy as np
 
     from .discrimination import Povm
-    from .qmath import _phase_fixed
+    from .qmath import _hermitian_eigen
 
-    # row i of each factor is its eigenvector i, in `_hermitian_eigen`'s order and phases
-    solves = [np.linalg.eigh(m)[1][:, ::-1] for m in (sigma.matrix, rho1.matrix - rho2.matrix)]
-    vecs = _phase_fixed(np.array(solves)).swapaxes(1, 2)
+    # row i of each factor is its eigenvector i
+    vecs = _hermitian_eigen(np.array([sigma.matrix, rho1.matrix - rho2.matrix]))[1].swapaxes(1, 2)
     pa, pb = vecs[:, :, :, None] * vecs.conj()[:, :, None, :]  # pa[i] and pb[j] are their projectors
     # pa[i] (x) pb[j] at index 2i + j, as `qmath.tensor` multiplies them
     stack = (pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]).reshape(4, 4, 4)
@@ -723,6 +722,11 @@ def run_sweep(
     where a point lacks one; a grid value that is a list or an object is
     written as compact JSON.
     """
+    return _csv_text(_sweep(experiment, grid, seed, base)[0])
+
+
+def _sweep(experiment: str, grid: Mapping[str, list], seed, base: Mapping | None) -> tuple[list, bool]:
+    """The rows of `run_sweep`'s CSV, header first, and whether every point passed."""
     command = _command(experiment)
     seed = _seed(seed)
     if not isinstance(grid, Mapping) or not all(
@@ -750,7 +754,7 @@ def run_sweep(
     result_keys = sorted(set().union(*(scalars for _, scalars, _ in runs)))  # a point may lack a result
     rows = [[i, *cells, *(scalars.get(k, "") for k in result_keys), ok] for i, (cells, scalars, ok) in enumerate(runs)]
     header = [f"result:{k}" if k in names else k for k in result_keys]  # own column: a table preset overrides a grid n
-    return _csv_text([["grid_index", *names, *header, "all_pass"], *rows])
+    return [["grid_index", *names, *header, "all_pass"], *rows], all(ok for *_, ok in runs)
 
 
 def _csv_text(rows) -> str:

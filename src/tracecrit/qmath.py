@@ -102,11 +102,13 @@ def tensor(a, b) -> np.ndarray:
 
 def _hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues in descending order with matching orthonormal eigenvectors,
-    phase-fixed by `_phase_fixed`, of a complex square matrix derived from
-    checked operators, unchecked: a derived matrix may miss Hermiticity by
-    the sum of its operands' slack."""
+    phase-fixed by `_phase_fixed`, of a complex square matrix or a (k, d, d)
+    stack of them derived from checked operators, unchecked: a derived
+    matrix may miss Hermiticity by the sum of its operands' slack."""
     vals, vecs = np.linalg.eigh(m)
-    return vals[::-1].copy(), _phase_fixed(vecs[None, :, ::-1])[0]
+    if m.ndim == 2:
+        return vals[::-1].copy(), _phase_fixed(vecs[None, :, ::-1])[0]
+    return vals[:, ::-1].copy(), _phase_fixed(vecs[:, :, ::-1])
 
 
 def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
@@ -123,17 +125,11 @@ def _trace_norms(stack: np.ndarray) -> np.ndarray:
     """Trace norm of each matrix of a complex (k, d, d) stack derived from
     checked operators, unchecked, like `_hermitian_eigen`: one batched
     eigensolve, each norm the correctly rounded sum of its absolute
-    eigenvalues."""
+    eigenvalues.  The general (singular-value) trace norm is out of scope;
+    every use in this toolkit is a difference of Hermitian operators, and a
+    single matrix is solved as a stack of one."""
     vals = abs(np.linalg.eigvalsh(stack))
     return np.array([math.fsum(row) for row in vals.tolist()])
-
-
-def _trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a complex square matrix derived from
-    checked operators, unchecked, like `_hermitian_eigen`.  The general
-    (singular-value) trace norm is out of scope; every use in this toolkit
-    is a difference of Hermitian operators."""
-    return math.fsum(abs(np.linalg.eigvalsh(m)).tolist())
 
 
 def validate_density(m) -> DensityOperator:

@@ -187,11 +187,12 @@ class TestCexIII:
             assert povm.labels == ("a:e+", "a:e-", "b:e+", "b:e-")
             assert bits(povm.stack) == bits(family_measurement_loop(sigma, rho1, rho2))
 
-    @pytest.mark.parametrize("experiment,eigvalsh,eigh", [("cex_ii", 3, 2), ("cex_iii", 2, 2)])
+    @pytest.mark.parametrize("experiment,eigvalsh,eigh", [("cex_ii", 3, 2), ("cex_iii", 2, 1)])
     def test_overlap_run_makes_its_eigensolves(self, experiment, eigvalsh, eigh, monkeypatch):
         """An overlap run solves what it did before its overhead was cut: no
         check is dropped and no eigh becomes an eigvalsh, whose values-only
-        path may round differently."""
+        path may round differently.  `cex_iii` solves sigma and rho1 - rho2
+        in one batched eigh."""
         calls = []
         for name in ("eigvalsh", "eigh"):
             original = getattr(np.linalg, name)
@@ -807,7 +808,7 @@ class TestCli:
         assert len(lines) == 3
 
     def test_sweep_over_a_file_name_with_a_newline(self, tmp_path, capsys):
-        # csv quotes the newline inside its field; the verdict is still the last field
+        # csv quotes the newline inside its field, and the row still ends in its verdict
         path = tmp_path / "a\nb.txt"
         path.write_text("101\n011\n")
         params = json.dumps({"experiment": "ecc", "grid": {"code_file": [str(path)]}})

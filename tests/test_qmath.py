@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 import tracecrit
 from tracecrit import DensityOperator, tensor, validate_density
 from tracecrit.errors import TOL, BadParams, BadTrace, NotHermitian, NotPsd
-from tracecrit.qmath import _hermitian_eigen, _require_hermitian_stack, _trace_norm, _trace_norms
+from tracecrit.qmath import _hermitian_eigen, _require_hermitian_stack, _trace_norms
 
 from helpers import (
     bits,
@@ -24,6 +25,12 @@ KET_PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 
 def projector(v):
     return np.outer(v, np.conj(v)).astype(complex)
+
+
+def trace_norm(m) -> float:
+    """One matrix's trace norm, read from a stack of one as the package reads it."""
+    (norm,) = _trace_norms(np.asarray(m)[None]).tolist()
+    return norm
 
 
 class TestTensor:
@@ -116,29 +123,46 @@ class TestHermitianEigen:
             got_vals, got_vecs = _hermitian_eigen(h)
             assert bits(got_vals) == bits(vals[::-1]) and bits(got_vecs) == bits(vecs)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_stack_matches_each_matrix(self, dim):
+        """A (k, d, d) stack gives each matrix the bits it gets alone: the same
+        order and the same phases, degenerate and zero matrices included."""
+        rng = np.random.default_rng([35, dim])
+        a = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        stack = a + a.conj().swapaxes(1, 2)
+        u = random_unitary(rng, dim)
+        stack[1] = u @ np.diag(np.arange(dim) // 2 / 2) @ u.conj().T
+        stack[2] = 0.0
+        vals, vecs = _hermitian_eigen(stack)
+        assert vals.shape == (5, dim) and vecs.shape == (5, dim, dim)
+        for h, got_vals, got_vecs in zip(stack, vals, vecs):
+            want_vals, want_vecs = _hermitian_eigen(h)
+            assert bits(got_vals) == bits(want_vals) and bits(got_vecs) == bits(want_vecs)
+
 
 class TestTraceNorm:
     """The unchecked trace-norm core on differences of Hermitian matrices."""
 
     def test_zero_difference(self):
         rho = random_density(np.random.default_rng(2), 3).matrix
-        assert _trace_norm(rho - rho) == 0.0
+        assert trace_norm(rho - rho) == 0.0
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 16])
     def test_one_matrix_matches_a_stack_of_one(self, dim):
-        """Solved as a matrix, the norm has the bits of the batched route on a
-        stack holding only that matrix."""
+        """Read from a stack of one, the norm is a Python float, whose repr the
+        reports print, with the bits it has inside a larger stack."""
         rng = np.random.default_rng([32, dim])
         for _ in range(20):
-            diff = random_density(rng, dim).matrix - random_density(rng, dim).matrix
-            assert bits(_trace_norm(diff)) == bits(_trace_norms(diff[None])[0])
+            diffs = [random_density(rng, dim).matrix - random_density(rng, dim).matrix for _ in range(3)]
+            norm = trace_norm(diffs[1])
+            assert type(norm) is float and bits(norm) == bits(_trace_norms(np.array(diffs))[1])
 
     def test_orthogonal_pure_states(self):
-        assert _trace_norm(projector(KET0) - projector(KET1)) == pytest.approx(2.0, abs=1e-12)
+        assert trace_norm(projector(KET0) - projector(KET1)) == pytest.approx(2.0, abs=1e-12)
 
     def test_half_overlap(self):
         # eigenvalues +-sqrt(1 - c^2) with c = 1/sqrt(2)
-        val = _trace_norm(projector(KET0) - projector(KET_PLUS))
+        val = trace_norm(projector(KET0) - projector(KET_PLUS))
         assert val == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_unitary_invariance(self):
@@ -147,14 +171,14 @@ class TestTraceNorm:
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             h = a + a.conj().T
             u = random_unitary(rng, 4)
-            assert _trace_norm(u @ h @ u.conj().T) == pytest.approx(
-                _trace_norm(h), abs=1e-9
+            assert trace_norm(u @ h @ u.conj().T) == pytest.approx(
+                trace_norm(h), abs=1e-9
             )
 
 
 def half_norm(rho: DensityOperator, sigma: DensityOperator) -> float:
     """The trace distance of two density operators, as the package computes it."""
-    return 0.5 * _trace_norm(rho.matrix - sigma.matrix)
+    return 0.5 * trace_norm(rho.matrix - sigma.matrix)
 
 
 class TestTraceDistance:
@@ -250,7 +274,7 @@ class TestTraceNorms:
         a = rng.normal(size=(9, dim, dim)) + 1j * rng.normal(size=(9, dim, dim))
         stack = a + a.conj().swapaxes(1, 2)
         norms = _trace_norms(stack)
-        assert bits(norms) == bits([_trace_norm(h) for h in stack])
+        assert bits(norms) == bits([trace_norm(h) for h in stack])
         assert bits(norms) == bits([trace_norm_loop(h) for h in stack])
 
     def test_empty_stack(self):
@@ -286,3 +310,58 @@ class TestTraceNorms:
             validate_density(np.ones(3))
         with pytest.raises(NotHermitian, match="stack of square"):
             _require_hermitian_stack(np.ones((2, 3)))
+
+
+#: Every `np.linalg` call in the package, as (module, enclosing definition,
+#: routine).  Each derived matrix goes through a `qmath` core; only these
+#: sites solve on their own.
+LINALG_CALLS = [
+    ("discrimination", "Povm.__post_init__", "eigvalsh"),
+    ("discrimination", "helstrom_binary", "eigh"),
+    ("qmath", "_hermitian_eigen", "eigh"),
+    ("qmath", "_require_density_stack", "eigvalsh"),
+    ("qmath", "_trace_norms", "eigvalsh"),
+]
+
+
+def linalg_sites(source: str, module: str) -> list[tuple[str, str, str]]:
+    """(module, enclosing definition, routine) of each `<x>.linalg.<routine>`
+    read in the source, and of each import that names `linalg`, as 'import'."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif isinstance(child, ast.Attribute) and isinstance(child.value, ast.Attribute):
+                if child.value.attr == "linalg":
+                    sites.append((module, ".".join(scope), child.attr))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [getattr(child, "module", None) or ""] + [alias.name for alias in child.names]
+                if any("linalg" in name.split(".") for name in names):
+                    sites.append((module, ".".join(scope), "import"))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+class TestLinalgSites:
+    def test_every_linalg_call_is_listed(self):
+        package = Path(tracecrit.__file__).parent
+        found = sorted(site for p in package.glob("*.py") for site in linalg_sites(p.read_text(), p.stem))
+        assert found == LINALG_CALLS
+
+    @pytest.mark.parametrize(
+        "source,site",
+        [
+            ("def f(m):\n    return np.linalg.eigvalsh(m)\n", ("m", "f", "eigvalsh")),
+            ("class A:\n    def g(self):\n        solve = numpy.linalg.eigh\n", ("m", "A.g", "eigh")),
+            ("def f():\n    from numpy.linalg import svd\n", ("m", "f", "import")),
+            ("from numpy import linalg\n", ("m", "", "import")),
+            ("import numpy.linalg as la\n", ("m", "", "import")),
+        ],
+    )
+    def test_a_new_site_is_found(self, source, site):
+        assert linalg_sites(source, "m") == [site]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensembles import CqEnsemble, ProbDist, _joined
 from .errors import TOL, ZERO_TOL, BadParams, NonUniformPrior, TooLarge
-from .keys import SpikedDist, _ints, bit_strings
+from .keys import SpikedDist, _ints, _key_space
 from .qmath import _trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
@@ -245,9 +245,7 @@ def event_deviation_bound(p, m: int):
         return p.event_deviation(m)
     (m,) = _ints((m,), f"subsequence length must be an integer, got {m!r}")
     n = len(p.labels[0])
-    expected = bit_strings(n) if len(p.labels) == 1 << n else None  # builds no more than p holds
-    if p.labels is not expected and p.labels != expected:
-        raise BadParams("dense key distribution must cover all n-bit keys in order")
+    _key_space(n, p.labels, "dense key distribution must cover all n-bit keys in order")
     if not 1 <= m <= n:
         raise BadParams(f"subsequence length must be in [1, {n}], got {m}")
     n_events = math.comb(n, m) * 2**m

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import TOL, ZERO_TOL, BadParams
-from .keys import _BIT_STRINGS, _ints, bit_strings
+from .keys import _BIT_STRINGS, _ints, _key_space, bit_strings
 from .qmath import DensityOperator, _require_density_stack, _trace_norms, tensor
 
 
@@ -186,11 +186,9 @@ class CqEnsemble:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, probes):
-        expected = bit_strings(self.n_bits)
-        if self.prior.labels is not expected and self.prior.labels != expected:
-            raise BadParams(
-                "prior must range over the 2^n bit strings in lexicographic order"
-            )
+        expected = _key_space(
+            self.n_bits, self.prior.labels, "prior must range over the 2^n bit strings in lexicographic order"
+        )
         if set(probes) != set(expected):
             raise BadParams("probes must cover exactly the key values")
         matrices = [getattr(probes[k], "matrix", probes[k]) for k in expected]

@@ -27,14 +27,33 @@ def bit_strings(n: int) -> tuple[str, ...]:
     5 MB at n = 16 and about 80 MB at n = 20."""
     if type(n) is int and n in _BIT_STRINGS:  # a hit; 1.0 == 1 must not hit
         return _BIT_STRINGS[n]
-    (n,) = _ints((n,), f"bit count must be an integer, got {n!r}")
-    if n < 0:
-        raise BadParams(f"bit count must be nonnegative, got {n}")
+    n = _bit_count(n)
     if n not in _BIT_STRINGS:
         # every high half followed by every low half, high half slowest
         low = bit_strings(n // 2)
         _BIT_STRINGS[n] = tuple(a + b for a in bit_strings(n - n // 2) for b in low)
     return _BIT_STRINGS[n]
+
+
+def _bit_count(n) -> int:
+    """n as an int, refused with BadParams unless it is a nonnegative integer."""
+    (n,) = _ints((n,), f"bit count must be an integer, got {n!r}")
+    if n < 0:
+        raise BadParams(f"bit count must be nonnegative, got {n}")
+    return n
+
+
+def _key_space(n, labels, message: str) -> tuple[str, ...]:
+    """bit_strings(n) when ``labels`` are those 2^n strings in order, else
+    BadParams(message).  n is checked first, as `bit_strings` checks it, then
+    the label count against 2^n, so a wrong count builds no strings."""
+    n, count = _bit_count(n), len(labels)
+    if count.bit_length() != n + 1 or count != 1 << n:  # 1 << n only at the count's own size
+        raise BadParams(message)
+    expected = bit_strings(n)
+    if labels is not expected and labels != expected:
+        raise BadParams(message)
+    return expected
 
 
 def _ints(values, message: str) -> tuple[int, ...]:

@@ -23,6 +23,7 @@ from tracecrit import (
 from tracecrit import ensembles
 from tracecrit.criteria import criterion_d_averaged
 from tracecrit.ensembles import bit_strings
+from tracecrit.keys import _BIT_STRINGS
 from tracecrit.errors import (
     TOL,
     ZERO_TOL,
@@ -554,6 +555,27 @@ class TestStackedValidation:
         probes = dict.fromkeys(keys, np.eye(2) / 2)
         with pytest.raises(BadParams, match="cover exactly the key values"):
             CqEnsemble(1, ProbDist.uniform(bit_strings(1)), probes)
+
+    def test_prior_of_the_wrong_size_refused_before_building_keys(self):
+        # a 2-label prior at 19 bits: refused on its count, no 2^19 keys memoized
+        with pytest.raises(BadParams, match="^prior must range over the 2\\^n bit strings in lexicographic order$"):
+            CqEnsemble(19, ProbDist.uniform(("0", "1")), {})
+        assert 19 not in _BIT_STRINGS
+
+    @pytest.mark.parametrize(
+        "n_bits,labels,message",
+        [
+            (1.5, ("0", "1"), "bit count must be an integer, got 1.5"),
+            (-1, ("0", "1", "2"), "bit count must be nonnegative, got -1"),  # n before the count
+            (2, ("0", "1"), "prior must range over"),
+            (1, ("1", "0"), "prior must range over"),
+        ],
+    )
+    def test_key_space_refusal_order(self, n_bits, labels, message):
+        """The bit count is checked as `bit_strings` checks it, then the
+        prior's size against 2^n, then its labels against the bit strings."""
+        with pytest.raises(BadParams, match=re.escape(message)):
+            CqEnsemble(n_bits, ProbDist.uniform(labels), {})
 
     def test_unequal_shapes(self):
         probes = {"0": np.eye(2) / 2, "1": validate_density(np.eye(3) / 3)}

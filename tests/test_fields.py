@@ -1,20 +1,32 @@
-"""Every float result of `cex_ii` and `cex_iii` against a second route: a
-closed form in the Bloch vectors of the three qubits (Nielsen and Chuang,
-*Quantum Computation and Quantum Information*, 2000, section 9.2).
+"""Every result of `cex_i`, `cex_ii`, `cex_iii`, `markov` and `spiked`
+against a second route, read from the run's parameters.
 
-Both experiments run on qubit probes.  With Bloch vectors r1 and r2 of rho1
-and rho2, g = |r1 - r2| = ||rho1 - rho2||_1, and no `cex_ii` field depends
-on sigma.  `cex_iii` measures sigma's eigenbasis on the first qubit and the
-eigenbasis of rho1 - rho2 on the second, whose top eigenvector has Bloch
-direction n = (r1 - r2) / g.  With x_j = r_j . n and x = (x1 + x2) / 2, and
-sigma pure, only the two outcomes on sigma's top eigenvector carry mass,
-(1 + x) / 2 and (1 - x) / 2.
+`cex_ii` and `cex_iii` read closed forms in the Bloch vectors of their three
+qubits (Nielsen and Chuang, *Quantum Computation and Quantum Information*,
+2000, section 9.2).  Both experiments run on qubit probes.  With Bloch
+vectors r1 and r2 of rho1 and rho2, g = |r1 - r2| = ||rho1 - rho2||_1, and
+no `cex_ii` field depends on sigma.  `cex_iii` measures sigma's eigenbasis
+on the first qubit and the eigenbasis of rho1 - rho2 on the second, whose
+top eigenvector has Bloch direction n = (r1 - r2) / g.  With x_j = r_j . n
+and x = (x1 + x2) / 2, and sigma pure, only the two outcomes on sigma's top
+eigenvector carry mass, (1 + x) / 2 and (1 - x) / 2.
 
-Each route states its own bound, in ulps of its largest term: 1, the
-probes' trace, except for `max_posterior_dev`, a ratio over the smaller
-outcome mass (1 - |x|) / 2, whose rounding grows as 1 / (1 - |x|).  The
-routes are checked on every golden report of both experiments and on
-seeded specs, and a result key without a route fails the audit.
+`cex_i`, `spiked` and `markov` read exact `Fraction` arithmetic: two
+identical uniform distributions on N atoms are at distance 0 and mismatch
+under the independent coupling with probability (N - 1) / N; the spiked key
+has peak 2^-l and distance 2^-l - 2^-n, which its full-key event attains;
+a Markov budget is eps * delta^k.  The spiked entropy reads the closed form
+of `helpers.spiked_entropy_closed_form`.
+
+Each route states its own bound, in ulps of its largest term.  0 ulps asks
+for the route's value itself, of the same type.  The Bloch forms' largest
+term is 1, the probes' trace, except for `max_posterior_dev`, a ratio over
+the smaller outcome mass (1 - |x|) / 2, whose rounding grows as
+1 / (1 - |x|).  A route may also say that the run reports no such field
+(`cex_i`'s dense coupling above 1024 atoms, `markov` without eps and
+delta).  The routes are checked on every golden report of these
+experiments and on seeded draws, and a result key without a route fails
+the audit.  `ecc`, `table` and `toeplitz` have no routes yet.
 """
 
 import csv
@@ -22,24 +34,49 @@ import functools
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from tracecrit.experiments import run_experiment
+from tracecrit.experiments import REGISTRY, run_experiment
 
-from helpers import bloch_geometry, random_bloch, two_bit_bloch
+from helpers import bloch_geometry, random_bloch, spiked_entropy_closed_form, two_bit_bloch
 
 EPS = sys.float_info.epsilon
 GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
-#: Seeded specs per experiment; one in ten is an overlap, the rest explicit Bloch vectors.
+#: Experiments whose every result has a route; the two Bloch ones report only floats.
+AUDITED = ("cex_i", "cex_ii", "cex_iii", "markov", "spiked")
+BLOCH = ("cex_ii", "cex_iii")
+#: Seeded draws per experiment.
 DRAWS = 250
+#: A route's value for a field the run must not report.
+ABSENT = object()
 
 
-def _unit(g, x1, x2) -> float:
+def _unit(run) -> float:
     return 1.0
+
+
+class Route(NamedTuple):
+    """A field's second route from the run's parameters, and its bound: ulps
+    of its largest term, or 0 for the route's value itself."""
+
+    form: Callable[[dict], object]
+    ulps: float = 0
+    largest: Callable[[dict], float] = _unit
+
+
+def bloch(form):
+    """A route form in (g, x1, x2), the geometry of the run's rho1 and rho2."""
+
+    def read(run):
+        _, r1, r2 = two_bit_bloch(run)
+        return form(*bloch_geometry(r1, r2))
+
+    return read
 
 
 def _mean_offset(g, x1, x2) -> float:
@@ -47,49 +84,90 @@ def _mean_offset(g, x1, x2) -> float:
     return abs(x1 + x2) / 2
 
 
-class Route(NamedTuple):
-    """A field's closed form in (g, x1, x2), and its bound: ulps of its largest term."""
+def _spiked_delta(run) -> Fraction:
+    """2^-l - 2^-n, which is 0/1 at l = n."""
+    return Fraction(2 ** (run["n"] - run["l"]) - 1, 2 ** run["n"])
 
-    form: Callable[[float, float, float], float]
-    ulps: float
-    largest: Callable[[float, float, float], float] = _unit
+
+def _spiked_entropy(run) -> float:
+    return spiked_entropy_closed_form(run["n"], run["l"])
+
+
+def _budget(read):
+    """A `markov` route that only a run with eps and delta has."""
+    return lambda run: ABSENT if "eps" not in run or "delta" not in run else read(run)
+
+
+def _factor(run) -> float:
+    return float(Fraction(run["delta"]) ** run["guarantees"])
+
+
+def _required(run) -> float:
+    return float(Fraction(run["eps"]) * Fraction(run["delta"]) ** run["guarantees"])
 
 
 ROUTES = {
-    ("cex_ii", "pair_trace_norm"): Route(lambda g, x1, x2: g, 6),
-    ("cex_ii", "d"): Route(lambda g, x1, x2: g / 4, 4),
-    ("cex_ii", "d_entangled"): Route(lambda g, x1, x2: g / 4, 4),
-    ("cex_ii", "post_leak_success"): Route(lambda g, x1, x2: 0.5 + g / 4, 4),
-    ("cex_ii", "single_bit_success"): Route(lambda g, x1, x2: 0.5 + g / 4, 4),
-    ("cex_ii", "mixture_cap"): Route(lambda g, x1, x2: 0.5 + g / 8, 3),
-    ("cex_ii", "violation_margin"): Route(lambda g, x1, x2: g / 8, 4),
-    ("cex_ii", "single_bit_margin"): Route(lambda g, x1, x2: g / 8, 4),
-    ("cex_iii", "d"): Route(lambda g, x1, x2: g / 4, 4),
-    ("cex_iii", "dbar"): Route(lambda g, x1, x2: g / 4, 5),
-    ("cex_iii", "avg_posterior_dev"): Route(lambda g, x1, x2: g / 4, 5),
-    ("cex_iii", "outcome_vs_uniform"): Route(lambda g, x1, x2: _mean_offset(g, x1, x2) / 2, 4),
+    ("cex_i", "n_atoms"): Route(lambda run: run["N"]),
+    ("cex_i", "delta"): Route(lambda run: 0.0),
+    ("cex_i", "independent_mismatch"): Route(lambda run: float(Fraction(run["N"] - 1, run["N"]))),
+    ("cex_i", "independent_mismatch_num"): Route(lambda run: run["N"] - 1),
+    ("cex_i", "independent_mismatch_den"): Route(lambda run: run["N"]),
+    ("cex_i", "maximal_mismatch"): Route(lambda run: 0.0 if run["N"] <= 1024 else ABSENT),
+    ("cex_ii", "pair_trace_norm"): Route(bloch(lambda g, x1, x2: g), 6),
+    ("cex_ii", "d"): Route(bloch(lambda g, x1, x2: g / 4), 4),
+    ("cex_ii", "d_entangled"): Route(bloch(lambda g, x1, x2: g / 4), 4),
+    ("cex_ii", "post_leak_success"): Route(bloch(lambda g, x1, x2: 0.5 + g / 4), 4),
+    ("cex_ii", "single_bit_success"): Route(bloch(lambda g, x1, x2: 0.5 + g / 4), 4),
+    ("cex_ii", "mixture_cap"): Route(bloch(lambda g, x1, x2: 0.5 + g / 8), 3),
+    ("cex_ii", "violation_margin"): Route(bloch(lambda g, x1, x2: g / 8), 4),
+    ("cex_ii", "single_bit_margin"): Route(bloch(lambda g, x1, x2: g / 8), 4),
+    ("cex_iii", "d"): Route(bloch(lambda g, x1, x2: g / 4), 4),
+    ("cex_iii", "dbar"): Route(bloch(lambda g, x1, x2: g / 4), 5),
+    ("cex_iii", "avg_posterior_dev"): Route(bloch(lambda g, x1, x2: g / 4), 5),
+    ("cex_iii", "outcome_vs_uniform"): Route(bloch(lambda g, x1, x2: _mean_offset(g, x1, x2) / 2), 4),
     ("cex_iii", "max_posterior_dev"): Route(
-        lambda g, x1, x2: g / (4 * (1 - _mean_offset(g, x1, x2))),
+        bloch(lambda g, x1, x2: g / (4 * (1 - _mean_offset(g, x1, x2)))),
         3,
-        lambda g, x1, x2: 1 / (1 - _mean_offset(g, x1, x2)),
+        bloch(lambda g, x1, x2: 1 / (1 - _mean_offset(g, x1, x2))),
     ),
     ("cex_iii", "joint_vs_product_uniform"): Route(
-        lambda g, x1, x2: 0.5 * (0.5 + max(0.25, abs(x1) / 2) + max(0.25, abs(x2) / 2)), 5
+        bloch(lambda g, x1, x2: 0.5 * (0.5 + max(0.25, abs(x1) / 2) + max(0.25, abs(x2) / 2))), 5
     ),
+    # a float division, and the cap at 1, round as the exact quotient does
+    ("markov", "mean"): Route(lambda run: float(run["mean"])),
+    ("markov", "threshold"): Route(lambda run: float(run["threshold"])),
+    ("markov", "bound"): Route(lambda run: float(min(Fraction(1), Fraction(run["mean"]) / Fraction(run["threshold"])))),
+    ("markov", "guarantees"): Route(_budget(lambda run: run["guarantees"])),
+    # one pow, then one product: each rounds once
+    ("markov", "degradation_factor"): Route(_budget(_factor), 1, _factor),
+    ("markov", "required_average"): Route(_budget(_required), 2, _required),
+    ("spiked", "n"): Route(lambda run: run["n"]),
+    ("spiked", "l"): Route(lambda run: run["l"]),
+    ("spiked", "peak_mass"): Route(lambda run: 2.0 ** -run["l"]),
+    ("spiked", "peak_mass_num"): Route(lambda run: 1),
+    ("spiked", "peak_mass_den"): Route(lambda run: 2 ** run["l"]),
+    ("spiked", "delta_analytic"): Route(lambda run: float(_spiked_delta(run))),
+    ("spiked", "delta_summed"): Route(lambda run: float(_spiked_delta(run))),
+    ("spiked", "delta_num"): Route(lambda run: _spiked_delta(run).numerator),
+    ("spiked", "delta_den"): Route(lambda run: _spiked_delta(run).denominator),
+    ("spiked", "max_event_dev_full_key"): Route(lambda run: float(_spiked_delta(run))),
+    ("spiked", "argmax_event_pattern"): Route(lambda run: "0" * run["n"]),
+    ("spiked", "entropy_bits"): Route(_spiked_entropy, 4, _spiked_entropy),
 }
 
 
 def golden_cases() -> list[tuple[str, str, dict, dict]]:
-    """(name, experiment, params, results) of every golden report of either
-    experiment: each JSON report, and each row of a CSV sweep over one of them."""
+    """(name, experiment, params, results) of every golden report of an
+    audited experiment: each JSON report, and each row of a CSV sweep over a
+    Bloch experiment."""
     cases = []
     for name, case in sorted(GOLDEN.items()):
         argv = dict(zip(case["argv"][::2], case["argv"][1::2]))
         params = json.loads(argv["--params"])
-        if argv["--experiment"] in ("cex_ii", "cex_iii") and argv.get("--format") == "json":
+        if argv["--experiment"] in AUDITED and argv.get("--format") == "json":
             doc = json.loads(case["output"])
             cases.append((name, doc["experiment"], doc["params"], doc["results"]))
-        elif argv["--experiment"] == "sweep" and params["experiment"] in ("cex_ii", "cex_iii"):
+        elif argv["--experiment"] == "sweep" and params["experiment"] in BLOCH:
             (key,) = params["grid"]
             for row in csv.DictReader(io.StringIO(case["output"])):
                 results = {k: float(v) for k, v in row.items() if k not in ("grid_index", key, "all_pass")}
@@ -98,37 +176,86 @@ def golden_cases() -> list[tuple[str, str, dict, dict]]:
     return cases
 
 
+def bloch_params(rng, i: int, sphere: bool) -> dict:
+    """One in ten an overlap, the rest rho1 and rho2 uniform in the Bloch ball
+    and sigma in the ball or, pure, on the sphere."""
+    if i % 10 == 0:
+        return {"overlap": float(rng.random())}
+    params = {"sigma": {"bloch": list(random_bloch(rng, sphere=sphere))}}
+    params.update({name: {"bloch": list(random_bloch(rng))} for name in ("rho1", "rho2")})
+    return params
+
+
+def cex_i_params(rng, i: int) -> dict:
+    """The edges 2, 1024 and 1025 first, then N log-uniform in [2, 2^14)."""
+    return {"N": (2, 1024, 1025)[i] if i < 3 else int(2 ** rng.uniform(1, 14))}
+
+
+def spiked_params(rng, i: int) -> dict:
+    """The corners (1, 0), (1, 1) and (30, 30) first, then n in [1, 30] and l in [0, n]."""
+    if i < 3:
+        return dict(zip("nl", ((1, 0), (1, 1), (30, 30))[i]))
+    n = int(rng.integers(1, 31))
+    return {"n": n, "l": int(rng.integers(0, n + 1))}
+
+
+def markov_params(rng, i: int) -> dict:
+    """mean and threshold up to 0.1, so some bounds cap at 1; three in four
+    with eps, delta (1 in one of ten) and up to 20 guarantees."""
+    params = {"mean": float(rng.random() / 10), "threshold": float(rng.random() / 10 + 1e-6)}
+    if i % 4:
+        delta = 1.0 if i % 10 == 1 else float(rng.uniform(0.01, 1.0))
+        params.update(eps=float(rng.uniform(1e-6, 1.0)), delta=delta, guarantees=int(rng.integers(1, 21)))
+    return params
+
+
+#: Each experiment's draw and its seed stream; cex_ii and cex_iii keep streams 6 and 7.
+DRAWERS = {
+    "cex_i": (cex_i_params, 1),
+    "cex_ii": (functools.partial(bloch_params, sphere=False), 6),
+    "cex_iii": (functools.partial(bloch_params, sphere=True), 7),
+    "markov": (markov_params, 3),
+    "spiked": (spiked_params, 2),
+}
+
+
 @functools.cache
 def seeded_cases(experiment: str) -> tuple:
-    """(params, results) of `DRAWS` seeded specs: rho1 and rho2 uniform in the
-    Bloch ball, sigma too for `cex_ii` and on the sphere, pure, for `cex_iii`."""
-    rng = np.random.default_rng([15, len(experiment)])
+    """(params, results) of `DRAWS` seeded draws of the experiment."""
+    draw, stream = DRAWERS[experiment]
+    rng = np.random.default_rng([15, stream])
     cases = []
     for i in range(DRAWS):
-        if i % 10 == 0:
-            params = {"overlap": float(rng.random())}
-        else:
-            sigma = random_bloch(rng, sphere=experiment == "cex_iii")
-            params = {"sigma": {"bloch": list(sigma)}}
-            params.update({name: {"bloch": list(random_bloch(rng))} for name in ("rho1", "rho2")})
+        params = draw(rng, i)
         cases.append((params, run_experiment(experiment, params).results))
     return tuple(cases)
 
 
 def assert_routes_hold(experiment: str, params: dict, results: dict):
-    _, r1, r2 = two_bit_bloch(params)
-    g, x1, x2 = bloch_geometry(r1, r2)
+    """Each route of the experiment on one run: the field is absent where its
+    route says so, and otherwise within the route's bound."""
+    defaults = {k: v for k, v in REGISTRY[experiment].__kwdefaults__.items() if v is not None}
+    run = {**defaults, **params}
     if experiment == "cex_iii":
-        assert g > 0.0, "the cex_iii routes read the direction of r1 - r2"
-    for field, value in results.items():
-        route = ROUTES[(experiment, field)]
-        want, bound = route.form(g, x1, x2), route.ulps * EPS * route.largest(g, x1, x2)
-        assert abs(value - want) <= bound, f"{experiment} {field} {value!r} vs closed form {want!r} on {params}"
+        assert bloch_geometry(*two_bit_bloch(run)[1:])[0] > 0.0, "the cex_iii routes read the direction of r1 - r2"
+    routes = {field: route for (name, field), route in ROUTES.items() if name == experiment}
+    assert set(results) <= set(routes), f"{experiment} keys without a route: {sorted(set(results) - set(routes))}"
+    for field, route in routes.items():
+        want = route.form(run)
+        if want is ABSENT:
+            assert field not in results, f"{experiment} {field} reported on {params}"
+            continue
+        value = results[field]
+        message = f"{experiment} {field} {value!r} vs route {want!r} on {params}"
+        if route.ulps:
+            assert abs(value - want) <= route.ulps * EPS * route.largest(run), message
+        else:
+            assert type(value) is type(want) and value == want, message
 
 
 def test_every_result_key_has_a_route():
     found = {(experiment, field) for _, experiment, _, results in golden_cases() for field in results}
-    for experiment in ("cex_ii", "cex_iii"):
+    for experiment in AUDITED:
         found |= {(experiment, field) for _, results in seeded_cases(experiment) for field in results}
     assert not found - set(ROUTES), f"result keys without a route: {sorted(found - set(ROUTES))}"
     assert not set(ROUTES) - found, f"routes of no result key: {sorted(set(ROUTES) - found)}"
@@ -139,6 +266,10 @@ def test_goldens_cover_both_experiments():
     assert experiments.count("cex_ii") >= 4 and experiments.count("cex_iii") >= 2
 
 
+def test_goldens_cover_every_audited_experiment():
+    assert {experiment for _, experiment, _, _ in golden_cases()} == set(AUDITED)
+
+
 @pytest.mark.parametrize(
     "experiment,params,results", [pytest.param(*case[1:], id=case[0]) for case in golden_cases()]
 )
@@ -146,7 +277,7 @@ def test_golden_reports_match_their_routes(experiment, params, results):
     assert_routes_hold(experiment, params, results)
 
 
-@pytest.mark.parametrize("experiment", ["cex_ii", "cex_iii"])
+@pytest.mark.parametrize("experiment", AUDITED)
 def test_seeded_specs_match_their_routes(experiment):
     cases = seeded_cases(experiment)
     assert len(cases) == DRAWS

@@ -565,7 +565,6 @@ class TestStackedValidation:
     @pytest.mark.parametrize(
         "n_bits,labels,message",
         [
-            (1.5, ("0", "1"), "bit count must be an integer, got 1.5"),
             (-1, ("0", "1", "2"), "bit count must be nonnegative, got -1"),  # n before the count
             (2, ("0", "1"), "prior must range over"),
             (1, ("1", "0"), "prior must range over"),

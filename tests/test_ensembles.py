@@ -23,7 +23,6 @@ from tracecrit import (
 from tracecrit import ensembles
 from tracecrit.criteria import criterion_d_averaged
 from tracecrit.ensembles import bit_strings
-from tracecrit.keys import _BIT_STRINGS
 from tracecrit.errors import (
     TOL,
     ZERO_TOL,
@@ -32,6 +31,7 @@ from tracecrit.errors import (
     NotHermitian,
     NotPsd,
 )
+from tracecrit.keys import _BIT_STRINGS
 
 from helpers import (
     average_probe_loop,

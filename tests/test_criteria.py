@@ -25,6 +25,7 @@ from tracecrit import (
     event_deviation_bound,
     measure_ensemble,
     pairwise_distance_bound,
+    pgm,
     two_bit_pkl_example,
     validate_density,
     variational_distance,
@@ -815,3 +816,99 @@ class TestStackedKernels:
             bits(pairwise_bound_loop(e)[1]),
         )
         assert bits(_outcome_mass(e, povm)) == bits(outcome_mass_loop(e, povm))
+
+
+PRIORS_SHARED = ["uniform", "fraction", "dirichlet"]
+
+
+def shared_mass_case(n: int, dim: int, prior: str):
+    """A builder of fresh, equal ensembles from one seeded set of inputs
+    (n bits, probe dim, an exact-uniform, Fraction or Dirichlet prior), and
+    the measurements to read on them: the PGM, a random POVM, a projective
+    measurement built by hand and, at dim 4, the two-bit family's product
+    measurement."""
+    rng = np.random.default_rng([n, dim, PRIORS_SHARED.index(prior)])
+    keys = bit_strings(n)
+    if prior == "dirichlet":
+        dist = ProbDist(keys, tuple(rng.dirichlet(np.ones(len(keys))).tolist()))
+    elif prior == "fraction":
+        ints = [int(v) for v in rng.integers(1, 50, len(keys))]
+        dist = ProbDist(keys, tuple(Fraction(v, sum(ints)) for v in ints))
+    else:
+        dist = ProbDist.uniform(keys)
+    probes = {k: random_density(rng, dim) for k in keys}
+
+    def fresh():
+        return CqEnsemble(n, dist, probes)
+
+    basis = random_unitary(rng, dim)
+    projective = Povm(tuple((f"b{i}", np.outer(basis[:, i], basis[:, i].conj())) for i in range(dim)))
+    povms = [pgm(fresh()), random_povm(rng, dim, 3), projective]
+    if dim == 4:
+        from tracecrit.experiments import _family_measurement
+
+        povms.append(_family_measurement(*(random_density(rng, 2) for _ in range(3))))
+    return fresh, povms
+
+
+class TestOneOutcomeMass:
+    """`measure_ensemble` and `delta_E_variants` read the same key x outcome
+    mass, in any order, as often as asked and for any number of measurements
+    on one ensemble: each result has the bits it has on a freshly built
+    ensemble."""
+
+    @staticmethod
+    def fresh_values(fresh, povm):
+        return bits(measure_ensemble(fresh(), povm).mass), bits(dataclasses.astuple(delta_E_variants(fresh(), povm)))
+
+    @pytest.mark.parametrize("prior", PRIORS_SHARED)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_either_order_and_repeats_match_a_fresh_ensemble(self, n, dim, prior):
+        fresh, povms = shared_mass_case(n, dim, prior)
+        for povm in povms:
+            mass, readings = self.fresh_values(fresh, povm)
+            measured_first, variants_first = fresh(), fresh()
+            for _ in range(3):
+                assert bits(measure_ensemble(measured_first, povm).mass) == mass
+                assert bits(dataclasses.astuple(delta_E_variants(measured_first, povm))) == readings
+                assert bits(dataclasses.astuple(delta_E_variants(variants_first, povm))) == readings
+                assert bits(measure_ensemble(variants_first, povm).mass) == mass
+
+    @pytest.mark.parametrize("prior", PRIORS_SHARED)
+    @pytest.mark.parametrize("n,dim", [(1, 2), (3, 4), (6, 4), (5, 8)])
+    def test_each_measurement_gets_its_own_mass(self, n, dim, prior):
+        """Several measurements on one ensemble, interleaved, and a twin of
+        each built from the same elements."""
+        fresh, povms = shared_mass_case(n, dim, prior)
+        povms += [Povm(povm.elements) for povm in povms]
+        want = [self.fresh_values(fresh, povm) for povm in povms]
+        e = fresh()
+        for _ in range(2):
+            for povm, (mass, readings) in zip(povms, want):
+                assert bits(measure_ensemble(e, povm).mass) == mass
+                assert bits(dataclasses.astuple(delta_E_variants(e, povm))) == readings
+        assert len({mass for mass, _ in want[: len(want) // 2]}) == len(want) // 2
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_mismatched_dim_is_refused_and_changes_nothing(self, dim):
+        fresh, povms = shared_mass_case(3, dim, "dirichlet")
+        other = random_povm(np.random.default_rng(dim), dim + 1, 2)
+        e = fresh()
+        measure_ensemble(e, povms[0])
+        before = {k: dict(v) if isinstance(v, dict) else v for k, v in vars(e).items()}
+        for read in (measure_ensemble, delta_E_variants, _outcome_mass):
+            with pytest.raises(BadParams, match=f"measurement dim {dim + 1} does not match probe dim {dim}"):
+                read(e, other)
+        after = {k: dict(v) if isinstance(v, dict) else v for k, v in vars(e).items()}
+        assert after.keys() == before.keys()
+        for k in before:
+            if isinstance(before[k], dict):
+                assert after[k].keys() == before[k].keys()
+                assert all(after[k][p] is before[k][p] for p in before[k])
+            else:
+                assert after[k] is before[k]
+        for povm in povms:
+            mass, readings = self.fresh_values(fresh, povm)
+            assert bits(dataclasses.astuple(delta_E_variants(e, povm))) == readings
+            assert bits(measure_ensemble(e, povm).mass) == mass

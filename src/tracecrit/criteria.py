@@ -360,10 +360,15 @@ def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
     """Joint mass p_k tr(rho_k E_o), one row per key and one column per outcome.
 
     Both factors were validated within ``TOL``, so a cell below zero is
-    rounding and is clamped to zero.
+    rounding and is clamped to zero.  Each (ensemble, measurement) pair is
+    computed once: the mass is frozen and kept on the ensemble for its
+    lifetime, so `measure_ensemble` and `delta_E_variants` read one array.
     """
     if povm.dim != e.probe_dim:
         raise BadParams(f"measurement dim {povm.dim} does not match probe dim {e.probe_dim}")
+    mass = e._outcome_masses.get(povm)
+    if mass is not None:
+        return mass
     ops = povm.stack
     mass = np.empty((len(e.keys), len(ops)))
     step = max(1, _STACK_BATCH_CELLS // ops.size)
@@ -371,7 +376,10 @@ def _outcome_mass(e: CqEnsemble, povm: "Povm") -> np.ndarray:
         block = slice(start, start + step)
         products = np.matmul(e.probe_stack[block, None], ops[None])
         mass[block] = e.weights[block, None] * products.trace(0, 2, 3).real
-    return np.maximum(mass, 0.0, out=mass)
+    np.maximum(mass, 0.0, out=mass)
+    mass.setflags(write=False)
+    e._outcome_masses[povm] = mass
+    return mass
 
 
 def delta_E_variants(e: CqEnsemble, povm: "Povm") -> DeltaEVariants:

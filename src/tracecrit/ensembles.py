@@ -228,6 +228,13 @@ class CqEnsemble:
         norms.setflags(write=False)
         return norms
 
+    @cached_property
+    def _outcome_masses(self) -> dict:
+        """Frozen key x outcome masses by `Povm`, as `criteria._outcome_mass`
+        computes them.  A `Povm` compares by identity, and its entry keeps
+        it alive, so its identity is never reused for another measurement."""
+        return {}
+
 
 def _overlap_pair(c: float) -> tuple[DensityOperator, DensityOperator]:
     """The pure qubit states |0><0| and |v><v|, v = (c, sqrt(1 - c^2)), of real overlap c."""

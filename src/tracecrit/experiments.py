@@ -374,7 +374,7 @@ def cmd_cex_iii(
     """A concrete measurement whose induced distribution deviates from
     uniform by more than d under the joint or posterior readings."""
     sigma, rho1, rho2 = _resolve_two_bit(preset, overlap, sigma, rho1, rho2)
-    from .criteria import _variants_from_mass, classical_dbar, criterion_d_averaged
+    from .criteria import classical_dbar, criterion_d_averaged, delta_E_variants
     from .discrimination import measure_ensemble
     from .ensembles import two_bit_pkl_example
 
@@ -385,7 +385,7 @@ def cmd_cex_iii(
     povm = _family_measurement(sigma, rho1, rho2)
     d = criterion_d_averaged(family)
     joint = measure_ensemble(family, povm)
-    variants = _variants_from_mass(joint.mass)
+    variants = delta_E_variants(family, povm)
     dbar = classical_dbar(joint)
 
     results = {

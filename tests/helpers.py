@@ -4,6 +4,7 @@ import itertools
 import math
 import numbers
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,25 @@ def random_povm(rng, dim: int, n_outcomes: int) -> Povm:
         op = inv_sqrt @ raw @ inv_sqrt
         elements.append((f"o{i}", 0.5 * (op + op.conj().T)))
     return Povm(tuple(elements))
+
+
+class CountingNumpy(types.ModuleType):
+    """numpy with a `matmul` that counts the matrix products it makes.  Set
+    as `criteria.np`, it counts the key x outcome products that
+    `_outcome_mass` computes, the module's one `matmul` outside the
+    Walsh-Hadamard transform; a mass read again adds none."""
+
+    def __init__(self):
+        super().__init__("numpy")
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b):
+        out = np.matmul(a, b)
+        self.products += out.size // (out.shape[-2] * out.shape[-1])
+        return out
 
 
 # -- scalar views of the packed and factored forms ------------------------

@@ -36,6 +36,7 @@ from tracecrit.ensembles import _BIT_STRINGS, bit_strings
 from tracecrit.errors import TOL, BadParams, NonUniformPrior, TooLarge
 
 from helpers import (
+    CountingNumpy,
     bits,
     classical_dbar_loop,
     condition_on_leak,
@@ -912,3 +913,20 @@ class TestOneOutcomeMass:
             mass, readings = self.fresh_values(fresh, povm)
             assert bits(dataclasses.astuple(delta_E_variants(e, povm))) == readings
             assert bits(measure_ensemble(e, povm).mass) == mass
+
+    @pytest.mark.parametrize("n,dim", [(6, 4), (5, 8), (4, 16)])
+    def test_an_ensemble_task_computes_the_mass_once(self, n, dim, monkeypatch):
+        """`pgm`, `measure_ensemble` and `delta_E_variants` on one ensemble, as
+        a quantum-ensembles task calls them, make the keys x outcomes trace
+        products once, and both reads return the one frozen mass."""
+        fresh, _ = shared_mass_case(n, dim, "dirichlet")
+        e = fresh()
+        counting = CountingNumpy()
+        monkeypatch.setattr(criteria, "np", counting)
+        povm = pgm(e)
+        joint = measure_ensemble(e, povm)
+        readings = delta_E_variants(e, povm)
+        assert counting.products == len(e.keys) * len(povm.labels)
+        assert _outcome_mass(e, povm) is joint.mass
+        assert not joint.mass.flags.writeable
+        assert bits(dataclasses.astuple(readings)) == bits(variants_from_mass_loop(joint.mass))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecrit import criteria, discrimination
+from tracecrit import criteria
 from tracecrit.cli import main
 from tracecrit.criteria import classical_dbar, delta_E_variants
 from tracecrit.discrimination import measure_ensemble
@@ -40,7 +40,7 @@ from tracecrit.experiments import (
     run_sweep,
 )
 
-from helpers import bits, family_measurement_loop, jsonify_recursive, random_density
+from helpers import CountingNumpy, bits, family_measurement_loop, jsonify_recursive, random_density
 
 
 def verdict_map(report):
@@ -150,20 +150,13 @@ class TestCexIII:
 
     @pytest.mark.parametrize("params", [{"preset": "two-bit-mixed"}, {"overlap": 0.3}])
     def test_measures_once(self, params, monkeypatch):
-        """The readings and dbar both come from one key x outcome mass, and
-        equal the public per-reading calls."""
-        calls = 0
-        original = criteria._outcome_mass
-
-        def counting(e, povm):
-            nonlocal calls
-            calls += 1
-            return original(e, povm)
-
-        for module in (criteria, discrimination):
-            monkeypatch.setattr(module, "_outcome_mass", counting)
+        """The readings and dbar both come from one key x outcome mass, whose
+        4 x 4 trace products are computed once, and equal the public
+        per-reading calls."""
+        counting = CountingNumpy()
+        monkeypatch.setattr(criteria, "np", counting)
         report = run_experiment("cex_iii", params)
-        assert calls == 1
+        assert counting.products == 4 * 4
         monkeypatch.undo()
 
         sigma, rho1, rho2 = _resolve_two_bit(params.get("preset"), params.get("overlap"), None, None, None)

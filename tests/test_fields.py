@@ -11,6 +11,12 @@ top eigenvector has Bloch direction n = (r1 - r2) / g.  With x_j = r_j . n
 and x = (x1 + x2) / 2, and sigma pure, only the two outcomes on sigma's top
 eigenvector carry mass, (1 + x) / 2 and (1 - x) / 2.
 
+`ecc` recounts the decision regions by brute force: each of the 2^n words
+is decoded against every one of the 2^k codewords, apart from
+`decision_region_census` and its cosets, at n <= 12.  Its `bias_delta` is
+the integer counts' exact distance from uniform, and `perfect_radius` the
+least radius that meets the sphere-packing equality.
+
 `cex_i`, `spiked` and `markov` read exact `Fraction` arithmetic: two
 identical uniform distributions on N atoms are at distance 0 and mismatch
 under the independent coupling with probability (N - 1) / N; the spiked key
@@ -26,13 +32,15 @@ the smaller outcome mass (1 - |x|) / 2, whose rounding grows as
 (`cex_i`'s dense coupling above 1024 atoms, `markov` without eps and
 delta).  The routes are checked on every golden report of these
 experiments and on seeded draws, and a result key without a route fails
-the audit.  `ecc`, `table` and `toeplitz` have no routes yet.
+the audit.  `table` and `toeplitz` have no routes yet.
 """
 
 import csv
 import functools
 import io
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,14 +49,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from tracecrit.experiments import REGISTRY, run_experiment
+from tracecrit import Gf2Matrix, gf2_rank
+from tracecrit.experiments import CODE_PRESETS, REGISTRY, run_experiment
 
 from helpers import bloch_geometry, random_bloch, spiked_entropy_closed_form, two_bit_bloch
 
 EPS = sys.float_info.epsilon
 GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
 #: Experiments whose every result has a route; the two Bloch ones report only floats.
-AUDITED = ("cex_i", "cex_ii", "cex_iii", "markov", "spiked")
+AUDITED = ("cex_i", "cex_ii", "cex_iii", "ecc", "markov", "spiked")
 BLOCH = ("cex_ii", "cex_iii")
 #: Seeded draws per experiment.
 DRAWS = 250
@@ -106,6 +115,59 @@ def _required(run) -> float:
     return float(Fraction(run["eps"]) * Fraction(run["delta"]) ** run["guarantees"])
 
 
+def _code_rows(run) -> tuple[tuple[int, ...], ...]:
+    rows = CODE_PRESETS[run["preset"]] if "preset" in run else run["generator"]
+    return tuple(map(tuple, rows))
+
+
+@functools.cache
+def _recount(rows: tuple, rule: str) -> tuple[int, ...]:
+    """Decision-region sizes in message order, each of the 2^n words decoded
+    against all 2^k codewords.  Message i's t-th bit from the left selects
+    generator row t, and column j is bit j of a word.  Syndrome decoding
+    subtracts the least-weight member of the word's coset, the smallest as
+    an integer on ties; minimum distance takes the nearest codeword, the
+    least message on ties."""
+    n, k = len(rows[0]), len(rows)
+    row_words = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+    words = np.arange(2**n, dtype=np.int64)
+    best = np.full(2**n, np.iinfo(np.int64).max)
+    decoded = np.zeros(2**n, dtype=np.int64)
+    for i in range(2**k):
+        codeword = 0
+        for t, bit in enumerate(format(i, f"0{k}b")):
+            if bit == "1":
+                codeword ^= row_words[t]
+        error = words ^ codeword
+        score = np.bitwise_count(error).astype(np.int64)
+        if rule == "syndrome":
+            score = score * 2**n + error
+        better = score < best  # strict: an earlier message keeps a tie
+        best[better] = score[better]
+        decoded[better] = i
+    return tuple(np.bincount(decoded, minlength=2**k).tolist())
+
+
+def _region_sizes(run) -> dict[str, int]:
+    rows = _code_rows(run)
+    return {format(i, f"0{len(rows)}b"): size for i, size in enumerate(_recount(rows, run["rule"]))}
+
+
+def _ecc_bias(run) -> Fraction:
+    """The decoded message's distance from uniform, sum |size - 2^(n-k)| / 2^(n+1)."""
+    rows = _code_rows(run)
+    n, k = len(rows[0]), len(rows)
+    return Fraction(sum(abs(size - 2 ** (n - k)) for size in _recount(rows, run["rule"])), 2 ** (n + 1))
+
+
+def _sphere_packing_radius(run) -> int:
+    """The least t with sum_{i <= t} C(n, i) = 2^(n-k), or -1."""
+    rows = _code_rows(run)
+    n, k = len(rows[0]), len(rows)
+    volumes = itertools.accumulate(math.comb(n, i) for i in range(n + 1))
+    return next((t for t, volume in enumerate(volumes) if volume == 2 ** (n - k)), -1)
+
+
 ROUTES = {
     ("cex_i", "n_atoms"): Route(lambda run: run["N"]),
     ("cex_i", "delta"): Route(lambda run: 0.0),
@@ -133,6 +195,15 @@ ROUTES = {
     ("cex_iii", "joint_vs_product_uniform"): Route(
         bloch(lambda g, x1, x2: 0.5 * (0.5 + max(0.25, abs(x1) / 2) + max(0.25, abs(x2) / 2))), 5
     ),
+    ("ecc", "n"): Route(lambda run: len(_code_rows(run)[0])),
+    ("ecc", "k"): Route(lambda run: len(_code_rows(run))),
+    ("ecc", "rule"): Route(lambda run: run["rule"]),
+    ("ecc", "region_sizes"): Route(_region_sizes),
+    ("ecc", "region_size_min"): Route(lambda run: min(_region_sizes(run).values())),
+    ("ecc", "region_size_max"): Route(lambda run: max(_region_sizes(run).values())),
+    # an int / int division rounds the exact quotient once, as float(Fraction) does: 0 ulps
+    ("ecc", "bias_delta"): Route(lambda run: float(_ecc_bias(run))),
+    ("ecc", "perfect_radius"): Route(_sphere_packing_radius),
     # a float division, and the cap at 1, round as the exact quotient does
     ("markov", "mean"): Route(lambda run: float(run["mean"])),
     ("markov", "threshold"): Route(lambda run: float(run["threshold"])),
@@ -199,6 +270,35 @@ def spiked_params(rng, i: int) -> dict:
     return {"n": n, "l": int(rng.integers(0, n + 1))}
 
 
+#: Generators drawn first: the presets, a code that meets the sphere-packing
+#: equality at radius 1 with distance 2, the [1, 1] and [12, 12] codes, and
+#: the [3, 1] and [5, 1] repetition codes.
+ECC_EDGES = (
+    {"preset": "hamming74"},
+    {"preset": "code52"},
+    {"generator": [[1, 1, 0]]},
+    {"generator": [[1]]},
+    {"generator": np.eye(12, dtype=int).tolist()},
+    {"generator": [[1, 1, 1]]},
+    {"generator": [[1, 1, 1, 1, 1]]},
+)
+
+
+def ecc_params(rng, i: int) -> dict:
+    """The edges first, each under both rules, then a full-rank k x n
+    generator, n in [1, 12] and k in [1, n]; the rule alternates."""
+    if i < 2 * len(ECC_EDGES):
+        params = dict(ECC_EDGES[i // 2])
+    else:
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(1, n + 1))
+        rows = rng.integers(0, 2, (k, n)).tolist()
+        while gf2_rank(Gf2Matrix.from_rows(rows)) < k:
+            rows = rng.integers(0, 2, (k, n)).tolist()
+        params = {"generator": rows}
+    return {**params, "rule": ("syndrome", "min_distance")[i % 2]}
+
+
 def markov_params(rng, i: int) -> dict:
     """mean and threshold up to 0.1, so some bounds cap at 1; three in four
     with eps, delta (1 in one of ten) and up to 20 guarantees."""
@@ -214,6 +314,7 @@ DRAWERS = {
     "cex_i": (cex_i_params, 1),
     "cex_ii": (functools.partial(bloch_params, sphere=False), 6),
     "cex_iii": (functools.partial(bloch_params, sphere=True), 7),
+    "ecc": (ecc_params, 4),
     "markov": (markov_params, 3),
     "spiked": (spiked_params, 2),
 }

@@ -13,7 +13,8 @@ eigenvector carry mass, (1 + x) / 2 and (1 - x) / 2.
 
 `ecc` recounts the decision regions by brute force: each of the 2^n words
 is decoded against every one of the 2^k codewords, apart from
-`decision_region_census` and its cosets, at n <= 12.  Its `bias_delta` is
+`decision_region_census` and its cosets, at n <= 12, and on every binary
+linear code of length at most 6 under both rules.  Its `bias_delta` is
 the integer counts' exact distance from uniform, and `perfect_radius` the
 least radius that meets the sphere-packing equality.
 
@@ -299,6 +300,24 @@ def ecc_params(rng, i: int) -> dict:
     return {**params, "rule": ("syndrome", "min_distance")[i % 2]}
 
 
+def echelon_generators(n: int):
+    """Every nonzero binary linear code of length n once, by its generator in
+    reduced row echelon form: k pivot columns, each row 1 at its pivot, 0 at
+    the other pivots, and free bits at the non-pivot columns right of its own."""
+    for k in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            slots = [(r, j) for r, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+            for fill in itertools.product((0, 1), repeat=len(slots)):
+                rows = [[int(j == p) for j in range(n)] for p in pivots]
+                for (r, j), bit in zip(slots, fill):
+                    rows[r][j] = bit
+                yield rows
+
+
+#: Every binary linear code of length 1 to 6: the Gaussian binomials sum to 3283.
+SMALL_CODES = tuple(rows for n in range(1, 7) for rows in echelon_generators(n))
+
+
 def markov_params(rng, i: int) -> dict:
     """mean and threshold up to 0.1, so some bounds cap at 1; three in four
     with eps, delta (1 in one of ten) and up to 20 guarantees."""
@@ -384,3 +403,19 @@ def test_seeded_specs_match_their_routes(experiment):
     assert len(cases) == DRAWS
     for params, results in cases:
         assert_routes_hold(experiment, params, results)
+
+
+def test_small_codes_are_every_subspace_once():
+    assert len(SMALL_CODES) == 3283
+    assert len({tuple(map(tuple, rows)) for rows in SMALL_CODES}) == 3283
+    assert all(gf2_rank(Gf2Matrix.from_rows(rows)) == len(rows) for rows in SMALL_CODES)
+
+
+@pytest.mark.parametrize("rule", ("syndrome", "min_distance"))
+def test_every_small_code_census_matches_the_recount(rule):
+    for rows in SMALL_CODES:
+        params = {"generator": rows, "rule": rule}
+        results = run_experiment("ecc", params).results
+        for field in ("region_sizes", "region_size_min", "region_size_max", "bias_delta"):
+            want = ROUTES["ecc", field].form(params)
+            assert type(results[field]) is type(want) and results[field] == want, (field, params)

@@ -60,7 +60,6 @@ def _api() -> dict:
         code_from_text,
         decision_region_census,
         gf2_rank,
-        is_perfect_code,
         singular_fraction,
     )
     return locals()

@@ -529,14 +529,11 @@ def _resolve_code(preset, generator, code_file) -> "LinearCode":
 def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syndrome"):
     """Decision-region census: unequal regions bias the decoded message."""
     code = _resolve_code(preset, generator, code_file)
-    from .sidechannel import decision_region_census, is_perfect_code
+    from .sidechannel import decision_region_census
 
     census = decision_region_census(code, rule)
-    perfect_radius = next(
-        (t for t in range(code.n + 1) if is_perfect_code(code, t)), None
-    )
     sizes = census.region_sizes
-    perfect = perfect_radius is not None
+    perfect = census.perfect_radius is not None
     distinct = sorted(set(sizes.values())) if perfect else []  # up to 2^k sizes, read only when perfect
     results = {
         "n": code.n,
@@ -546,7 +543,7 @@ def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syn
         "region_size_min": min(sizes.values()),
         "region_size_max": max(sizes.values()),
         "bias_delta": census.bias_delta,
-        "perfect_radius": -1 if perfect_radius is None else perfect_radius,
+        "perfect_radius": census.perfect_radius if perfect else -1,
     }
     verdicts = [
         _verdict(
@@ -565,8 +562,8 @@ def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syn
             census.bias_delta > 0.0,
             f"bias {census.bias_delta!r}",
             "code is perfect" if perfect
-            else None if rule == "min_distance"
-            else "syndrome regions are cosets, always equal",
+            else "syndrome regions are cosets, always equal" if rule != "min_distance"
+            else None if census.ties else "no coset has two least-weight words",
         ),
     ]
     return results, verdicts

@@ -10,7 +10,6 @@ so a code refused by its checks or by the census cap loads none.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -276,8 +275,13 @@ def _parity_check_rows(code: LinearCode) -> list[int]:
 
 @dataclass(frozen=True)
 class CensusResult:
+    """Region sizes by message, the decoded message's bias, the perfect radius
+    (None for a code that is not perfect) and the cosets decoded with a tie."""
+
     region_sizes: dict[str, int]
     bias_delta: float
+    perfect_radius: int | None
+    ties: int
 
 
 def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusResult:
@@ -288,10 +292,14 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
     The codewords closest to e_0 ^ c_i are (e_0 ^ e) ^ c_i = c_(i ^ m_e)
     for e in E_s, where c_(m_e) = e_0 ^ e.  Syndrome decoding takes e_0
     alone and returns i, so its regions are equal; minimum distance returns
-    the least i ^ m_e, which non-perfect codes generally make unequal.  A
+    the least i ^ m_e, which sends each tied m_e to message 0, so its
+    regions are unequal exactly when some coset has a tie, |E_s| > 1.  A
     coset with one candidate gives each message one word; the others take
     sum |E_s| 2^k steps, at most 2^(n+k).  The bias is the variational
-    distance of the decoded message (uniform words) from uniform.
+    distance of the decoded message (uniform words) from uniform.  The
+    largest leader weight is the covering radius rho, and the balls of
+    radius rho about the codewords cover every word, so the code is perfect,
+    sum_{i<=rho} C(n, i) = 2^(n-k), exactly when its distance exceeds 2 rho.
     """
     if rule not in DECODING_RULES:
         raise BadParams(f"rule must be one of {DECODING_RULES}, got {rule!r}")
@@ -313,7 +321,8 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
     depth = -np.sort(-sizes[sizes > 1])  # in that order, so those above j are a prefix
     first = np.cumsum(depth) - depth
     message_of = np.empty(2**n, dtype=np.int64)
-    message_of[code.codewords()] = np.arange(2**k)
+    codewords = code.codewords()
+    message_of[codewords] = np.arange(2**k)
     messages = np.tile(np.arange(2**k), (len(depth), 1))
     for j in range(1, depth.max(initial=0)):
         rows = np.count_nonzero(depth > j)
@@ -321,12 +330,6 @@ def decision_region_census(code: LinearCode, rule: str = "syndrome") -> CensusRe
         np.minimum(messages[:rows], shift[:, None] ^ np.arange(2**k), out=messages[:rows])
     counts = np.bincount(messages.ravel(), minlength=2**k) + (2 ** (n - k) - len(depth))
     delta = int(np.abs(counts - 2 ** (n - k)).sum()) / 2 ** (n + 1)
-    return CensusResult(dict(zip(bit_strings(k), counts.tolist())), delta)
-
-
-def is_perfect_code(code: LinearCode, t: int) -> bool:
-    """Sphere-packing equality: sum_{i<=t} C(n, i) == 2^(n-k)."""
-    if t < 0:
-        raise BadParams(f"radius must be nonnegative, got {t}")
-    volume = sum(math.comb(code.n, i) for i in range(t + 1))
-    return volume == 2 ** (code.n - code.k)
+    rho = int(least.max())
+    perfect_radius = rho if weights[codewords[1:]].min() > 2 * rho else None
+    return CensusResult(dict(zip(bit_strings(k), counts.tolist())), delta, perfect_radius, len(depth))

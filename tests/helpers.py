@@ -6,6 +6,7 @@ import numbers
 import random
 import types
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,6 +251,60 @@ def census_loop(code: LinearCode, rule: str) -> tuple[list[int], float]:
     labels = bit_strings(k)
     bias = ProbDist(labels, [Fraction(c, 2**n) for c in counts])
     return counts, float(variational_distance(bias, ProbDist.uniform(labels)))
+
+
+class Recount(NamedTuple):
+    """A code decoded by brute force: region sizes in message order, each
+    word's distance to its nearest codeword, and how many codewords are that near."""
+
+    sizes: tuple[int, ...]
+    distance: np.ndarray
+    nearest: np.ndarray
+
+
+def recount(rows, rule: str) -> Recount:
+    """Decode each of the 2^n words against all 2^k codewords of a generator
+    given as rows of bits.  Message i's t-th bit from the left selects
+    generator row t, and column j is bit j of a word.  Syndrome decoding
+    subtracts the least-weight member of the word's coset, the smallest as
+    an integer on ties; minimum distance takes the nearest codeword, the
+    least message on ties."""
+    n, k = len(rows[0]), len(rows)
+    row_words = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+    words = np.arange(2**n, dtype=np.int64)
+    best = np.full(2**n, np.iinfo(np.int64).max)
+    decoded = np.zeros(2**n, dtype=np.int64)
+    distance = np.full(2**n, n + 1)
+    nearest = np.zeros(2**n, dtype=np.int64)
+    for i in range(2**k):
+        codeword = 0
+        for t, bit in enumerate(format(i, f"0{k}b")):
+            if bit == "1":
+                codeword ^= row_words[t]
+        error = words ^ codeword
+        weight = np.bitwise_count(error).astype(np.int64)
+        nearest = np.where(weight < distance, 1, nearest + (weight == distance))
+        distance = np.minimum(distance, weight)
+        score = weight * 2**n + error if rule == "syndrome" else weight
+        better = score < best  # strict: an earlier message keeps a tie
+        best[better] = score[better]
+        decoded[better] = i
+    return Recount(tuple(np.bincount(decoded, minlength=2**k).tolist()), distance, nearest)
+
+
+def perfect_radius(distance: np.ndarray, n: int, k: int) -> int:
+    """The covering radius rho, the largest distance from a word to its
+    nearest codeword, when the 2^k balls of radius rho have total volume
+    2^n, sum_{i <= rho} C(n, i) = 2^(n-k), and so partition the words; -1
+    for a code that is not perfect."""
+    rho = int(distance.max())
+    return rho if sum(math.comb(n, i) for i in range(rho + 1)) == 2 ** (n - k) else -1
+
+
+def toeplitz_singular_law(m: int, n: int) -> Fraction:
+    """Singular fraction of the m x n Toeplitz family by its rank law: of the
+    2^(m+n-1) seeds, 4^(min(m, n) - 1) have rank below min(m, n)."""
+    return Fraction(4 ** (min(m, n) - 1), 2 ** (m + n - 1))
 
 
 def event_deviation_loop(p: ProbDist, m: int):

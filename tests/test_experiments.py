@@ -246,6 +246,34 @@ class TestEcc:
         assert report.results["bias_delta"] > 0.0
         assert verdict_map(report)["nonperfect-min-distance-bias"] == "PASS"
 
+    #: A code whose sphere-packing volume matches at radius 1 but whose
+    #: covering radius is 2, and a code of distance 1 whose cosets each have
+    #: one least-weight word: neither is perfect, and only the first has ties.
+    NOT_PERFECT = {
+        "tied": (
+            [[1, 1, 0]],
+            0.25,
+            ("PASS", "NOT-APPLICABLE", "PASS"),
+            "bias 0.25",
+        ),
+        "untied": (
+            [[1, 0, 0, 0], [1, 1, 1, 1]],
+            0.0,
+            ("PASS", "NOT-APPLICABLE", "NOT-APPLICABLE"),
+            "no coset has two least-weight words",
+        ),
+    }
+
+    @pytest.mark.parametrize("generator,bias,statuses,detail", NOT_PERFECT.values(), ids=NOT_PERFECT)
+    def test_not_perfect_min_distance_exit_zero(self, generator, bias, statuses, detail):
+        params = {"generator": generator, "rule": "min_distance"}
+        code, stdout, err = run_cli(["--experiment", "ecc", "--params", json.dumps(params)])
+        doc = json.loads(stdout)
+        assert (code, err) == (0, "")
+        assert (doc["results"]["perfect_radius"], doc["results"]["bias_delta"]) == (-1, bias)
+        assert tuple(v["status"] for v in doc["verdicts"]) == statuses
+        assert doc["verdicts"][-1]["detail"] == detail
+
     def test_code_file(self, tmp_path):
         path = tmp_path / "gen.txt"
         path.write_text("101\n011\n")

@@ -13,7 +13,6 @@ from tracecrit import (
     code_from_text,
     decision_region_census,
     gf2_rank,
-    is_perfect_code,
     singular_fraction,
 )
 from tracecrit.cli import main, render_csv
@@ -575,15 +574,24 @@ class TestCensusAgainstLoops:
 
 
 class TestPerfectCodes:
+    """The census reads a code's perfect radius from its coset leaders."""
+
     def test_hamming_is_perfect(self):
-        assert is_perfect_code(LinearCode(Gf2Matrix.from_rows(HAMMING74)), 1)
+        for rule in ("syndrome", "min_distance"):
+            assert decision_region_census(LinearCode(Gf2Matrix.from_rows(HAMMING74)), rule).perfect_radius == 1
 
     def test_code52_is_not(self):
-        assert not is_perfect_code(LinearCode(Gf2Matrix.from_rows(CODE52)), 1)
+        assert decision_region_census(LinearCode(Gf2Matrix.from_rows(CODE52))).perfect_radius is None
 
     def test_repetition_three_one(self):
-        assert is_perfect_code(LinearCode(Gf2Matrix.from_rows([[1, 1, 1]])), 1)
+        assert decision_region_census(LinearCode(Gf2Matrix.from_rows([[1, 1, 1]]))).perfect_radius == 1
 
-    def test_negative_radius_refused(self):
-        with pytest.raises(BadParams, match="radius must be nonnegative, got -1"):
-            is_perfect_code(LinearCode(Gf2Matrix.from_rows(HAMMING74)), -1)
+    def test_sphere_packing_volume_alone_is_not_perfect(self):
+        # sum_{i <= 1} C(3, i) = 2^2, but [1, 1, 0] has distance 2 and covering radius 2
+        out = decision_region_census(LinearCode(Gf2Matrix.from_rows([[1, 1, 0]])), "min_distance")
+        assert (out.perfect_radius, out.ties, out.region_sizes) == (None, 2, {"0": 6, "1": 2})
+
+    def test_ties_counted_only_under_min_distance(self):
+        code = LinearCode(Gf2Matrix.from_rows(CODE52))
+        assert decision_region_census(code, "syndrome").ties == 0
+        assert decision_region_census(code, "min_distance").ties == 2

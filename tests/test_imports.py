@@ -5,11 +5,14 @@ every name the package exports and every public function, class and method
 it defines has a reader, every exception class beyond `BadParams` has a
 caller that tells it apart, a CLI request, started as `python -m tracecrit`
 or through the console script's code, loads only the modules of its
-experiment, a request that computes with no array loads neither numpy nor
-`dataclasses` nor `inspect`, and the first read of a package attribute binds
-the whole API."""
+experiment and writes and returns what `cli.main` does in process, a
+request that computes with no array loads neither numpy nor `dataclasses`
+nor `inspect`, and the first read of a package attribute binds the whole
+API."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -484,14 +487,23 @@ def both_entries(cases: dict, scripted=None) -> list:
     return params
 
 
+def child_env(**overrides) -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    src/, with `overrides`; an override of None unsets its variable."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **{k: v for k, v in overrides.items() if v is not None})
+    for name in (k for k, v in overrides.items() if v is None):
+        env.pop(name, None)
+    return env
+
+
 def run_probe(tmp_path, code: str, *argv: str):
     """Run the probe then `code` in a fresh interpreter; its process and the
     modules loaded when it exits."""
     out = tmp_path / "modules.json"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE + code, str(out), *argv],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -599,3 +611,60 @@ def test_bare_import_loads_nothing(tmp_path):
     proc, modules = run_probe(tmp_path, "import tracecrit\nassert tracecrit.__version__\n")
     assert proc.returncode == 0, proc.stderr
     assert modules == set()
+
+
+# -- what a process writes and returns ---------------------------------------
+
+#: A 1.38 MB `ecc` report, on the [16, 16] identity code: more than a pipe buffer holds.
+IDENTITY_16 = json.dumps({"generator": [[int(i == j) for j in range(16)] for i in range(16)]})
+_SWEEP = json.dumps({"experiment": "cex_ii", "grid": {"overlap": [0, 0.5, 1.0]}})
+_ELAPSED = re.compile(rb"^- elapsed: .*\n", re.MULTILINE)
+
+#: Requests, each with its exit code and whether it writes its report to an `--out` file.
+OUTPUTS = {
+    "json": (["--experiment", "cex_ii", "--params", '{"preset": "two-bit-orthogonal"}'], 0, False),
+    "csv": (["--experiment", "toeplitz", "--params", '{"m": 3, "n": 4}', "--format", "csv"], 0, False),
+    "md-out": (["--experiment", "cex_iii", "--params", '{"preset": "two-bit-mixed"}', "--format", "md"], 0, True),
+    "sweep": (["--experiment", "sweep", "--params", _SWEEP], 0, False),
+    # a correct kernel FAILs while singular seeds are rarer than 1/samples (ROADMAP item 2)
+    "exit-1": (["--experiment", "toeplitz", "--params", '{"m": 2, "n": 70, "mode": "sample", "samples": 64}'], 1, False),
+    "toolkit-refusal": (["--experiment", "nope"], 2, False),
+    "usage-refusal": (["--params", "{}"], 2, False),
+    "help": (["--help"], 0, False),
+    "ecc-identity-16": (["--experiment", "ecc", "--params", IDENTITY_16], 0, False),
+}
+
+
+def in_process(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of `cli.main` on `argv`, in this process."""
+    from tracecrit.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help and usage refusals
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def run_entry(entry: str, argv: list[str], stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """Run `entry` on `argv` in a fresh interpreter, its output read through pipes."""
+    cmd = [sys.executable, "-c", entry, *argv]
+    return subprocess.run(cmd, env=child_env(**env), stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.mark.parametrize("entry, argv, code, to_file", both_entries(OUTPUTS))
+def test_process_writes_what_main_writes(tmp_path, monkeypatch, entry, argv, code, to_file):
+    """Both entry points give the exit code, stdout, stderr and `--out`
+    bytes that `cli.main` gives in process; the large report arrives whole."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
+    outs = {side: tmp_path / f"{side}.out" for side in ("main", "child")}
+    flags = {side: ["--out", str(path)] if to_file else [] for side, path in outs.items()}
+    expected = in_process(argv + flags["main"])
+    proc = run_entry(entry, argv + flags["child"])
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    if to_file:
+        # a Markdown report carries a wall-clock line, stripped on both sides
+        assert _ELAPSED.sub(b"", outs["child"].read_bytes()) == _ELAPSED.sub(b"", outs["main"].read_bytes())

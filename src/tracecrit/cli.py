@@ -3,15 +3,19 @@
 One experiment per invocation; parameters arrive as a JSON string or a
 path to a JSON file.  Exit code 0 means every verdict was PASS or
 NOT-APPLICABLE, 1 means at least one FAIL, 2 means the invocation itself
-was invalid.
+was invalid.  `run` is the one way a process ends: every entry point
+calls it.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import ToolkitError
 from .experiments import REGISTRY, ExperimentReport, _csv_text, _read_text, _sweep, run_experiment
@@ -125,9 +129,23 @@ RENDERERS = {
 }
 
 
+def _write_stdout(text: str = "") -> None:
+    """Write `text` to stdout and flush it.  A failed write, such as into a
+    closed pipe, points stdout at os.devnull, so that no later flush retries
+    it, and is refused as a `ToolkitError`."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ToolkitError(f"cannot write to stdout: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     try:
         Path(out).write_text(text)
@@ -158,5 +176,30 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
+def run() -> NoReturn:
+    """Run `main` as a whole process and end it without interpreter teardown.
+
+    After `main` returns, or argparse exits with an int code (`--help`, a
+    usage refusal), the atexit handlers run, stdout and stderr are flushed,
+    as `Py_FinalizeEx` does, and `os._exit` ends the process: no output
+    depends on tearing down the modules numpy and the package created.  Any
+    other exception leaves through the interpreter as usual.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    atexit._run_exitfuncs()
+    try:
+        _write_stdout()  # what argparse or an atexit handler wrote
+    except ToolkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -469,8 +469,16 @@ atexit.register(_dump)
 
 #: `python -m tracecrit`, with the probe's argv.
 CLI = "import runpy\nrunpy.run_module('tracecrit', run_name='__main__', alter_sys=True)\n"
-#: The console script that `[project.scripts]` installs as `tracecrit`, with the probe's argv.
-SCRIPT = "import sys\nfrom tracecrit.cli import main\nsys.exit(main())\n"
+#: The console script that pip installs as `tracecrit` for `[project.scripts]`, with the probe's argv.
+SCRIPT = """\
+# -*- coding: utf-8 -*-
+import re
+import sys
+from tracecrit.cli import run
+if __name__ == '__main__':
+    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
+    sys.exit(run())
+"""
 
 
 def both_entries(cases: dict, scripted=None) -> list:
@@ -668,3 +676,30 @@ def test_process_writes_what_main_writes(tmp_path, monkeypatch, entry, argv, cod
     if to_file:
         # a Markdown report carries a wall-clock line, stripped on both sides
         assert _ELAPSED.sub(b"", outs["child"].read_bytes()) == _ELAPSED.sub(b"", outs["main"].read_bytes())
+
+
+#: A report small enough to sit in stdout's buffer until the process flushes it.
+TABLE = ["--experiment", "table", "--params", '{"preset": "headline-gap"}']
+
+
+#: Requests into a closed stdout, with PYTHONUNBUFFERED: the write fails at
+#: once or at the flush.  An unbuffered `--help` is left out: argparse drops
+#: a failed write of its help text itself, and exits 0.
+CLOSED_STDOUT = {
+    "table-unbuffered": (TABLE, "1"),
+    "table-buffered": (TABLE, None),
+    "help-buffered": (["--help"], None),
+}
+
+
+@pytest.mark.parametrize("entry, argv, unbuffered", both_entries(CLOSED_STDOUT))
+def test_closed_stdout_exits_two(entry, argv, unbuffered):
+    """A stdout whose reader has gone is refused with one `error:` line and
+    exit 2, never a traceback or Python's exit 120."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_entry(entry, argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, b"error: cannot write to stdout: [Errno 32] Broken pipe\n")

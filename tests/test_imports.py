@@ -634,7 +634,7 @@ OUTPUTS = {
     "csv": (["--experiment", "toeplitz", "--params", '{"m": 3, "n": 4}', "--format", "csv"], 0, False),
     "md-out": (["--experiment", "cex_iii", "--params", '{"preset": "two-bit-mixed"}', "--format", "md"], 0, True),
     "sweep": (["--experiment", "sweep", "--params", _SWEEP], 0, False),
-    # a correct kernel FAILs while singular seeds are rarer than 1/samples (ROADMAP item 2)
+    # a correct kernel FAILs while singular seeds are rarer than 1/samples: re-pin when ROADMAP item 2 lands
     "exit-1": (["--experiment", "toeplitz", "--params", '{"m": 2, "n": 70, "mode": "sample", "samples": 64}'], 1, False),
     "toolkit-refusal": (["--experiment", "nope"], 2, False),
     "usage-refusal": (["--params", "{}"], 2, False),

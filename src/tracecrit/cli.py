@@ -30,10 +30,15 @@ def uint64(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses an invocation with one ``error:`` line, as every other exit 2 does."""
+    """Refuses an invocation with one ``error:`` line, as every other exit 2
+    does, and writes its help through `_write_stdout`, so a help text that
+    cannot be written is refused too."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
+
+    def print_help(self):  # argparse's help action passes no file
+        _write_stdout(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,8 +159,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         params = load_params(args.params)
         if args.experiment == "sweep":
             if args.format not in (None, "csv"):

@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -54,6 +53,8 @@ def variational_distance(p: ProbDist, q: ProbDist):
     """
     _, P, Q, den = _joined(p, q)
     if den is not None:
+        from fractions import Fraction
+
         return Fraction(int(np.abs(P - Q).sum()), 2 * den)
     return math.fsum(np.abs(P - Q).tolist()) / 2.0
 
@@ -122,8 +123,7 @@ def criterion_report(e: CqEnsemble, epsilon: float) -> CriterionReport:
     )
 
 
-@dataclass(frozen=True)
-class PairwiseBound:
+class PairwiseBound(NamedTuple):
     holds: bool
     worst_pair: tuple[str, str]
     worst_value: float
@@ -340,8 +340,7 @@ def _screened_event_devs(probs: np.ndarray, n: int, m: int, combos: list) -> np.
     return devs
 
 
-@dataclass(frozen=True)
-class DeltaEVariants:
+class DeltaEVariants(NamedTuple):
     """Four readings of the attacker-side deviation from uniform.
 
     outcome_vs_uniform:        outcome distribution vs uniform on its support

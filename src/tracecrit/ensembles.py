@@ -10,8 +10,8 @@ where a computation genuinely needs it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -24,12 +24,16 @@ from .qmath import DensityOperator, _require_density_stack, _trace_norms, tensor
 
 def _exact_parts(values):
     """(numerators, denominator) of int and Fraction masses over the lcm of
-    their denominators, or (None, None) when any mass is of another type."""
+    their denominators, or (None, None) when any mass is of another type.
+    While `fractions` is not loaded no Fraction exists, so ints alone are
+    exact and a request that reads no Fraction never imports it."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         return None, None
-    if len(values) and not isinstance(values[0], (int, Fraction)):  # no scan for floats
+    fractions = sys.modules.get("fractions")
+    exact = int if fractions is None else (int, fractions.Fraction)
+    if len(values) and not isinstance(values[0], exact):  # no scan for floats
         return None, None
-    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, values))):
+    if not all(issubclass(t, exact) for t in set(map(type, values))):
         return None, None
     nums = [v.numerator for v in values]
     dens = [v.denominator for v in values]
@@ -91,6 +95,8 @@ class ProbDist:
             if min(nums, default=0) < 0:
                 for i, v in enumerate(nums):
                     if v < 0:
+                        from fractions import Fraction
+
                         if Fraction(v, den) < -ZERO_TOL:
                             raise BadParams(f"negative probability mass {Fraction(v, den)!r}")
                         nums[i] = 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadParams
@@ -82,6 +81,12 @@ class SpikedDist(_Spiked):
     __slots__ = ()
 
     def __new__(cls, n_bits: int, spike_exponent: int):
+        # every mass is a Fraction, and no method runs before a SpikedDist
+        # exists: the first one binds `Fraction`, so that a request that
+        # builds none, a GF(2) or quantum one, never imports `fractions`
+        global Fraction
+        from fractions import Fraction
+
         n, l = _ints((n_bits, spike_exponent), "key length and spike exponent must be integers")
         if not 1 <= n <= MAX_SPIKED_BITS:
             raise BadParams(f"key length must be in [1, {MAX_SPIKED_BITS}], got {n}")

@@ -10,8 +10,8 @@ so a code refused by its checks or by the census cap loads none.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EXHAUSTIVE_SEED_CAP, BadParams, TooLarge, _check_seed_cap
 from .keys import _ints, bit_strings
@@ -182,6 +182,8 @@ def singular_fraction(
             raise BadParams("sample mode needs an explicit seed for reproducibility")
         _check_seed_cap(mode, bits, samples)
         total = samples
+        import random
+
         # randrange(2) is bit 30 of each MT19937 output with bit 31 clear
         _, key, _ = random.Random(seed).getstate()
         mt = np.random.MT19937()
@@ -273,8 +275,7 @@ def _parity_check_rows(code: LinearCode) -> list[int]:
     return [(1 << f) ^ sum(1 << p for row, p in zip(work, pivots) if (row >> f) & 1) for f in free]
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     """Region sizes by message, the decoded message's bias, the perfect radius
     (None for a code that is not perfect) and the cosets decoded with a tie."""
 

@@ -26,7 +26,7 @@ from tracecrit import (
 )
 from tracecrit.ensembles import bit_strings
 from tracecrit.errors import _PGM_SUPPORT_CUTOFF, TOL, ZERO_TOL, BadParams
-from tracecrit.experiments import TWO_BIT_PRESETS
+from tracecrit.two_bit import TWO_BIT_PRESETS
 from tracecrit.qmath import _hermitian_eigen, _require_hermitian_stack
 from tracecrit.sidechannel import _parity_check_rows
 

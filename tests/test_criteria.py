@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -73,7 +72,7 @@ def mixed_family():
 
 
 def family_measurement():
-    from tracecrit.experiments import TWO_BIT_PRESETS, _family_measurement, parse_qubit
+    from tracecrit.two_bit import TWO_BIT_PRESETS, _family_measurement, parse_qubit
 
     spec = TWO_BIT_PRESETS["two-bit-mixed"]
     return _family_measurement(*(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2")))
@@ -620,7 +619,7 @@ class TestDeltaEVariants:
         joint = measure_ensemble(e, povm)
         assert joint.mass[0, 1] == 0.0
         assert bits(_outcome_mass(e, povm)) == bits(joint.mass)
-        assert bits(dataclasses.astuple(delta_E_variants(e, povm))) == bits(variants_from_mass_loop(joint.mass))
+        assert bits(tuple(delta_E_variants(e, povm))) == bits(variants_from_mass_loop(joint.mass))
 
     def test_data_processing_for_averaged_reading(self):
         rng = np.random.default_rng(11)
@@ -634,7 +633,7 @@ class TestDeltaEVariants:
         # the product measurement with the difference eigenbasis on the
         # second qubit saturates the data-processing bound for this family
         from tracecrit import two_bit_pkl_example
-        from tracecrit.experiments import _family_measurement
+        from tracecrit.two_bit import _family_measurement
         from helpers import random_density
 
         rng = np.random.default_rng(12)
@@ -724,7 +723,7 @@ class TestStackedKernels:
         mass = _outcome_mass(e, povm)
         assert bits(mass) == bits(outcome_mass_loop(e, povm))
         assert bits(measure_ensemble(e, povm).mass) == bits(mass)
-        readings = dataclasses.astuple(delta_E_variants(e, povm))
+        readings = tuple(delta_E_variants(e, povm))
         assert bits(readings) == bits(variants_from_mass_loop(mass))
         if prior == "uniform":
             joint = measure_ensemble(e, povm)
@@ -846,7 +845,7 @@ def shared_mass_case(n: int, dim: int, prior: str):
     projective = Povm(tuple((f"b{i}", np.outer(basis[:, i], basis[:, i].conj())) for i in range(dim)))
     povms = [pgm(fresh()), random_povm(rng, dim, 3), projective]
     if dim == 4:
-        from tracecrit.experiments import _family_measurement
+        from tracecrit.two_bit import _family_measurement
 
         povms.append(_family_measurement(*(random_density(rng, 2) for _ in range(3))))
     return fresh, povms
@@ -860,7 +859,7 @@ class TestOneOutcomeMass:
 
     @staticmethod
     def fresh_values(fresh, povm):
-        return bits(measure_ensemble(fresh(), povm).mass), bits(dataclasses.astuple(delta_E_variants(fresh(), povm)))
+        return bits(measure_ensemble(fresh(), povm).mass), bits(tuple(delta_E_variants(fresh(), povm)))
 
     @pytest.mark.parametrize("prior", PRIORS_SHARED)
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
@@ -872,8 +871,8 @@ class TestOneOutcomeMass:
             measured_first, variants_first = fresh(), fresh()
             for _ in range(3):
                 assert bits(measure_ensemble(measured_first, povm).mass) == mass
-                assert bits(dataclasses.astuple(delta_E_variants(measured_first, povm))) == readings
-                assert bits(dataclasses.astuple(delta_E_variants(variants_first, povm))) == readings
+                assert bits(tuple(delta_E_variants(measured_first, povm))) == readings
+                assert bits(tuple(delta_E_variants(variants_first, povm))) == readings
                 assert bits(measure_ensemble(variants_first, povm).mass) == mass
 
     @pytest.mark.parametrize("prior", PRIORS_SHARED)
@@ -888,7 +887,7 @@ class TestOneOutcomeMass:
         for _ in range(2):
             for povm, (mass, readings) in zip(povms, want):
                 assert bits(measure_ensemble(e, povm).mass) == mass
-                assert bits(dataclasses.astuple(delta_E_variants(e, povm))) == readings
+                assert bits(tuple(delta_E_variants(e, povm))) == readings
         assert len({mass for mass, _ in want[: len(want) // 2]}) == len(want) // 2
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
@@ -911,7 +910,7 @@ class TestOneOutcomeMass:
                 assert after[k] is before[k]
         for povm in povms:
             mass, readings = self.fresh_values(fresh, povm)
-            assert bits(dataclasses.astuple(delta_E_variants(e, povm))) == readings
+            assert bits(tuple(delta_E_variants(e, povm))) == readings
             assert bits(measure_ensemble(e, povm).mass) == mass
 
     @pytest.mark.parametrize("n,dim", [(6, 4), (5, 8), (4, 16)])
@@ -929,4 +928,4 @@ class TestOneOutcomeMass:
         assert counting.products == len(e.keys) * len(povm.labels)
         assert _outcome_mass(e, povm) is joint.mass
         assert not joint.mass.flags.writeable
-        assert bits(dataclasses.astuple(readings)) == bits(variants_from_mass_loop(joint.mass))
+        assert bits(tuple(readings)) == bits(variants_from_mass_loop(joint.mass))

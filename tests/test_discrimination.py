@@ -172,7 +172,7 @@ class TestMeasureEnsemble:
         rho1 = validate_density(np.diag([1.0, 0.0]))
         rho2 = validate_density(np.diag([0.0, 1.0]))
         e = two_bit_pkl_example(sigma, rho1, rho2)
-        from tracecrit.experiments import _family_measurement
+        from tracecrit.two_bit import _family_measurement
 
         joint = measure_ensemble(e, _family_measurement(sigma, rho1, rho2))
         flat = sorted(float(v) for v in joint.mass.ravel())
@@ -231,7 +231,7 @@ class TestPosterior:
         rho1 = validate_density(np.diag([0.6, 0.4]))
         rho2 = validate_density(np.diag([0.1, 0.9]))
         e = two_bit_pkl_example(sigma, rho1, rho2)
-        from tracecrit.experiments import _family_measurement
+        from tracecrit.two_bit import _family_measurement
 
         joint = measure_ensemble(e, _family_measurement(sigma, rho1, rho2))
         column = joint.mass[:, [joint.col_labels.index("a:e+")]]

@@ -1,6 +1,6 @@
+import ast
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import inspect
 import io
@@ -16,29 +16,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecrit import criteria
+from tracecrit import criteria, experiments
+from tracecrit.classical import SCENARIO_PRESETS
 from tracecrit.cli import main
 from tracecrit.criteria import classical_dbar, delta_E_variants
 from tracecrit.discrimination import measure_ensemble
 from tracecrit.ensembles import two_bit_pkl_example
 from tracecrit.errors import BadParams, ParseError, TooLarge, UnknownExperiment
 from tracecrit.experiments import (
-    CODE_PRESETS,
     REGISTRY,
-    SCENARIO_PRESETS,
-    TWO_BIT_PRESETS,
     _MAX_FILE_BYTES,
     _MAX_SWEEP_POINTS,
-    _family_measurement,
+    _command,
     _float_param,
     _int_list_param,
     _int_param,
     _jsonify,
-    _resolve_two_bit,
-    parse_qubit,
     run_experiment,
     run_sweep,
 )
+from tracecrit.gf2 import CODE_PRESETS
+from tracecrit.two_bit import TWO_BIT_PRESETS, _family_measurement, _resolve_two_bit, parse_qubit
 
 from helpers import CountingNumpy, bits, family_measurement_loop, jsonify_recursive, random_density
 
@@ -162,7 +160,7 @@ class TestCexIII:
         sigma, rho1, rho2 = _resolve_two_bit(params.get("preset"), params.get("overlap"), None, None, None)
         family = two_bit_pkl_example(sigma, rho1, rho2)
         povm = _family_measurement(sigma, rho1, rho2)
-        want = dataclasses.asdict(delta_E_variants(family, povm))
+        want = delta_E_variants(family, povm)._asdict()
         want["dbar"] = classical_dbar(measure_ensemble(family, povm))
         assert {k: report.results[k] for k in want} == want
 
@@ -412,7 +410,7 @@ class TestRunner:
             calls.append(seed)
             return {"x": x}, []
 
-        monkeypatch.setitem(REGISTRY, "cex_i", recorder)
+        monkeypatch.setitem(experiments._COMMANDS, "cex_i", recorder)
         message = r"seed must be an integer in \[0, 2\^64\), got "
         with pytest.raises(BadParams, match=message):
             run_experiment("cex_i", {}, seed=seed)
@@ -431,6 +429,23 @@ class TestRunner:
         assert set(REGISTRY) == {
             "cex_i", "cex_ii", "cex_iii", "spiked", "toeplitz", "ecc", "markov", "table",
         }
+
+    def test_registry_matches_the_family_modules(self):
+        """Each registered name resolves to `cmd_<name>` of the module the
+        registry names, and each `cmd_*` function the package defines is
+        registered, with its module."""
+        for name, module in REGISTRY.items():
+            command = _command(name)
+            assert (command.__module__, command.__name__) == (f"tracecrit.{module}", f"cmd_{name}")
+            assert _command(name) is command  # imported once, then kept
+        package = Path(experiments.__file__).parent
+        defined = {
+            (node.name.removeprefix("cmd_"), path.stem)
+            for path in package.glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+        }
+        assert defined == set(REGISTRY.items())
 
     def test_canonical_json_deterministic(self):
         a = run_experiment("cex_ii", {"preset": "two-bit-mixed"}, seed=3)
@@ -1013,7 +1028,7 @@ class TestDeclaredParams:
 
     @pytest.mark.parametrize("experiment", sorted(REGISTRY))
     def test_signature_is_seed_then_keyword_defaults(self, experiment):
-        seed, *rest = inspect.signature(REGISTRY[experiment]).parameters.values()
+        seed, *rest = inspect.signature(_command(experiment)).parameters.values()
         assert seed.name == "seed" and seed.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
         assert rest and all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in rest)
         assert all(p.default is not inspect.Parameter.empty for p in rest)
@@ -1022,7 +1037,7 @@ class TestDeclaredParams:
     def test_kwdefaults_and_annotations_match_the_signature(self, experiment):
         """`run_experiment` reads a command's parameters from these two, not
         from `inspect`, so they must declare what its signature declares."""
-        command = REGISTRY[experiment]
+        command = _command(experiment)
         parameters = list(inspect.signature(command).parameters.values())[1:]
         assert list(command.__kwdefaults__.items()) == [(p.name, p.default) for p in parameters]
         declared = {p.name: p.annotation for p in parameters if p.annotation is not p.empty}
@@ -1030,7 +1045,7 @@ class TestDeclaredParams:
 
     @pytest.mark.parametrize("experiment", sorted(REGISTRY))
     def test_undeclared_name_message(self, experiment):
-        names = ", ".join(list(inspect.signature(REGISTRY[experiment]).parameters)[1:])
+        names = ", ".join(list(inspect.signature(_command(experiment)).parameters)[1:])
         message = f"{experiment} has no parameters ['undeclared', 'seed']; it declares {names}"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             run_experiment(experiment, {"undeclared": 1, "seed": 2})
@@ -1073,7 +1088,7 @@ class TestDeclaredParams:
             calls.append((seed, x))
             return {"x": x}, []
 
-        monkeypatch.setitem(REGISTRY, "cex_i", recorder)
+        monkeypatch.setitem(experiments._COMMANDS, "cex_i", recorder)
         for params in ({"y": 1}, {"x": None}, {"seed": 2}, {1: 2}, {"x": 2, "X": 2}):
             with pytest.raises(ParseError):
                 run_experiment("cex_i", params, seed=5)
@@ -1085,7 +1100,7 @@ class TestDeclaredParams:
         def broken(seed, *, x=1):
             raise TypeError("raised inside the command")
 
-        monkeypatch.setitem(REGISTRY, "cex_i", broken)
+        monkeypatch.setitem(experiments._COMMANDS, "cex_i", broken)
         with pytest.raises(TypeError, match="inside the command"):
             run_experiment("cex_i", {"x": 2})
 
@@ -1128,7 +1143,7 @@ class TestDeclaredParams:
             calls.append((x, y))
             return {"x": x}, []
 
-        monkeypatch.setitem(REGISTRY, "cex_i", recorder)
+        monkeypatch.setitem(experiments._COMMANDS, "cex_i", recorder)
         with pytest.raises(BadParams):
             run_sweep("cex_i", {"x": [1, 2], "y": [3, "4"]})
         assert coerced == [1, 2, 3, "4"] and calls == []
@@ -1149,7 +1164,7 @@ class TestDeclaredParams:
         def recorder(seed, *, x: kind = 1, y: kind = 1):
             return {"x": x}, []
 
-        monkeypatch.setitem(REGISTRY, "cex_i", recorder)
+        monkeypatch.setitem(experiments._COMMANDS, "cex_i", recorder)
         side = math.isqrt(_MAX_SWEEP_POINTS)
         with pytest.raises(TooLarge, match=f"{side * (side + 1)} points"):
             run_sweep("cex_i", {"x": list(range(side)), "y": list(range(side + 1))}, base={"y": 2})
@@ -1195,8 +1210,8 @@ def readme_parameters() -> dict:
 
 def test_readme_parameter_table_matches_signatures():
     declared = {
-        name: [(p.name, p.default) for p in inspect.signature(cmd).parameters.values()][1:]
-        for name, cmd in REGISTRY.items()
+        name: [(p.name, p.default) for p in inspect.signature(_command(name)).parameters.values()][1:]
+        for name in REGISTRY
     }
     assert readme_parameters() == declared
 
@@ -1213,8 +1228,8 @@ def test_readme_kind_lists_match_annotations(label, kinds):
     listed = re.search(rf"{label} \(([^)]*)\)", " ".join(README.read_text().split())).group(1)
     annotated = {
         p.name
-        for cmd in REGISTRY.values()
-        for p in inspect.signature(cmd).parameters.values()
+        for name in REGISTRY
+        for p in inspect.signature(_command(name)).parameters.values()
         if p.annotation in kinds
     }
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(annotated)

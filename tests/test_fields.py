@@ -69,7 +69,9 @@ import numpy as np
 import pytest
 
 from tracecrit import Gf2Matrix, gf2_rank
-from tracecrit.experiments import CODE_PRESETS, REGISTRY, SCENARIO_PRESETS, run_experiment
+from tracecrit.classical import SCENARIO_PRESETS
+from tracecrit.experiments import _command, run_experiment
+from tracecrit.gf2 import CODE_PRESETS
 
 from helpers import (
     bloch_geometry,
@@ -506,7 +508,7 @@ def assert_routes_hold(experiment: str, params: dict, results: dict, seed: int =
     """Each route of the experiment on one run: the field is absent where its
     route says so, and otherwise within the route's bound, or equal where the
     route's value is infinite."""
-    defaults = {k: v for k, v in REGISTRY[experiment].__kwdefaults__.items() if v is not None}
+    defaults = {k: v for k, v in _command(experiment).__kwdefaults__.items() if v is not None}
     run = {**defaults, **params, "seed": seed}
     if experiment == "cex_iii":
         assert bloch_geometry(*two_bit_bloch(run)[1:])[0] > 0.0, "the cex_iii routes read the direction of r1 - r2"

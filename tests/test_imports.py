@@ -5,10 +5,11 @@ every name the package exports and every public function, class and method
 it defines has a reader, every exception class beyond `BadParams` has a
 caller that tells it apart, a CLI request, started as `python -m tracecrit`
 or through the console script's code, loads only the modules of its
-experiment and writes and returns what `cli.main` does in process, a
-request that computes with no array loads neither numpy nor `dataclasses`
-nor `inspect`, and the first read of a package attribute binds the whole
-API."""
+experiment, its own command family among them, and writes and returns what
+`cli.main` does in process, a refusal loads no command family, a request
+that computes with no array loads neither numpy nor `dataclasses` nor
+`inspect`, one that reads no Fraction does not load `fractions`, and the
+first read of a package attribute binds the whole API."""
 
 import ast
 import contextlib
@@ -22,12 +23,14 @@ from pathlib import Path
 
 import pytest
 
+from tracecrit.experiments import REGISTRY
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tracecrit"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "tracecrit"}
 
 #: Public methods that the standard library calls by name, with their caller.
-OVERRIDES = {"error": "argparse.ArgumentParser.parse_args"}
+OVERRIDES = {"error": "argparse.ArgumentParser.parse_args", "print_help": "argparse._HelpAction.__call__"}
 
 #: Exception classes besides `ToolkitError` (the CLI's catch-all) and
 #: `BadParams` (the one precondition type), each with the reader that tells
@@ -36,7 +39,7 @@ OVERRIDES = {"error": "argparse.ArgumentParser.parse_args"}
 #: <module>.<function>", the public docstring that promises it.  A `raise`
 #: is not a reader.
 DISTINGUISHED = {
-    "ParseError": "except in src/tracecrit/experiments.py",
+    "ParseError": "except in src/tracecrit/two_bit.py",
     "UnknownExperiment": "README Library",
     "NonUniformPrior": "except in bench/workloads.py",
     "TooLarge": "README Errors",
@@ -85,18 +88,22 @@ def test_bounds_imports_only_the_standard_library_and_errors():
     assert non_stdlib_imports("bounds") <= {".errors"}
 
 
-#: The modules every CLI request loads, whatever it runs.
-EVERY_REQUEST = ("cli", "experiments", "bounds", "keys", "errors")
+#: The modules every CLI request loads, whatever it runs, a refusal included.
+EVERY_REQUEST = ("cli", "experiments", "errors")
+#: The command families, one module each, that `experiments.REGISTRY` names.
+FAMILIES = set(REGISTRY.values())
 #: Standard-library modules whose import costs a request that builds no
 #: array some milliseconds; numpy imports `inspect` itself.
 COSTLY_STDLIB = {"dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("module", EVERY_REQUEST)
+@pytest.mark.parametrize("module", [*EVERY_REQUEST, "bounds", "keys", *sorted(FAMILIES)])
 def test_request_modules_import_no_dataclasses_or_inspect(module):
-    """Their records are NamedTuples and parameters are bound from a
-    command's `__kwdefaults__` and `__annotations__`, so no import in them,
-    a function's own included, is of `dataclasses` or `inspect`."""
+    """The modules of every request, of the requests that build no array,
+    `table`, `markov` and `spiked`, and the command families: their records
+    are NamedTuples and parameters are bound from a command's `__kwdefaults__`
+    and `__annotations__`, so no import in them, a function's own included,
+    is of `dataclasses` or `inspect`."""
     assert not all_imports(module) & COSTLY_STDLIB
 
 
@@ -152,6 +159,8 @@ def readers() -> dict[str, set[str]]:
         "src": loaded_names(modules),
         "bench": loaded_names(sorted((ROOT / "bench").glob("*.py"))),
         "README Library": readme_library_names(),
+        # `experiments._command` reads each registered command by its name
+        "REGISTRY": {f"cmd_{name}" for name in REGISTRY},
     }
 
 
@@ -449,19 +458,20 @@ def test_distinguished_classes_have_their_reader():
 
 # -- what a fresh interpreter loads ------------------------------------------
 
-#: The modules the library API binds: every module but the CLI front end.
+#: The modules the library API binds: every module but the CLI front end
+#: and the command families, which `run_experiment` imports on first use.
 LIBRARY = {
     "bounds", "coupling", "criteria", "discrimination", "ensembles", "errors", "experiments", "keys", "qmath", "sidechannel"
 }
 KERNELS = LIBRARY - {"errors", "experiments"}
 
 #: Prefix of every probe: at exit, write the loaded package modules (short
-#: names), numpy, `dataclasses` and `inspect`, as JSON, to the path in
-#: argv[1], and drop that path.
+#: names), numpy, `dataclasses`, `inspect` and `fractions`, as JSON, to the
+#: path in argv[1], and drop that path.
 PROBE = """\
 import atexit, json, sys
 def _dump(path=sys.argv.pop(1)):
-    names = [m for m in sys.modules if m in ("numpy", "dataclasses", "inspect") or m.startswith("tracecrit.")]
+    names = [m for m in sys.modules if m in ("numpy", "dataclasses", "inspect", "fractions") or m.startswith("tracecrit.")]
     with open(path, "w") as f:
         json.dump(sorted(m.replace("tracecrit.", "", 1) for m in names), f)
 atexit.register(_dump)
@@ -538,6 +548,24 @@ def test_refused_request_loads_no_kernel(tmp_path, entry, argv):
     assert not modules & (KERNELS | {"numpy"} | COSTLY_STDLIB), sorted(modules)
 
 
+#: Requests answered before any command is looked up, with their exit code.
+BEFORE_ANY_COMMAND = {
+    "unknown-experiment": (REFUSED["unknown-experiment"], 2),
+    "malformed-json": (REFUSED["malformed-json"], 2),
+    "missing-experiment": (REFUSED["missing-experiment"], 2),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("entry, argv, code", both_entries(BEFORE_ANY_COMMAND))
+def test_refusal_loads_no_command_family(tmp_path, entry, argv, code):
+    """Only `cli`, `experiments` and `errors`: no family module is compiled
+    and `fractions` is not imported."""
+    proc, modules = run_probe(tmp_path, entry, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert modules == set(EVERY_REQUEST), sorted(modules)
+
+
 @pytest.mark.parametrize("entry", [CLI, SCRIPT], ids=["module", "script"])
 def test_over_cap_ecc_refusal_loads_no_numpy(tmp_path, entry):
     """A 21-column code passes its checks in `sidechannel`, then the census
@@ -576,12 +604,20 @@ RUNS = {
 }
 
 
+#: The experiments that read a Fraction, and so load `fractions`.
+READ_FRACTIONS = {"cex_i", "spiked"}
+
+
 @pytest.mark.parametrize("entry, argv, present, absent", both_entries(RUNS, scripted=("spiked", "table-preset")))
 def test_request_loads_only_its_modules(tmp_path, entry, argv, present, absent):
+    """And of the command families, only the one of its experiment."""
     proc, modules = run_probe(tmp_path, entry, *argv)
     assert proc.returncode == 0, proc.stderr
     assert present <= modules, sorted(present - modules)
     assert not modules & absent, sorted(modules & absent)
+    experiment = argv[argv.index("--experiment") + 1]
+    assert modules & FAMILIES == {REGISTRY[experiment]}, sorted(modules)
+    assert ("fractions" in modules) == (experiment in READ_FRACTIONS), sorted(modules)
 
 
 #: After the first read: the public names, and the exports that are the
@@ -609,7 +645,7 @@ def test_first_read_binds_the_whole_api(tmp_path, first, extra):
     assert sources
     proc, modules = run_probe(tmp_path, first + NAMESPACE, json.dumps(sources))
     assert proc.returncode == 0, proc.stderr
-    assert modules - COSTLY_STDLIB == LIBRARY | extra | {"numpy"}
+    assert modules - COSTLY_STDLIB == LIBRARY | extra | {"numpy", "fractions"}
     doc = json.loads(proc.stdout)
     assert set(doc["public"]) == set(sources) | LIBRARY | extra
     assert doc["same"] == sorted(sources)
@@ -683,11 +719,12 @@ TABLE = ["--experiment", "table", "--params", '{"preset": "headline-gap"}']
 
 
 #: Requests into a closed stdout, with PYTHONUNBUFFERED: the write fails at
-#: once or at the flush.  An unbuffered `--help` is left out: argparse drops
-#: a failed write of its help text itself, and exits 0.
+#: once or at the flush.  The help text goes through the CLI's own stdout
+#: writer, not argparse's, which would drop a failed write and exit 0.
 CLOSED_STDOUT = {
     "table-unbuffered": (TABLE, "1"),
     "table-buffered": (TABLE, None),
+    "help-unbuffered": (["--help"], "1"),
     "help-buffered": (["--help"], None),
 }
 

@@ -16,7 +16,8 @@ from tracecrit import (
     singular_fraction,
 )
 from tracecrit.cli import main, render_csv
-from tracecrit.experiments import CODE_PRESETS, run_experiment
+from tracecrit.experiments import run_experiment
+from tracecrit.gf2 import CODE_PRESETS
 from tracecrit import sidechannel
 from tracecrit.sidechannel import EXHAUSTIVE_SEED_CAP, _parity_check_rows
 from tracecrit.errors import BadParams, ToolkitError, TooLarge

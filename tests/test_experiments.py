@@ -1022,6 +1022,17 @@ def assert_refused(experiment, params) -> str:
     return err
 
 
+#: Refused requests, each with its argv and the exact stderr it gives, recorded
+#: once and kept as fixed data: every range, cap and missing-spec check of each
+#: family, and two refusals that read a state already built.
+REFUSALS = json.loads(Path(__file__).with_name("refusals.json").read_text())
+
+
+@pytest.mark.parametrize("argv, stderr", [(r["argv"], r["stderr"]) for r in REFUSALS.values()], ids=REFUSALS)
+def test_refusal_keeps_its_message(argv, stderr):
+    assert run_cli(argv) == (2, "", stderr)
+
+
 class TestDeclaredParams:
     """Each command's keyword-only signature is the declaration of its
     parameters; anything else is refused before the command runs."""

@@ -2,8 +2,10 @@
 
 `cex_i` couples two exact distributions and `spiked` is exact `Fraction`
 arithmetic on `keys`; `markov` and `table` are guarantee arithmetic on
-`bounds` alone.  Each command imports the kernels it calls at its top, so
-a request refused by its parameters loads none of them.
+`bounds` alone.  Each check runs in the code that reads its value, before
+numpy loads: `cex_i` checks N here before it imports the kernels, and the
+`spiked`, `table` and `markov` ranges are checked by the numpy-free
+`keys` and `bounds`, so no request refused by its parameters loads numpy.
 """
 
 # No `from __future__ import annotations`: `_bind` calls each parameter's annotation, its kind.
@@ -34,14 +36,14 @@ SCENARIO_PRESETS = {
 def cmd_cex_i(seed: int, *, N: _int_param = 4):
     """Independent coupling of identical uniform distributions: the mismatch
     probability sits at 1 - 1/N even though the distance is zero."""
-    from .coupling import independent_coupling, maximal_coupling, mismatch_probability
-    from .criteria import variational_distance
-    from .ensembles import ProbDist
-
     if N < 2:
         raise BadParams(f"need at least two atoms, got {N}")
     if N > _MAX_ATOMS:
         raise TooLarge(f"{N} atoms exceed the cap of {_MAX_ATOMS}")
+    from .coupling import independent_coupling, maximal_coupling, mismatch_probability
+    from .criteria import variational_distance
+    from .ensembles import ProbDist
+
     labels = tuple(map(str, range(N)))
     p = q = ProbDist.uniform(labels)  # the experiment's two distributions are identical
     delta = variational_distance(p, q)

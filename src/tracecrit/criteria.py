@@ -22,7 +22,7 @@ import numpy as np
 
 from .ensembles import CqEnsemble, ProbDist, _joined
 from .errors import TOL, ZERO_TOL, BadParams, NonUniformPrior, TooLarge
-from .keys import SpikedDist, _ints, _key_space
+from .keys import _ints, _key_space
 from .qmath import _trace_norms
 
 if TYPE_CHECKING:  # only for annotations; avoids a runtime import cycle
@@ -235,14 +235,11 @@ def classical_dbar(joint: "JointDistribution") -> float:
 def event_deviation_bound(p, m: int):
     """Largest deviation of any m-bit subsequence event from 2^-m.
 
-    ``p`` may be a dense :class:`ProbDist` over complete n-bit keys or a
-    sparse :class:`SpikedDist`, which answers exactly through its own
-    ``event_deviation``.  Returns ``(max_dev, (positions, pattern))``.
+    ``p`` is a dense :class:`ProbDist` over complete n-bit keys.  Returns
+    ``(max_dev, (positions, pattern))``.
     The deviation never exceeds the variational distance to uniform, since
     subsequence events are events.
     """
-    if isinstance(p, SpikedDist):
-        return p.event_deviation(m)
     (m,) = _ints((m,), f"subsequence length must be an integer, got {m!r}")
     n = len(p.labels[0])
     _key_space(n, p.labels, "dense key distribution must cover all n-bit keys in order")

@@ -1,4 +1,4 @@
-"""Classical-quantum ensembles and the worked example families.
+"""Classical-quantum ensembles and the two-bit example family.
 
 An ensemble pairs each key value with a prior probability and a probe
 state held by the attacker.  The joint key-probe state is block diagonal
@@ -240,15 +240,6 @@ class CqEnsemble:
         computes them.  A `Povm` compares by identity, and its entry keeps
         it alive, so its identity is never reused for another measurement."""
         return {}
-
-
-def _overlap_pair(c: float) -> tuple[DensityOperator, DensityOperator]:
-    """The pure qubit states |0><0| and |v><v|, v = (c, sqrt(1 - c^2)), of real overlap c."""
-    if not 0.0 <= c <= 1.0:
-        raise BadParams(f"overlap must lie in [0, 1], got {c!r}")
-    kets = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1.0 - c * c))]], dtype=complex)
-    ket0, ket = kets[:, :, None] * kets.conj()[:, None, :]  # each row's outer product
-    return DensityOperator._trusted(ket0), DensityOperator._trusted(ket)
 
 
 def two_bit_pkl_example(

@@ -1,13 +1,12 @@
-"""Exception types raised across the toolkit, its float tolerances, `pgm`'s floor and the Toeplitz seed cap with its check.
+"""Exception types raised across the toolkit, its float tolerances and `pgm`'s floor.
 
 Every error names the violated contract; validation errors include the
 offending magnitude in their message so reports stay diagnosable.
 `BadParams` is the one type for a violated precondition; a narrower class
 exists only where some caller tells it apart from `BadParams`.  The
 tolerances live here because every module imports this one and it imports
-nothing, so `bounds` reads them without loading numpy; the seed cap and
-its check live here so that `toeplitz` refuses an over-cap request before
-it loads numpy, with the message `singular_fraction` gives.
+nothing, so `bounds` reads them without loading numpy.  A check and its
+cap live in the code that reads the value, not here.
 """
 
 #: How far a validated unit-scale float may miss its exact constraint: an adjoint gap, a trace,
@@ -19,17 +18,6 @@ ZERO_TOL = 1e-12
 #: avg^(-1/2) X avg^(-1/2) scales rounding of size eps_mach * lam_max by lam_max / lam,
 #: so a floor of 1e-6 lam_max keeps every element within TOL of positive and of the identity sum.
 _PGM_SUPPORT_CUTOFF = 1e-6
-#: Seed-space cap for exhaustive singular-fraction enumeration, and sample cap of the sampled one.
-EXHAUSTIVE_SEED_CAP = 2**24
-
-
-def _check_seed_cap(mode: str, bits: int, samples: int | None) -> None:
-    """Refuse, as `TooLarge`, an exhaustive run over 2^bits seeds or a
-    sampled run of more samples than `EXHAUSTIVE_SEED_CAP`."""
-    if mode == "exhaustive" and bits >= EXHAUSTIVE_SEED_CAP.bit_length():  # compare exponents: no 2**bits yet
-        raise TooLarge(f"2^{bits} seeds exceed the exhaustive cap of {EXHAUSTIVE_SEED_CAP}")
-    if mode == "sample" and samples is not None and samples > EXHAUSTIVE_SEED_CAP:
-        raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
 
 
 class ToolkitError(Exception):

@@ -1,15 +1,16 @@
 """The GF(2) experiments: `toeplitz` and `ecc`.
 
-Each command imports `sidechannel` after its own checks: a `toeplitz`
-request over either seed cap and an `ecc` preset name that does not exist
-are refused before any kernel loads.
+`sidechannel` checks every Toeplitz request and every code before it
+imports numpy, so `toeplitz` hands its parameters on unchecked.  `ecc`
+refuses a preset name that does not exist and a missing code spec before
+it imports `sidechannel`.
 """
 
 # No `from __future__ import annotations`: `_bind` calls each parameter's annotation, its kind.
 
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, _check_seed_cap
+from .errors import ParseError
 from .experiments import _int_param, _preset, _read_text, _verdict
 
 if TYPE_CHECKING:
@@ -32,10 +33,7 @@ CODE_PRESETS = {
 def cmd_toeplitz(
     seed: int, *, m: _int_param = 2, n: _int_param = 2, mode="exhaustive", samples: _int_param = None
 ):
-    """Singular fraction of a Toeplitz hash family; singular members leak.
-    A request over either seed cap is refused before numpy loads, by the
-    check `singular_fraction` makes, with its message."""
-    _check_seed_cap(mode, m + n - 1, samples)
+    """Singular fraction of a Toeplitz hash family; singular members leak."""
     from .sidechannel import singular_fraction
 
     fraction = singular_fraction(m, n, mode=mode, samples=samples, seed=seed)
@@ -67,19 +65,19 @@ def cmd_toeplitz(
 def _resolve_code(preset, generator, code_file) -> "LinearCode":
     if preset is not None:
         generator = _preset(preset, CODE_PRESETS, "code")
+    if generator is None and code_file is None:
+        raise ParseError("code spec needs 'preset', 'generator', or 'code_file'")
     from .sidechannel import Gf2Matrix, LinearCode, code_from_text
 
     if generator is not None:
         return LinearCode(Gf2Matrix.from_rows(generator))
-    if code_file is not None:
-        if not isinstance(code_file, str):
-            raise ParseError(f"'code_file' must be a path string, got {code_file!r}")
-        try:
-            text = _read_text(code_file)
-        except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path
-            raise ParseError(f"cannot read code file {code_file!r}: {exc}") from None
-        return code_from_text(text)
-    raise ParseError("code spec needs 'preset', 'generator', or 'code_file'")
+    if not isinstance(code_file, str):
+        raise ParseError(f"'code_file' must be a path string, got {code_file!r}")
+    try:
+        text = _read_text(code_file)
+    except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path
+        raise ParseError(f"cannot read code file {code_file!r}: {exc}") from None
+    return code_from_text(text)
 
 
 def cmd_ecc(seed: int, *, preset=None, generator=None, code_file=None, rule="syndrome"):

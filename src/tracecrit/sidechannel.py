@@ -4,41 +4,49 @@ A compressing Toeplitz hash with rank deficiency r leaks r bits of the
 hashed key even when the input is perfectly uniform, and a linear code
 whose decision regions are unequal biases the a-priori distribution of
 decoded messages.  Both effects are quantified here by exact enumeration
-over packed bit matrices.  The array kernels import numpy when they run,
-so a code refused by its checks or by the census cap loads none.
+over packed bit matrices.  This module owns every check of a GF(2)
+request: the records refuse bad matrices and codes when built, and
+`singular_fraction` and `decision_region_census` check their mode, rule,
+seed and size caps before they import numpy, so a refused request loads
+none.  The records are NamedTuples, so importing this module loads no
+numpy and no dataclass machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EXHAUSTIVE_SEED_CAP, BadParams, TooLarge, _check_seed_cap
+from .errors import BadParams, TooLarge
 from .keys import _ints, bit_strings
 
 #: Block-length cap for decision-region censuses (2^n received words).
 CENSUS_BIT_CAP = 20
+#: Seed-space cap for exhaustive singular-fraction enumeration, and sample cap of the sampled one.
+EXHAUSTIVE_SEED_CAP = 2**24
 
 DECODING_RULES = ("syndrome", "min_distance")
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Binary matrix with rows packed as Python ints (bit j = column j)."""
-
+class _Matrix(NamedTuple):
     rows: int
     cols: int
     row_bits: tuple[int, ...]
 
-    def __post_init__(self):
-        if min(_ints((self.rows, self.cols), "matrix dimensions must be integers")) <= 0:
+
+class Gf2Matrix(_Matrix):
+    """Binary matrix with rows packed as Python ints (bit j = column j)."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, row_bits):
+        if min(_ints((rows, cols), "matrix dimensions must be integers")) <= 0:
             raise BadParams("matrix dimensions must be positive")
-        bits = _ints(self.row_bits, "packed rows must be integers")
-        if len(bits) != self.rows:
-            raise BadParams(f"expected {self.rows} packed rows, got {len(bits)}")
-        if any(r < 0 or r >> self.cols for r in bits):
-            raise BadParams(f"row bits exceed {self.cols} columns")
-        object.__setattr__(self, "row_bits", bits)
+        bits = _ints(row_bits, "packed rows must be integers")
+        if len(bits) != rows:
+            raise BadParams(f"expected {rows} packed rows, got {len(bits)}")
+        if any(r < 0 or r >> cols for r in bits):
+            raise BadParams(f"row bits exceed {cols} columns")
+        return super().__new__(cls, rows, cols, bits)
 
     @classmethod
     def from_rows(cls, rows) -> "Gf2Matrix":
@@ -162,26 +170,36 @@ def singular_fraction(
     ``mode='sample'`` draws ``samples`` seeds (at most 2^24) from a
     generator seeded with ``seed`` so estimates are reproducible.  Seeds
     are ranked in batches of bounded size, and a request may take no more
-    elimination steps than the costliest exhaustive one.
+    elimination steps than the costliest exhaustive one.  Every check runs
+    before numpy is imported.
     """
-    import numpy as np
-
     bits = m + n - 1
-    full = min(m, n)
     if mode == "exhaustive":
-        _check_seed_cap(mode, bits, samples)
-        total = 2**bits
-
-        def draw(start: int, count: int) -> np.ndarray:
-            return np.arange(start, start + count, dtype=np.uint64)[:, None]  # a seed is its index
-
+        if bits >= EXHAUSTIVE_SEED_CAP.bit_length():  # compare exponents: no 2**bits yet
+            raise TooLarge(f"2^{bits} seeds exceed the exhaustive cap of {EXHAUSTIVE_SEED_CAP}")
     elif mode == "sample":
         if not samples or samples <= 0:
             raise BadParams("sample mode needs a positive sample count")
         if seed is None:
             raise BadParams("sample mode needs an explicit seed for reproducibility")
-        _check_seed_cap(mode, bits, samples)
-        total = samples
+        if samples > EXHAUSTIVE_SEED_CAP:
+            raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
+    else:
+        raise BadParams(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
+    if m <= 0 or n <= 0:
+        raise BadParams("matrix dimensions must be positive")
+    total = 2**bits if mode == "exhaustive" else samples
+    batch = max(1, _RANK_BATCH_CELLS // (m * n))
+    if -(-total // batch) * m * n > _MAX_RANK_STEPS:
+        raise TooLarge(f"{total} {m}x{n} matrices exceed the cap of {_MAX_RANK_STEPS} elimination steps")
+    import numpy as np
+
+    if mode == "exhaustive":
+
+        def draw(start: int, count: int) -> np.ndarray:
+            return np.arange(start, start + count, dtype=np.uint64)[:, None]  # a seed is its index
+
+    else:
         import random
 
         # randrange(2) is bit 30 of each MT19937 output with bit 31 clear
@@ -200,26 +218,28 @@ def singular_fraction(
             packed[:, : -(-bits // 8)] = np.packbits(drawn.reshape(count, bits), axis=1, bitorder="little")
             return packed.view("<u8")
 
-    else:
-        raise BadParams(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
-    if m <= 0 or n <= 0:
-        raise BadParams("matrix dimensions must be positive")
-    batch = max(1, _RANK_BATCH_CELLS // (m * n))
-    if -(-total // batch) * m * n > _MAX_RANK_STEPS:
-        raise TooLarge(f"{total} {m}x{n} matrices exceed the cap of {_MAX_RANK_STEPS} elimination steps")
     singular = 0
     for start in range(0, total, batch):
         ranks = _toeplitz_ranks(draw(start, min(batch, total - start)), m, n)
-        singular += int(np.count_nonzero(ranks < full))
+        singular += int(np.count_nonzero(ranks < min(m, n)))
     return singular / total
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    """Binary linear [n, k] code given by a full-rank k x n generator."""
-
+class _Code(NamedTuple):
     generator: Gf2Matrix
 
+
+class LinearCode(_Code):
+    """Binary linear [n, k] code given by a full-rank k x n generator."""
+
+    __slots__ = ()
+
+    def __new__(cls, generator: Gf2Matrix):
+        code = super().__new__(cls, generator)
+        code.__post_init__()
+        return code
+
+    # Kept apart from `__new__`: bench/spans.py's POST_INITS wraps it through `cls.__dict__`.
     def __post_init__(self):
         if gf2_rank(self.generator) != self.generator.rows:
             raise BadParams("generator matrix must have full row rank over GF(2)")

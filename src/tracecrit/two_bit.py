@@ -1,9 +1,12 @@
 """The two-bit counterexamples: `cex_ii` and `cex_iii`.
 
 Both build the two-bit family whose second bit the attacker reads after
-learning the first, from a preset, an overlap or three qubit specs.  Each
-command imports the kernels it calls at its top, so a request refused by
-its parameters loads none of them.
+learning the first, from a preset, an overlap or three qubit specs.  The
+qubit specs, the overlap's range and the presence of a spec are checked
+here before numpy and the kernels are imported, so a request refused by
+those values loads none of them.  Two refusals come later: a spec missing
+after an explicit one, which binding has already built, and an impure
+`sigma` for `cex_iii`, whose purity is read off its matrix.
 """
 
 # No `from __future__ import annotations`: `_bind` calls each parameter's annotation, its kind.
@@ -11,7 +14,7 @@ its parameters loads none of them.
 import math
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import TOL, ZERO_TOL, ParseError
+from .errors import TOL, ZERO_TOL, BadParams, ParseError
 from .experiments import _float_param, _preset, _verdict
 
 if TYPE_CHECKING:
@@ -33,21 +36,26 @@ TWO_BIT_PRESETS = {
 
 
 def parse_qubit(spec, name: str = "qubit spec") -> "DensityOperator":
-    """Qubit density operator from a {'diag': [a, b]} or {'bloch': [x, y, z]} spec called ``name``."""
-    import numpy as np
-
-    from .qmath import validate_density
-
+    """Qubit density operator from a {'diag': [a, b]} or {'bloch': [x, y, z]}
+    spec called ``name``; numpy loads once its entries have been read."""
     if not isinstance(spec, Mapping):
         raise ParseError(f"{name} must be a mapping, got {spec!r}")
     try:
         if "diag" in spec:
             a, b = (_float_param(v, name) for v in spec["diag"])
+            import numpy as np
+
+            from .qmath import validate_density
+
             return validate_density(np.diag([a, b]))
         if "bloch" in spec:
             x, y, z = (_float_param(v, name) for v in spec["bloch"])
             if math.hypot(x, y, z) > 1.0 + ZERO_TOL:
                 raise ParseError(f"Bloch vector length exceeds 1: {(x, y, z)}")
+            import numpy as np
+
+            from .qmath import validate_density
+
             return validate_density(
                 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
             )
@@ -58,12 +66,23 @@ def parse_qubit(spec, name: str = "qubit spec") -> "DensityOperator":
     raise ParseError(f"{name} needs a 'diag' or 'bloch' entry, got {spec!r}")
 
 
+def _overlap_pair(c: float) -> tuple["DensityOperator", "DensityOperator"]:
+    """The pure qubit states |0><0| and |v><v|, v = (c, sqrt(1 - c^2)), of real overlap c."""
+    if not 0.0 <= c <= 1.0:
+        raise BadParams(f"overlap must lie in [0, 1], got {c!r}")
+    import numpy as np
+
+    from .qmath import DensityOperator
+
+    kets = np.array([[1.0, 0.0], [c, math.sqrt(max(0.0, 1.0 - c * c))]], dtype=complex)
+    ket0, ket = kets[:, :, None] * kets.conj()[:, None, :]  # each row's outer product
+    return DensityOperator._trusted(ket0), DensityOperator._trusted(ket)
+
+
 def _resolve_two_bit(preset, overlap, sigma, rho1, rho2) -> tuple["DensityOperator", ...]:
     if preset is not None:
         spec = _preset(preset, TWO_BIT_PRESETS, "two-bit")
         return tuple(parse_qubit(spec[k]) for k in ("sigma", "rho1", "rho2"))
-    from .ensembles import _overlap_pair
-
     if overlap is not None:
         ket0, ket = _overlap_pair(overlap)  # |0><0| is also sigma
         return ket0, ket0, ket

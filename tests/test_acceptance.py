@@ -177,7 +177,7 @@ def test_criterion_08_event_bound():
         dev, _ = event_deviation_bound(p, m)
         assert dev <= float(variational_distance(p, uniform))  # exact inequality
 
-    dev, _ = event_deviation_bound(SpikedDist(8, 3), 8)
+    dev, _ = SpikedDist(8, 3).event_deviation(8)
     assert dev == Fraction(31, 256)
     assert float(dev) == 0.12109375
     done(8, "subsequence deviations stay below the distance to uniform")

@@ -423,7 +423,7 @@ class TestEventDeviationBound:
         assert dev == pytest.approx(0.0, abs=1e-15)
 
     def test_spiked_full_key_event(self):
-        dev, (positions, pattern) = event_deviation_bound(SpikedDist(8, 3), 8)
+        dev, (positions, pattern) = SpikedDist(8, 3).event_deviation(8)
         assert dev == Fraction(1, 8) - Fraction(1, 256)
         assert float(dev) == 0.12109375
         assert positions == tuple(range(8))
@@ -433,21 +433,20 @@ class TestEventDeviationBound:
         sparse = SpikedDist(8, 3)
         dense = spiked_dense(sparse)
         for m in range(1, 9):
-            dev_sparse, _ = event_deviation_bound(sparse, m)
+            dev_sparse, _ = sparse.event_deviation(m)
             dev_dense, _ = event_deviation_bound(dense, m)
             assert float(dev_sparse) == pytest.approx(dev_dense, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_sparse_routes_match_dense_path_everywhere(self, n):
-        # every (l, m): the method and the public route agree exactly, and the
-        # dense route over the expanded table agrees to its summation error
-        # (a bin adds 2^(n-m) rounded masses) on the spike's all-zeros prefix
+        # every (l, m): the dense route over the expanded table agrees with the
+        # method to its summation error (a bin adds 2^(n-m) rounded masses) on
+        # the spike's all-zeros prefix
         for l in range(n + 1):
             sparse = SpikedDist(n, l)
             dense = spiked_dense(sparse)
             for m in range(1, n + 1):
                 dev, event = sparse.event_deviation(m)
-                assert event_deviation_bound(sparse, m) == (dev, event)
                 assert event == (tuple(range(m)), "0" * m)
                 dense_dev, (_, pattern) = event_deviation_bound(dense, m)
                 assert abs(float(dev) - dense_dev) <= 2 ** (n - m + 1) * np.finfo(float).eps
@@ -457,8 +456,6 @@ class TestEventDeviationBound:
                 message = rf"must be in \[1, {n}\], got {m}$"
                 with pytest.raises(BadParams, match=message):
                     sparse.event_deviation(m)
-                with pytest.raises(BadParams, match=message):
-                    event_deviation_bound(sparse, m)
                 with pytest.raises(BadParams, match=message):
                     event_deviation_bound(dense, m)
 
@@ -480,7 +477,7 @@ class TestEventDeviationBound:
 
     def test_bad_subsequence_length(self):
         with pytest.raises(BadParams):
-            event_deviation_bound(SpikedDist(8, 3), 9)
+            SpikedDist(8, 3).event_deviation(9)
 
     @pytest.mark.parametrize("m", [0, 7])
     def test_dense_subsequence_length_outside_range(self, m):

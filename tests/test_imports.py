@@ -6,10 +6,12 @@ it defines has a reader, every exception class beyond `BadParams` has a
 caller that tells it apart, a CLI request, started as `python -m tracecrit`
 or through the console script's code, loads only the modules of its
 experiment, its own command family among them, and writes and returns what
-`cli.main` does in process, a refusal loads no command family, a request
-that computes with no array loads neither numpy nor `dataclasses` nor
-`inspect`, one that reads no Fraction does not load `fractions`, and the
-first read of a package attribute binds the whole API."""
+`cli.main` does in process, a refusal made before any command loads no
+command family, a refusal decided by its parameters loads only the modules
+that decide it and no numpy, a request that computes with no array loads
+neither numpy nor `dataclasses` nor `inspect`, one that reads no Fraction
+does not load `fractions`, and the first read of a package attribute binds
+the whole API."""
 
 import ast
 import contextlib
@@ -97,11 +99,12 @@ FAMILIES = set(REGISTRY.values())
 COSTLY_STDLIB = {"dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("module", [*EVERY_REQUEST, "bounds", "keys", *sorted(FAMILIES)])
+@pytest.mark.parametrize("module", [*EVERY_REQUEST, "bounds", "keys", "sidechannel", *sorted(FAMILIES)])
 def test_request_modules_import_no_dataclasses_or_inspect(module):
     """The modules of every request, of the requests that build no array,
-    `table`, `markov` and `spiked`, and the command families: their records
-    are NamedTuples and parameters are bound from a command's `__kwdefaults__`
+    `table`, `markov` and `spiked`, the GF(2) kernel, which refuses a request
+    before it imports numpy, and the command families: their records are
+    NamedTuples and parameters are bound from a command's `__kwdefaults__`
     and `__annotations__`, so no import in them, a function's own included,
     is of `dataclasses` or `inspect`."""
     assert not all_imports(module) & COSTLY_STDLIB
@@ -529,30 +532,11 @@ def run_probe(tmp_path, code: str, *argv: str):
     return proc, set(json.loads(out.read_text()))
 
 
-REFUSED = {
-    "unknown-experiment": ["--experiment", "nope"],
-    "malformed-json": ["--experiment", "cex_ii", "--params", "{"],
-    "missing-experiment": ["--params", "{}"],
-    # over the seed caps, refused by the command before it loads `sidechannel`
-    "toeplitz-over-cap": ["--experiment", "toeplitz", "--params", '{"m": 13, "n": 13}'],
-    "toeplitz-samples-over-cap": [
-        "--experiment", "toeplitz", "--params", '{"m": 3, "n": 3, "mode": "sample", "samples": 16777217}'
-    ],
-}
-
-
-@pytest.mark.parametrize("entry, argv", both_entries(REFUSED))
-def test_refused_request_loads_no_kernel(tmp_path, entry, argv):
-    proc, modules = run_probe(tmp_path, entry, *argv)
-    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
-    assert not modules & (KERNELS | {"numpy"} | COSTLY_STDLIB), sorted(modules)
-
-
 #: Requests answered before any command is looked up, with their exit code.
 BEFORE_ANY_COMMAND = {
-    "unknown-experiment": (REFUSED["unknown-experiment"], 2),
-    "malformed-json": (REFUSED["malformed-json"], 2),
-    "missing-experiment": (REFUSED["missing-experiment"], 2),
+    "unknown-experiment": (["--experiment", "nope"], 2),
+    "malformed-json": (["--experiment", "cex_ii", "--params", "{"], 2),
+    "missing-experiment": (["--params", "{}"], 2),
     "help": (["--help"], 0),
 }
 
@@ -566,15 +550,67 @@ def test_refusal_loads_no_command_family(tmp_path, entry, argv, code):
     assert modules == set(EVERY_REQUEST), sorted(modules)
 
 
-@pytest.mark.parametrize("entry", [CLI, SCRIPT], ids=["module", "script"])
-def test_over_cap_ecc_refusal_loads_no_numpy(tmp_path, entry):
-    """A 21-column code passes its checks in `sidechannel`, then the census
-    refuses it by its cap before it imports numpy."""
-    generator = json.dumps({"generator": [[1] * 21]})
-    proc, modules = run_probe(tmp_path, entry, "--experiment", "ecc", "--params", generator)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: block length 21 exceeds the census cap of 20 bits\n"
-    assert "sidechannel" in modules and "numpy" not in modules, sorted(modules)
+#: The refused requests of tests/refusals.json, each argv by name.
+REFUSED = {name: row["argv"] for name, row in json.loads((ROOT / "tests" / "refusals.json").read_text()).items()}
+
+
+def decided_in(*modules: str) -> set[str]:
+    """What a refusal loads: the modules of every request and `modules`."""
+    return {*EVERY_REQUEST, *modules}
+
+
+#: What each refusal loads, by the module that decides it.  A check lives in
+#: the code that reads the value and runs before that code imports numpy:
+#: a refusal decided in its family module loads that family alone, and one
+#: decided in a numpy-free kernel loads that kernel too.  Only the last two
+#: read a state already built, so they load numpy: a spec missing after an
+#: explicit `sigma`, which binding has parsed, and an impure `sigma`, whose
+#: purity is read off its matrix.
+TWO_BIT_FAMILY = decided_in("two_bit")
+GF2_KERNEL = decided_in("gf2", "sidechannel", "keys")
+REFUSAL_LOADS = {
+    "cex_i-N-1": decided_in("classical"),
+    "cex_i-N-300000": decided_in("classical"),
+    "cex_ii-overlap-1.5": TWO_BIT_FAMILY,
+    "cex_iii-overlap--0.1": TWO_BIT_FAMILY,
+    "cex_ii-no-spec": TWO_BIT_FAMILY,
+    "qubit-not-a-mapping": TWO_BIT_FAMILY,
+    "qubit-diag-one-entry": TWO_BIT_FAMILY,
+    "qubit-no-diag-or-bloch": TWO_BIT_FAMILY,
+    "qubit-diag-not-a-number": TWO_BIT_FAMILY,
+    "qubit-bloch-too-long": TWO_BIT_FAMILY,
+    "ecc-no-spec": decided_in("gf2"),
+    "toeplitz-m-0": GF2_KERNEL,
+    "toeplitz-m--4": GF2_KERNEL,
+    "toeplitz-mode-bogus": GF2_KERNEL,
+    "toeplitz-sample-no-samples": GF2_KERNEL,
+    "toeplitz-samples-0": GF2_KERNEL,
+    "toeplitz-rank-step-cap": GF2_KERNEL,
+    "toeplitz-13x13-over-cap": GF2_KERNEL,
+    "toeplitz-samples-over-cap": GF2_KERNEL,
+    "ecc-rule-bogus": GF2_KERNEL,
+    "ecc-rank-deficient": GF2_KERNEL,
+    "ecc-n21-over-cap": GF2_KERNEL,
+    "spiked-n-31": decided_in("classical", "keys", "fractions"),
+    "table-m-above-n": decided_in("classical", "bounds"),
+    "markov-mean-negative": decided_in("classical", "bounds"),
+    "cex_ii-rho2-missing": decided_in("two_bit", "numpy", "qmath"),
+    "cex_iii-sigma-impure": decided_in("two_bit", "numpy", "qmath", "keys", "ensembles", "criteria", "discrimination"),
+}
+
+
+def test_every_refusal_has_its_loads():
+    assert sorted(REFUSAL_LOADS) == sorted(REFUSED)
+
+
+@pytest.mark.parametrize("entry, argv, loads", both_entries({k: (REFUSED[k], v) for k, v in REFUSAL_LOADS.items()}))
+def test_refusal_loads_only_what_decides_it(tmp_path, entry, argv, loads):
+    """Exactly its modules, and `inspect` and `dataclasses` only with numpy,
+    which imports the one, and `qmath`, which imports the other."""
+    proc, modules = run_probe(tmp_path, entry, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "") and proc.stderr.startswith("error: ")
+    assert modules - COSTLY_STDLIB == loads, sorted(modules)
+    assert "numpy" in loads or not modules & COSTLY_STDLIB, sorted(modules)
 
 
 #: The guarantee experiments, `table` and `markov`, do float and log2
@@ -587,7 +623,8 @@ NOT_IN_MARKOV = (KERNELS - {"bounds"}) | {"numpy"} | COSTLY_STDLIB
 SPIKED = {"cli", "experiments", "errors", "keys"}
 NOT_IN_SPIKED = (KERNELS - {"keys"}) | {"numpy"} | COSTLY_STDLIB
 GF2 = {"cli", "experiments", "numpy", "sidechannel"}
-NOT_IN_GF2 = {"criteria", "discrimination", "coupling", "bounds", "ensembles", "qmath"}
+#: numpy imports `inspect` itself, so a GF(2) run is held to no `dataclasses` only.
+NOT_IN_GF2 = {"criteria", "discrimination", "coupling", "bounds", "ensembles", "qmath"} | (COSTLY_STDLIB - {"inspect"})
 #: The quantum and coupling experiments load numpy and the kernels below.
 DENSITY = {"cli", "experiments", "numpy", "criteria", "ensembles", "qmath"}
 #: Requests, each with the modules it must load and those it must not.

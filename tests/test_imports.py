@@ -550,6 +550,15 @@ def test_refusal_loads_no_command_family(tmp_path, entry, argv, code):
     assert modules == set(EVERY_REQUEST), sorted(modules)
 
 
+@pytest.mark.parametrize(
+    "entry, argv", both_entries({name: argv for name, (argv, code) in BEFORE_ANY_COMMAND.items() if code == 2})
+)
+def test_refused_request_loads_no_kernel(tmp_path, entry, argv):
+    proc, modules = run_probe(tmp_path, entry, *argv)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+    assert not modules & (KERNELS | {"numpy"} | COSTLY_STDLIB), sorted(modules)
+
+
 #: The refused requests of tests/refusals.json, each argv by name.
 REFUSED = {name: row["argv"] for name, row in json.loads((ROOT / "tests" / "refusals.json").read_text()).items()}
 

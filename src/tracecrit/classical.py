@@ -79,11 +79,11 @@ def cmd_cex_i(seed: int, *, N: _int_param = 4):
 def cmd_spiked(seed: int, *, n: _int_param = 8, l: _int_param = 3):
     """Spiked distribution: the whole key is guessable with probability
     2^-l while the distance from uniform is only 2^-l - 2^-n."""
-    from fractions import Fraction
-
     from .keys import SpikedDist
 
-    dist = SpikedDist(n, l)
+    dist = SpikedDist(n, l)  # checks n and l before `fractions` loads
+    from fractions import Fraction
+
     analytic = Fraction(1, 2**l) - Fraction(1, 2**n)
     summed = dist.variational_from_uniform()
     dev, (positions, pattern) = dist.event_deviation(n)

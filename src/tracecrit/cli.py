@@ -71,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_params(raw: str) -> dict:
-    """Parse --params as inline JSON, falling back to a file path."""
+    """Parse --params as inline JSON when it starts with { or [, else as a file path."""
     text = raw.strip()
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):
         try:
             text = _read_text(text)
         except (OSError, ValueError) as exc:  # ValueError: undecodable or NUL in path

@@ -147,7 +147,7 @@ def pgm(e: CqEnsemble) -> Povm:
     bound on the guessing probability, so a cut support keeps it one.
     """
     avg = e.average.matrix
-    vals, vecs = _hermitian_eigen(avg)
+    (vals,), (vecs,) = _hermitian_eigen(avg[None])
     keep = vals > max(ZERO_TOL, _PGM_SUPPORT_CUTOFF * vals[0])
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
@@ -176,7 +176,7 @@ def post_leak_discrimination(e: CqEnsemble, leak: LeakSpec) -> PostLeakResult:
     # matching rows come in residual key order
     mask = sum(1 << (n - 1 - pos) for pos in leak.positions)
     leaked = sum(bit << (n - 1 - pos) for pos, bit in zip(leak.positions, leak.values))
-    rows = [i for i in range(2**n) if i & mask == leaked]
+    rows = np.flatnonzero((np.arange(2**n) & mask) == leaked)
     matched = e.prior.probs[rows].tolist()
     total = math.fsum(matched) if e.prior.denominator is None else sum(matched)
     if total <= 0:

@@ -27,8 +27,6 @@ def _exact_parts(values):
     their denominators, or (None, None) when any mass is of another type.
     While `fractions` is not loaded no Fraction exists, so ints alone are
     exact and a request that reads no Fraction never imports it."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return None, None
     fractions = sys.modules.get("fractions")
     exact = int if fractions is None else (int, fractions.Fraction)
     if len(values) and not isinstance(values[0], exact):  # no scan for floats
@@ -251,7 +249,7 @@ def two_bit_pkl_example(
     for name, op in (("sigma", sigma), ("rho1", rho1), ("rho2", rho2)):
         if op.dim != 2:
             raise BadParams(f"{name} must be qubit-dimensioned, got dim {op.dim}")
-    first = DensityOperator._trusted(tensor(sigma.matrix, rho1.matrix))
-    second = DensityOperator._trusted(tensor(sigma.matrix, rho2.matrix))
+    pair = tensor(sigma.matrix, np.array([rho1.matrix, rho2.matrix]))  # sigma (x) rho1, sigma (x) rho2
+    first, second = map(DensityOperator._trusted, pair)
     probes = {"00": first, "01": second, "10": second, "11": first}
     return CqEnsemble(2, ProbDist.uniform(bit_strings(2)), probes)

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadParams
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Key length cap for sparse spiked distributions.
 MAX_SPIKED_BITS = 30
@@ -81,12 +84,6 @@ class SpikedDist(_Spiked):
     __slots__ = ()
 
     def __new__(cls, n_bits: int, spike_exponent: int):
-        # every mass is a Fraction, and no method runs before a SpikedDist
-        # exists: the first one binds `Fraction`, so that a request that
-        # builds none, a GF(2) or quantum one, never imports `fractions`
-        global Fraction
-        from fractions import Fraction
-
         n, l = _ints((n_bits, spike_exponent), "key length and spike exponent must be integers")
         if not 1 <= n <= MAX_SPIKED_BITS:
             raise BadParams(f"key length must be in [1, {MAX_SPIKED_BITS}], got {n}")
@@ -100,6 +97,8 @@ class SpikedDist(_Spiked):
 
     @property
     def spike_mass(self) -> Fraction:
+        from fractions import Fraction  # here, so a request that builds no mass never imports it
+
         return Fraction(1, 2**self.spike_exponent)
 
     @property
@@ -112,6 +111,8 @@ class SpikedDist(_Spiked):
 
     def variational_from_uniform(self) -> Fraction:
         """Exact distance to uniform, summed over the two mass levels."""
+        from fractions import Fraction
+
         u = Fraction(1, 2**self.n_bits)
         others = 2**self.n_bits - 1
         return (abs(self.spike_mass - u) + others * abs(self.rest_mass - u)) / 2
@@ -132,6 +133,8 @@ class SpikedDist(_Spiked):
         (m,) = _ints((m,), f"subsequence length must be an integer, got {m!r}")
         if not 1 <= m <= self.n_bits:
             raise BadParams(f"subsequence length must be in [1, {self.n_bits}], got {m}")
+        from fractions import Fraction
+
         hit = self.spike_mass + (2 ** (self.n_bits - m) - 1) * self.rest_mass
         # any other pattern deviates from 2^-m by 1 / (2^m - 1) of the spike prefix's deviation
         return abs(hit - Fraction(1, 2**m)), (tuple(range(m)), self.spike_label[:m])

@@ -90,24 +90,26 @@ class DensityOperator:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply.  One broadcast
-    multiply: the same bits as numpy's Kronecker routine, at a fraction of
-    its per-call cost."""
+    """Kronecker product of two matrices, or of each pair of two stacks whose
+    leading axes broadcast; dimensions multiply.  One broadcast multiply: the
+    same bits as numpy's Kronecker routine, at a fraction of its per-call cost."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise BadParams(f"tensor takes two matrices, got shapes {a.shape} and {b.shape}")
-    (r, c), (s, t) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(r * s, c * t)
+    try:
+        product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    except ValueError:
+        raise BadParams(f"tensor stacks do not broadcast: shapes {a.shape} and {b.shape}") from None
+    *lead, r, s, c, t = product.shape
+    return product.reshape(*lead, r * s, c * t)
 
 
-def _hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_eigen(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues in descending order with matching orthonormal eigenvectors,
-    phase-fixed by `_phase_fixed`, of a complex square matrix or a (k, d, d)
-    stack of them derived from checked operators, unchecked: a derived
-    matrix may miss Hermiticity by the sum of its operands' slack."""
-    vals, vecs = np.linalg.eigh(m)
-    if m.ndim == 2:
-        return vals[::-1].copy(), _phase_fixed(vecs[None, :, ::-1])[0]
+    phase-fixed by `_phase_fixed`, of each matrix of a complex (k, d, d) stack
+    derived from checked operators, unchecked: a derived matrix may miss
+    Hermiticity by the sum of its operands' slack."""
+    vals, vecs = np.linalg.eigh(stack)
     return vals[:, ::-1].copy(), _phase_fixed(vecs[:, :, ::-1])
 
 

@@ -40,30 +40,26 @@ def parse_qubit(spec, name: str = "qubit spec") -> "DensityOperator":
     spec called ``name``; numpy loads once its entries have been read."""
     if not isinstance(spec, Mapping):
         raise ParseError(f"{name} must be a mapping, got {spec!r}")
+    if "diag" not in spec and "bloch" not in spec:
+        raise ParseError(f"{name} needs a 'diag' or 'bloch' entry, got {spec!r}")
     try:
         if "diag" in spec:
             a, b = (_float_param(v, name) for v in spec["diag"])
-            import numpy as np
-
-            from .qmath import validate_density
-
-            return validate_density(np.diag([a, b]))
-        if "bloch" in spec:
+            rows, scale = [[a, 0.0], [0.0, b]], 1.0
+        else:
             x, y, z = (_float_param(v, name) for v in spec["bloch"])
             if math.hypot(x, y, z) > 1.0 + ZERO_TOL:
                 raise ParseError(f"Bloch vector length exceeds 1: {(x, y, z)}")
-            import numpy as np
+            rows, scale = [[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], 0.5
+        import numpy as np
 
-            from .qmath import validate_density
+        from .qmath import validate_density
 
-            return validate_density(
-                0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
-            )
+        return validate_density(scale * np.array(rows))
     except ParseError:
         raise
     except Exception as exc:
         raise ParseError(f"bad {name} {spec!r}: {exc}") from exc
-    raise ParseError(f"{name} needs a 'diag' or 'bloch' entry, got {spec!r}")
 
 
 def _overlap_pair(c: float) -> tuple["DensityOperator", "DensityOperator"]:
@@ -156,13 +152,12 @@ def _family_measurement(sigma: "DensityOperator", rho1: "DensityOperator", rho2:
     import numpy as np
 
     from .discrimination import Povm
-    from .qmath import _hermitian_eigen
+    from .qmath import _hermitian_eigen, tensor
 
     # row i of each factor is its eigenvector i
     vecs = _hermitian_eigen(np.array([sigma.matrix, rho1.matrix - rho2.matrix]))[1].swapaxes(1, 2)
     pa, pb = vecs[:, :, :, None] * vecs.conj()[:, :, None, :]  # pa[i] and pb[j] are their projectors
-    # pa[i] (x) pb[j] at index 2i + j, as `qmath.tensor` multiplies them
-    stack = (pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]).reshape(4, 4, 4)
+    stack = tensor(pa[:, None], pb[None]).reshape(4, 4, 4)  # pa[i] (x) pb[j] at index 2i + j
     labels = [f"{fl}:{sl}" for fl in ("a", "b") for sl in ("e+", "e-")]
     return Povm(tuple(zip(labels, stack)))
 

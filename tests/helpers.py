@@ -594,7 +594,7 @@ def condition_on_leak_loop(e: CqEnsemble, leak: LeakSpec) -> CqEnsemble:
 def pgm_elements_loop(e: CqEnsemble) -> list:
     """Pretty-good measurement elements of the keys, one sandwich per key,
     on the support `pgm` keeps: eigenvalues above max(ZERO_TOL, c lam_max)."""
-    vals, vecs = _hermitian_eigen(average_probe_loop(e))
+    (vals,), (vecs,) = _hermitian_eigen(average_probe_loop(e)[None])
     keep = vals > max(ZERO_TOL, _PGM_SUPPORT_CUTOFF * vals.max())
     basis = vecs[:, keep]
     inv_sqrt = basis @ np.diag(vals[keep] ** -0.5) @ basis.conj().T
@@ -638,7 +638,7 @@ def variants_from_mass_loop(mass: np.ndarray) -> tuple:
 def helstrom_binary_loop(rho0: DensityOperator, rho1: DensityOperator, p0: float) -> float:
     """Optimal two-state success, p0 plus the positive values that
     `_hermitian_eigen` returns for (1 - p0) rho1 - p0 rho0, clamped into [0, 1]."""
-    vals, _ = _hermitian_eigen((1.0 - p0) * rho1.matrix - p0 * rho0.matrix)
+    (vals,), _ = _hermitian_eigen(((1.0 - p0) * rho1.matrix - p0 * rho0.matrix)[None])
     p_success = p0 + math.fsum(float(v) for v in vals[vals > 0.0])
     return min(max(p_success, 0.0), 1.0)
 

@@ -89,6 +89,23 @@ class TestProbDist:
         p = ProbDist(("a", "b"), (1.0 + 1e-13, -1e-13))
         assert p.probs[1] == 0.0
 
+    @pytest.mark.parametrize(
+        "probs,denominator",
+        [
+            (np.array([0.25, 0.75]), None),
+            (np.array([0, 1], dtype=np.int64), None),
+            (np.array([1, 0], dtype=object), 1),
+        ],
+        ids=["float64", "int64", "object-ints"],
+    )
+    def test_array_masses_take_the_path_of_their_elements(self, probs, denominator):
+        """numpy scalars are neither int nor Fraction, so a float64 or int64
+        array is float; an object array of Python ints is exact."""
+        p = ProbDist(("a", "b"), probs)
+        assert p.denominator == denominator
+        assert p.probs.dtype == (np.float64 if denominator is None else object)
+        assert p.as_array().tolist() == probs.astype(float).tolist()
+
     @pytest.mark.parametrize("probs", [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)])
     def test_rejects_nan_mass(self, probs):
         with pytest.raises(BadParams, match="sum"):

@@ -667,8 +667,9 @@ class TestCli:
             ('{"N": ' + "[" * 100000 + "]" * 100000 + "}", None, "bad JSON in --params"),
             (None, '{"N": 4', "bad JSON in --params"),
             ("[1, 2]", None, "params must decode to a JSON object"),
+            (None, "[]", "params must decode to a JSON object"),
         ],
-        ids=["deeply-nested-file", "unterminated-inline", "list-file"],
+        ids=["deeply-nested-file", "unterminated-inline", "list-file", "list-inline"],
     )
     def test_undecodable_params_exit_two(self, file_text, inline, message, tmp_path):
         path = tmp_path / "p.json"
@@ -1024,7 +1025,8 @@ def assert_refused(experiment, params) -> str:
 
 #: Refused requests, each with its argv and the exact stderr it gives, recorded
 #: once and kept as fixed data: every range, cap and missing-spec check of each
-#: family, and two refusals that read a state already built.
+#: family, two refusals that read a state already built, and inline `--params`
+#: that is JSON but not an object.
 REFUSALS = json.loads(Path(__file__).with_name("refusals.json").read_text())
 
 

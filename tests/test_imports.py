@@ -570,11 +570,11 @@ def decided_in(*modules: str) -> set[str]:
 
 #: What each refusal loads, by the module that decides it.  A check lives in
 #: the code that reads the value and runs before that code imports numpy:
-#: a refusal decided in its family module loads that family alone, and one
-#: decided in a numpy-free kernel loads that kernel too.  Only the last two
-#: read a state already built, so they load numpy: a spec missing after an
-#: explicit `sigma`, which binding has parsed, and an impure `sigma`, whose
-#: purity is read off its matrix.
+#: a refusal decided in `cli` loads no family, one decided in its family
+#: module loads that family alone, and one decided in a numpy-free kernel
+#: loads that kernel too.  Only the last two read a state already built, so
+#: they load numpy: a spec missing after an explicit `sigma`, which binding
+#: has parsed, and an impure `sigma`, whose purity is read off its matrix.
 TWO_BIT_FAMILY = decided_in("two_bit")
 GF2_KERNEL = decided_in("gf2", "sidechannel", "keys")
 REFUSAL_LOADS = {
@@ -600,9 +600,10 @@ REFUSAL_LOADS = {
     "ecc-rule-bogus": GF2_KERNEL,
     "ecc-rank-deficient": GF2_KERNEL,
     "ecc-n21-over-cap": GF2_KERNEL,
-    "spiked-n-31": decided_in("classical", "keys", "fractions"),
+    "spiked-n-31": decided_in("classical", "keys"),
     "table-m-above-n": decided_in("classical", "bounds"),
     "markov-mean-negative": decided_in("classical", "bounds"),
+    "params-inline-array": decided_in(),
     "cex_ii-rho2-missing": decided_in("two_bit", "numpy", "qmath"),
     "cex_iii-sigma-impure": decided_in("two_bit", "numpy", "qmath", "keys", "ensembles", "criteria", "discrimination"),
 }

@@ -33,6 +33,13 @@ def trace_norm(m) -> float:
     return norm
 
 
+def eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """One matrix's eigenvalues and eigenvectors, solved as a stack of one as
+    the package solves it."""
+    (vals,), (vecs,) = _hermitian_eigen(np.asarray(m)[None])
+    return vals, vecs
+
+
 class TestTensor:
     def test_identity_case(self):
         np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
@@ -55,6 +62,26 @@ class TestTensor:
                 b = rng.normal(size=sb) + 1j * rng.normal(size=sb)
                 np.testing.assert_array_equal(tensor(a, b), np.kron(a, b))
 
+    def test_stacks_equal_kron_of_each_pair_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        stack = rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2))
+        out = tensor(a, stack)
+        assert out.shape == (4, 6, 6)
+        for got, b in zip(out, stack):
+            np.testing.assert_array_equal(got, np.kron(a, b))
+        left = rng.normal(size=(2, 1, 2, 2)) + 1j * rng.normal(size=(2, 1, 2, 2))
+        right = rng.normal(size=(1, 3, 3, 2)) + 1j * rng.normal(size=(1, 3, 3, 2))
+        out = tensor(left, right)
+        assert out.shape == (2, 3, 6, 4)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(out[i, j], np.kron(left[i, 0], right[0, j]))
+
+    def test_rejects_stacks_that_do_not_broadcast(self):
+        with pytest.raises(BadParams, match="do not broadcast"):
+            tensor(np.ones((2, 2, 2)), np.ones((3, 2, 2)))
+
     def test_no_kron_in_the_package(self):
         package = Path(tracecrit.__file__).parent
         assert not [p.name for p in package.glob("*.py") if "np.kron" in p.read_text()]
@@ -76,11 +103,11 @@ class TestHermitianEigen:
     derives them."""
 
     def test_diagonal_case(self):
-        vals, _ = _hermitian_eigen(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        vals, _ = eigen(np.diag([3.0, 1.0, 2.0]).astype(complex))
         np.testing.assert_allclose(vals, [3.0, 2.0, 1.0])
 
     def test_pauli_x(self):
-        vals, _ = _hermitian_eigen(np.array([[0, 1], [1, 0]], dtype=complex))
+        vals, _ = eigen(np.array([[0, 1], [1, 0]], dtype=complex))
         np.testing.assert_allclose(vals, [1.0, -1.0])
 
     def test_reconstruction_oracle(self):
@@ -88,7 +115,7 @@ class TestHermitianEigen:
         for _ in range(20):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             h = a + a.conj().T
-            vals, vecs = _hermitian_eigen(h)
+            vals, vecs = eigen(h)
             residual = np.max(np.abs(h - vecs @ np.diag(vals) @ vecs.conj().T))
             assert residual <= 1e-10
             np.testing.assert_allclose(
@@ -99,8 +126,8 @@ class TestHermitianEigen:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(3, 3))
         h = (a + a.T).astype(complex)
-        _, v1 = _hermitian_eigen(h)
-        _, v2 = _hermitian_eigen(h.copy())
+        _, v1 = eigen(h)
+        _, v2 = eigen(h.copy())
         np.testing.assert_array_equal(v1, v2)
         for j in range(3):
             lead = v1[np.argmax(np.abs(v1[:, j]) > 1e-12), j]
@@ -120,7 +147,7 @@ class TestHermitianEigen:
             for j in range(dim):
                 pivot = vecs[np.argmax(np.abs(vecs[:, j]) > 1e-12), j]
                 vecs[:, j] = vecs[:, j] * (pivot.conj() / abs(pivot))
-            got_vals, got_vecs = _hermitian_eigen(h)
+            got_vals, got_vecs = eigen(h)
             assert bits(got_vals) == bits(vals[::-1]) and bits(got_vecs) == bits(vecs)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
@@ -136,7 +163,7 @@ class TestHermitianEigen:
         vals, vecs = _hermitian_eigen(stack)
         assert vals.shape == (5, dim) and vecs.shape == (5, dim, dim)
         for h, got_vals, got_vecs in zip(stack, vals, vecs):
-            want_vals, want_vecs = _hermitian_eigen(h)
+            want_vals, want_vecs = eigen(h)
             assert bits(got_vals) == bits(want_vals) and bits(got_vecs) == bits(want_vecs)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .ensembles import ProbDist, _joined
 from .errors import BadParams
+from .qmath import _frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +57,7 @@ class Coupling:
         else:
             res_p, res_q = p - diag, q - diag
             leftover = math.fsum(res_p.tolist()) if den is None else int(res_p.sum())
-        for name, value in zip(("res_p", "res_q", "leftover"), (res_p, res_q, leftover)):
-            object.__setattr__(self, name, value)
-        for a in (p, q, diag, res_p, res_q):
-            if a is not None:
-                a.setflags(write=False)
+        _frozen(self, p=p, q=q, diagonal=diag, res_p=res_p, res_q=res_q, leftover=leftover)
 
 
 def maximal_coupling(p: ProbDist, q: ProbDist) -> Coupling:

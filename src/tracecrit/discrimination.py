@@ -16,7 +16,7 @@ import numpy as np
 from .criteria import _outcome_mass, criterion_d_averaged
 from .ensembles import CqEnsemble, LeakSpec
 from .errors import _PGM_SUPPORT_CUTOFF, TOL, ZERO_TOL, BadParams
-from .qmath import DensityOperator, _adjoint_gaps, _hermitian_eigen
+from .qmath import DensityOperator, _adjoint_gaps, _frozen, _hermitian_eigen
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +60,8 @@ class Povm:
         gap = float(abs(stack.sum(axis=0) - np.eye(dim)).max())
         if gap > TOL:
             raise BadParams(f"elements sum away from identity by {gap:.3e}")
-        stack.setflags(write=False)
-        object.__setattr__(self, "elements", tuple(zip(labels, stack)))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "stack", stack)
+        stack.setflags(write=False)  # before the views: a view of a writable array stays writable
+        _frozen(self, elements=tuple(zip(labels, stack)), labels=labels, stack=stack)
 
     @property
     def dim(self) -> int:
@@ -93,19 +91,7 @@ class JointDistribution:
         total = math.fsum(m.ravel().tolist())
         if not abs(total - 1.0) <= TOL:
             raise BadParams(f"total mass is {total!r}, off unit by {abs(total - 1.0):.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "mass", m)
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
-
-    @classmethod
-    def _trusted(cls, row_labels: tuple, col_labels: tuple, mass: np.ndarray) -> "JointDistribution":
-        """Wrap a float mass measured on validated inputs, unchecked and
-        uncopied; the mass is frozen in place."""
-        mass.setflags(write=False)
-        self = cls.__new__(cls)
-        vars(self).update(row_labels=row_labels, col_labels=col_labels, mass=mass)
-        return self
+        _frozen(self, row_labels=tuple(self.row_labels), col_labels=tuple(self.col_labels), mass=m)
 
 
 class PostLeakResult(NamedTuple):
@@ -133,8 +119,10 @@ def helstrom_binary(rho0: DensityOperator, rho1: DensityOperator, p0: float) -> 
 
 def measure_ensemble(e: CqEnsemble, m: Povm) -> JointDistribution:
     """Joint distribution of the key and the measurement outcome, from the
-    clamped mass of `criteria._outcome_mass`."""
-    return JointDistribution._trusted(e.keys, m.labels, _outcome_mass(e, m))
+    clamped mass of `criteria._outcome_mass`, measured on validated inputs and
+    so wrapped unchecked and uncopied."""
+    joint = JointDistribution.__new__(JointDistribution)
+    return _frozen(joint, row_labels=e.keys, col_labels=m.labels, mass=_outcome_mass(e, m))
 
 
 def pgm(e: CqEnsemble) -> Povm:

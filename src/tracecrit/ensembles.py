@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import TOL, ZERO_TOL, BadParams
 from .keys import _BIT_STRINGS, _ints, _key_space, bit_strings
-from .qmath import DensityOperator, _require_density_stack, _trace_norms, tensor
+from .qmath import DensityOperator, _frozen, _require_density_stack, _trace_norms, tensor
 
 
 def _exact_parts(values):
@@ -42,6 +42,20 @@ def _exact_parts(values):
     return nums, den
 
 
+def _labels(labels) -> tuple[str, ...]:
+    """Distribution labels as a tuple of unique strings, non-strings coerced
+    by str(); BadParams when two coincide."""
+    # bit_strings(n), unique strings as built, is the memo's entry for its length 2^n
+    if type(labels) is tuple and labels is _BIT_STRINGS.get(len(labels).bit_length() - 1):
+        return labels
+    labels = tuple(labels)
+    if set(map(type, labels)) - {str}:
+        labels = tuple(map(str, labels))
+    if len(set(labels)) != len(labels):
+        raise BadParams("distribution labels must be unique")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class ProbDist:
     """Finite labelled probability distribution, masses held in one array.
@@ -58,21 +72,11 @@ class ProbDist:
     denominator: int | None = field(default=None, init=False)
 
     def __post_init__(self):
-        labels = self.labels
-        # bit_strings(n), unique strings as built, is the memo's entry for its length 2^n
-        if type(labels) is not tuple or labels is not _BIT_STRINGS.get(len(labels).bit_length() - 1):
-            labels = tuple(labels)
-            if set(map(type, labels)) - {str}:
-                labels = tuple(map(str, labels))
-            if len(set(labels)) != len(labels):
-                raise BadParams("distribution labels must be unique")
+        labels = _labels(self.labels)
         given = self.probs if isinstance(self.probs, np.ndarray) else tuple(self.probs)
         if len(labels) != len(given):
             raise BadParams(f"{len(labels)} labels but {len(given)} masses")
-        if self.denominator is None:
-            nums, den = _exact_parts(given)
-        else:  # numerators built by uniform
-            nums, den = list(given), self.denominator
+        nums, den = _exact_parts(given)
         if den is None:
             probs = np.array(given, dtype=np.float64)
             negative = probs < 0  # False for NaN, which fails the total
@@ -105,22 +109,18 @@ class ProbDist:
             probs = np.array(nums, dtype=object)
         if not abs(total - 1.0) <= TOL:  # NaN fails too
             raise BadParams(f"masses sum to {total!r}, off unit by {abs(total - 1.0):.3e}")
-        probs.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "denominator", den)
+        _frozen(self, labels=labels, probs=probs, denominator=den)
 
     @classmethod
     def uniform(cls, labels) -> "ProbDist":
-        """Exact uniform distribution, validated like any other but built
-        from int numerators, without a Fraction per mass."""
-        labels = tuple(labels)
+        """Exact uniform distribution: labels checked like any other, masses
+        numerators 1 over the label count, exact by construction, so neither
+        a Fraction per mass nor the checked constructor's reduction is needed."""
+        labels = _labels(labels)
         if not labels:
             raise BadParams("cannot build a distribution over zero labels")
-        self = cls.__new__(cls)
-        vars(self).update(labels=labels, probs=(1,) * len(labels), denominator=len(labels))
-        self.__post_init__()
-        return self
+        n = len(labels)
+        return _frozen(cls.__new__(cls), labels=labels, probs=np.full(n, 1, dtype=object), denominator=n)
 
     def as_array(self) -> np.ndarray:
         """Float64 masses, a fresh writable array."""
@@ -168,8 +168,7 @@ class LeakSpec:
             raise BadParams("leak positions must be strictly increasing")
         if set(values) - {0, 1}:
             raise BadParams("leaked values must be bits")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "values", values)
+        _frozen(self, positions=positions, values=values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,11 +201,7 @@ class CqEnsemble:
         stack = np.array(matrices)  # as np.stack would, at a third of its cost: the shapes are equal
         if not all(isinstance(probes[k], DensityOperator) for k in expected):
             stack = _require_density_stack(stack)
-        weights = self.prior.as_array()
-        stack.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "probe_stack", stack)
-        object.__setattr__(self, "weights", weights)
+        _frozen(self, probe_stack=stack, weights=self.prior.as_array())
 
     @property
     def keys(self) -> tuple[str, ...]:

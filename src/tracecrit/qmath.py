@@ -55,6 +55,17 @@ def _require_density_stack(stack) -> np.ndarray:
     return stack
 
 
+def _frozen(record, **fields):
+    """The record with ``fields`` stored on it, every ndarray among them made
+    read-only in place: the one way a frozen array record of the package is
+    filled in, checked or built unchecked as ``_frozen(cls.__new__(cls), ...)``."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    vars(record).update(fields)
+    return record
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive semidefinite operator with unit trace.
@@ -72,17 +83,13 @@ class DensityOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
             raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
         _require_density_stack(m[None])
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _frozen(self, matrix=m)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
         """Wrap a complex matrix computed from validated operators, unchecked
         and uncopied; the matrix is frozen in place."""
-        matrix.setflags(write=False)
-        self = cls.__new__(cls)
-        vars(self).update(matrix=matrix)
-        return self
+        return _frozen(cls.__new__(cls), matrix=matrix)
 
     @property
     def dim(self) -> int:

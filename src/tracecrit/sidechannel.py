@@ -173,6 +173,7 @@ def singular_fraction(
     elimination steps than the costliest exhaustive one.  Every check runs
     before numpy is imported.
     """
+    m, n = _ints((m, n), "matrix dimensions must be integers")
     bits = m + n - 1
     if mode == "exhaustive":
         if bits >= EXHAUSTIVE_SEED_CAP.bit_length():  # compare exponents: no 2**bits yet
@@ -182,6 +183,8 @@ def singular_fraction(
             raise BadParams("sample mode needs a positive sample count")
         if seed is None:
             raise BadParams("sample mode needs an explicit seed for reproducibility")
+        (samples,) = _ints((samples,), "sample count must be an integer")
+        (seed,) = _ints((seed,), "seed must be an integer")
         if samples > EXHAUSTIVE_SEED_CAP:
             raise TooLarge(f"{samples} samples exceed the cap of {EXHAUSTIVE_SEED_CAP}")
     else:

@@ -77,6 +77,28 @@ class TestProbDist:
         with pytest.raises(BadParams, match=message):
             ProbDist(("a", "b"), probs)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [("a",), ("a", "b", "c"), tuple(f"k{i}" for i in range(20000)), bit_strings(3)],
+        ids=["one", "three", "20000", "bit_strings-3"],
+    )
+    def test_uniform_equals_the_checked_constructor(self, labels):
+        u = ProbDist.uniform(labels)
+        checked = ProbDist(labels, [Fraction(1, len(labels))] * len(labels))
+        assert u.labels == checked.labels
+        assert u.probs.tolist() == checked.probs.tolist()
+        assert {type(v) for v in u.probs.tolist()} == {int}
+        assert u.probs.dtype == checked.probs.dtype == object
+        assert u.denominator == checked.denominator == len(labels)
+
+    @pytest.mark.parametrize("labels", [("a", "a"), (1, "1"), bit_strings(2)[:-1] + ("00",)])
+    def test_uniform_refuses_duplicate_labels_as_the_checked_constructor_does(self, labels):
+        with pytest.raises(BadParams) as uniform:
+            ProbDist.uniform(labels)
+        with pytest.raises(BadParams) as checked:
+            ProbDist(labels, [Fraction(1, len(labels))] * len(labels))
+        assert str(uniform.value) == str(checked.value) == "distribution labels must be unique"
+
     def test_uniform_over_no_labels_refused(self):
         with pytest.raises(BadParams, match="zero labels"):
             ProbDist.uniform([])

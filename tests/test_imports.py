@@ -10,8 +10,9 @@ experiment, its own command family among them, and writes and returns what
 command family, a refusal decided by its parameters loads only the modules
 that decide it and no numpy, a request that computes with no array loads
 neither numpy nor `dataclasses` nor `inspect`, one that reads no Fraction
-does not load `fractions`, and the first read of a package attribute binds
-the whole API."""
+does not load `fractions`, the first read of a package attribute binds
+the whole API, and one routine, `qmath._frozen`, fills in every frozen array
+record."""
 
 import ast
 import contextlib
@@ -115,6 +116,19 @@ def test_keys_imports_only_the_standard_library_and_errors():
     strings from it, so every import in it is of the standard library or of
     `errors`: neither loads numpy through it."""
     assert non_stdlib_imports("keys") <= {".errors"}
+
+
+def test_frozen_records_are_filled_in_by_one_routine():
+    """No module stores a field past a frozen dataclass's guard with
+    `object.__setattr__`; `qmath._frozen` alone writes fields through `vars`."""
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert not [name for name, text in texts.items() if "object.__setattr__" in text]
+    (frozen,) = [
+        node for node in ast.parse(texts["qmath.py"]).body if isinstance(node, ast.FunctionDef) and node.name == "_frozen"
+    ]
+    inside = len(re.findall(r"\bvars\(", ast.get_source_segment(texts["qmath.py"], frozen)))
+    assert inside == 1
+    assert sum(len(re.findall(r"\bvars\(", text)) for text in texts.values()) == inside
 
 
 def export_sources() -> dict[str, str]:

@@ -3,16 +3,28 @@
 and `GuaranteeScenario` and `SpikedDist` with a validating constructor.  The
 two refuse their inputs with the messages they gave as frozen dataclasses,
 keep the values they were given or derive, and no record takes an
-assignment."""
+assignment.  The frozen array records of the numpy modules store every array
+read-only, whichever route built them."""
 
 import copy
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from tracecrit import (
+    CqEnsemble,
+    DensityOperator,
+    JointDistribution,
+    Povm,
+    ProbDist,
+    independent_coupling,
+    maximal_coupling,
+    measure_ensemble,
+)
 from tracecrit.bounds import GuaranteeScenario, average_for_individual_guarantee, uniform_comparison_table
 from tracecrit.errors import BadParams
 from tracecrit.experiments import ExperimentReport, Verdict
@@ -120,3 +132,55 @@ def test_records_are_tuples_that_take_no_assignment(record):
             setattr(record, name, 1)
     assert not hasattr(record, "__dict__")
 
+
+
+def _measured() -> JointDistribution:
+    half = np.eye(2) / 2
+    e = CqEnsemble(1, ProbDist.uniform(("0", "1")), {"0": half, "1": np.diag([1.0, 0.0])})
+    return measure_ensemble(e, Povm((("a", np.diag([1.0, 0.0])), ("b", np.diag([0.0, 1.0])))))
+
+
+_FLOATS = ProbDist(("x", "y", "z"), (0.5, 0.25, 0.25)), ProbDist(("x", "y", "z"), (0.25, 0.25, 0.5))
+_EXACT = ProbDist(("x", "y"), (Fraction(1, 2), Fraction(1, 2))), ProbDist(("x", "y"), (Fraction(1, 3), Fraction(2, 3)))
+
+#: Each construction route of a frozen array record: a builder and the fields
+#: that hold arrays (`Povm.elements` holds one matrix per element).
+FROZEN_ROUTES = {
+    "DensityOperator": (lambda: DensityOperator(np.eye(2) / 2), {"matrix"}),
+    "DensityOperator._trusted": (lambda: DensityOperator._trusted(np.eye(2, dtype=complex) / 2), {"matrix"}),
+    "ProbDist-float": (lambda: _FLOATS[0], {"probs"}),
+    "ProbDist-exact": (lambda: _EXACT[1], {"probs"}),
+    "ProbDist.uniform": (lambda: ProbDist.uniform(("a", "b", "c")), {"probs"}),
+    "CqEnsemble": (
+        lambda: CqEnsemble(1, ProbDist(("0", "1"), (0.25, 0.75)), {"0": np.eye(2) / 2, "1": np.eye(2) / 2}),
+        {"probe_stack", "weights"},
+    ),
+    "Povm": (lambda: Povm((("a", np.eye(2) / 2), ("b", np.eye(2) / 2))), {"elements", "stack"}),
+    "JointDistribution": (lambda: JointDistribution(("0", "1"), ("a",), [[0.5], [0.5]]), {"mass"}),
+    "measure_ensemble": (_measured, {"mass"}),
+    "maximal_coupling-float": (lambda: maximal_coupling(*_FLOATS), {"p", "q", "diagonal", "res_p", "res_q"}),
+    "maximal_coupling-exact": (lambda: maximal_coupling(*_EXACT), {"p", "q", "diagonal", "res_p", "res_q"}),
+    "independent_coupling-float": (lambda: independent_coupling(*_FLOATS), {"p", "q", "res_p", "res_q"}),
+    "independent_coupling-exact": (lambda: independent_coupling(*_EXACT), {"p", "q", "res_p", "res_q"}),
+}
+
+
+def stored_arrays(record) -> dict[str, list]:
+    """Every ndarray the record stores, by field, those inside tuples and
+    pairs (`Povm.elements`) included."""
+    found = {}
+    for name, value in vars(record).items():
+        for item in value if isinstance(value, tuple) else (value,):
+            for a in item if isinstance(item, tuple) else (item,):
+                if isinstance(a, np.ndarray):
+                    found.setdefault(name, []).append(a)
+    return found
+
+
+@pytest.mark.parametrize("route", FROZEN_ROUTES)
+def test_every_stored_array_is_read_only(route):
+    build, fields = FROZEN_ROUTES[route]
+    arrays = stored_arrays(build())
+    assert set(arrays) == fields
+    writable = [name for name, found in arrays.items() for a in found if a.flags.writeable]
+    assert not writable, f"{route} stores writable arrays in {writable}"

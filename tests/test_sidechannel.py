@@ -188,6 +188,29 @@ class TestSingularFraction:
         with pytest.raises(BadParams):
             singular_fraction(0, 3)
 
+    @pytest.mark.parametrize(
+        "args,kwargs,message",
+        [
+            ((2.0, 2), {}, "matrix dimensions must be integers"),
+            (("2", 2), {}, "matrix dimensions must be integers"),
+            ((True, 2), {}, "matrix dimensions must be integers"),
+            ((2, 2.0), {"mode": "sample", "samples": 4, "seed": 0}, "matrix dimensions must be integers"),
+            ((2, 2), {"mode": "sample", "samples": 4.0, "seed": 0}, "sample count must be an integer"),
+            ((2, 2), {"mode": "sample", "samples": True, "seed": 0}, "sample count must be an integer"),
+            ((2, 2), {"mode": "sample", "samples": 4, "seed": 1.5}, "seed must be an integer"),
+            ((2, 2), {"mode": "sample", "samples": 4, "seed": "1"}, "seed must be an integer"),
+            ((2, 2), {"mode": "sample", "samples": 4, "seed": False}, "seed must be an integer"),
+        ],
+    )
+    def test_refuses_non_integer_arguments(self, args, kwargs, message):
+        with pytest.raises(BadParams, match=f"^{message}$"):
+            singular_fraction(*args, **kwargs)
+
+    def test_numpy_integers_run(self):
+        assert singular_fraction(np.int64(2), np.int32(2)) == 0.5
+        got = singular_fraction(np.int64(3), 5, mode="sample", samples=np.int64(500), seed=np.uint64(7))
+        assert got == singular_fraction(3, 5, mode="sample", samples=500, seed=7)
+
     def test_oversize_exhaustive_request_builds_no_seed_count(self):
         # 2^(10^8) alone would take 12.5 MB; the cap compares exponents first
         tracemalloc.start()

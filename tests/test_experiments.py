@@ -86,6 +86,13 @@ class TestCexI:
         with pytest.raises(BadParams):
             run_experiment("cex_i", {"N": 1})
 
+    #: Canonical JSON of cex_i by N, on both sides of MAX_DENSE_COUPLING and at the atom cap.
+    REPORTS = json.loads(Path(__file__).with_name("cex_i_reports.json").read_text())
+
+    @pytest.mark.parametrize("n", sorted(REPORTS, key=int))
+    def test_report_bytes(self, n):
+        assert run_experiment("cex_i", {"N": int(n)}).canonical_json() == self.REPORTS[n]
+
 
 class TestCexII:
     def test_orthogonal_preset(self):

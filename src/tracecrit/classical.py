@@ -44,8 +44,7 @@ def cmd_cex_i(seed: int, *, N: _int_param = 4):
     from .criteria import variational_distance
     from .ensembles import ProbDist
 
-    labels = tuple(map(str, range(N)))
-    p = q = ProbDist.uniform(labels)  # the experiment's two distributions are identical
+    p = q = ProbDist.uniform(range(N))  # the experiment's two distributions are identical
     delta = variational_distance(p, q)
     ind = mismatch_probability(independent_coupling(p, q))
 

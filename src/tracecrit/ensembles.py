@@ -48,10 +48,13 @@ def _exact_parts(values):
 
 def _labels(labels) -> tuple[str, ...]:
     """Labels of a distribution or a measurement as a tuple of unique strings,
-    non-strings coerced by str(); BadParams when two coincide."""
+    non-strings coerced by str(); BadParams when two coincide.  A range is read
+    unchecked: its integers are pairwise distinct, so their decimal strings are."""
     # bit_strings(n), unique strings as built, is the memo's entry for its length 2^n
     if type(labels) is tuple and labels is _BIT_STRINGS.get(len(labels).bit_length() - 1):
         return labels
+    if type(labels) is range:
+        return tuple(map(format, labels))  # format(i) is str(i) for an int, and faster
     labels = tuple(labels)
     if set(map(type, labels)) - {str}:
         labels = tuple(map(str, labels))

@@ -336,6 +336,32 @@ class TestProbDistLabelChecks:
         with pytest.raises(BadParams, match="unique"):
             ProbDist((1, "1"), (0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "r", [range(0), range(1), range(-5, 5), range(3, 40, 7), range(10, -10, -3), range(2**18)], ids=repr
+    )
+    def test_range_labels_are_its_decimal_strings(self, r):
+        labels = ensembles._labels(r)
+        assert labels == tuple(map(str, r))
+        assert {type(x) for x in labels} <= {str}
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1025])
+    def test_uniform_over_a_range_equals_uniform_over_its_strings(self, n):
+        by_range, by_strings = ProbDist.uniform(range(n)), ProbDist.uniform(tuple(map(str, range(n))))
+        assert by_range.labels == by_strings.labels
+        assert by_range.denominator == by_strings.denominator == n
+        assert by_range.probs.dtype == by_strings.probs.dtype == object
+        assert by_range.probs.tolist() == by_strings.probs.tolist()
+
+    def test_a_range_builds_no_set(self, monkeypatch):
+        def no_set(*args):
+            raise AssertionError("set() called")
+
+        monkeypatch.setattr(ensembles, "set", no_set, raising=False)
+        assert ensembles._labels(range(100)) == tuple(map(str, range(100)))
+        # the pin holds: any other label set goes through the uniqueness set
+        with pytest.raises(AssertionError, match="set"):
+            ensembles._labels(("a", "b", "a"))
+
 
 class TestAverageProbe:
     def test_equal_probes(self):

@@ -72,7 +72,7 @@ class JointDistribution:
 
     def __post_init__(self):
         row_labels, col_labels = _labels(self.row_labels), _labels(self.col_labels)
-        m = np.asarray(self.mass, dtype=float)
+        m = np.asarray(self.mass)  # no dtype: a str, bytes, bool or None mass is refused, not parsed
         if m.shape != (len(row_labels), len(col_labels)):
             raise BadParams(f"mass shape {m.shape} does not match the labels")
         _frozen(self, row_labels=row_labels, col_labels=col_labels, mass=_float_masses(m))

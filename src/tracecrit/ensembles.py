@@ -66,15 +66,18 @@ def _labels(labels) -> tuple[str, ...]:
 def _float_masses(given) -> np.ndarray:
     """Float masses, a tuple or an ndarray of any shape, as a fresh float64
     array, each a real number at least -ZERO_TOL and clamped at zero, their
-    total within TOL of one."""
+    total within TOL of one.  A bool is no mass: a bool array is refused,
+    while a bool among float masses in a tuple reads as a number unscanned."""
     if isinstance(given, np.ndarray) and given.dtype.kind in "iuf":
         probs = np.array(given, dtype=np.float64)
     else:
         import array
 
+        if isinstance(given, np.ndarray) and given.dtype.kind == "b" and given.size:
+            raise BadParams(f"probability mass {given.flat[0].item()!r} is not a number")
         # array.array reads each mass as Python reads a real number, at no more
         # cost than numpy, which would parse a str or bytes and nest a list
-        masses = given.tolist() if isinstance(given, np.ndarray) else given
+        masses = given.ravel().tolist() if isinstance(given, np.ndarray) else given
         try:
             probs = np.frombuffer(array.array("d", masses))
         except TypeError:  # which names no mass
@@ -84,6 +87,8 @@ def _float_masses(given) -> np.ndarray:
                 except TypeError:
                     raise BadParams(f"probability mass {v!r} is not a number") from None
             raise
+        if isinstance(given, np.ndarray):
+            probs = probs.reshape(given.shape)
     negative = probs < 0  # False for NaN, which fails the total
     if negative.any():
         below = probs[probs < -ZERO_TOL]

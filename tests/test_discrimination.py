@@ -503,6 +503,28 @@ class TestJointDistribution:
         with pytest.raises(BadParams, match="^masses sum to nan, off unit by nan$"):
             JointDistribution(("0", "1"), ("x", "y"), mass)
 
+    @pytest.mark.parametrize(
+        "mass,message",
+        [
+            ([["1"], ["0"]], "'1'"),
+            ([[b"1"], [b"0"]], "b'1'"),
+            (np.array([[True], [False]]), "True"),
+            (np.array([[False], [True]]), "False"),
+            ([[1.0], [None]], "None"),
+            ([[0.5], [0.5j]], r"\(0\.5\+0j\)"),
+        ],
+        ids=["str", "bytes", "bool-array", "bool-array-false-first", "none", "complex"],
+    )
+    def test_refuses_masses_that_are_not_numbers(self, mass, message):
+        with pytest.raises(BadParams, match=f"^probability mass {message} is not a number$"):
+            JointDistribution(("0", "1"), ("x",), mass)
+
+    def test_object_masses_of_real_numbers_are_read_as_floats(self):
+        joint = JointDistribution(("0", "1"), ("x", "y"), [[Fraction(1, 2), 0], [0.25, Fraction(1, 4)]])
+        assert joint.mass.dtype == np.float64 and joint.mass.shape == (2, 2)
+        assert joint.mass.tolist() == [[0.5, 0.0], [0.25, 0.25]]
+        assert not joint.mass.flags.writeable
+
     @pytest.mark.parametrize("rows,cols", [(("0", "0"), ("x", "y")), (("0", "1"), ("x", "x"))])
     def test_rejects_duplicate_labels(self, rows, cols):
         with pytest.raises(BadParams, match="^labels must be unique$"):

@@ -142,6 +142,8 @@ class TestProbDist:
             ((Fraction(1, 2), False), "probability mass False is not a number"),
             (np.array(["1", "0"]), "probability mass '1' is not a number"),
             (np.array([[0.5], [0.5]]), r"masses must form one flat sequence, got shape \(2, 1\)"),
+            (np.array([True, False]), "probability mass True is not a number"),
+            (np.array([False, True]), "probability mass False is not a number"),
         ],
     )
     def test_refuses_masses_that_are_not_numbers(self, probs, message):

@@ -20,9 +20,10 @@ from .experiments import _float_param, _int_list_param, _int_param, _preset, _ve
 #: constant only gates that verdict, which the reports of larger N pin.
 MAX_DENSE_COUPLING = 1024
 #: Atom cap for cex_i, from a budget of about 5 s that a Fraction per atom
-#: once used up.  With integer numerators N = 2^18 takes 0.2-0.25 s and
-#: 64 MiB peak RSS on a 2-core Xeon VM, so the cap is loose until the caps
-#: are re-derived from one time budget.
+#: once used up.  With integer numerators and range labels N = 2^18 takes
+#: about 0.06 s in process, and 0.25-0.3 s and 54 MiB peak RSS through the
+#: CLI, on a 2-vCPU VM, so the cap is loose until the caps are re-derived
+#: from one time budget.
 _MAX_ATOMS = 2**18
 
 SCENARIO_PRESETS = {

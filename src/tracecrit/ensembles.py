@@ -73,13 +73,16 @@ def _float_masses(given) -> np.ndarray:
     else:
         import array
 
-        if isinstance(given, np.ndarray) and given.dtype.kind == "b" and given.size:
-            raise BadParams(f"probability mass {given.flat[0].item()!r} is not a number")
+        if isinstance(given, np.ndarray):
+            if given.dtype.kind == "b" and given.size:
+                raise BadParams(f"probability mass {given.flat[0].item()!r} is not a number")
+            masses, shape = given.ravel().tolist(), given.shape
+        else:
+            masses, shape = given, -1
         # array.array reads each mass as Python reads a real number, at no more
         # cost than numpy, which would parse a str or bytes and nest a list
-        masses = given.ravel().tolist() if isinstance(given, np.ndarray) else given
         try:
-            probs = np.frombuffer(array.array("d", masses))
+            probs = np.frombuffer(array.array("d", masses)).reshape(shape)
         except TypeError:  # which names no mass
             for v in masses:
                 try:
@@ -87,8 +90,6 @@ def _float_masses(given) -> np.ndarray:
                 except TypeError:
                     raise BadParams(f"probability mass {v!r} is not a number") from None
             raise
-        if isinstance(given, np.ndarray):
-            probs = probs.reshape(given.shape)
     negative = probs < 0  # False for NaN, which fails the total
     if negative.any():
         below = probs[probs < -ZERO_TOL]

@@ -317,3 +317,35 @@ class TestArrayKernelsAgainstScalarLoops:
         assert_same_value(mismatch_probability(independent_coupling(exact, other)), Fraction(1))
         assert_same_value(mismatch_probability(independent_coupling(exact, floats)), 1.0)
         assert_same_value(variational_distance(exact, floats), 1.0)
+
+    THREE, FIVE = ProbDist.uniform(range(3)), ProbDist.uniform(range(5))
+    FOUR = ProbDist(("2", "x", "0", "y"), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)))
+
+    @pytest.mark.parametrize(
+        "p, q, delta, mismatch, joined",
+        [
+            (THREE, FOUR, Fraction(13, 24), Fraction(19, 24), ("0", "1", "2", "x", "y")),
+            (FOUR, THREE, Fraction(13, 24), Fraction(19, 24), ("2", "x", "0", "y", "1")),
+            (THREE, FIVE, Fraction(2, 5), Fraction(4, 5), ("0", "1", "2", "3", "4")),
+            (FIVE, THREE, Fraction(2, 5), Fraction(4, 5), ("0", "1", "2", "3", "4")),
+            (THREE, THREE, Fraction(0), Fraction(2, 3), ("0", "1", "2")),
+        ],
+        ids=["3-4", "4-3", "3-5", "5-3", "3-3"],
+    )
+    def test_range_labels_join_as_their_strings(self, p, q, delta, mismatch, joined):
+        """The outer join of range-labelled distributions reads as the join of
+        the same distributions with their labels spelled out."""
+
+        def spelled(d):
+            return ProbDist(tuple(map(str, d.labels)), [Fraction(int(v), d.denominator) for v in d.probs])
+
+        for a, b in ((p, q), (spelled(p), spelled(q))):
+            assert_same_value(variational_distance(a, b), delta)
+            c = independent_coupling(a, b)
+            assert c.row_labels == joined and joined == c.row_labels
+            assert_same_value(mismatch_probability(c), mismatch)
+            if len(joined) != len(a.labels) or len(joined) != len(b.labels):
+                with pytest.raises(BadParams, match="^coupled distributions must share one label universe$"):
+                    maximal_coupling(a, b)
+            else:
+                assert_same_value(mismatch_probability(maximal_coupling(a, b)), delta)

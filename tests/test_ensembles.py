@@ -338,13 +338,50 @@ class TestProbDistLabelChecks:
         with pytest.raises(BadParams, match="unique"):
             ProbDist((1, "1"), (0.5, 0.5))
 
-    @pytest.mark.parametrize(
-        "r", [range(0), range(1), range(-5, 5), range(3, 40, 7), range(10, -10, -3), range(2**18)], ids=repr
-    )
+    RANGES = [range(0), range(1), range(-5, 5), range(3, 40, 7), range(10, -10, -3), range(2**18)]
+
+    @pytest.mark.parametrize("r", RANGES, ids=repr)
     def test_range_labels_are_its_decimal_strings(self, r):
         labels = ensembles._labels(r)
         assert labels == tuple(map(str, r))
         assert {type(x) for x in labels} <= {str}
+
+    @pytest.mark.parametrize("r", RANGES, ids=repr)
+    def test_range_labels_read_as_their_tuple(self, r):
+        labels, spelled = ensembles._labels(r), tuple(map(str, r))
+        shorter_or_reversed = (spelled[:-1], spelled[::-1]) if len(r) > 1 else ()
+        for other in (spelled + ("x",), ("x",) + spelled[1:], list(spelled), *shorter_or_reversed):
+            assert labels != other and other != labels
+            assert not (labels == other or other == labels)
+        assert labels == spelled and spelled == labels
+        assert not (labels != spelled or spelled != labels)
+        assert hash(labels) == hash(spelled)
+        assert len(labels) == len(spelled) and bool(labels) is bool(spelled)
+        assert list(labels) == list(spelled) and list(reversed(labels)) == list(reversed(spelled))
+        for i in sorted({0, 1, len(r) // 2, len(r) - 1, -1, -len(r)}):
+            if -len(r) <= i < len(r):
+                assert labels[i] == spelled[i] and type(labels[i]) is str
+        for i in (len(r), -len(r) - 1):
+            with pytest.raises(IndexError):
+                labels[i]
+        for s in (slice(None), slice(1, None), slice(None, None, -1), slice(2, -1, 3), slice(5, 2), slice(-3, None)):
+            assert labels[s] == spelled[s] and spelled[s] == labels[s]
+            assert hash(labels[s]) == hash(spelled[s])
+        for x in {*spelled[:2], *spelled[-2:], "x", "05", "-0", "+1", " 1", str(r.start - r.step), 3}:
+            assert (x in labels) is (x in spelled)
+            assert labels.count(x) == spelled.count(x)
+            if x in spelled:
+                assert labels.index(x) == spelled.index(x)
+            else:
+                with pytest.raises(ValueError):
+                    labels.index(x)
+
+    @pytest.mark.parametrize("r", [r for r in RANGES if r], ids=repr)
+    def test_labels_of_a_distribution_are_kept(self, r):
+        p = ProbDist.uniform(r)
+        assert ensembles._labels(p.labels) is p.labels
+        assert ProbDist(p.labels, np.full(len(r), 1 / len(r))).labels is p.labels
+        assert ProbDist.uniform(p.labels).labels is p.labels
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1025])
     def test_uniform_over_a_range_equals_uniform_over_its_strings(self, n):

@@ -9,6 +9,7 @@ an arbitrary coupling can sit from that optimum.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ class Coupling:
     i.e. residuals P and Q and leftover 1.
     """
 
-    row_labels: tuple[str, ...]
+    row_labels: Sequence[str]
     p: np.ndarray
     q: np.ndarray
     denominator: int | None

@@ -8,6 +8,7 @@ discrimination of the residual key after a partial leak.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -66,8 +67,8 @@ class JointDistribution:
     measured on a validated ensemble and measurement without a second check.
     """
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
+    row_labels: Sequence[str]
+    col_labels: Sequence[str]
     mass: np.ndarray
 
     def __post_init__(self):

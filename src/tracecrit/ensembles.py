@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -46,15 +47,51 @@ def _exact_parts(values):
     return nums, den
 
 
-def _labels(labels) -> tuple[str, ...]:
-    """Labels of a distribution or a measurement as a tuple of unique strings,
-    non-strings coerced by str(); BadParams when two coincide.  A range is read
-    unchecked: its integers are pairwise distinct, so their decimal strings are."""
+class _RangeLabels(Sequence):
+    """The decimal strings of a range's integers, held as the range and
+    formatted when read: ``format(i)`` is ``str(i)`` for an int.  It is equal
+    to, and hashes as, the tuple of those strings; a slice is again a view."""
+
+    __slots__ = ("_range",)
+
+    def __init__(self, r: range):
+        self._range = r
+
+    def __len__(self):
+        return len(self._range)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _RangeLabels(self._range[i])
+        return format(self._range[i])
+
+    def __iter__(self):
+        return map(format, self._range)
+
+    def __eq__(self, other):
+        if isinstance(other, _RangeLabels):
+            return self._range == other._range  # distinct integers have distinct strings
+        if isinstance(other, tuple):
+            return len(other) == len(self._range) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+def _labels(labels) -> Sequence[str]:
+    """Labels of a distribution or a measurement as an immutable sequence of
+    unique strings: a tuple, non-strings coerced by str(), or BadParams when
+    two coincide.  A range is held as the range, read as its decimal strings
+    (`_RangeLabels`), and needs no check: its integers are pairwise distinct,
+    so their strings are."""
     # bit_strings(n), unique strings as built, is the memo's entry for its length 2^n
     if type(labels) is tuple and labels is _BIT_STRINGS.get(len(labels).bit_length() - 1):
         return labels
     if type(labels) is range:
-        return tuple(map(format, labels))  # format(i) is str(i) for an int, and faster
+        return _RangeLabels(labels)
+    if type(labels) is _RangeLabels:
+        return labels
     labels = tuple(labels)
     if set(map(type, labels)) - {str}:
         labels = tuple(map(str, labels))
@@ -124,7 +161,7 @@ class ProbDist:
     is float64 and ``denominator`` is None.  Either array is read-only.
     """
 
-    labels: tuple[str, ...]
+    labels: Sequence[str]
     probs: np.ndarray
     denominator: int | None = field(default=None, init=False)
 
@@ -247,7 +284,7 @@ class CqEnsemble:
         _frozen(self, probe_stack=stack, weights=self.prior.as_array())
 
     @property
-    def keys(self) -> tuple[str, ...]:
+    def keys(self) -> Sequence[str]:
         return self.prior.labels
 
     @property

@@ -23,6 +23,7 @@ from tracecrit import (
 from tracecrit import ensembles, two_bit
 from tracecrit.criteria import criterion_d_averaged
 from tracecrit.ensembles import bit_strings
+from tracecrit.experiments import run_experiment
 from tracecrit.errors import (
     TOL,
     ZERO_TOL,
@@ -400,6 +401,22 @@ class TestProbDistLabelChecks:
         # the pin holds: any other label set goes through the uniqueness set
         with pytest.raises(AssertionError, match="set"):
             ensembles._labels(("a", "b", "a"))
+
+    def test_a_range_formats_no_label(self, monkeypatch):
+        """A range's labels are strings only when read: neither a uniform
+        distribution over 2^18 atoms nor cex_i at its cap formats one."""
+
+        def no_format(*args):
+            raise AssertionError("format() called")
+
+        monkeypatch.setattr(ensembles, "format", no_format, raising=False)
+        p = ProbDist.uniform(range(2**18))
+        assert len(p.labels) == p.denominator == 2**18
+        report = run_experiment("cex_i", {"N": 2**18})
+        assert report.results["independent_mismatch_num"] == 2**18 - 1
+        # the pin holds: reading a label formats it
+        with pytest.raises(AssertionError, match="format"):
+            p.labels[0]
 
 
 class TestAverageProbe:
